@@ -176,26 +176,31 @@ class _SheetIndex:
             by_row.setdefault(row, []).append(col)
         self.rows = sorted(by_row)
         self.cols_by_row = {r: sorted(cs) for r, cs in by_row.items()}
+        # Addresses of a row, made the first time a range reaches it, so
+        # re-reading a range builds no new CellAddress objects.
+        self._addrs_by_row: dict[int, list[CellAddress]] = {}
 
-    def iter_box(self, r1: int, c1: int, r2: int, c2: int) -> Iterator[tuple[int, int]]:
-        """(row, col) of non-empty cells inside the box, reading order."""
+    def iter_box(self, r1: int, c1: int, r2: int, c2: int) -> Iterator[CellAddress]:
+        """Non-empty cells inside the box, reading order."""
         lo = bisect_left(self.rows, r1)
         hi = bisect_right(self.rows, r2)
         for row in self.rows[lo:hi]:
             cols = self.cols_by_row[row]
             a = bisect_left(cols, c1)
             b = bisect_right(cols, c2)
-            for col in cols[a:b]:
-                yield row, col
+            if a == b:
+                continue
+            addrs = self._addrs_by_row.get(row)
+            if addrs is None:
+                addrs = self._addrs_by_row[row] = [CellAddress(self.name, row, c) for c in cols]
+            yield from addrs[a:b]
 
 
 # --- evaluator ---------------------------------------------------------------
 
 
 class _Evaluator:
-    def __init__(self, wb: Workbook, values: dict[CellAddress, Value],
-                 indexes: dict[str, _SheetIndex]):
-        self.wb = wb
+    def __init__(self, values: dict[CellAddress, Value], indexes: dict[str, _SheetIndex]):
         self.values = values
         self.indexes = indexes
 
@@ -248,7 +253,7 @@ class _Evaluator:
         sheet = node.sheet if node.sheet is not None else host.sheet
         if node.row > MAX_ROW or node.col > MAX_COL:
             raise _Err(REF_ERR)
-        if self.wb.sheet(sheet) is None:
+        if sheet not in self.indexes:
             raise _Err(REF_ERR)
         v = self.values.get(CellAddress(sheet, node.row, node.col))
         if isinstance(v, ErrorValue):
@@ -262,8 +267,8 @@ class _Evaluator:
         index = self.indexes.get(sheet)
         if index is None:
             raise _Err(REF_ERR)
-        for row, col in index.iter_box(node.r1, node.c1, node.r2, node.c2):
-            v = self.values[CellAddress(sheet, row, col)]
+        for addr in index.iter_box(node.r1, node.c1, node.r2, node.c2):
+            v = self.values[addr]
             if isinstance(v, ErrorValue):
                 raise _Err(v)
             yield v
@@ -486,29 +491,33 @@ def _round_half_away(x: float, digits: int) -> float:
 # --- dependency ordering -----------------------------------------------------
 
 
-def _formula_precedents(
-    ast: FormulaAst, wb: Workbook, indexes: dict[str, _SheetIndex],
-    formula_set: set[CellAddress],
-) -> set[CellAddress]:
-    """Formula-cell precedents only; constants are preloaded so ordering
-    never needs them, and empty cells cannot be formulas."""
+def sheet_indexes(wb: Workbook) -> dict[str, _SheetIndex]:
+    """One range index per sheet, keyed by sheet name."""
+    return {s.name: _SheetIndex(s.name, s.cells) for s in wb.sheets}
+
+
+def _formula_precedents(ast: FormulaAst, indexes: dict[str, _SheetIndex],
+                        keep: set[CellAddress]) -> set[CellAddress]:
+    """The cells in keep that the formula references.
+
+    keep holds the formula cells, plus any constants being watched; empty
+    cells are never in it, so a range only visits its occupied cells.
+    """
     out: set[CellAddress] = set()
 
     def visit(node: Expr) -> None:
         if isinstance(node, CellRef):
             sheet = node.sheet if node.sheet is not None else ast.host.sheet
             addr = CellAddress(sheet, node.row, node.col)
-            if addr in formula_set:
+            if addr in keep:
                 out.add(addr)
         elif isinstance(node, RangeRef):
             sheet = node.sheet if node.sheet is not None else ast.host.sheet
             index = indexes.get(sheet)
             if index is None:
                 return
-            for row, col in index.iter_box(node.r1, node.c1, node.r2, node.c2):
-                addr = CellAddress(sheet, row, col)
-                if addr in formula_set:
-                    out.add(addr)
+            out.update(addr for addr in index.iter_box(node.r1, node.c1, node.r2, node.c2)
+                       if addr in keep)
         elif isinstance(node, UnaryOp):
             visit(node.operand)
         elif isinstance(node, BinaryOp):
@@ -522,26 +531,131 @@ def _formula_precedents(
     return out
 
 
+class EvalPlan:
+    """The value-independent half of evaluation, built once per formula set.
 
+    Holds the sheet indexes, the cells on reference cycles (each evaluates
+    to #CYCLE!), and a topological order of the other formula cells with
+    their formula dependents. run() evaluates the whole book; eval_cells()
+    re-evaluates a few cells against a changed input without touching the
+    rest.
 
-def cycle_cells(wb: Workbook,
-                asts: dict[CellAddress, FormulaAst] | None = None) -> list[list[CellAddress]]:
-    """Reference cycles among formula cells, each component sorted."""
-    if asts is None:
-        asts = parse_workbook_formulas(wb)
-    indexes = {s.name: _SheetIndex(s.name, s.cells) for s in wb.sheets}
-    formula_set = set(asts)
-    adj = {
-        addr: _formula_precedents(ast, wb, indexes, formula_set)
-        for addr, ast in asts.items()
-    }
-    nodes = sorted(formula_set, key=_addr_key)
-    out = []
-    for comp in _tarjan_sccs(nodes, adj):
-        if len(comp) > 1 or (comp[0] in adj.get(comp[0], ())):
-            out.append(sorted(comp, key=_addr_key))
-    out.sort(key=lambda comp: _addr_key(comp[0]))
-    return out
+    watch names constant cells whose forward cone (cone()) is wanted. Their
+    direct readers come from the same reference walk that builds the
+    formula adjacency.
+    """
+
+    def __init__(self, wb: Workbook, asts: dict[CellAddress, FormulaAst],
+                 watch: frozenset[CellAddress] = frozenset(),
+                 indexes: dict[str, _SheetIndex] | None = None):
+        self.wb = wb
+        self.asts = asts
+        self.indexes = sheet_indexes(wb) if indexes is None else indexes
+        formula_set = set(asts)
+        keep = formula_set | watch if watch else formula_set
+        adj = {addr: _formula_precedents(ast, self.indexes, keep)
+               for addr, ast in asts.items()}
+        self._readers: dict[CellAddress, list[CellAddress]] = {}
+        if watch:
+            for addr, precs in adj.items():
+                for cell in precs & watch:
+                    self._readers.setdefault(cell, []).append(addr)
+                precs -= watch
+
+        self.in_cycle: set[CellAddress] = set()
+        for comp in _tarjan_sccs(sorted(formula_set, key=_addr_key), adj):
+            if len(comp) > 1 or comp[0] in adj[comp[0]]:
+                self.in_cycle.update(comp)
+
+        # Kahn order over the acyclic remainder; cycle cells resolve first.
+        live = formula_set - self.in_cycle
+        indeg = dict.fromkeys(live, 0)
+        self.dependents: dict[CellAddress, list[CellAddress]] = {addr: [] for addr in live}
+        for addr in live:
+            for prec in adj[addr]:
+                if prec in live:
+                    indeg[addr] += 1
+                    self.dependents[prec].append(addr)
+        order = [addr for addr in sorted(live, key=_addr_key) if indeg[addr] == 0]
+        pos = 0
+        while pos < len(order):
+            for dep in self.dependents[order[pos]]:
+                indeg[dep] -= 1
+                if indeg[dep] == 0:
+                    order.append(dep)
+            pos += 1
+        # Anything not drained depends on a cycle through live edges only;
+        # with cycle cells taken out first that cannot happen.
+        assert len(order) == len(live), "topological order did not drain"
+        self.order = order
+        self._position: dict[CellAddress, int] | None = None
+
+    def run(self, overrides: dict[CellAddress, Constant] | None = None
+            ) -> dict[CellAddress, Value]:
+        """Evaluate every non-empty cell to a Value.
+
+        overrides replace cell content with constants; an overridden
+        formula cell must have been left out of the plan's asts.
+        """
+        overrides = overrides or {}
+        values: dict[CellAddress, Value] = {}
+        for addr, content in self.wb.iter_cells():
+            if addr in overrides:
+                override_content = CellContent(value=overrides[addr],
+                                               number_format=content.number_format)
+                values[addr] = effective_constant(override_content)
+            elif not content.is_formula:
+                values[addr] = effective_constant(content)
+        for addr in self.in_cycle:
+            values[addr] = CYCLE_ERR
+        self._eval_into(self.order, values)
+        return values
+
+    def cone(self, cell: CellAddress) -> list[CellAddress]:
+        """The formulas whose value can depend on a watched cell, in plan order.
+
+        Those are its direct readers and their transitive dependents; cycle
+        cells are #CYCLE! whatever their inputs, so the cone stops at them.
+        """
+        if self._position is None:
+            self._position = {addr: i for i, addr in enumerate(self.order)}
+        stack = [r for r in self._readers.get(cell, ()) if r not in self.in_cycle]
+        seen = set(stack)
+        while stack:
+            for dep in self.dependents[stack.pop()]:
+                if dep not in seen:
+                    seen.add(dep)
+                    stack.append(dep)
+        return sorted(seen, key=self._position.__getitem__)
+
+    def eval_cells(self, addrs: list[CellAddress], values: dict[CellAddress, Value],
+                   overlay: dict[CellAddress, Value]) -> dict[CellAddress, Value]:
+        """New values of addrs, evaluated over values with overlay laid on top.
+
+        values is a full result of run(); overlay gives new values for some
+        of its constant cells. addrs must be in plan order and hold every
+        formula the overlay reaches (the union of the overlaid cells'
+        cones), or the result mixes old and new inputs. values is left as
+        it was: the overlay and the new values go into it only for the
+        length of the call, so nothing is copied.
+        """
+        saved = {addr: values[addr] for addr in (*overlay, *addrs)}
+        try:
+            values.update(overlay)
+            self._eval_into(addrs, values)
+            return {addr: values[addr] for addr in addrs}
+        finally:
+            values.update(saved)
+
+    def _eval_into(self, addrs: list[CellAddress], values: dict[CellAddress, Value]) -> None:
+        ev = _Evaluator(values, self.indexes)
+        asts = self.asts
+        for addr in addrs:
+            try:
+                v: Value = ev.eval(asts[addr].root, addr)
+            except _Err as err:
+                v = err.error
+            values[addr] = v
 
 
 def evaluate(
@@ -559,58 +673,7 @@ def evaluate(
     if asts is None:
         asts = parse_workbook_formulas(wb)
     asts = {a: t for a, t in asts.items() if a not in overrides}
-
-    indexes = {s.name: _SheetIndex(s.name, s.cells) for s in wb.sheets}
-    values: dict[CellAddress, Value] = {}
-    for addr, content in wb.iter_cells():
-        if addr in overrides:
-            override_content = CellContent(value=overrides[addr],
-                                           number_format=content.number_format)
-            values[addr] = effective_constant(override_content)
-        elif not content.is_formula:
-            values[addr] = effective_constant(content)
-
-    formula_set = set(asts)
-    adj = {
-        addr: _formula_precedents(ast, wb, indexes, formula_set)
-        for addr, ast in asts.items()
-    }
-
-    in_cycle: set[CellAddress] = set()
-    for comp in _tarjan_sccs(sorted(formula_set, key=_addr_key), adj):
-        if len(comp) > 1 or comp[0] in adj.get(comp[0], ()):
-            in_cycle.update(comp)
-    for addr in in_cycle:
-        values[addr] = CYCLE_ERR
-
-    # Kahn order over the acyclic remainder; cycle cells already resolved.
-    live = formula_set - in_cycle
-    indeg = {addr: 0 for addr in live}
-    dependents: dict[CellAddress, list[CellAddress]] = {addr: [] for addr in live}
-    for addr in live:
-        for prec in adj[addr]:
-            if prec in live:
-                indeg[addr] += 1
-                dependents[prec].append(addr)
-    queue = [addr for addr in sorted(live, key=_addr_key) if indeg[addr] == 0]
-    ev = _Evaluator(wb, values, indexes)
-    pos = 0
-    while pos < len(queue):
-        addr = queue[pos]
-        pos += 1
-        try:
-            v: Value = ev.eval(asts[addr].root, addr)
-        except _Err as err:
-            v = err.error
-        values[addr] = v
-        for dep in dependents[addr]:
-            indeg[dep] -= 1
-            if indeg[dep] == 0:
-                queue.append(dep)
-    # Anything not drained depends on a cycle through live edges only; with
-    # cycle cells resolved first that cannot happen.
-    assert pos == len(queue) == len(live), "topological order did not drain"
-    return values
+    return EvalPlan(wb, asts).run(overrides)
 
 
 # --- snapshot / recheck ------------------------------------------------------

@@ -23,6 +23,7 @@ copy-paste rules are built on that form.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterator, Union
@@ -179,7 +180,10 @@ def _lex(src: str, start: int = 0) -> list[_Token]:
             continue
         m = _NUMBER_RE.match(src, i)
         if m:
-            tokens.append(_Token("NUMBER", m.group(), i, float(m.group())))
+            value = float(m.group())
+            if not math.isfinite(value):
+                raise FormulaSyntaxError(f"number {m.group()} is out of range", i)
+            tokens.append(_Token("NUMBER", m.group(), i, value))
             i = m.end()
             continue
         m = _SHEET_RE.match(src, i)
@@ -218,12 +222,19 @@ def _lex(src: str, start: int = 0) -> list[_Token]:
 
 _REF_PARTS_RE = re.compile(r"^(\$?)([A-Za-z]{1,3})(\$?)([0-9]{1,7})$")
 
+# Deepest nesting of parentheses, function calls and unary signs a formula
+# may have. Desktop spreadsheets stop function nesting at 64; the bound also
+# keeps the parser and every recursive tree walk well inside Python's
+# recursion limit.
+MAX_NESTING = 64
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token], host: CellAddress):
         self.tokens = tokens
         self.pos = 0
         self.host = host
+        self.depth = 0
 
     @property
     def cur(self) -> _Token:
@@ -242,6 +253,12 @@ class _Parser:
 
     def at_op(self, *texts: str) -> bool:
         return self.cur.kind == "OP" and self.cur.text in texts
+
+    def nest(self, tok: _Token) -> None:
+        """Enter one nesting level at tok; the caller leaves with depth -= 1."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise FormulaSyntaxError(f"nesting deeper than {MAX_NESTING} levels", tok.offset)
 
     def parse(self) -> Expr:
         expr = self.comparison()
@@ -289,8 +306,11 @@ class _Parser:
 
     def unary(self) -> Expr:
         if self.at_op("-", "+"):
-            op = self.advance().text
-            return UnaryOp(op, self.unary())
+            tok = self.advance()
+            self.nest(tok)
+            operand = self.unary()
+            self.depth -= 1
+            return UnaryOp(tok.text, operand)
         return self.primary()
 
     def primary(self) -> Expr:
@@ -303,8 +323,10 @@ class _Parser:
             return TextLiteral(str(tok.value))
         if tok.kind == "OP" and tok.text == "(":
             self.advance()
+            self.nest(tok)
             inner = self.comparison()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         if tok.kind == "SHEET":
             self.advance()
@@ -335,6 +357,7 @@ class _Parser:
         if name not in SUPPORTED_FUNCTIONS:
             raise UnknownFunction(f"unknown function {name_tok.text!r}", name_tok.offset)
         self.expect_op("(")
+        self.nest(name_tok)
         args: list[Expr] = []
         if not self.at_op(")"):
             args.append(self.comparison())
@@ -342,6 +365,7 @@ class _Parser:
                 self.advance()
                 args.append(self.comparison())
         self.expect_op(")")
+        self.depth -= 1
         lo, hi = _ARITY[name]
         if len(args) < lo or (hi is not None and len(args) > hi):
             wants = f"{lo}" if hi == lo else (f"{lo}..{hi}" if hi else f">={lo}")

@@ -311,27 +311,25 @@ class Workbook:
     meta: WorkbookMeta
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for sheet in self.sheets:
-            if sheet.name in seen:
+        # Sheet name -> position, built once; not a field, so equality and
+        # repr see only the sheets themselves.
+        positions: dict[str, int] = {}
+        for i, sheet in enumerate(self.sheets):
+            if sheet.name in positions:
                 raise DuplicateSheet(f"duplicate sheet name: {sheet.name!r}")
-            seen.add(sheet.name)
+            positions[sheet.name] = i
+        object.__setattr__(self, "_positions", positions)
         for out in self.meta.outputs:
             addr = parse_qualified(out)
             if self.cell(addr) is None:
                 raise DanglingOutput(f"declared output does not resolve: {out!r}")
 
     def sheet(self, name: str) -> Sheet | None:
-        for s in self.sheets:
-            if s.name == name:
-                return s
-        return None
+        i = self._positions.get(name)
+        return None if i is None else self.sheets[i]
 
     def sheet_index(self, name: str) -> int:
-        for i, s in enumerate(self.sheets):
-            if s.name == name:
-                return i
-        raise KeyError(name)
+        return self._positions[name]
 
     def cell(self, addr: CellAddress) -> CellContent | None:
         s = self.sheet(addr.sheet)

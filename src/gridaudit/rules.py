@@ -9,20 +9,24 @@ for setup crashes, a coverage shortfall) rather than a silent skip.
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .engine import evaluate, parse_numeric_text
+from .engine import EvalPlan, parse_numeric_text, sheet_indexes
 from .errors import InvalidConfig
 from .formula import (
     AGGREGATE_FUNCTIONS,
+    BinaryOp,
     CellRef,
+    Expr,
     FormulaAst,
     FormulaMetrics,
     FunctionCall,
     NormalizedFormula,
     RangeRef,
+    UnaryOp,
     _walk,
     canonical_number,
     metrics,
@@ -225,11 +229,16 @@ def _const_repr(value: object) -> str:
 
 
 def _textual_number(cell: CellContent) -> float | None:
-    """The numeric value a text-behaving cell would carry if coerced."""
+    """The numeric value a text-behaving cell would carry if coerced.
+
+    Text such as "1e400" reads as infinity, which no number cell can hold,
+    so it has no coerced value.
+    """
     if cell.formula is not None:
         return None
     if isinstance(cell.value, str):
-        return parse_numeric_text(cell.value)
+        parsed = parse_numeric_text(cell.value)
+        return parsed if parsed is not None and math.isfinite(parsed) else None
     if isinstance(cell.value, float) and cell.number_format == "text":
         return cell.value
     return None
@@ -238,18 +247,17 @@ def _textual_number(cell: CellContent) -> float | None:
 def _aggregate_ranges(ast: FormulaAst) -> list[RangeRef]:
     found: list[RangeRef] = []
 
-    def go(node, inside: bool) -> None:
+    def go(node: Expr, inside: bool) -> None:
         if isinstance(node, RangeRef):
             if inside:
                 found.append(node)
-            return
-        if isinstance(node, FunctionCall):
+        elif isinstance(node, FunctionCall):
             inner = inside or node.name in AGGREGATE_FUNCTIONS
             for arg in node.args:
                 go(arg, inner)
-        elif hasattr(node, "operand"):
+        elif isinstance(node, UnaryOp):
             go(node.operand, inside)
-        elif hasattr(node, "left"):
+        elif isinstance(node, BinaryOp):
             go(node.left, inside)
             go(node.right, inside)
 
@@ -259,32 +267,42 @@ def _aggregate_ranges(ast: FormulaAst) -> list[RangeRef]:
 
 def _num_as_text_findings(wb: Workbook,
                           asts: dict[CellAddress, FormulaAst]) -> dict[CellAddress, Finding]:
-    candidates = [(addr, cell, coerced)
+    """Text-numbers inside an aggregate range, or amid numeric neighbours.
+
+    The book is evaluated once; for each text-number under an aggregate,
+    only the formulas downstream of it are evaluated again, with the cell
+    holding its coerced number.
+    """
+    candidates = {addr: (cell, coerced)
                   for addr, cell in wb.iter_cells()
-                  if (coerced := _textual_number(cell)) is not None]
+                  if (coerced := _textual_number(cell)) is not None}
     if not candidates:
         return {}
-    spans: list[tuple[CellAddress, str, int, int, int, int]] = []
+    indexes = sheet_indexes(wb)
+    hosts_of: dict[CellAddress, set[CellAddress]] = {}
     for host, ast in asts.items():
         for rng in _aggregate_ranges(ast):
             sheet = rng.sheet if rng.sheet is not None else host.sheet
-            spans.append((host, sheet, rng.r1, rng.c1, rng.r2, rng.c2))
+            index = indexes.get(sheet)
+            if index is None:
+                continue
+            for addr in index.iter_box(rng.r1, rng.c1, rng.r2, rng.c2):
+                if addr in candidates:
+                    hosts_of.setdefault(addr, set()).add(host)
 
-    base: dict[CellAddress, object] | None = None
+    if hosts_of:
+        plan = EvalPlan(wb, asts, watch=frozenset(hosts_of), indexes=indexes)
+        base = plan.run()
     out: dict[CellAddress, Finding] = {}
-    for addr, cell, coerced in candidates:
-        hosts = sorted(
-            {h for h, sheet, r1, c1, r2, c2 in spans
-             if sheet == addr.sheet and r1 <= addr.row <= r2 and c1 <= addr.col <= c2},
-            key=lambda a: (wb.sheet_index(a.sheet), a.row, a.col))
+    for addr, (cell, coerced) in candidates.items():
+        hosts = sorted(hosts_of.get(addr, ()),
+                       key=lambda a: (wb.sheet_index(a.sheet), a.row, a.col))
         if hosts:
-            if base is None:
-                base = evaluate(wb, asts=asts)
-            patched = wb.replace_cell(addr, CellContent(value=coerced, locked=cell.locked))
-            coerced_vals = evaluate(patched, asts=asts)
+            coerced_vals = plan.eval_cells(plan.cone(addr), base, {addr: coerced})
             understatement = 0.0
             for h in hosts:
-                before, after = base.get(h), coerced_vals.get(h)
+                before = base.get(h)
+                after = coerced_vals.get(h, before)
                 if isinstance(before, float) and isinstance(after, float):
                     understatement += after - before
             out[addr] = _mk(

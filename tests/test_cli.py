@@ -75,6 +75,12 @@ def test_malformed_workbook_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_out_of_range_number_literal_exits_two(tmp_path, capsys):
+    wb = wb_from({"A1": "=1e400"})
+    assert main(["audit", str(write_workbook(tmp_path, wb))]) == 2
+    assert "S1!A1" in capsys.readouterr().err
+
+
 def test_unknown_config_section_exits_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"rules": {}, "paln": {}}', encoding="utf-8")

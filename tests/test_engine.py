@@ -10,8 +10,8 @@ from gridaudit.engine import (
     REF_ERR,
     VALUE_ERR,
     ErrorValue,
+    EvalPlan,
     Snapshot,
-    cycle_cells,
     effective_constant,
     evaluate,
     parse_numeric_text,
@@ -23,6 +23,7 @@ from gridaudit.engine import (
     values_match,
 )
 from gridaudit.errors import MissingInputCell, NoDeclaredOutputs, OutputIsError
+from gridaudit.formula import parse_workbook_formulas
 from gridaudit.model import CellAddress, CellContent
 from helpers import wb_from
 
@@ -218,9 +219,22 @@ def test_direct_and_indirect_cycles():
     assert val(wb, "C1") == CYCLE_ERR  # propagated, not on the cycle itself
     assert val(wb, "E1") == 5.0
 
-    cycles = cycle_cells(wb)
-    assert len(cycles) == 1
-    assert {a.a1 for a in cycles[0]} == {"A1", "B1"}
+    plan = EvalPlan(wb, parse_workbook_formulas(wb))
+    assert {a.a1 for a in plan.in_cycle} == {"A1", "B1"}
+
+
+def test_eval_cells_reevaluates_a_cone_over_an_overlay():
+    wb = wb_from({"A1": "2", "A2": 3.0, "B1": "=SUM(A1:A2)", "B2": "=B1*10",
+                  "C1": "=A2+1", "D1": "=D1+A1"})
+    a1 = CellAddress("S1", 1, 1)
+    plan = EvalPlan(wb, parse_workbook_formulas(wb), watch=frozenset({a1}))
+    values = plan.run()
+    before = dict(values)
+    cone = plan.cone(a1)
+    assert [a.a1 for a in cone] == ["B1", "B2"]  # D1 is on a cycle, C1 does not read A1
+    new = plan.eval_cells(cone, values, {a1: 2.0})
+    assert new == {CellAddress("S1", 1, 2): 5.0, CellAddress("S1", 2, 2): 50.0}
+    assert values == before
 
 
 def test_self_reference_cycle():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gridaudit.errors import FormulaSyntaxError, UnknownFunction, UnknownName
 from gridaudit.formula import (
+    MAX_NESTING,
     BinaryOp,
     BooleanLiteral,
     CellRef,
@@ -131,6 +132,27 @@ def test_syntax_error_offsets_point_at_the_spot():
     with pytest.raises(UnknownName) as info:
         parse_formula("=A1+bogus", B1)
     assert info.value.offset == 4
+
+
+def test_non_finite_number_literal_rejected_with_offset():
+    with pytest.raises(FormulaSyntaxError) as info:
+        parse_formula("=2*1e400", B1)
+    assert info.value.offset == 3
+    assert parse_formula("=1e-400", B1).root == NumberLiteral(0.0)  # underflow is finite
+
+
+@pytest.mark.parametrize("opener", ["(", "-", "SUM("])
+def test_nesting_depth_is_bounded(opener):
+    closer = ")" if opener.endswith("(") else ""
+
+    def nested(depth: int) -> str:
+        return "=" + opener * depth + "1" + closer * depth
+
+    parse_formula(nested(MAX_NESTING), B1)
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse_formula(nested(depth), B1)
+        assert info.value.offset == 1 + len(opener) * MAX_NESTING
 
 
 def test_trailing_garbage_rejected():

@@ -210,6 +210,18 @@ def test_duplicate_sheet_and_dangling_output():
         make_workbook({"A1": {"v": 1}}, outputs=["S1!Z99"])
 
 
+def test_sheet_lookup_by_name_leaves_equality_and_repr_alone():
+    sheets = (Sheet("S1", {"A1": CellContent(value=1.0)}), Sheet("My Data", {}))
+    meta = WorkbookMeta(modified="2026-01-01T00:00:00")
+    wb = Workbook("book", sheets, meta)
+    assert wb.sheet("My Data") is sheets[1] and wb.sheet("Nope") is None
+    assert wb.sheet_index("My Data") == 1
+    with pytest.raises(KeyError):
+        wb.sheet_index("Nope")
+    assert wb == Workbook("book", sheets, meta)
+    assert repr(wb) == f"Workbook(name='book', sheets={sheets!r}, meta={meta!r})"
+
+
 def test_nonfinite_numbers_rejected():
     text = '{"version":1,"name":"x","meta":{"modified":"2026-01-01T00:00:00"},' \
            '"sheets":[{"name":"S1","cells":{"A1":{"v":NaN}}}]}'

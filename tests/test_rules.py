@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 import gridaudit.rules as rules_mod
+from gridaudit.engine import EvalPlan, evaluate
 from gridaudit.errors import InvalidConfig
 from gridaudit.graph import build_graph
-from gridaudit.model import CellContent
+from gridaudit.model import CellContent, parse_qualified
 from gridaudit.rules import (
     RULE_IDS,
     Finding,
@@ -90,6 +91,65 @@ def test_num_as_text_requires_context():
     # plain labels never flag
     wb = wb_from({"B1": "total", "B2": 1.0, "B3": 2.0, "B9": "=SUM(B1:B3)"})
     assert hits(run(wb), "NUM_AS_TEXT") == []
+    # text too large for a float has no number to be retyped as
+    wb = wb_from({"B1": "1e400", "B2": 1.0, "B3": 2.0, "B9": "=SUM(B1:B3)"})
+    report = run(wb)
+    assert hits(report, "NUM_AS_TEXT") == [] and hits(report, "INTERNAL_ERROR") == []
+
+
+def test_num_as_text_understatement_matches_full_reevaluation():
+    wb = wb_from(
+        {
+            "A1": 100.0, "A2": "200", "A4": 400.0, "A5": "50",
+            "A3": CellContent(value=300.0, number_format="text", locked=True),
+            "B1": "=SUM(A1:A5)",
+            "B2": "=AVERAGE(A1:A4)",
+            "B3": "=MAX(A1:A5)",
+            "B4": "=SUM(SUM(A1:A3),A4:A5)",  # nested aggregate
+            "C1": "=SUM(A1:A2,B1)",          # a host that also reads a host
+            "C2": "=B1*2",                   # depends on a host
+            "C3": "=SUM(A2:A3)*C2",          # a host downstream of a host
+            "C4": "=SUM(B1:B4)",             # sums hosts, covers no text-number
+            "D1": "=D2+SUM(A1:A3)",          # a host on a reference cycle
+            "D2": "=D1",
+            "D3": "=SUM(A4:A5)+D1",          # a host reading the cycle
+        },
+        extra_sheets={"Data": {"A1": "=SUM(S1!A2:A3)", "A2": "=A1+S1!C1"}},
+    )
+    found = hits(run(wb), "NUM_AS_TEXT")
+    assert {f.location.a1 for f in found} == {"A2", "A3", "A5"}
+    base = evaluate(wb)
+    for f in found:
+        locked = wb.cell(f.location).locked
+        retyped = evaluate(wb.replace_cell(
+            f.location, CellContent(value=f.evidence["coercedValue"], locked=locked)))
+        expected = 0.0
+        for host in map(parse_qualified, f.evidence["aggregates"]):
+            before, after = base[host], retyped[host]
+            if isinstance(before, float) and isinstance(after, float):
+                expected += after - before
+        assert f.evidence["understatement"] == expected
+    a2 = next(f for f in found if f.location.a1 == "A2")
+    # B1, B2, B4, C1 (A2 directly and again through B1), C3 (through C2), Data!A1
+    assert a2.evidence["understatement"] == pytest.approx(
+        200 + (700 / 3 - 250) + 200 + 400 + 200 * 1400 + 200)
+
+
+@pytest.mark.parametrize("k", [5, 40])
+def test_num_as_text_evaluates_the_book_once_plus_each_cone(monkeypatch, k):
+    cells: dict[str, object] = {f"A{r}": str(r) for r in range(1, k + 1)}
+    cells.update({"B1": f"=SUM(A1:A{k})", "B2": "=B1+1", "B3": "=B2*2",  # every cone
+                  "C1": 7.0, "C2": "=C1+1", "C3": "=C2+1", "C4": "=C3+1"})
+    evaluated: list[int] = []
+    real = EvalPlan._eval_into
+
+    def counting(self, addrs, values):
+        evaluated.append(len(addrs))
+        return real(self, addrs, values)
+
+    monkeypatch.setattr(EvalPlan, "_eval_into", counting)
+    assert len(hits(run(wb_from(cells)), "NUM_AS_TEXT")) == k
+    assert evaluated == [6] + [3] * k  # the whole book once, then one cone per text-number
 
 
 def test_hardwired_interior_constant():
