@@ -122,10 +122,10 @@ def build_audit_report(wb: Workbook, rule_cfg: RuleConfig | None = None,
     asts = parse_workbook_formulas(wb)
     g = build_graph(wb, asts=asts)
     rules_rep = run_rules(wb, g, rule_cfg, asts=asts)
-    risk_rep = assess(wb, g, params,
+    cs = chain_stats(g)
+    risk_rep = assess(wb, cs, params,
                       fraud_indicator_count=rules_rep.fraud_indicator_count,
                       asts=asts)
-    cs = chain_stats(g)
     generated = FIXED_TIMESTAMP if fixed_timestamp else (
         datetime.datetime.now().isoformat(timespec="seconds"))
     return AuditReport(
@@ -305,7 +305,7 @@ def _cmd_risk(args: argparse.Namespace) -> int:
     if args.serious_fraction is not None:
         overrides["s"] = args.serious_fraction
     params = dataclasses.replace(RiskParams(), **overrides)
-    rep = assess(wb, g, params,
+    rep = assess(wb, chain_stats(g), params,
                  fraud_indicator_count=rules_rep.fraud_indicator_count,
                  team_size=args.team_size, rounds=args.rounds, asts=asts)
     _emit(args, "\n".join(_risk_lines(rep)) + "\n", rep.to_dict())

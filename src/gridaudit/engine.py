@@ -15,18 +15,22 @@ tested rather than left to chance:
 * A constant number cell marked fmt:"text" behaves as its text rendering;
   operators still coerce it back, aggregates skip it.
 * Errors are values: #DIV/0!, #VALUE!, #REF! (reference beyond the grid or
-  to a missing sheet), #CYCLE! (every cell on a reference cycle). Errors
-  propagate through anything that consumes them.
+  to a missing sheet; a range with a corner beyond the grid is one #REF!
+  and reads no cell, so it is never a cycle edge), #CYCLE! (every cell on a
+  reference cycle). Errors propagate through anything that consumes them.
 * IF evaluates only the taken branch; AND/OR evaluate all arguments and
   take scalars only. ROUND rounds half away from zero. "^" on a negative
   base with a fractional exponent is #VALUE!; 0^0 is 1; 0^negative is
-  #DIV/0!. Overflow to infinity reports #VALUE!.
+  #DIV/0!. Overflow to infinity reports #VALUE!, in SUM and AVERAGE too;
+  numeric text beyond float range (such as "1e400") is not numeric.
 * Comparisons order mixed types as number < text < logical, compare text
   case-insensitively, and coerce an empty operand to the other side's type.
 
-Evaluation is non-recursive over the dependency structure (topological
-order with Tarjan components for the cyclic part), so ten-thousand-cell
-chains evaluate without blowing the stack.
+Evaluation is non-recursive over the dependency structure: one Tarjan pass
+over the formula cells, whose edges come from formula.references, puts
+every cycle's cells aside and emits the rest precedents-first, which is the
+evaluation order. Ten-thousand-cell chains evaluate without blowing the
+stack.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .errors import (
     NoDeclaredOutputs,
     OutputIsError,
 )
-from .graph import addr_key as _addr_key
 from .graph import tarjan_sccs as _tarjan_sccs
 from .formula import (
     BinaryOp,
@@ -61,6 +64,7 @@ from .formula import (
     UnaryOp,
     canonical_number,
     parse_workbook_formulas,
+    references,
 )
 from .model import (
     MAX_COL,
@@ -93,11 +97,13 @@ _NUMERIC_TEXT_RE = re.compile(r"^[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0
 
 
 def parse_numeric_text(s: str) -> float | None:
-    """The coercion rule for text in numeric context; None when not numeric."""
+    """The coercion rule for text in numeric context; None when not numeric,
+    as is text beyond float range ("1e400"), which no cell value can hold."""
     s = s.strip()
     if not _NUMERIC_TEXT_RE.match(s):
         return None
-    return float(s)
+    v = float(s)
+    return v if math.isfinite(v) else None
 
 
 def effective_constant(content: CellContent) -> Value:
@@ -441,12 +447,16 @@ class _Evaluator:
         nums = self.gather(args, host, counting=(name == "COUNT"))
         if name == "COUNT":
             return float(len(nums))
-        if name == "SUM":
-            return math.fsum(nums)
-        if name == "AVERAGE":
+        if name in ("SUM", "AVERAGE"):
+            try:
+                total = math.fsum(nums)
+            except OverflowError:  # finite numbers, total beyond float range
+                raise _Err(VALUE_ERR) from None
+            if name == "SUM":
+                return total
             if not nums:
                 raise _Err(DIV0)
-            return math.fsum(nums) / len(nums)
+            return total / len(nums)
         if name == "MIN":
             return min(nums) if nums else 0.0
         if name == "MAX":
@@ -501,33 +511,23 @@ def _formula_precedents(ast: FormulaAst, indexes: dict[str, _SheetIndex],
     """The cells in keep that the formula references.
 
     keep holds the formula cells, plus any constants being watched; empty
-    cells are never in it, so a range only visits its occupied cells.
+    cells are never in it, so a box only visits its occupied cells. A box
+    beyond the grid or on a missing sheet gives nothing: the evaluator
+    reads that whole reference as #REF! without reading a cell.
     """
     out: set[CellAddress] = set()
-
-    def visit(node: Expr) -> None:
-        if isinstance(node, CellRef):
-            sheet = node.sheet if node.sheet is not None else ast.host.sheet
-            addr = CellAddress(sheet, node.row, node.col)
+    for sheet, r1, c1, r2, c2 in references(ast):
+        index = indexes.get(sheet)
+        if index is None or r2 > MAX_ROW or c2 > MAX_COL:
+            continue
+        if r1 == r2 and c1 == c2:
+            # One cell: a lookup, which spares iter_box's per-row address
+            # cache (a list per row; 2 MB on a 20k-cell column chain).
+            addr = CellAddress(sheet, r1, c1)
             if addr in keep:
                 out.add(addr)
-        elif isinstance(node, RangeRef):
-            sheet = node.sheet if node.sheet is not None else ast.host.sheet
-            index = indexes.get(sheet)
-            if index is None:
-                return
-            out.update(addr for addr in index.iter_box(node.r1, node.c1, node.r2, node.c2)
-                       if addr in keep)
-        elif isinstance(node, UnaryOp):
-            visit(node.operand)
-        elif isinstance(node, BinaryOp):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, FunctionCall):
-            for a in node.args:
-                visit(a)
-
-    visit(ast.root)
+            continue
+        out.update(addr for addr in index.iter_box(r1, c1, r2, c2) if addr in keep)
     return out
 
 
@@ -535,10 +535,10 @@ class EvalPlan:
     """The value-independent half of evaluation, built once per formula set.
 
     Holds the sheet indexes, the cells on reference cycles (each evaluates
-    to #CYCLE!), and a topological order of the other formula cells with
-    their formula dependents. run() evaluates the whole book; eval_cells()
-    re-evaluates a few cells against a changed input without touching the
-    rest.
+    to #CYCLE!), and a topological order of the other formula cells (the
+    order Tarjan emits them in) with their formula dependents. run()
+    evaluates the whole book; eval_cells() re-evaluates a few cells against
+    a changed input without touching the rest.
 
     watch names constant cells whose forward cone (cone()) is wanted. Their
     direct readers come from the same reference walk that builds the
@@ -562,32 +562,23 @@ class EvalPlan:
                     self._readers.setdefault(cell, []).append(addr)
                 precs -= watch
 
+        # Components come out precedents-first, so each cell's off-cycle
+        # precedents are already in order when it is reached. Roots in
+        # reading order (that of asts) keep the search shallow on books
+        # whose formulas read the cells above or to their left.
         self.in_cycle: set[CellAddress] = set()
-        for comp in _tarjan_sccs(sorted(formula_set, key=_addr_key), adj):
-            if len(comp) > 1 or comp[0] in adj[comp[0]]:
+        self.order: list[CellAddress] = []
+        self.dependents: dict[CellAddress, list[CellAddress]] = {}
+        for comp in _tarjan_sccs(asts, adj):
+            addr = comp[0]
+            if len(comp) > 1 or addr in adj[addr]:
                 self.in_cycle.update(comp)
-
-        # Kahn order over the acyclic remainder; cycle cells resolve first.
-        live = formula_set - self.in_cycle
-        indeg = dict.fromkeys(live, 0)
-        self.dependents: dict[CellAddress, list[CellAddress]] = {addr: [] for addr in live}
-        for addr in live:
+                continue
+            self.order.append(addr)
+            self.dependents[addr] = []
             for prec in adj[addr]:
-                if prec in live:
-                    indeg[addr] += 1
+                if prec not in self.in_cycle:
                     self.dependents[prec].append(addr)
-        order = [addr for addr in sorted(live, key=_addr_key) if indeg[addr] == 0]
-        pos = 0
-        while pos < len(order):
-            for dep in self.dependents[order[pos]]:
-                indeg[dep] -= 1
-                if indeg[dep] == 0:
-                    order.append(dep)
-            pos += 1
-        # Anything not drained depends on a cycle through live edges only;
-        # with cycle cells taken out first that cannot happen.
-        assert len(order) == len(live), "topological order did not drain"
-        self.order = order
         self._position: dict[CellAddress, int] | None = None
 
     def run(self, overrides: dict[CellAddress, Constant] | None = None

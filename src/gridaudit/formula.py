@@ -585,6 +585,23 @@ def _walk(node: Expr) -> Iterator[Expr]:
             yield from _walk(arg)
 
 
+def references(ast: FormulaAst) -> Iterator[tuple[str, int, int, int, int]]:
+    """Every reference of a formula as a box (sheet, r1, c1, r2, c2).
+
+    Reading order; an unqualified reference carries the host sheet, and a
+    cell reference is a 1x1 box. This is the one walk the dependency graph
+    and the evaluator's ordering both take their edges from.
+    """
+    host_sheet = ast.host.sheet
+    for node in _walk(ast.root):
+        if isinstance(node, CellRef):
+            sheet = node.sheet if node.sheet is not None else host_sheet
+            yield (sheet, node.row, node.col, node.row, node.col)
+        elif isinstance(node, RangeRef):
+            sheet = node.sheet if node.sheet is not None else host_sheet
+            yield (sheet, node.r1, node.c1, node.r2, node.c2)
+
+
 def metrics(ast: FormulaAst) -> FormulaMetrics:
     host = ast.host
     tokens = 0
@@ -628,7 +645,9 @@ def normalize(ast: FormulaAst) -> NormalizedFormula:
     text = "=" + _render(ast.root, ast.host, "r1c1", 0, False)
     refs: list[str] = []
     lits: list[float] = []
+    tokens = 0
     for node in _walk(ast.root):
+        tokens += 1  # counted as metrics() counts them
         if isinstance(node, CellRef):
             refs.append(_render_r1c1_cell(node, ast.host))
         elif isinstance(node, RangeRef):
@@ -639,7 +658,7 @@ def normalize(ast: FormulaAst) -> NormalizedFormula:
         text=text,
         references=tuple(refs),
         literals=tuple(lits),
-        token_count=metrics(ast).token_count,
+        token_count=tokens,
     )
 
 

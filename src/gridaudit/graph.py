@@ -17,19 +17,10 @@ as one #REF!.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import ExplosionCap
-from .formula import (
-    BinaryOp,
-    CellRef,
-    Expr,
-    FormulaAst,
-    FunctionCall,
-    RangeRef,
-    UnaryOp,
-    parse_workbook_formulas,
-)
+from .formula import FormulaAst, parse_workbook_formulas, references
 from .model import MAX_COL, MAX_ROW, CellAddress, Workbook
 
 
@@ -39,13 +30,14 @@ def addr_key(addr: CellAddress) -> tuple[str, int, int]:
 
 
 def tarjan_sccs(
-    nodes: list[CellAddress], adj: dict[CellAddress, set[CellAddress]]
+    nodes: Iterable[CellAddress], adj: dict[CellAddress, set[CellAddress]]
 ) -> list[list[CellAddress]]:
     """Strongly connected components, iteratively (chains can be 10k deep).
 
     Components come out with every component after the ones it points to
     through adj, so a single pass in emission order is a topological sweep
-    of the condensation.
+    of the condensation. Which such order it is follows the iteration
+    order of nodes and of the adj sets.
     """
     index: dict[CellAddress, int] = {}
     low: dict[CellAddress, int] = {}
@@ -61,7 +53,7 @@ def tarjan_sccs(
         stack.append(root)
         on_stack.add(root)
         work: list[tuple[CellAddress, Iterator[CellAddress]]] = [
-            (root, iter(sorted(adj.get(root, ()), key=addr_key)))
+            (root, iter(adj.get(root, ())))
         ]
         while work:
             node, children = work[-1]
@@ -72,7 +64,7 @@ def tarjan_sccs(
                     counter += 1
                     stack.append(child)
                     on_stack.add(child)
-                    work.append((child, iter(sorted(adj.get(child, ()), key=addr_key))))
+                    work.append((child, iter(adj.get(child, ()))))
                     descended = True
                     break
                 if child in on_stack:
@@ -130,30 +122,17 @@ class DepGraph:
 
 def _expand_refs(ast: FormulaAst, known_sheets: set[str]) -> Iterator[CellAddress]:
     """Every cell a formula references, ranges expanded, #REF! targets kept."""
-
-    def visit(node: Expr) -> Iterator[CellAddress]:
-        if isinstance(node, CellRef):
-            sheet = node.sheet if node.sheet is not None else ast.host.sheet
-            yield CellAddress(sheet, node.row, node.col)
-        elif isinstance(node, RangeRef):
-            sheet = node.sheet if node.sheet is not None else ast.host.sheet
-            if node.r2 > MAX_ROW or node.c2 > MAX_COL or sheet not in known_sheets:
-                # One flagged node stands in for the unusable range.
-                yield CellAddress(sheet, node.r2, node.c2)
-                return
-            for row in range(node.r1, node.r2 + 1):
-                for col in range(node.c1, node.c2 + 1):
-                    yield CellAddress(sheet, row, col)
-        elif isinstance(node, UnaryOp):
-            yield from visit(node.operand)
-        elif isinstance(node, BinaryOp):
-            yield from visit(node.left)
-            yield from visit(node.right)
-        elif isinstance(node, FunctionCall):
-            for arg in node.args:
-                yield from visit(arg)
-
-    return visit(ast.root)
+    for sheet, r1, c1, r2, c2 in references(ast):
+        single = r1 == r2 and c1 == c2
+        if single or r2 > MAX_ROW or c2 > MAX_COL or sheet not in known_sheets:
+            # A single cell (kept off the range loop so its address shares
+            # the AST's coordinates), or one flagged node standing in for an
+            # unusable range; either way the far corner.
+            yield CellAddress(sheet, r2, c2)
+            continue
+        for row in range(r1, r2 + 1):
+            for col in range(c1, c2 + 1):
+                yield CellAddress(sheet, row, col)
 
 
 def build_graph(
@@ -215,14 +194,15 @@ class ChainStats:
 
 
 def chain_stats(g: DepGraph) -> ChainStats:
-    # Cycles live in the formula-to-formula subgraph.
+    # Cycles live in the formula-to-formula subgraph. g.precedents is in
+    # reading order, and so are the roots of the search (see EvalPlan).
     formula_adj = {
-        addr: {p for p in g.precedents.get(addr, ()) if p in g.formula_cells}
-        for addr in g.formula_cells
+        addr: {p for p in precs if p in g.formula_cells}
+        for addr, precs in g.precedents.items()
     }
     cycles = []
     comp_of: dict[CellAddress, int] = {}
-    comps = tarjan_sccs(sorted(g.formula_cells, key=addr_key), formula_adj)
+    comps = tarjan_sccs(formula_adj, formula_adj)
     for i, comp in enumerate(comps):
         for member in comp:
             comp_of[member] = i

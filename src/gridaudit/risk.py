@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidConfig, InvalidTeamSize
 from .formula import FormulaAst, metrics, parse_workbook_formulas, unique_formula_count
-from .graph import DepGraph, chain_stats
+from .graph import ChainStats
 from .model import CellAddress, Workbook
 
 # Observed share of audited workbooks carrying a grave ("show stopper")
@@ -235,14 +235,15 @@ def _params_from_dict(d: dict[str, object]) -> RiskParams:
     )
 
 
-def assess(wb: Workbook, g: DepGraph, params: RiskParams | None = None, *,
+def assess(wb: Workbook, stats: ChainStats, params: RiskParams | None = None, *,
            fraud_indicator_count: int = 0, team_size: int | None = None,
            rounds: int = 3,
            asts: dict[CellAddress, FormulaAst] | None = None) -> RiskReport:
     """Full risk readout for one workbook.
 
-    Fraud findings come from the rules pass and enter only the score term;
-    pass fraud_indicator_count=0 for a structure-only assessment.
+    stats is chain_stats() of the workbook's dependency graph. Fraud
+    findings come from the rules pass and enter only the score term; pass
+    fraud_indicator_count=0 for a structure-only assessment.
     """
     params = params or RiskParams()
     if asts is None:
@@ -255,7 +256,6 @@ def assess(wb: Workbook, g: DepGraph, params: RiskParams | None = None, *,
     p_eff = effective_rate(params, multiplier)
     e = expected_errors(p_eff, u)
 
-    stats = chain_stats(g)
     per_output: dict[str, OutputRisk] = {}
     for key, chain_len in stats.closure_sizes.items():
         per_output[key] = OutputRisk(

@@ -9,7 +9,6 @@ for setup crashes, a coverage shortfall) rather than a silent skip.
 from __future__ import annotations
 
 import dataclasses
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -229,16 +228,11 @@ def _const_repr(value: object) -> str:
 
 
 def _textual_number(cell: CellContent) -> float | None:
-    """The numeric value a text-behaving cell would carry if coerced.
-
-    Text such as "1e400" reads as infinity, which no number cell can hold,
-    so it has no coerced value.
-    """
+    """The numeric value a text-behaving cell would carry if coerced."""
     if cell.formula is not None:
         return None
     if isinstance(cell.value, str):
-        parsed = parse_numeric_text(cell.value)
-        return parsed if parsed is not None and math.isfinite(parsed) else None
+        return parse_numeric_text(cell.value)
     if isinstance(cell.value, float) and cell.number_format == "text":
         return cell.value
     return None

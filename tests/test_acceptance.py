@@ -25,7 +25,7 @@ from gridaudit.formula import (
     parse_workbook_formulas,
     render,
 )
-from gridaudit.graph import build_graph
+from gridaudit.graph import build_graph, chain_stats
 from gridaudit.inspection import plan
 from gridaudit.model import (
     CellAddress,
@@ -97,7 +97,7 @@ def test_ac3_inspection_residual_lands_in_reported_band(capsys):
 
     u = 400
     wb = generate_clean(SeedSpec("chain", u, 3))
-    rep = assess(wb, build_graph(wb), params)
+    rep = assess(wb, chain_stats(build_graph(wb)), params)
     assert rep.unique_formulas == u
     assert rep.multiplier == 1.0
 

@@ -24,7 +24,9 @@ from gridaudit.engine import (
 )
 from gridaudit.errors import MissingInputCell, NoDeclaredOutputs, OutputIsError
 from gridaudit.formula import parse_workbook_formulas
+from gridaudit.graph import build_graph, chain_stats
 from gridaudit.model import CellAddress, CellContent
+from gridaudit.simlab import SeedSpec, generate_clean, seed_defects
 from helpers import wb_from
 
 
@@ -69,6 +71,9 @@ def test_numeric_text_parsing_rule():
     assert parse_numeric_text("12x") is None
     assert parse_numeric_text("inf") is None
     assert parse_numeric_text("nan") is None
+    assert parse_numeric_text("1e400") is None   # beyond float range
+    assert parse_numeric_text("-1e400") is None
+    assert formula_result('=COUNT("1e400")') == 0.0
 
 
 def test_boolean_and_empty_coercion_in_arithmetic():
@@ -99,6 +104,14 @@ def test_division_by_zero():
 
 def test_overflow_is_value_error():
     assert formula_result("=1e300*1e300") == VALUE_ERR
+    huge = {"A1": "1e400"}  # numeric-looking text beyond float range
+    assert formula_result("=-A1", huge) == VALUE_ERR
+    assert formula_result("=ABS(A1)", huge) == VALUE_ERR
+    assert formula_result('=SUM("1e400")') == VALUE_ERR
+    assert formula_result("=SUM(-A1,-(-A1))", huge) == VALUE_ERR
+    big = {"A1": 1e308, "A2": 1e308}
+    assert formula_result("=SUM(A1:A2)", big) == VALUE_ERR
+    assert formula_result("=AVERAGE(A1:A2)", big) == VALUE_ERR
 
 
 def test_concatenation_renders_canonically():
@@ -203,6 +216,8 @@ def test_out_of_bounds_and_missing_sheet_are_ref_errors():
     assert formula_result("=A1048577") == REF_ERR   # row beyond the grid
     assert formula_result("=Nope!A1") == REF_ERR
     assert formula_result("=SUM(Nope!A1:A2)") == REF_ERR
+    # a range reaching beyond the grid is one #REF!, not a cycle through its host
+    assert val(wb_from({"A1": "=SUM(A1:A2000000)"}), "A1") == REF_ERR
 
 
 def test_cross_sheet_references_work():
@@ -246,6 +261,44 @@ def test_cycle_through_range():
     wb = wb_from({"A1": 1, "A2": "=SUM(A1:A3)", "A3": "=A2*2"})
     assert val(wb, "A2") == CYCLE_ERR
     assert val(wb, "A3") == CYCLE_ERR
+
+
+def _seeded(topology: str, formulas: int, inputs: int):
+    spec = SeedSpec(topology, formulas, inputs, error_rate=0.3, rng_seed=7)
+    return seed_defects(generate_clean(spec), spec).workbook
+
+
+AGREEMENT_BOOKS = {
+    "out-of-grid range over its host": lambda: wb_from(
+        {"A1": "=SUM(A1:A2000000)", "A2": "=A1+1", "B1": "=SUM(A1:B2)"}),
+    "cycle through a range": lambda: wb_from(
+        {"A1": 1, "A2": "=SUM(A1:A3)", "A3": "=A2*2", "B1": "=A3+A1", "B2": "=B1"}),
+    "cross-sheet cycle": lambda: wb_from(
+        {"A1": "=Data!A1+1", "A2": "=A1*2", "A3": "=Data!B1"},
+        extra_sheets={"Data": {"A1": "=S1!A1*2", "B1": 4, "B2": "=B1+S1!A3"}}),
+    "missing-sheet reference": lambda: wb_from(
+        {"A1": "=Nope!A1+1", "A2": "=SUM(Nope!A1:B3)", "A3": "=A1+A2", "A4": "=A3"}),
+    "seeded chain": lambda: _seeded("chain", 120, 6),
+    "seeded tree": lambda: _seeded("tree", 60, 60),
+    "seeded grid": lambda: _seeded("grid", 144, 12),
+}
+
+
+@pytest.mark.parametrize("name", AGREEMENT_BOOKS)
+def test_engine_and_graph_agree_on_cycles_and_order(name):
+    wb = AGREEMENT_BOOKS[name]()
+    asts = parse_workbook_formulas(wb)
+    plan = EvalPlan(wb, asts)
+    g = build_graph(wb, asts=asts)
+    assert plan.in_cycle == {a for cycle in chain_stats(g).cycles for a in cycle}
+
+    position = {addr: i for i, addr in enumerate(plan.order)}
+    assert len(position) == len(plan.order)
+    assert position.keys() | plan.in_cycle == asts.keys()
+    for addr in plan.order:
+        for prec in g.precedents[addr]:
+            if prec in g.formula_cells and prec not in plan.in_cycle:
+                assert position[prec] < position[addr], (addr, prec)
 
 
 def test_long_chain_no_recursion_limit():

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gridaudit.errors import InvalidConfig, InvalidTeamSize
-from gridaudit.graph import build_graph
+from gridaudit.graph import build_graph, chain_stats
 from gridaudit.risk import (
     SHOW_STOPPER_RATE,
     RiskParams,
@@ -144,7 +144,7 @@ def test_assess_report_shape():
         },
         outputs=("S1!C3",),
     )
-    report = assess(wb, build_graph(wb))
+    report = assess(wb, chain_stats(build_graph(wb)))
     assert report.unique_formulas == 2  # three copies share one form
     assert report.multiplier == 1.0     # tiny formulas
     assert report.expected_errors == pytest.approx(0.02 * 2)
@@ -162,8 +162,8 @@ def test_assess_report_shape():
 
 def test_assess_fraud_term_and_missing_outputs():
     wb = wb_from({"A1": 1.0, "A2": "=A1*2"})
-    base = assess(wb, build_graph(wb))
-    flagged = assess(wb, build_graph(wb), fraud_indicator_count=2)
+    base = assess(wb, chain_stats(build_graph(wb)))
+    flagged = assess(wb, chain_stats(build_graph(wb)), fraud_indicator_count=2)
     assert flagged.risk_score - base.risk_score == pytest.approx(5.0)
     assert any("no declared outputs" in n for n in base.notes)
     assert base.per_output == {}
@@ -171,8 +171,8 @@ def test_assess_fraud_term_and_missing_outputs():
 
 def test_assess_team_size_changes_residuals():
     wb = wb_from({"A1": 1.0, "A2": "=A1*2"})
-    generic = assess(wb, build_graph(wb))
-    team = assess(wb, build_graph(wb), team_size=3, rounds=2)
+    generic = assess(wb, chain_stats(build_graph(wb)))
+    team = assess(wb, chain_stats(build_graph(wb)), team_size=3, rounds=2)
     assert len(team.residual_after_rounds) == 2
     assert team.residual_after_rounds[0] == pytest.approx(
         generic.expected_errors * 0.17)
@@ -181,7 +181,7 @@ def test_assess_team_size_changes_residuals():
 def test_effective_rate_capped():
     params = RiskParams(p=0.3)
     wb = wb_from({"A1": "=A2+A3+A4+A5+A6+A7+A8+A9+A10+A11+A12+A13+A14"})
-    report = assess(wb, build_graph(wb), params)
+    report = assess(wb, chain_stats(build_graph(wb)), params)
     # 25 tokens / 6 > 4 -> multiplier caps at 4; 0.3*4 would pass 1.0
     assert report.multiplier == 4.0
     assert report.expected_errors <= report.unique_formulas
@@ -190,7 +190,7 @@ def test_effective_rate_capped():
 
 def test_report_round_trip():
     wb = wb_from({"A1": 1.0, "A2": "=A1*2"}, outputs=("S1!A2",))
-    report = assess(wb, build_graph(wb), team_size=3)
+    report = assess(wb, chain_stats(build_graph(wb)), team_size=3)
     assert report_from_dict(report.to_dict()) == report
 
 
