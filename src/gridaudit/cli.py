@@ -28,6 +28,7 @@ from .graph import build_graph, chain_stats, dump_edges
 from .inspection import (
     InspectionPlan,
     PlanConfig,
+    SessionFindings,
     plan,
     plan_config_from_dict,
     reconcile,
@@ -163,9 +164,19 @@ def _load_json(path: Path, what: str) -> dict[str, object]:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"{what} {path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"{what} {path} is not UTF-8 text: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidConfig(f"{what} {path} must hold a JSON object")
     return doc
+
+
+def _load_session(path: Path) -> SessionFindings:
+    doc = _load_json(path, "session")
+    try:
+        return session_from_dict(doc)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"session {path}: {exc}") from None
 
 
 def _load_config(args: argparse.Namespace) -> dict[str, object]:
@@ -176,6 +187,9 @@ def _load_config(args: argparse.Namespace) -> dict[str, object]:
     extra = set(doc) - {"rules", "plan"}
     if extra:
         raise InvalidConfig(f"unknown config sections: {sorted(extra)}")
+    for section in ("rules", "plan"):
+        if not isinstance(doc.get(section, {}), dict):
+            raise InvalidConfig(f"config section {section!r} must be an object")
     return doc
 
 
@@ -326,8 +340,7 @@ def _cmd_reconcile(args: argparse.Namespace) -> int:
     module = next((m for m in p.modules if m.id == args.module), None)
     if module is None:
         raise ModuleMismatch(f"plan for {wb.name!r} has no module {args.module!r}")
-    sessions = [session_from_dict(_load_json(path, "session"))
-                for path in args.sessions]
+    sessions = [_load_session(path) for path in args.sessions]
     res = reconcile(sessions, module, rate_cap=cfg.rate_cap)
 
     lines = [

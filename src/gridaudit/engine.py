@@ -21,8 +21,9 @@ tested rather than left to chance:
 * IF evaluates only the taken branch; AND/OR evaluate all arguments and
   take scalars only. ROUND rounds half away from zero. "^" on a negative
   base with a fractional exponent is #VALUE!; 0^0 is 1; 0^negative is
-  #DIV/0!. Overflow to infinity reports #VALUE!, in SUM and AVERAGE too;
-  numeric text beyond float range (such as "1e400") is not numeric.
+  #DIV/0!. Overflow to infinity reports #VALUE!, in SUM, AVERAGE and
+  ROUND too; numeric text beyond float range (such as "1e400") is not
+  numeric.
 * Comparisons order mixed types as number < text < logical, compare text
   case-insensitively, and coerce an empty operand to the other side's type.
 
@@ -408,7 +409,10 @@ class _Evaluator:
         if name == "ROUND":
             x = self.as_number(self.eval_scalar(node.args[0], host))
             d = int(self.as_number(self.eval_scalar(node.args[1], host)))
-            return _round_half_away(x, d)
+            r = _round_half_away(x, d)
+            if not math.isfinite(r):  # 1.7e308 rounded to -308 digits
+                raise _Err(VALUE_ERR)
+            return r
         return self.eval_aggregate(name, node.args, host)
 
     def gather(self, args: tuple[Expr, ...], host: CellAddress,

@@ -1,4 +1,4 @@
-"""Formula parsing, normalization, and structural metrics.
+"""Formula parsing and the one normal form of each formula.
 
 The accepted grammar is the restricted sheet-formula language of the
 workbook format: numbers, quoted text (with "" escape), TRUE/FALSE, cell and
@@ -17,8 +17,13 @@ canonicalized away, which makes the rendered forms below stable.
 
 Normalization renders the parse tree in R1C1 style relative to the host
 cell, so structurally identical copies of a formula ("=A1*2" in B1, "=A2*2"
-in B2) share one normal form ("=RC[-1]*2"). Unique-formula counting and the
-copy-paste rules are built on that form.
+in B2) share one normal form ("=RC[-1]*2"). The same walk records the
+formula's structure: its numeric literals, its token count (literals,
+references, operators and function names), the Chebyshev distance to its
+farthest same-sheet reference, and how many references are off-axis or
+cross-sheet. That record, NormalizedFormula, is the only one: it is
+computed once per tree, kept as FormulaAst.normal, and read by unique
+counting, the rules, the risk model, the planner and the seeder.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Union
 
 from .errors import FormulaSyntaxError, UnknownFunction, UnknownName
@@ -131,6 +137,11 @@ class FormulaAst:
     source: str
     host: CellAddress
     root: Expr
+
+    @cached_property
+    def normal(self) -> NormalizedFormula:
+        """The normal form, computed on first read and kept with the tree."""
+        return normalize(self)
 
 
 # --- Lexer ----------------------------------------------------------------
@@ -448,31 +459,6 @@ def canonical_number(v: float) -> str:
     return repr(v)
 
 
-def _render_a1_ref(node: CellRef, host: CellAddress) -> str:
-    prefix = "" if node.sheet is None else quote_sheet(node.sheet) + "!"
-    return (
-        prefix
-        + ("$" if node.abs_col else "")
-        + col_to_letters(node.col)
-        + ("$" if node.abs_row else "")
-        + str(node.row)
-    )
-
-
-def _render_a1_range(node: RangeRef, host: CellAddress) -> str:
-    prefix = "" if node.sheet is None else quote_sheet(node.sheet) + "!"
-
-    def corner(row: int, col: int, a_r: bool, a_c: bool) -> str:
-        return ("$" if a_c else "") + col_to_letters(col) + ("$" if a_r else "") + str(row)
-
-    return (
-        prefix
-        + corner(node.r1, node.c1, node.abs_r1, node.abs_c1)
-        + ":"
-        + corner(node.r2, node.c2, node.abs_r2, node.abs_c2)
-    )
-
-
 def _r1c1_axis(letter: str, coord: int, is_abs: bool, origin: int) -> str:
     if is_abs:
         return f"{letter}{coord}"
@@ -480,24 +466,21 @@ def _r1c1_axis(letter: str, coord: int, is_abs: bool, origin: int) -> str:
     return letter if delta == 0 else f"{letter}[{delta}]"
 
 
-def _render_r1c1_cell(node: CellRef, host: CellAddress) -> str:
-    prefix = "" if node.sheet is None else quote_sheet(node.sheet) + "!"
-    return (
-        prefix
-        + _r1c1_axis("R", node.row, node.abs_row, host.row)
-        + _r1c1_axis("C", node.col, node.abs_col, host.col)
-    )
+def _render_corner(row: int, col: int, a_r: bool, a_c: bool, host: CellAddress,
+                   style: str) -> str:
+    if style == "a1":
+        return ("$" if a_c else "") + col_to_letters(col) + ("$" if a_r else "") + str(row)
+    return _r1c1_axis("R", row, a_r, host.row) + _r1c1_axis("C", col, a_c, host.col)
 
 
-def _render_r1c1_range(node: RangeRef, host: CellAddress) -> str:
+def _render_ref(node: CellRef | RangeRef, host: CellAddress, style: str) -> str:
+    """A reference in A1 or host-relative R1C1 style; a range is two corners."""
     prefix = "" if node.sheet is None else quote_sheet(node.sheet) + "!"
-    first = _r1c1_axis("R", node.r1, node.abs_r1, host.row) + _r1c1_axis(
-        "C", node.c1, node.abs_c1, host.col
-    )
-    second = _r1c1_axis("R", node.r2, node.abs_r2, host.row) + _r1c1_axis(
-        "C", node.c2, node.abs_c2, host.col
-    )
-    return prefix + first + ":" + second
+    if isinstance(node, CellRef):
+        return prefix + _render_corner(node.row, node.col, node.abs_row, node.abs_col,
+                                       host, style)
+    return (prefix + _render_corner(node.r1, node.c1, node.abs_r1, node.abs_c1, host, style)
+            + ":" + _render_corner(node.r2, node.c2, node.abs_r2, node.abs_c2, host, style))
 
 
 def _render(node: Expr, host: CellAddress, style: str, parent_level: int,
@@ -508,10 +491,8 @@ def _render(node: Expr, host: CellAddress, style: str, parent_level: int,
         return '"' + node.value.replace('"', '""') + '"'
     if isinstance(node, BooleanLiteral):
         return "TRUE" if node.value else "FALSE"
-    if isinstance(node, CellRef):
-        return _render_a1_ref(node, host) if style == "a1" else _render_r1c1_cell(node, host)
-    if isinstance(node, RangeRef):
-        return _render_a1_range(node, host) if style == "a1" else _render_r1c1_range(node, host)
+    if isinstance(node, (CellRef, RangeRef)):
+        return _render_ref(node, host, style)
     if isinstance(node, FunctionCall):
         args = ",".join(_render(a, host, style, 0, False) for a in node.args)
         return f"{node.name}({args})"
@@ -538,36 +519,27 @@ def render(ast: FormulaAst) -> str:
     return "=" + _render(ast.root, ast.host, "a1", 0, False)
 
 
-# --- Normalization and metrics ---------------------------------------------
+# --- Normal form -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class NormalizedFormula:
-    """Host-relative normal form; copies of one formula share it.
+    """Host-relative normal form and structural size of one formula.
 
-    text is the R1C1 rendering, references the rendered refs in reading
-    order, literals the numeric constants in reading order.
+    text is the R1C1 rendering, which copies of one formula share, and
+    literals the numeric constants in reading order. token_count counts
+    literals, references (a range is one token), operators, and function
+    names; parentheses and commas do not count. max_ref_distance is the
+    Chebyshev distance (max of row and column offsets) to the farthest
+    referenced cell on the host sheet; off_axis_ref_count counts the
+    same-sheet references sharing neither the host's row nor its column
+    (a range shares one if it spans it). Cross-sheet references have no
+    spatial distance and are tallied in cross_sheet_ref_count.
     """
 
     text: str
-    references: tuple[str, ...]
     literals: tuple[float, ...]
     token_count: int
-
-
-@dataclass(frozen=True)
-class FormulaMetrics:
-    """Structural size and reach of one formula.
-
-    token_count counts literals, references (a range is one token),
-    operators, and function names; parentheses and commas do not count.
-    Distances are Chebyshev (max of row and column offsets) to the farthest
-    referenced cell on the host sheet; cross-sheet references have no
-    spatial distance and are tallied separately.
-    """
-
-    token_count: int
-    literal_count: int
     max_ref_distance: int
     off_axis_ref_count: int
     cross_sheet_ref_count: int
@@ -602,63 +574,38 @@ def references(ast: FormulaAst) -> Iterator[tuple[str, int, int, int, int]]:
             yield (sheet, node.r1, node.c1, node.r2, node.c2)
 
 
-def metrics(ast: FormulaAst) -> FormulaMetrics:
+def normalize(ast: FormulaAst) -> NormalizedFormula:
+    """The normal form of a formula; read it as ast.normal, which keeps it."""
     host = ast.host
+    lits: list[float] = []
     tokens = 0
-    literals = 0
     max_dist = 0
     off_axis = 0
     cross = 0
     for node in _walk(ast.root):
         tokens += 1  # every node is one counted token; parens and commas are not nodes
         if isinstance(node, NumberLiteral):
-            literals += 1
-        elif isinstance(node, CellRef):
+            lits.append(node.value)
+        elif isinstance(node, (CellRef, RangeRef)):
             if node.sheet is not None:
                 cross += 1
+                continue
+            if isinstance(node, CellRef):
+                r1 = r2 = node.row
+                c1 = c2 = node.col
             else:
-                dr = abs(node.row - host.row)
-                dc = abs(node.col - host.col)
-                max_dist = max(max_dist, dr, dc)
-                if dr != 0 and dc != 0:
-                    off_axis += 1
-        elif isinstance(node, RangeRef):
-            if node.sheet is not None:
-                cross += 1
-            else:
-                dr = max(abs(node.r1 - host.row), abs(node.r2 - host.row))
-                dc = max(abs(node.c1 - host.col), abs(node.c2 - host.col))
-                max_dist = max(max_dist, dr, dc)
-                if not (node.r1 <= host.row <= node.r2) and not (node.c1 <= host.col <= node.c2):
-                    off_axis += 1
-    return FormulaMetrics(
+                r1, c1, r2, c2 = node.r1, node.c1, node.r2, node.c2
+            max_dist = max(max_dist, abs(r1 - host.row), abs(r2 - host.row),
+                           abs(c1 - host.col), abs(c2 - host.col))
+            if not r1 <= host.row <= r2 and not c1 <= host.col <= c2:
+                off_axis += 1
+    return NormalizedFormula(
+        text="=" + _render(ast.root, host, "r1c1", 0, False),
+        literals=tuple(lits),
         token_count=tokens,
-        literal_count=literals,
         max_ref_distance=max_dist,
         off_axis_ref_count=off_axis,
         cross_sheet_ref_count=cross,
-    )
-
-
-def normalize(ast: FormulaAst) -> NormalizedFormula:
-    """Host-relative normal form used for copy detection and unique counts."""
-    text = "=" + _render(ast.root, ast.host, "r1c1", 0, False)
-    refs: list[str] = []
-    lits: list[float] = []
-    tokens = 0
-    for node in _walk(ast.root):
-        tokens += 1  # counted as metrics() counts them
-        if isinstance(node, CellRef):
-            refs.append(_render_r1c1_cell(node, ast.host))
-        elif isinstance(node, RangeRef):
-            refs.append(_render_r1c1_range(node, ast.host))
-        elif isinstance(node, NumberLiteral):
-            lits.append(node.value)
-    return NormalizedFormula(
-        text=text,
-        references=tuple(refs),
-        literals=tuple(lits),
-        token_count=tokens,
     )
 
 
@@ -686,5 +633,5 @@ def unique_formula_count(wb: Workbook,
         asts = parse_workbook_formulas(wb)
     seen: set[tuple[str, str]] = set()
     for addr, ast in asts.items():
-        seen.add((addr.sheet, normalize(ast).text))
+        seen.add((addr.sheet, ast.normal.text))
     return len(seen)

@@ -19,7 +19,7 @@ from .errors import (
     InvalidTeamSize,
     ModuleMismatch,
 )
-from .formula import FormulaAst, metrics, parse_workbook_formulas
+from .formula import FormulaAst, parse_workbook_formulas
 from .model import CellAddress, Workbook, parse_qualified
 
 
@@ -65,7 +65,10 @@ def plan_config_from_dict(d: dict[str, object]) -> PlanConfig:
     for key, attr in known.items():
         if key in d:
             caster = float if attr in ("rate_cap", "session_cap_minutes") else int
-            kwargs[attr] = caster(d[key])  # type: ignore[arg-type]
+            try:
+                kwargs[attr] = caster(d[key])  # type: ignore[arg-type]
+            except (TypeError, ValueError, OverflowError):
+                raise InvalidConfig(f"plan config {key!r} has a bad value {d[key]!r}") from None
     return PlanConfig(**kwargs)  # type: ignore[arg-type]
 
 
@@ -164,7 +167,7 @@ def plan(wb: Workbook, cfg: PlanConfig | None = None,
     cur_eff = 0.0
     cur_sheet: str | None = None
     for addr, _content in wb.formula_cells():
-        eff = effective_cells(metrics(asts[addr]).token_count,
+        eff = effective_cells(asts[addr].normal.token_count,
                               cfg.long_formula_tokens)
         full = (addr.sheet != cur_sheet
                 or len(cur) + 1 > cfg.target_module_size
@@ -236,8 +239,15 @@ def session_from_dict(d: dict[str, object]) -> SessionFindings:
     extra = set(d) - known
     if extra:
         raise InvalidConfig(f"unknown session keys: {sorted(extra)}")
+    missing = known - {"items"} - set(d)
+    if missing:
+        raise InvalidConfig(f"missing session keys: {sorted(missing)}")
+    if not isinstance(d.get("items", []), list):
+        raise InvalidConfig("session items must be a list")
     items = []
     for raw in d.get("items", ()):  # type: ignore[union-attr]
+        if not isinstance(raw, dict) or "cell" not in raw:
+            raise InvalidConfig(f"session item {raw!r} is not an object with a cell")
         bad = set(raw) - {"cell", "note", "suspectedClass"}
         if bad:
             raise InvalidConfig(f"unknown session item keys: {sorted(bad)}")
@@ -247,11 +257,15 @@ def session_from_dict(d: dict[str, object]) -> SessionFindings:
             note=str(raw.get("note", "")),
             suspected_class=None if cls is None else str(cls),
         ))
+    try:
+        duration = float(d["durationMinutes"])  # type: ignore[arg-type]
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidConfig(f"durationMinutes {d['durationMinutes']!r} is not a number") from None
     return SessionFindings(
         inspector_id=str(d["inspectorId"]),
         module_id=str(d["moduleId"]),
         items=tuple(items),
-        duration_minutes=float(d["durationMinutes"]),  # type: ignore[arg-type]
+        duration_minutes=duration,
     )
 
 

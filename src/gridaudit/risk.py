@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidConfig, InvalidTeamSize
-from .formula import FormulaAst, metrics, parse_workbook_formulas, unique_formula_count
+from .formula import FormulaAst, parse_workbook_formulas, unique_formula_count
 from .graph import ChainStats
 from .model import CellAddress, Workbook
 
@@ -249,9 +249,8 @@ def assess(wb: Workbook, stats: ChainStats, params: RiskParams | None = None, *,
     if asts is None:
         asts = parse_workbook_formulas(wb)
     u = unique_formula_count(wb, asts)
-    formula_metrics = [metrics(ast) for ast in asts.values()]
-    mean_tokens = (sum(m.token_count for m in formula_metrics) / len(formula_metrics)
-                   if formula_metrics else 0.0)
+    mean_tokens = (sum(ast.normal.token_count for ast in asts.values()) / len(asts)
+                   if asts else 0.0)
     multiplier = complexity_multiplier(mean_tokens, params)
     p_eff = effective_rate(params, multiplier)
     e = expected_errors(p_eff, u)
@@ -268,7 +267,7 @@ def assess(wb: Workbook, stats: ChainStats, params: RiskParams | None = None, *,
     else:
         max_chain = stats.longest_chain_length
 
-    cross_sheet_count = sum(m.cross_sheet_ref_count for m in formula_metrics)
+    cross_sheet_count = sum(ast.normal.cross_sheet_ref_count for ast in asts.values())
     notes = [INDEPENDENCE_NOTE]
     if not per_output:
         notes.append("no declared outputs; per-output chain risk omitted")

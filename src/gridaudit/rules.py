@@ -21,15 +21,11 @@ from .formula import (
     CellRef,
     Expr,
     FormulaAst,
-    FormulaMetrics,
     FunctionCall,
-    NormalizedFormula,
     RangeRef,
     UnaryOp,
     _walk,
     canonical_number,
-    metrics,
-    normalize,
     parse_workbook_formulas,
 )
 from .graph import DepGraph, orphan_formulas
@@ -142,6 +138,9 @@ def rule_config_from_dict(d: dict[str, object]) -> RuleConfig:
     extra = set(d) - known
     if extra:
         raise InvalidConfig(f"unknown config keys: {sorted(extra)}")
+    for key in ("enabled", "suppressions"):
+        if not isinstance(d.get(key, []), list):
+            raise InvalidConfig(f"{key} must be a list")
     kwargs: dict[str, object] = {}
     if "enabled" in d:
         kwargs["enabled"] = frozenset(str(r) for r in d["enabled"])  # type: ignore[union-attr]
@@ -158,11 +157,14 @@ def rule_config_from_dict(d: dict[str, object]) -> RuleConfig:
     for key, value in thresholds.items():
         if key not in mapping:
             raise InvalidConfig(f"unknown threshold {key!r}")
-        if key == "dupLiteralExclusions":
-            kwargs["dup_literal_exclusions"] = frozenset(float(v) for v in value)
-        else:
-            attr, conv = mapping[key]
-            kwargs[attr] = conv(value)
+        try:
+            if key == "dupLiteralExclusions":
+                kwargs["dup_literal_exclusions"] = frozenset(float(v) for v in value)
+            else:
+                attr, conv = mapping[key]
+                kwargs[attr] = conv(value)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidConfig(f"threshold {key!r} has a bad value {value!r}") from None
     overrides = d.get("severityOverrides", {})
     if not isinstance(overrides, dict):
         raise InvalidConfig("severityOverrides must be an object")
@@ -358,9 +360,9 @@ def _scan_run(entries: list[tuple[CellAddress, CellContent]],
         i = last_formula + 1 if last_formula > i else i + 1
 
 
-def _hardwired_findings(wb: Workbook, norm_map: dict[CellAddress, NormalizedFormula],
+def _hardwired_findings(wb: Workbook, asts: dict[CellAddress, FormulaAst],
                         min_run: int) -> dict[CellAddress, Finding]:
-    norm_text = {addr: nf.text for addr, nf in norm_map.items()}
+    norm_text = {addr: ast.normal.text for addr, ast in asts.items()}
     out: dict[CellAddress, Finding] = {}
     for sheet in wb.sheets:
         cells = {parse_cell_key(key): content for key, content in sheet.cells.items()}
@@ -394,7 +396,7 @@ def _hardwired_findings(wb: Workbook, norm_map: dict[CellAddress, NormalizedForm
     return out
 
 
-def _dup_literal_findings(wb: Workbook, norm_map: dict[CellAddress, NormalizedFormula],
+def _dup_literal_findings(wb: Workbook, asts: dict[CellAddress, FormulaAst],
                           cfg: RuleConfig) -> dict[CellAddress, list[Finding]]:
     out: dict[CellAddress, list[Finding]] = {}
     for sheet in wb.sheets:
@@ -405,7 +407,7 @@ def _dup_literal_findings(wb: Workbook, norm_map: dict[CellAddress, NormalizedFo
             if cell.is_number:
                 occurrences.setdefault(cell.value, set()).add(addr)  # type: ignore[arg-type]
             elif cell.is_formula:
-                for lit in norm_map[addr].literals:
+                for lit in asts[addr].normal.literals:
                     occurrences.setdefault(lit, set()).add(addr)
         for value in sorted(occurrences):
             if value in cfg.dup_literal_exclusions:
@@ -471,9 +473,7 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
     cfg = RuleConfig() if cfg is None else cfg
     if asts is None:
         asts = parse_workbook_formulas(wb)
-    norm_map = {addr: normalize(ast) for addr, ast in asts.items()}
-    met_map = {addr: metrics(ast) for addr, ast in asts.items()}
-    cross_sheet_total = sum(m.cross_sheet_ref_count for m in met_map.values())
+    cross_sheet_total = sum(ast.normal.cross_sheet_ref_count for ast in asts.values())
     enabled = tuple(r for r in RULE_IDS if r in cfg.enabled)
 
     dead: dict[str, Finding] = {}
@@ -490,15 +490,19 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
     num_as_text = prepared("NUM_AS_TEXT", lambda: _num_as_text_findings(wb, asts), {})
     hardwired = prepared(
         "HARDWIRED",
-        lambda: _hardwired_findings(wb, norm_map, cfg.min_run_length_for_hardwire), {})
-    dup_literal = prepared("DUP_LITERAL", lambda: _dup_literal_findings(wb, norm_map, cfg), {})
+        lambda: _hardwired_findings(wb, asts, cfg.min_run_length_for_hardwire), {})
+    dup_literal = prepared("DUP_LITERAL", lambda: _dup_literal_findings(wb, asts, cfg), {})
     orphans = prepared("ORPHAN_OUTPUT", lambda: frozenset(orphan_formulas(g)), frozenset())
     version_finding = prepared("VERSION_NAME", lambda: _version_name_finding(wb), None)
 
     protection_on = wb.meta.protection_enabled
 
+    def normal(addr: CellAddress):
+        ast = asts.get(addr)
+        return None if ast is None else ast.normal
+
     def check_jammed(addr: CellAddress, cell: CellContent):
-        nf = norm_map.get(addr)
+        nf = normal(addr)
         if nf is not None and len(nf.literals) >= 2:
             return _mk("JAMMED", addr,
                        f"formula embeds {len(nf.literals)} literals",
@@ -506,7 +510,7 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
         return None
 
     def check_long_formula(addr: CellAddress, cell: CellContent):
-        m = met_map.get(addr)
+        m = normal(addr)
         if m is not None and m.token_count > cfg.long_formula_tokens:
             return _mk("LONG_FORMULA", addr,
                        f"{m.token_count} tokens exceeds the {cfg.long_formula_tokens} limit",
@@ -514,7 +518,7 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
         return None
 
     def check_long_arc(addr: CellAddress, cell: CellContent):
-        m = met_map.get(addr)
+        m = normal(addr)
         if m is not None and m.max_ref_distance > cfg.long_arc_distance:
             off_axis = m.off_axis_ref_count > 0
             return _mk("LONG_ARC", addr,
@@ -527,7 +531,7 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
         return None
 
     def check_xsheet(addr: CellAddress, cell: CellContent):
-        m = met_map.get(addr)
+        m = normal(addr)
         if m is not None and m.cross_sheet_ref_count > 0:
             sheets = sorted({node.sheet for node in _walk(asts[addr].root)
                              if isinstance(node, (CellRef, RangeRef))

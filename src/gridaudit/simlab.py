@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTruth, InvalidConfig
-from .formula import canonical_number, normalize, parse_workbook_formulas
+from .formula import canonical_number, parse_workbook_formulas
 from .model import (
     CellAddress,
     CellContent,
@@ -230,13 +230,22 @@ class _Seeder:
         self.quarter = 0  # fresh .25/.75 literal counter
         asts = parse_workbook_formulas(wb)
         self.forms: dict[CellAddress, str | None] = {
-            addr: normalize(ast).text for addr, ast in asts.items()
+            addr: ast.normal.text for addr, ast in asts.items()
         }
         self.sentinel = 0
-        self.text_targets = [
-            addr for addr, cell in wb.iter_cells()
-            if cell.is_number and self._adjacency_safe(addr)
-        ]
+        self.text_targets: list[CellAddress] = []
+        # DUP_LITERAL donors per sheet in reading order: plain numbers of
+        # magnitude >= 2. A sheet's cursor passes donors that were mutated;
+        # mutations only grow, so the first live donor never changes.
+        self.donors: dict[str, list[tuple[CellAddress, float]]] = {}
+        self.donor_cursor: dict[str, int] = {}
+        for addr, cell in wb.iter_cells():
+            if not cell.is_number:
+                continue
+            if self._adjacency_safe(addr):
+                self.text_targets.append(addr)
+            if abs(cell.value) >= 2.0:  # type: ignore[arg-type]
+                self.donors.setdefault(addr.sheet, []).append((addr, cell.value))  # type: ignore[arg-type]
         self.text_cursor = 0
 
     def _adjacency_safe(self, addr: CellAddress) -> bool:
@@ -330,15 +339,15 @@ class _Seeder:
         return True
 
     def _seed_dup_literal(self, addr: CellAddress, cell: CellContent) -> bool:
-        donor = None
-        for other, content in self.wb.iter_cells():
-            if (other.sheet == addr.sheet and content.is_number
-                    and abs(content.value) >= 2.0 and other not in self.mutations):
-                donor = content.value
-                self.reserved.add(other)
-                break
-        if donor is None:
+        donors = self.donors.get(addr.sheet, [])
+        i = self.donor_cursor.get(addr.sheet, 0)
+        while i < len(donors) and donors[i][0] in self.mutations:
+            i += 1
+        self.donor_cursor[addr.sheet] = i
+        if i == len(donors):
             return False
+        other, donor = donors[i]
+        self.reserved.add(other)
         src = f"{cell.formula}+{canonical_number(donor)}"
         self._mark_mutated(addr, _locked(formula=src), "DUP_LITERAL", cell.formula)
         return True

@@ -7,11 +7,13 @@ Every test drives main(argv) in process and checks the exit-code contract:
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from gridaudit.cli import FIXED_TIMESTAMP, audit_report_from_dict, main
+from gridaudit import formula
+from gridaudit.cli import FIXED_TIMESTAMP, audit_report_from_dict, build_audit_report, main
 from gridaudit.engine import parse_snapshot
 from gridaudit.model import parse_workbook, serialize_workbook
 from gridaudit.simlab import SeedSpec, generate_clean, seed_defects, truth_to_json
@@ -87,6 +89,14 @@ def test_unknown_config_section_exits_two(tmp_path, capsys):
     rc = main(["audit", str(clean_chain(tmp_path)), "--config", str(cfg)])
     assert rc == 2
     assert "paln" in capsys.readouterr().err
+    cfg.write_bytes(b'{"rules": {"enabled": ["JAMMED\xe9"]}}')  # Latin-1, not UTF-8
+    rc = main(["audit", str(clean_chain(tmp_path)), "--config", str(cfg)])
+    assert rc == 2
+    assert "UTF-8" in capsys.readouterr().err
+    cfg.write_text('{"rules": 5}', encoding="utf-8")
+    rc = main(["audit", str(clean_chain(tmp_path)), "--config", str(cfg)])
+    assert rc == 2
+    assert "'rules' must be an object" in capsys.readouterr().err
 
 
 def test_usage_error_exits_two():
@@ -113,6 +123,27 @@ def test_machine_report_round_trips(tmp_path, capsys):
     assert rep.to_dict() == doc
     assert rep.generated_at == FIXED_TIMESTAMP
     assert any(f.rule_id == "NUM_AS_TEXT" for f in rep.findings)
+
+
+def test_audit_normalizes_each_formula_once(monkeypatch):
+    # Wrap normalize in every gridaudit module that holds the name, so a
+    # second route to it would be counted too.
+    spec = SeedSpec("grid", 90, 6, error_rate=0.3, rng_seed=4)
+    wb = seed_defects(generate_clean(spec), spec).workbook
+    original = formula.normalize
+    calls: list = []
+
+    def counted(ast):
+        calls.append(ast.host)
+        return original(ast)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gridaudit") and getattr(module, "normalize", None) is original:
+            monkeypatch.setattr(module, "normalize", counted)
+    build_audit_report(wb, fixed_timestamp=True)
+    formula_cells = [addr for addr, _ in wb.formula_cells()]
+    assert len(calls) == len(formula_cells)
+    assert set(calls) == set(formula_cells)
 
 
 def test_fixed_timestamp_makes_runs_identical(tmp_path):

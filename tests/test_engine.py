@@ -112,6 +112,7 @@ def test_overflow_is_value_error():
     big = {"A1": 1e308, "A2": 1e308}
     assert formula_result("=SUM(A1:A2)", big) == VALUE_ERR
     assert formula_result("=AVERAGE(A1:A2)", big) == VALUE_ERR
+    assert formula_result("=ROUND(1.7e308,0-308)") == VALUE_ERR
 
 
 def test_concatenation_renders_canonically():

@@ -21,7 +21,6 @@ from gridaudit.formula import (
     TextLiteral,
     UnaryOp,
     canonical_number,
-    metrics,
     normalize,
     parse_formula,
     render,
@@ -223,7 +222,7 @@ def test_normalize_zero_offset_is_bare():
 def test_normalize_collects_refs_and_literals():
     nf = normalize(parse_formula("=A1*2+Data!B2-3.5", C2))
     assert nf.literals == (2.0, 3.5)
-    assert nf.references == ("R[-1]C[-2]", "Data!RC[-1]")
+    assert nf.text == "=R[-1]C[-2]*2+Data!RC[-1]-3.5"
     # ref * 2 + ref - 3.5 -> seven counted tokens
     assert nf.token_count == 7
 
@@ -252,7 +251,7 @@ def test_unique_formula_count_is_per_sheet():
 # --- metrics -----------------------------------------------------------------
 
 def test_metrics_pinned_example():
-    m = metrics(parse_formula("=Data!B2+C40", C2))
+    m = normalize(parse_formula("=Data!B2+C40", C2))
     assert m.token_count == 3
     assert m.cross_sheet_ref_count == 1
     assert m.max_ref_distance == 38
@@ -260,34 +259,34 @@ def test_metrics_pinned_example():
 
 
 def test_metrics_token_and_literal_counts():
-    m = metrics(parse_formula("=SUM(B2:B8)", C2))
+    m = normalize(parse_formula("=SUM(B2:B8)", C2))
     assert m.token_count == 2
-    assert m.literal_count == 0
-    m = metrics(parse_formula("=IF(A1>0,A1,0)", C2))
+    assert len(m.literals) == 0
+    m = normalize(parse_formula("=IF(A1>0,A1,0)", C2))
     assert m.token_count == 6
-    assert m.literal_count == 2
-    m = metrics(parse_formula('=-A1+2*3&"x"', C2))
+    assert len(m.literals) == 2
+    m = normalize(parse_formula('=-A1+2*3&"x"', C2))
     # unary, ref, 2, 3, *, +, &, "x"
     assert m.token_count == 8
-    assert m.literal_count == 2
+    assert len(m.literals) == 2
 
 
 def test_metrics_off_axis():
-    m = metrics(parse_formula("=B2", CellAddress("S1", 1, 1)))
+    m = normalize(parse_formula("=B2", CellAddress("S1", 1, 1)))
     assert m.off_axis_ref_count == 1 and m.max_ref_distance == 1
-    m = metrics(parse_formula("=B1+A2", CellAddress("S1", 1, 1)))
+    m = normalize(parse_formula("=B1+A2", CellAddress("S1", 1, 1)))
     assert m.off_axis_ref_count == 0
     # range neither spanning host row nor host column is off-axis
-    m = metrics(parse_formula("=SUM(A5:B9)", C2))
+    m = normalize(parse_formula("=SUM(A5:B9)", C2))
     assert m.off_axis_ref_count == 1
     assert m.max_ref_distance == 7
     # range spanning the host column is on-axis
-    m = metrics(parse_formula("=SUM(C5:D9)", C2))
+    m = normalize(parse_formula("=SUM(C5:D9)", C2))
     assert m.off_axis_ref_count == 0
 
 
 def test_metrics_range_distance_uses_far_corner():
-    m = metrics(parse_formula("=SUM(A1:A30)", CellAddress("S1", 31, 1)))
+    m = normalize(parse_formula("=SUM(A1:A30)", CellAddress("S1", 31, 1)))
     assert m.max_ref_distance == 30
 
 

@@ -70,6 +70,8 @@ def test_plan_config_from_dict():
     assert cfg.rounds == 3
     with pytest.raises(InvalidConfig):
         plan_config_from_dict({"rate_cap": 50})
+    with pytest.raises(InvalidConfig, match="rateCap"):
+        plan_config_from_dict({"rateCap": "x"})
 
 
 # --- Planning -----------------------------------------------------------------
@@ -168,6 +170,14 @@ def test_session_validation():
         SessionFindings("", "M1", (), 60.0)
     with pytest.raises(InvalidConfig):
         SessionFindings("ana", "M1", (), 0.0)
+    with pytest.raises(InvalidConfig, match="durationMinutes"):
+        session_from_dict({"inspectorId": "ana", "moduleId": "M1", "items": []})
+    with pytest.raises(InvalidConfig, match="items"):
+        session_from_dict({"inspectorId": "ana", "moduleId": "M1",
+                           "durationMinutes": 5, "items": 5})
+    with pytest.raises(InvalidConfig, match="cell"):
+        session_from_dict({"inspectorId": "ana", "moduleId": "M1",
+                           "durationMinutes": 5, "items": [3]})
 
 
 def test_session_file_name():

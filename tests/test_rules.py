@@ -386,6 +386,12 @@ def test_rule_config_from_dict():
         rule_config_from_dict({"threshold": {}})
     with pytest.raises(InvalidConfig):
         rule_config_from_dict({"thresholds": {"bogus": 1}})
+    with pytest.raises(InvalidConfig, match="longFormulaTokens"):
+        rule_config_from_dict({"thresholds": {"longFormulaTokens": "x"}})
+    with pytest.raises(InvalidConfig, match="dupLiteralExclusions"):
+        rule_config_from_dict({"thresholds": {"dupLiteralExclusions": 5}})
+    with pytest.raises(InvalidConfig, match="enabled"):
+        rule_config_from_dict({"enabled": 5})
 
 
 def test_finding_round_trip():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gridaudit.errors import EmptyTruth, InvalidConfig
 from gridaudit.formula import parse_workbook_formulas
 from gridaudit.graph import build_graph
+from gridaudit.model import Workbook
 from gridaudit.risk import RiskParams, p_any_error, p_chain_correct
 from gridaudit.rules import run_rules
 from gridaudit.simlab import (
@@ -155,6 +156,27 @@ def test_rate_one_defects_every_formula():
     assert {t.defect_class for t in seeded.truth} == {"JAMMED"}
     cells = {t.cell for t in seeded.truth}
     assert len(cells) == 20
+
+
+def test_dup_literal_seeding_walks_the_book_a_fixed_number_of_times(monkeypatch):
+    walks: list = []
+    iter_cells = Workbook.iter_cells
+
+    def counted(self):
+        walks.append(self)
+        return iter_cells(self)
+
+    monkeypatch.setattr(Workbook, "iter_cells", counted)
+    per_size = []
+    for formulas in (40, 160):
+        spec = SeedSpec("tree", formulas, 20, error_rate=1.0,
+                        defect_mix=(("DUP_LITERAL", 1.0),), rng_seed=5)
+        clean = generate_clean(spec)
+        walks.clear()
+        seeded = seed_defects(clean, spec)
+        assert [t.defect_class for t in seeded.truth] == ["DUP_LITERAL"] * formulas
+        per_size.append(len(walks))
+    assert per_size[0] == per_size[1]
 
 
 def test_seeding_is_deterministic():
