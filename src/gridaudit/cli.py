@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .diffcheck import DiffEntry, diff, three_way_check
 from .engine import parse_snapshot, recheck, snapshot, snapshot_to_json, value_to_json
-from .errors import GridAuditError, InvalidConfig, ModuleMismatch
+from .errors import GridAuditError, InvalidConfig, ModuleMismatch, config_value
 from .formula import parse_workbook_formulas
 from .graph import build_graph, chain_stats, dump_edges
 from .inspection import (
@@ -94,27 +94,34 @@ class AuditReport:
 
 
 def audit_report_from_dict(d: dict[str, object]) -> AuditReport:
+    where = "audit report"
+    if not isinstance(d, dict):
+        raise InvalidConfig(f"{where} must be an object, got {d!r}")
     known = {"toolVersion", "workbookName", "generatedAt", "findings", "risk",
              "chainSummary", "coverage", "suppressedCount"}
     extra = set(d) - known
     if extra:
         raise InvalidConfig(f"unknown audit report keys: {sorted(extra)}")
-    cov = d["coverage"]
+    cov = config_value(d, "coverage", dict, where)
     return AuditReport(
-        tool_version=str(d["toolVersion"]),
-        workbook_name=str(d["workbookName"]),
-        generated_at=str(d["generatedAt"]),
-        findings=tuple(finding_from_dict(f) for f in d["findings"]),  # type: ignore[union-attr]
-        risk=report_from_dict(d["risk"]),  # type: ignore[arg-type]
-        chain_summary={k: int(v) for k, v in d["chainSummary"].items()},  # type: ignore[union-attr]
+        tool_version=config_value(d, "toolVersion", str, where),
+        workbook_name=config_value(d, "workbookName", str, where),
+        generated_at=config_value(d, "generatedAt", str, where),
+        findings=config_value(d, "findings", lambda v: tuple(map(finding_from_dict, v)), where),
+        risk=report_from_dict(config_value(d, "risk", dict, where)),
+        chain_summary=config_value(d, "chainSummary", _int_values, where),
         coverage={
-            "examined": {k: int(v) for k, v in cov["examined"].items()},  # type: ignore[index]
-            "applicable": int(cov["applicable"]),  # type: ignore[index]
-            "enabled": tuple(cov["enabled"]),  # type: ignore[index]
-            "ok": bool(cov["ok"]),  # type: ignore[index]
+            "examined": config_value(cov, "examined", _int_values, "audit coverage"),
+            "applicable": config_value(cov, "applicable", int, "audit coverage"),
+            "enabled": config_value(cov, "enabled", tuple, "audit coverage"),
+            "ok": config_value(cov, "ok", bool, "audit coverage"),
         },
-        suppressed_count=int(d["suppressedCount"]),  # type: ignore[arg-type]
+        suppressed_count=config_value(d, "suppressedCount", int, where),
     )
+
+
+def _int_values(d: object) -> dict[str, int]:
+    return {k: int(v) for k, v in dict(d).items()}  # type: ignore[call-overload]
 
 
 def build_audit_report(wb: Workbook, rule_cfg: RuleConfig | None = None,

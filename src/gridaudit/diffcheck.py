@@ -15,7 +15,6 @@ from .model import (
     CellAddress,
     CellContent,
     Workbook,
-    parse_cell_key,
     parse_qualified,
 )
 
@@ -123,22 +122,24 @@ def _classify(before: CellContent, after: CellContent) -> str | None:
     return None
 
 
+def _addressed(wb: Workbook, name: str) -> dict[CellAddress, CellContent]:
+    sheet = wb.sheet(name)
+    return {} if sheet is None else dict(sheet.reading_order)
+
+
 def diff(a: Workbook, b: Workbook) -> tuple[DiffEntry, ...]:
     """Every cell that differs, in a's sheet order then reading order."""
-    a_sheets = {s.name: s.cells for s in a.sheets}
-    b_sheets = {s.name: s.cells for s in b.sheets}
     names = [s.name for s in a.sheets]
-    names += [s.name for s in b.sheets if s.name not in a_sheets]
+    names += [s.name for s in b.sheets if a.sheet(s.name) is None]
 
     entries: list[DiffEntry] = []
     for name in names:
-        cells_a = a_sheets.get(name, {})
-        cells_b = b_sheets.get(name, {})
-        for key in sorted(set(cells_a) | set(cells_b), key=parse_cell_key):
-            before = cells_a.get(key)
-            after = cells_b.get(key)
-            row, col = parse_cell_key(key)
-            loc = CellAddress(name, row, col)
+        cells_a = _addressed(a, name)
+        cells_b = _addressed(b, name)
+        # One sheet's addresses sort in reading order.
+        for loc in sorted(cells_a.keys() | cells_b.keys()):
+            before = cells_a.get(loc)
+            after = cells_b.get(loc)
             if before is None:
                 entries.append(DiffEntry(loc, "added", None, after))
             elif after is None:

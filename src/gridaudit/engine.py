@@ -73,8 +73,8 @@ from .model import (
     CellAddress,
     CellContent,
     Constant,
+    Sheet,
     Workbook,
-    parse_cell_key,
     parse_qualified,
 )
 
@@ -173,34 +173,33 @@ def value_from_json(raw: Any) -> Value:
 
 
 class _SheetIndex:
-    """Row/column index over a sheet's non-empty cells for range iteration."""
+    """Row index over a sheet's non-empty cells for range iteration.
 
-    def __init__(self, name: str, cells: dict[str, CellContent]):
-        self.name = name
-        by_row: dict[int, list[int]] = {}
-        for key in cells:
-            row, col = parse_cell_key(key)
-            by_row.setdefault(row, []).append(col)
-        self.rows = sorted(by_row)
-        self.cols_by_row = {r: sorted(cs) for r, cs in by_row.items()}
-        # Addresses of a row, made the first time a range reaches it, so
-        # re-reading a range builds no new CellAddress objects.
-        self._addrs_by_row: dict[int, list[CellAddress]] = {}
+    cells is the sheet's own address objects in reading order, so a range
+    yields the very keys of the value map; rows[k] is an occupied row and
+    its cells are cells[starts[k]:starts[k + 1]].
+    """
+
+    def __init__(self, sheet: Sheet):
+        self.name = sheet.name
+        self.cells = tuple(addr for addr, _content in sheet.reading_order)
+        self.rows: list[int] = []
+        self.starts: list[int] = []
+        for i, addr in enumerate(self.cells):
+            if not self.rows or self.rows[-1] != addr.row:
+                self.rows.append(addr.row)
+                self.starts.append(i)
+        self.starts.append(len(self.cells))
 
     def iter_box(self, r1: int, c1: int, r2: int, c2: int) -> Iterator[CellAddress]:
         """Non-empty cells inside the box, reading order."""
-        lo = bisect_left(self.rows, r1)
-        hi = bisect_right(self.rows, r2)
-        for row in self.rows[lo:hi]:
-            cols = self.cols_by_row[row]
-            a = bisect_left(cols, c1)
-            b = bisect_right(cols, c2)
-            if a == b:
-                continue
-            addrs = self._addrs_by_row.get(row)
-            if addrs is None:
-                addrs = self._addrs_by_row[row] = [CellAddress(self.name, row, c) for c in cols]
-            yield from addrs[a:b]
+        cells, name, starts = self.cells, self.name, self.starts
+        for k in range(bisect_left(self.rows, r1), bisect_right(self.rows, r2)):
+            row = self.rows[k]
+            # Addresses are (sheet, row, col) tuples and sort like them.
+            a = bisect_left(cells, (name, row, c1), starts[k], starts[k + 1])
+            b = bisect_right(cells, (name, row, c2), a, starts[k + 1])
+            yield from cells[a:b]
 
 
 # --- evaluator ---------------------------------------------------------------
@@ -262,7 +261,7 @@ class _Evaluator:
             raise _Err(REF_ERR)
         if sheet not in self.indexes:
             raise _Err(REF_ERR)
-        v = self.values.get(CellAddress(sheet, node.row, node.col))
+        v = self.values.get((sheet, node.row, node.col))  # equals its CellAddress
         if isinstance(v, ErrorValue):
             raise _Err(v)
         return v
@@ -507,7 +506,7 @@ def _round_half_away(x: float, digits: int) -> float:
 
 def sheet_indexes(wb: Workbook) -> dict[str, _SheetIndex]:
     """One range index per sheet, keyed by sheet name."""
-    return {s.name: _SheetIndex(s.name, s.cells) for s in wb.sheets}
+    return {s.name: _SheetIndex(s) for s in wb.sheets}
 
 
 def _formula_precedents(ast: FormulaAst, indexes: dict[str, _SheetIndex],
@@ -523,13 +522,6 @@ def _formula_precedents(ast: FormulaAst, indexes: dict[str, _SheetIndex],
     for sheet, r1, c1, r2, c2 in references(ast):
         index = indexes.get(sheet)
         if index is None or r2 > MAX_ROW or c2 > MAX_COL:
-            continue
-        if r1 == r2 and c1 == c2:
-            # One cell: a lookup, which spares iter_box's per-row address
-            # cache (a list per row; 2 MB on a 20k-cell column chain).
-            addr = CellAddress(sheet, r1, c1)
-            if addr in keep:
-                out.add(addr)
             continue
         out.update(addr for addr in index.iter_box(r1, c1, r2, c2) if addr in keep)
     return out

@@ -2,10 +2,15 @@
 
 Every failure the tool can diagnose maps to one of these; the CLI turns any
 of them into exit code 2 with a one-line diagnostic. Anything else escaping
-is a bug, not a user error.
+is a bug, not a user error. config_value reads one key of a dict read back
+from a file, so a missing key or a bad value is an InvalidConfig too.
 """
 
 from __future__ import annotations
+
+from typing import Any, Callable, TypeVar
+
+T = TypeVar("T")
 
 
 class GridAuditError(Exception):
@@ -87,3 +92,16 @@ class EmptyTruth(GridAuditError):
 
 class InvalidConfig(GridAuditError):
     """Rule or planner configuration failed validation."""
+
+
+def config_value(d: object, key: str, convert: Callable[[Any], T], where: str) -> T:
+    """convert(d[key]) for a file-form object; InvalidConfig naming where and
+    key when d is not an object, lacks key, or holds a value convert rejects."""
+    if not isinstance(d, dict):
+        raise InvalidConfig(f"{where} must be an object, got {d!r}")
+    if key not in d:
+        raise InvalidConfig(f"{where} lacks {key!r}")
+    try:
+        return convert(d[key])
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidConfig(f"{where} {key!r} has a bad value {d[key]!r}") from None

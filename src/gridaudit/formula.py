@@ -146,92 +146,62 @@ class FormulaAst:
 
 # --- Lexer ----------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-_SHEET_RE = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_]*|'(?:[^']|'')+')!")
-_REF_RE = re.compile(r"\$?[A-Za-z]{1,3}\$?[0-9]{1,7}(?![A-Za-z0-9_$(])")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
-_TWO_CHAR_OPS = ("<=", ">=", "<>")
-_ONE_CHAR = "=<>&+-*/^(),:"
+# One alternation, tried in this order at each position. A string ends at
+# the first quote not followed by another, so an unterminated one matches
+# nothing (the lookahead keeps it from ending inside a "" escape).
+_TOKEN_RE = re.compile(r"""
+    (?P<SPACE>[ \t]+)
+  | (?P<STRING>"(?:[^"]|"")*"(?!"))
+  | (?P<NUMBER>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | (?P<SHEET>(?:[A-Za-z_][A-Za-z0-9_]*|'(?:[^']|'')+')!)
+  | (?P<REF>(?P<abs_col>\$?)(?P<letters>[A-Za-z]{1,3})(?P<abs_row>\$?)(?P<digits>[0-9]{1,7})
+        (?![A-Za-z0-9_$(]))
+  | (?P<NAME>[A-Za-z_][A-Za-z0-9_.]*)
+  | (?P<OP><=|>=|<>|[=<>&+\-*/^(),:])
+""", re.VERBOSE)
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NUMBER STRING SHEET REF NAME OP EOF
-    text: str
-    offset: int
-    value: float | str | None = None
+# A token is (kind, text, offset, value): kind is a group name above or
+# EOF; value is the number, the unescaped text, the unquoted sheet name,
+# a reference's (row, col, abs_row, abs_col), or None.
+_Token = tuple[str, str, int, Union[float, str, tuple[int, int, bool, bool], None]]
 
 
 def _lex(src: str, start: int = 0) -> list[_Token]:
     """Lex src from start; token offsets index into the full string."""
     tokens: list[_Token] = []
+    match = _TOKEN_RE.match
     i = start
     n = len(src)
     while i < n:
-        ch = src[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            buf = []
-            while j < n:
-                if src[j] == '"':
-                    if j + 1 < n and src[j + 1] == '"':
-                        buf.append('"')
-                        j += 2
-                        continue
-                    break
-                buf.append(src[j])
-                j += 1
-            else:
+        m = match(src, i)
+        if m is None:
+            if src[i] == '"':
                 raise FormulaSyntaxError("unterminated string", i)
-            tokens.append(_Token("STRING", src[i : j + 1], i, "".join(buf)))
-            i = j + 1
+            raise FormulaSyntaxError(f"unexpected character {src[i]!r}", i)
+        kind = m.lastgroup
+        text = m.group()
+        value: float | str | tuple[int, int, bool, bool] | None = None
+        if kind == "SPACE":
+            i = m.end()
             continue
-        m = _NUMBER_RE.match(src, i)
-        if m:
-            value = float(m.group())
+        if kind == "NUMBER":
+            value = float(text)
             if not math.isfinite(value):
-                raise FormulaSyntaxError(f"number {m.group()} is out of range", i)
-            tokens.append(_Token("NUMBER", m.group(), i, value))
-            i = m.end()
-            continue
-        m = _SHEET_RE.match(src, i)
-        if m:
-            raw = m.group()[:-1]  # strip '!'
-            if raw.startswith("'"):
-                raw = raw[1:-1].replace("''", "'")
-            tokens.append(_Token("SHEET", m.group(), i, raw))
-            i = m.end()
-            continue
-        m = _REF_RE.match(src, i)
-        if m:
-            tokens.append(_Token("REF", m.group(), i))
-            i = m.end()
-            continue
-        m = _NAME_RE.match(src, i)
-        if m:
-            tokens.append(_Token("NAME", m.group(), i))
-            i = m.end()
-            continue
-        two = src[i : i + 2]
-        if two in _TWO_CHAR_OPS:
-            tokens.append(_Token("OP", two, i))
-            i += 2
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(_Token("OP", ch, i))
-            i += 1
-            continue
-        raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("EOF", "", n))
+                raise FormulaSyntaxError(f"number {text} is out of range", i)
+        elif kind == "STRING":
+            value = text[1:-1].replace('""', '"')
+        elif kind == "SHEET":
+            value = text[1:-2].replace("''", "'") if text[0] == "'" else text[:-1]
+        elif kind == "REF":
+            value = (int(m.group("digits")), letters_to_col(m.group("letters")),
+                     bool(m.group("abs_row")), bool(m.group("abs_col")))
+        tokens.append((kind, text, i, value))  # type: ignore[arg-type]
+        i = m.end()
+    tokens.append(("EOF", "", n, None))
     return tokens
 
 
 # --- Parser ---------------------------------------------------------------
-
-_REF_PARTS_RE = re.compile(r"^(\$?)([A-Za-z]{1,3})(\$?)([0-9]{1,7})$")
 
 # Deepest nesting of parentheses, function calls and unary signs a formula
 # may have. Desktop spreadsheets stop function nesting at 64; the bound also
@@ -239,8 +209,26 @@ _REF_PARTS_RE = re.compile(r"^(\$?)([A-Za-z]{1,3})(\$?)([0-9]{1,7})$")
 # recursion limit.
 MAX_NESTING = 64
 
+# Greatest height of a formula's tree, counted in operators, unary signs and
+# calls from the root down to the deepest operand. A chain such as
+# A1+A1+...+A1 needs no nesting but builds one level per operator, and every
+# tree walk recurses that deep; evaluation takes up to five stack frames a
+# level, so the deepest tree stays well inside the default recursion limit.
+MAX_DEPTH = 128
+
+# Binary operators by precedence level, loosest first; all left-associative.
+_LEVEL = {
+    "=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
+    "&": 2,
+    "+": 3, "-": 3,
+    "*": 4, "/": 4,
+    "^": 5,
+}
+
 
 class _Parser:
+    """Recursive descent; each parse method returns (expr, tree height)."""
+
     def __init__(self, tokens: list[_Token], host: CellAddress):
         self.tokens = tokens
         self.pos = 0
@@ -257,133 +245,118 @@ class _Parser:
         return tok
 
     def expect_op(self, text: str) -> _Token:
-        tok = self.cur
-        if tok.kind != "OP" or tok.text != text:
-            raise FormulaSyntaxError(f"expected {text!r}, found {tok.text or 'end'!r}", tok.offset)
+        kind, found, offset, _ = self.cur
+        if kind != "OP" or found != text:
+            raise FormulaSyntaxError(f"expected {text!r}, found {found or 'end'!r}", offset)
         return self.advance()
 
     def at_op(self, *texts: str) -> bool:
-        return self.cur.kind == "OP" and self.cur.text in texts
+        return self.cur[0] == "OP" and self.cur[1] in texts
 
     def nest(self, tok: _Token) -> None:
         """Enter one nesting level at tok; the caller leaves with depth -= 1."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise FormulaSyntaxError(f"nesting deeper than {MAX_NESTING} levels", tok.offset)
+            raise FormulaSyntaxError(f"nesting deeper than {MAX_NESTING} levels", tok[2])
+
+    @staticmethod
+    def taller(height: int, tok: _Token) -> int:
+        """The height of a node over a subtree of the given height, made at tok."""
+        if height >= MAX_DEPTH:
+            raise FormulaSyntaxError(
+                f"more than {MAX_DEPTH} levels of operators and calls", tok[2])
+        return height + 1
 
     def parse(self) -> Expr:
-        expr = self.comparison()
-        if self.cur.kind != "EOF":
-            raise FormulaSyntaxError(
-                f"unexpected trailing input {self.cur.text!r}", self.cur.offset
-            )
+        expr, _height = self.binary(1)
+        kind, text, offset, _ = self.cur
+        if kind != "EOF":
+            raise FormulaSyntaxError(f"unexpected trailing input {text!r}", offset)
         return expr
 
-    def comparison(self) -> Expr:
-        left = self.concat()
-        while self.at_op("=", "<>", "<", "<=", ">", ">="):
-            op = self.advance().text
-            left = BinaryOp(op, left, self.concat())
-        return left
+    def binary(self, min_level: int) -> tuple[Expr, int]:
+        """Operands joined by operators of min_level or tighter (precedence
+        climbing over _LEVEL); "-2^2" is (-2)^2, since unary binds tighter."""
+        left, height = self.unary()
+        while True:
+            tok = self.tokens[self.pos]
+            level = _LEVEL.get(tok[1]) if tok[0] == "OP" else None
+            if level is None or level < min_level:
+                return left, height
+            self.pos += 1
+            right, right_height = self.binary(level + 1)
+            height = self.taller(max(height, right_height), tok)
+            left = BinaryOp(tok[1], left, right)
 
-    def concat(self) -> Expr:
-        left = self.additive()
-        while self.at_op("&"):
-            self.advance()
-            left = BinaryOp("&", left, self.additive())
-        return left
-
-    def additive(self) -> Expr:
-        left = self.term()
-        while self.at_op("+", "-"):
-            op = self.advance().text
-            left = BinaryOp(op, left, self.term())
-        return left
-
-    def term(self) -> Expr:
-        left = self.power()
-        while self.at_op("*", "/"):
-            op = self.advance().text
-            left = BinaryOp(op, left, self.power())
-        return left
-
-    def power(self) -> Expr:
-        # Unary binds tighter than ^: "-2^2" is (-2)^2.
-        left = self.unary()
-        while self.at_op("^"):
-            self.advance()
-            left = BinaryOp("^", left, self.unary())
-        return left
-
-    def unary(self) -> Expr:
-        if self.at_op("-", "+"):
-            tok = self.advance()
+    def unary(self) -> tuple[Expr, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] == "OP" and tok[1] in ("-", "+"):
+            self.pos += 1
             self.nest(tok)
-            operand = self.unary()
+            operand, height = self.unary()
             self.depth -= 1
-            return UnaryOp(tok.text, operand)
+            return UnaryOp(tok[1], operand), self.taller(height, tok)
         return self.primary()
 
-    def primary(self) -> Expr:
-        tok = self.cur
-        if tok.kind == "NUMBER":
-            self.advance()
-            return NumberLiteral(float(tok.value))  # type: ignore[arg-type]
-        if tok.kind == "STRING":
-            self.advance()
-            return TextLiteral(str(tok.value))
-        if tok.kind == "OP" and tok.text == "(":
-            self.advance()
+    def primary(self) -> tuple[Expr, int]:
+        tok = self.tokens[self.pos]
+        kind, text, offset, value = tok
+        self.pos += 1
+        if kind == "REF":
+            return self.ref_or_range(None, tok), 0
+        if kind == "NUMBER":
+            return NumberLiteral(value), 0  # type: ignore[arg-type]
+        if kind == "STRING":
+            return TextLiteral(value), 0  # type: ignore[arg-type]
+        if kind == "OP" and text == "(":
             self.nest(tok)
-            inner = self.comparison()
+            inner = self.binary(1)
             self.expect_op(")")
             self.depth -= 1
             return inner
-        if tok.kind == "SHEET":
-            self.advance()
+        if kind == "SHEET":
             ref = self.cur
-            if ref.kind != "REF":
+            if ref[0] != "REF":
                 raise FormulaSyntaxError("expected cell reference after sheet qualifier",
-                                         ref.offset)
+                                         ref[2])
             self.advance()
-            return self.ref_or_range(str(tok.value), ref)
-        if tok.kind == "REF":
-            self.advance()
-            return self.ref_or_range(None, tok)
-        if tok.kind == "NAME":
-            self.advance()
+            return self.ref_or_range(value, ref), 0  # type: ignore[arg-type]
+        if kind == "NAME":
             if self.at_op("("):
                 return self.funcall(tok)
-            upper = tok.text.upper()
+            upper = text.upper()
             if upper == "TRUE":
-                return BooleanLiteral(True)
+                return BooleanLiteral(True), 0
             if upper == "FALSE":
-                return BooleanLiteral(False)
-            raise UnknownName(f"unknown name {tok.text!r} (named ranges are not supported)",
-                              tok.offset)
-        raise FormulaSyntaxError(f"unexpected token {tok.text or 'end'!r}", tok.offset)
+                return BooleanLiteral(False), 0
+            raise UnknownName(f"unknown name {text!r} (named ranges are not supported)",
+                              offset)
+        raise FormulaSyntaxError(f"unexpected token {text or 'end'!r}", offset)
 
-    def funcall(self, name_tok: _Token) -> Expr:
-        name = name_tok.text.upper()
+    def funcall(self, name_tok: _Token) -> tuple[Expr, int]:
+        _, text, offset, _ = name_tok
+        name = text.upper()
         if name not in SUPPORTED_FUNCTIONS:
-            raise UnknownFunction(f"unknown function {name_tok.text!r}", name_tok.offset)
+            raise UnknownFunction(f"unknown function {text!r}", offset)
         self.expect_op("(")
         self.nest(name_tok)
         args: list[Expr] = []
+        height = 0
         if not self.at_op(")"):
-            args.append(self.comparison())
-            while self.at_op(","):
+            while True:
+                arg, arg_height = self.binary(1)
+                args.append(arg)
+                height = max(height, arg_height)
+                if not self.at_op(","):
+                    break
                 self.advance()
-                args.append(self.comparison())
         self.expect_op(")")
         self.depth -= 1
         lo, hi = _ARITY[name]
         if len(args) < lo or (hi is not None and len(args) > hi):
             wants = f"{lo}" if hi == lo else (f"{lo}..{hi}" if hi else f">={lo}")
-            raise FormulaSyntaxError(
-                f"{name} takes {wants} argument(s), got {len(args)}", name_tok.offset
-            )
-        return FunctionCall(name, tuple(args))
+            raise FormulaSyntaxError(f"{name} takes {wants} argument(s), got {len(args)}", offset)
+        return FunctionCall(name, tuple(args)), self.taller(height, name_tok)
 
     def ref_or_range(self, sheet: str | None, first: _Token) -> Expr:
         r1, c1, a_r1, a_c1 = _split_ref(first)
@@ -391,17 +364,17 @@ class _Parser:
             return self.make_cell_ref(sheet, r1, c1, a_r1, a_c1)
         self.advance()
         second_sheet = sheet
-        if self.cur.kind == "SHEET":
-            second_sheet = str(self.advance().value)
+        if self.cur[0] == "SHEET":
+            second_sheet = str(self.advance()[3])
             if sheet is not None and second_sheet != sheet:
-                raise FormulaSyntaxError("range corners on different sheets", self.cur.offset)
+                raise FormulaSyntaxError("range corners on different sheets", self.cur[2])
             if sheet is None:
                 raise FormulaSyntaxError(
-                    "sheet qualifier on second range corner only", self.cur.offset
+                    "sheet qualifier on second range corner only", self.cur[2]
                 )
         second = self.cur
-        if second.kind != "REF":
-            raise FormulaSyntaxError("expected cell reference after ':'", second.offset)
+        if second[0] != "REF":
+            raise FormulaSyntaxError("expected cell reference after ':'", second[2])
         self.advance()
         r2, c2, a_r2, a_c2 = _split_ref(second)
         # Canonical corners: sort each axis, markers follow their coordinate.
@@ -419,13 +392,10 @@ class _Parser:
 
 
 def _split_ref(tok: _Token) -> tuple[int, int, bool, bool]:
-    m = _REF_PARTS_RE.match(tok.text)
-    if not m:  # unreachable if the lexer is right; keep the diagnostic anyway
-        raise FormulaSyntaxError(f"bad reference {tok.text!r}", tok.offset)
-    row = int(m.group(4))
-    if row == 0:  # rows are 1-based; row 0 can never resolve
-        raise FormulaSyntaxError(f"reference {tok.text!r} names row 0", tok.offset)
-    return row, letters_to_col(m.group(2)), bool(m.group(3)), bool(m.group(1))
+    _, text, offset, parts = tok
+    if parts[0] == 0:  # type: ignore[index]  # rows are 1-based; row 0 never resolves
+        raise FormulaSyntaxError(f"reference {text!r} names row 0", offset)
+    return parts  # type: ignore[return-value]
 
 
 def parse_formula(source: str, host: CellAddress) -> FormulaAst:
@@ -441,13 +411,6 @@ def parse_formula(source: str, host: CellAddress) -> FormulaAst:
 
 # --- Rendering ------------------------------------------------------------
 
-_LEVEL = {
-    "=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
-    "&": 2,
-    "+": 3, "-": 3,
-    "*": 4, "/": 4,
-    "^": 5,
-}
 _UNARY_LEVEL = 6
 _ATOM_LEVEL = 7
 

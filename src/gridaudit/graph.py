@@ -24,11 +24,6 @@ from .formula import FormulaAst, parse_workbook_formulas, references
 from .model import MAX_COL, MAX_ROW, CellAddress, Workbook
 
 
-def addr_key(addr: CellAddress) -> tuple[str, int, int]:
-    """Deterministic sort key; sheet name ties break by grid position."""
-    return (addr.sheet, addr.row, addr.col)
-
-
 def tarjan_sccs(
     nodes: Iterable[CellAddress], adj: dict[CellAddress, set[CellAddress]]
 ) -> list[list[CellAddress]]:
@@ -153,7 +148,7 @@ def build_graph(
     dependents: dict[CellAddress, set[CellAddress]] = {}
     ref_errors: set[CellAddress] = set()
     edge_count = 0
-    for addr in sorted(asts, key=addr_key):
+    for addr in sorted(asts):  # sheet name, then grid position
         ast = asts[addr]
         precs: set[CellAddress] = set()
         for target in _expand_refs(ast, known_sheets):
@@ -207,8 +202,8 @@ def chain_stats(g: DepGraph) -> ChainStats:
         for member in comp:
             comp_of[member] = i
         if len(comp) > 1 or comp[0] in formula_adj.get(comp[0], ()):
-            cycles.append(tuple(sorted(comp, key=addr_key)))
-    cycles.sort(key=lambda comp: addr_key(comp[0]))
+            cycles.append(tuple(sorted(comp)))
+    cycles.sort()
 
     # Longest dependency path, counting formula cells on it. Components come
     # out precedents-first, so one sweep is enough; constants weigh nothing

@@ -25,10 +25,10 @@ and "fmt" ("text" or "general"; omitted means general). Empty cells are
 absent from the map. Unknown fields anywhere are ignored with a warning so
 documents from newer writers still load.
 
-Model objects are frozen dataclasses; constructors validate their invariants,
-so a Workbook that exists is a Workbook that holds. Numbers are stored as
-floats and serialized as JSON ints when integral, which keeps
-parse(serialize(wb)) == wb exact.
+Model objects are frozen dataclasses, and addresses immutable tuples;
+constructors validate their invariants, so a Workbook that exists is a
+Workbook that holds. Numbers are stored as floats and serialized as JSON
+ints when integral, which keeps parse(serialize(wb)) == wb exact.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ import json
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from functools import cached_property
+from typing import Any, Iterator, NamedTuple
 
 from .errors import (
     DanglingOutput,
@@ -87,19 +88,27 @@ def letters_to_col(letters: str) -> int:
     return col
 
 
-@dataclass(frozen=True)
-class CellAddress:
-    """Absolute location of one cell: sheet name plus 1-based row/column."""
-
+class _Coordinates(NamedTuple):
     sheet: str
     row: int
     col: int
 
-    def __post_init__(self) -> None:
-        if not self.sheet:
+
+class CellAddress(_Coordinates):
+    """Absolute location of one cell: sheet name plus 1-based row/column.
+
+    An immutable (sheet, row, col) tuple, so hashing, equality and ordering
+    run in C: an address equals, hashes and sorts like that plain tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, sheet: str, row: int, col: int) -> CellAddress:
+        if not sheet:
             raise InvalidAddress("empty sheet name")
-        if self.row < 1 or self.col < 1:
-            raise InvalidAddress(f"coordinates must be >= 1: {self.row},{self.col}")
+        if row < 1 or col < 1:
+            raise InvalidAddress(f"coordinates must be >= 1: {row},{col}")
+        return tuple.__new__(cls, (sheet, row, col))
 
     @property
     def a1(self) -> str:
@@ -278,6 +287,20 @@ class Sheet:
     def cell_at(self, row: int, col: int) -> CellContent | None:
         return self.cells.get(f"{col_to_letters(col)}{row}")
 
+    @cached_property
+    def reading_order(self) -> tuple[tuple[CellAddress, CellContent], ...]:
+        """The cells as (address, content) pairs, row-major.
+
+        Each key is parsed once, on the first read, and the pairs are kept
+        with the sheet (not a field, so equality and repr see only the
+        cells). Every walk over the sheet's cells reads them, so its
+        address objects are the ones the value maps and indexes hold.
+        """
+        pairs = [(CellAddress(self.name, *parse_cell_key(key)), content)
+                 for key, content in self.cells.items()]
+        pairs.sort()  # keys are canonical, so no two addresses tie
+        return tuple(pairs)
+
 
 def _parse_iso(ts: str) -> datetime.datetime:
     try:
@@ -340,14 +363,7 @@ class Workbook:
     def iter_cells(self) -> Iterator[tuple[CellAddress, CellContent]]:
         """All non-empty cells, sheets in order, row-major within a sheet."""
         for s in self.sheets:
-            # Keys are canonical, so no two share (row, col) and key never
-            # decides the order. Popping frees each entry once yielded, so a
-            # caller building a result per cell does not also hold the whole
-            # decorated list (1 MB at 40k cells).
-            keyed = sorted(((*parse_cell_key(key), key) for key in s.cells), reverse=True)
-            while keyed:
-                row, col, key = keyed.pop()
-                yield CellAddress(s.name, row, col), s.cells[key]
+            yield from s.reading_order
 
     def formula_cells(self) -> Iterator[tuple[CellAddress, CellContent]]:
         for addr, content in self.iter_cells():

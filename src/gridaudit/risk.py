@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidConfig, InvalidTeamSize
+from .errors import InvalidConfig, InvalidTeamSize, config_value
 from .formula import FormulaAst, parse_workbook_formulas, unique_formula_count
 from .graph import ChainStats
 from .model import CellAddress, Workbook
@@ -187,23 +187,37 @@ class RiskReport:
         }
 
 
+def _floats(v: object) -> tuple[float, ...]:
+    return tuple(float(x) for x in v)  # type: ignore[union-attr]
+
+
+def _band(v: object) -> tuple[float, float]:
+    lo, hi = _floats(v)  # ValueError unless exactly two
+    return lo, hi
+
+
+def _per_output_from_dict(d: dict[str, object]) -> dict[str, OutputRisk]:
+    out = {}
+    for key, o in dict(d).items():
+        where = f"risk report output {key!r}"
+        out[key] = OutputRisk(chain_length=config_value(o, "L", int, where),
+                              p_chain_correct=config_value(o, "pChainCorrect", float, where),
+                              p_material=config_value(o, "pMaterial", float, where))
+    return out
+
+
 def report_from_dict(d: dict[str, object]) -> RiskReport:
-    per_output = {
-        key: OutputRisk(chain_length=int(o["L"]),
-                        p_chain_correct=float(o["pChainCorrect"]),
-                        p_material=float(o["pMaterial"]))
-        for key, o in d["perOutput"].items()  # type: ignore[union-attr]
-    }
+    where = "risk report"
     return RiskReport(
-        unique_formulas=int(d["U"]),
-        expected_errors=float(d["E"]),
-        p_any_error=float(d["pAnyError"]),
-        multiplier=float(d["multiplier"]),
-        per_output=per_output,
-        residual_after_rounds=tuple(float(x) for x in d["residualAfterRounds"]),
-        risk_score=float(d["riskScore"]),
-        params=_params_from_dict(d["params"]),  # type: ignore[arg-type]
-        notes=tuple(str(n) for n in d["notes"]),
+        unique_formulas=config_value(d, "U", int, where),
+        expected_errors=config_value(d, "E", float, where),
+        p_any_error=config_value(d, "pAnyError", float, where),
+        multiplier=config_value(d, "multiplier", float, where),
+        per_output=config_value(d, "perOutput", _per_output_from_dict, where),
+        residual_after_rounds=config_value(d, "residualAfterRounds", _floats, where),
+        risk_score=config_value(d, "riskScore", float, where),
+        params=config_value(d, "params", _params_from_dict, where),
+        notes=config_value(d, "notes", lambda v: tuple(str(n) for n in v), where),
     )
 
 
@@ -222,16 +236,18 @@ def _params_to_dict(params: RiskParams) -> dict[str, object]:
 
 
 def _params_from_dict(d: dict[str, object]) -> RiskParams:
+    where = "risk params"
     return RiskParams(
-        p=float(d["p"]),
-        p_audit=float(d["pAudit"]),
-        s=float(d["s"]),
-        m=float(d["m"]),
-        generic_round_yield=float(d["genericRoundYield"]),
-        team_yields=tuple((int(k), float(y)) for k, y in d["teamYields"]),  # type: ignore[union-attr]
-        residual_band=(float(d["residualBand"][0]), float(d["residualBand"][1])),  # type: ignore[index]
-        tokens_per_multiplier=float(d["tokensPerMultiplier"]),
-        multiplier_cap=float(d["multiplierCap"]),
+        p=config_value(d, "p", float, where),
+        p_audit=config_value(d, "pAudit", float, where),
+        s=config_value(d, "s", float, where),
+        m=config_value(d, "m", float, where),
+        generic_round_yield=config_value(d, "genericRoundYield", float, where),
+        team_yields=config_value(
+            d, "teamYields", lambda v: tuple((int(k), float(y)) for k, y in v), where),
+        residual_band=config_value(d, "residualBand", _band, where),
+        tokens_per_multiplier=config_value(d, "tokensPerMultiplier", float, where),
+        multiplier_cap=config_value(d, "multiplierCap", float, where),
     )
 
 

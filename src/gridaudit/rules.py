@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .engine import EvalPlan, parse_numeric_text, sheet_indexes
-from .errors import InvalidConfig
+from .errors import InvalidConfig, config_value
 from .formula import (
     AGGREGATE_FUNCTIONS,
     BinaryOp,
@@ -34,7 +34,6 @@ from .model import (
     CellContent,
     Workbook,
     col_to_letters,
-    parse_cell_key,
     parse_qualified,
 )
 
@@ -84,14 +83,15 @@ class Finding:
 
 
 def finding_from_dict(d: dict[str, object]) -> Finding:
-    loc = d["location"]
+    where = "finding"
     return Finding(
-        rule_id=str(d["ruleId"]),
-        severity=str(d["severity"]),
-        category=str(d["class"]),
-        location=None if loc is None else parse_qualified(str(loc)),
-        message=str(d["message"]),
-        evidence=dict(d.get("evidence", {})),  # type: ignore[arg-type]
+        rule_id=config_value(d, "ruleId", str, where),
+        severity=config_value(d, "severity", str, where),
+        category=config_value(d, "class", str, where),
+        location=config_value(
+            d, "location", lambda v: None if v is None else parse_qualified(str(v)), where),
+        message=config_value(d, "message", str, where),
+        evidence=config_value(d, "evidence", dict, where) if "evidence" in d else {},
     )
 
 
@@ -360,39 +360,39 @@ def _scan_run(entries: list[tuple[CellAddress, CellContent]],
         i = last_formula + 1 if last_formula > i else i + 1
 
 
+def _scan_line(line: list[tuple[CellAddress, CellContent]], axis: int,
+               norm_text: dict[CellAddress, str], min_run: int,
+               out: dict[CellAddress, Finding]) -> None:
+    """Scan each unbroken stretch of one row or column of cells.
+
+    axis is the address field that advances along the line: 2 (the
+    column) along a row, 1 (the row) down a column.
+    """
+    block: list[tuple[CellAddress, CellContent]] = []
+    for pair in line:
+        if block and pair[0][axis] != block[-1][0][axis] + 1:
+            _scan_run(block, norm_text, min_run, out)
+            block = []
+        block.append(pair)
+    _scan_run(block, norm_text, min_run, out)
+
+
 def _hardwired_findings(wb: Workbook, asts: dict[CellAddress, FormulaAst],
                         min_run: int) -> dict[CellAddress, Finding]:
     norm_text = {addr: ast.normal.text for addr, ast in asts.items()}
     out: dict[CellAddress, Finding] = {}
     for sheet in wb.sheets:
-        cells = {parse_cell_key(key): content for key, content in sheet.cells.items()}
-        rows: dict[int, list[int]] = {}
-        cols: dict[int, list[int]] = {}
-        for r, c in cells:
-            rows.setdefault(r, []).append(c)
-            cols.setdefault(c, []).append(r)
-        for r, cs in sorted(rows.items()):
-            cs.sort()
-            block: list[tuple[CellAddress, CellContent]] = []
-            prev = None
-            for c in cs:
-                if prev is not None and c != prev + 1:
-                    _scan_run(block, norm_text, min_run, out)
-                    block = []
-                block.append((CellAddress(sheet.name, r, c), cells[(r, c)]))
-                prev = c
-            _scan_run(block, norm_text, min_run, out)
-        for c, rs in sorted(cols.items()):
-            rs.sort()
-            block = []
-            prev = None
-            for r in rs:
-                if prev is not None and r != prev + 1:
-                    _scan_run(block, norm_text, min_run, out)
-                    block = []
-                block.append((CellAddress(sheet.name, r, c), cells[(r, c)]))
-                prev = r
-            _scan_run(block, norm_text, min_run, out)
+        # Reading order: rows come ascending and each row's and each
+        # column's cells in order.
+        rows: dict[int, list[tuple[CellAddress, CellContent]]] = {}
+        cols: dict[int, list[tuple[CellAddress, CellContent]]] = {}
+        for pair in sheet.reading_order:
+            rows.setdefault(pair[0].row, []).append(pair)
+            cols.setdefault(pair[0].col, []).append(pair)
+        for line in rows.values():
+            _scan_line(line, 2, norm_text, min_run, out)
+        for _c, line in sorted(cols.items()):
+            _scan_line(line, 1, norm_text, min_run, out)
     return out
 
 
@@ -401,9 +401,7 @@ def _dup_literal_findings(wb: Workbook, asts: dict[CellAddress, FormulaAst],
     out: dict[CellAddress, list[Finding]] = {}
     for sheet in wb.sheets:
         occurrences: dict[float, set[CellAddress]] = {}
-        for key, cell in sheet.cells.items():
-            r, c = parse_cell_key(key)
-            addr = CellAddress(sheet.name, r, c)
+        for addr, cell in sheet.reading_order:
             if cell.is_number:
                 occurrences.setdefault(cell.value, set()).add(addr)  # type: ignore[arg-type]
             elif cell.is_formula:
@@ -414,7 +412,7 @@ def _dup_literal_findings(wb: Workbook, asts: dict[CellAddress, FormulaAst],
                 continue
             if abs(value) < cfg.dup_literal_min_magnitude:
                 continue
-            addrs = sorted(occurrences[value], key=lambda a: (a.row, a.col))
+            addrs = sorted(occurrences[value])  # one sheet: reading order
             if len(addrs) < 2:
                 continue
             qualified = [a.qualified for a in addrs]

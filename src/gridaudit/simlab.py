@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTruth, InvalidConfig
+from .errors import EmptyTruth, InvalidConfig, config_value
 from .formula import canonical_number, parse_workbook_formulas
 from .model import (
     CellAddress,
@@ -92,25 +92,29 @@ class SeedSpec:
         }
 
 
+def _mix_from_dict(mix: object) -> tuple[tuple[str, float], ...]:
+    return tuple((str(k), float(v)) for k, v in dict(mix).items())  # type: ignore[call-overload]
+
+
 def spec_from_dict(d: dict[str, object]) -> SeedSpec:
+    where = "seed spec"
+    if not isinstance(d, dict):
+        raise InvalidConfig(f"{where} must be an object, got {d!r}")
     known = {"topology", "formulaCount", "inputCount", "errorRate", "defectMix", "rngSeed"}
     extra = set(d) - known
     if extra:
         raise InvalidConfig(f"unknown seed spec keys: {sorted(extra)}")
     kwargs: dict[str, object] = {
-        "topology": str(d["topology"]),
-        "formula_count": int(d["formulaCount"]),
-        "input_count": int(d["inputCount"]),
+        "topology": config_value(d, "topology", str, where),
+        "formula_count": config_value(d, "formulaCount", int, where),
+        "input_count": config_value(d, "inputCount", int, where),
     }
     if "errorRate" in d:
-        kwargs["error_rate"] = float(d["errorRate"])
+        kwargs["error_rate"] = config_value(d, "errorRate", float, where)
     if "defectMix" in d:
-        mix = d["defectMix"]
-        if not isinstance(mix, dict):
-            raise InvalidConfig("defectMix must be an object of class -> weight")
-        kwargs["defect_mix"] = tuple((str(k), float(v)) for k, v in mix.items())
+        kwargs["defect_mix"] = config_value(d, "defectMix", _mix_from_dict, where)
     if "rngSeed" in d:
-        kwargs["rng_seed"] = int(d["rngSeed"])
+        kwargs["rng_seed"] = config_value(d, "rngSeed", int, where)
     return SeedSpec(**kwargs)  # type: ignore[arg-type]
 
 

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from gridaudit import formula
+from gridaudit import formula, model
 from gridaudit.cli import FIXED_TIMESTAMP, audit_report_from_dict, build_audit_report, main
 from gridaudit.engine import parse_snapshot
+from gridaudit.errors import InvalidConfig
 from gridaudit.model import parse_workbook, serialize_workbook
 from gridaudit.simlab import SeedSpec, generate_clean, seed_defects, truth_to_json
 
@@ -123,6 +124,12 @@ def test_machine_report_round_trips(tmp_path, capsys):
     assert rep.to_dict() == doc
     assert rep.generated_at == FIXED_TIMESTAMP
     assert any(f.rule_id == "NUM_AS_TEXT" for f in rep.findings)
+    for bad, where in (({}, "coverage"), ({**doc, "suppressedCount": "x"}, "suppressedCount"),
+                       ({**doc, "findings": [{}]}, "ruleId"), ({**doc, "risk": {}}, "'U'"),
+                       ({**doc, "coverage": {**doc["coverage"], "examined": 5}}, "examined"),
+                       ([], "object")):
+        with pytest.raises(InvalidConfig, match=where):
+            audit_report_from_dict(bad)
 
 
 def test_audit_normalizes_each_formula_once(monkeypatch):
@@ -144,6 +151,59 @@ def test_audit_normalizes_each_formula_once(monkeypatch):
     formula_cells = [addr for addr, _ in wb.formula_cells()]
     assert len(calls) == len(formula_cells)
     assert set(calls) == set(formula_cells)
+
+
+def test_audit_parses_each_cell_key_at_most_three_times(tmp_path, monkeypatch, capsys):
+    # Loading parses each key twice (canonical form, then the sheet's own
+    # check) and the sheet once more for its reading order; each declared
+    # output is parsed on load, by the workbook's check and for the graph.
+    # No later pass may parse an address again.
+    spec = SeedSpec("grid", 90, 6, error_rate=0.3, rng_seed=4)
+    wb = seed_defects(generate_clean(spec), spec).workbook
+    path = write_workbook(tmp_path, wb)
+    original = model.parse_cell_key
+    calls: list = []
+
+    def counted(key):
+        calls.append(key)
+        return original(key)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gridaudit") and getattr(module, "parse_cell_key", None) is original:
+            monkeypatch.setattr(module, "parse_cell_key", counted)
+    assert main(["audit", str(path), "--format", "machine", "--fixed-timestamp"]) in (0, 1)
+    assert len(calls) <= 3 * (wb.total_cell_count + len(wb.meta.outputs))
+
+
+def _deep_book(tmp_path: Path, links: int, nested: bool) -> Path:
+    """A1 = 1 and output B1 = a formula whose tree is links levels deep:
+    a flat sum, or SUM calls nested to the limit around a comparison chain
+    (the most stack frames per level when evaluated)."""
+    if nested:
+        calls = formula.MAX_NESTING - 1
+        src = ("=" + "SUM(" * calls + "=".join(["A1"] * (links - calls + 1))
+               + ")" * calls)
+    else:
+        src = "=" + "+".join(["A1"] * (links + 1))
+    return write_workbook(tmp_path, wb_from({"A1": 1.0, "B1": src}, outputs=("S1!B1",)),
+                          f"deep{links}.json")
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_deepest_formula_runs_through_every_command(tmp_path, capsys, nested):
+    path = _deep_book(tmp_path, formula.MAX_DEPTH, nested)
+    snap = tmp_path / "deep.snapshot.json"
+    assert main(["snapshot", str(path), "--out", str(snap)]) == 0
+    assert main(["recheck", str(path), "--snapshot", str(snap)]) == 0
+    assert main(["audit", str(path)]) in (0, 1)
+    for command in ("graph-dump", "plan", "risk"):
+        assert main([command, str(path)]) == 0
+    deeper = _deep_book(tmp_path, formula.MAX_DEPTH + 1, nested)
+    capsys.readouterr()
+    for argv in (["snapshot", str(deeper)], ["recheck", str(deeper), "--snapshot", str(snap)],
+                 ["audit", str(deeper)], ["graph-dump", str(deeper)], ["plan", str(deeper)]):
+        assert main(argv) == 2
+        assert f"more than {formula.MAX_DEPTH} levels" in capsys.readouterr().err
 
 
 def test_fixed_timestamp_makes_runs_identical(tmp_path):

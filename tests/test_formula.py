@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gridaudit.errors import FormulaSyntaxError, UnknownFunction, UnknownName
 from gridaudit.formula import (
+    MAX_DEPTH,
     MAX_NESTING,
     BinaryOp,
     BooleanLiteral,
@@ -131,6 +132,9 @@ def test_syntax_error_offsets_point_at_the_spot():
     with pytest.raises(UnknownName) as info:
         parse_formula("=A1+bogus", B1)
     assert info.value.offset == 4
+    with pytest.raises(FormulaSyntaxError) as info:
+        parse_formula('="a""b""+A1', B1)  # "" is an escape, never a closing quote
+    assert info.value.offset == 1
 
 
 def test_non_finite_number_literal_rejected_with_offset():
@@ -152,6 +156,19 @@ def test_nesting_depth_is_bounded(opener):
         with pytest.raises(FormulaSyntaxError) as info:
             parse_formula(nested(depth), B1)
         assert info.value.offset == 1 + len(opener) * MAX_NESTING
+
+
+@pytest.mark.parametrize("op", ["+", "&", "<=", "^"])
+def test_operator_chains_are_bounded(op):
+    def chain(links: int) -> str:
+        return "=" + op.join(["A1"] * (links + 1))
+
+    root = parse_formula(chain(MAX_DEPTH), B1).root
+    assert isinstance(root, BinaryOp) and root.op == op
+    with pytest.raises(FormulaSyntaxError) as info:
+        parse_formula(chain(MAX_DEPTH + 1), B1)
+    # At the operator that makes one level too many.
+    assert info.value.offset == len(chain(MAX_DEPTH))
 
 
 def test_trailing_garbage_rejected():
@@ -316,6 +333,31 @@ def test_normalize_copy_invariance_property(seed, dr, dc):
     src_a = render(FormulaAst("=", host, expr))
     src_b = render(FormulaAst("=", moved_host, translate_expr(expr, dr, dc)))
     assert norm_text(src_a, host) == norm_text(src_b, moved_host)
+
+
+# Pieces of the formula alphabet: strings and "" escapes, sheet qualifiers,
+# $-markers, every operator, numbers with exponents, names and blanks.
+_FORMULA_PIECES = st.sampled_from([
+    '"', '""', '"a b"', '"x""y"', "'", "''", "'My Sheet'!", "Data!", "S1!", "'It''s'!",
+    "$", "A1", "$B$2", "c3", "XFD1048576", "A0", "ABCD1", "Z99999999",
+    "0", "7", "2.5", ".5", "3.", "1e3", "2E+2", "4e-2", "1e400", "1e-400", "e5",
+    "SUM", "sum", "IF", "ROUND", "NOT", "AVERAGE", "TRUE", "false", "foo", "_x", "a.b",
+    "(", ")", ",", ":", "+", "-", "*", "/", "^", "&", "=", "<>", "<", "<=", ">", ">=",
+    " ", "\t", "!", "#", "%", "@", "[",
+    "SUM(A1:B2)", "IF(A1,1,2)", "(A1)", "+1", "-A1", "*2",
+])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_FORMULA_PIECES, min_size=1, max_size=24).map("".join))
+def test_formula_strings_parse_or_fail_located(body):
+    src = "=" + body
+    try:
+        ast = parse_formula(src, B1)
+    except (FormulaSyntaxError, UnknownName, UnknownFunction) as exc:
+        assert 0 <= exc.offset <= len(src)
+        return
+    assert parse_formula(render(ast), B1).root == ast.root
 
 
 def test_row_zero_reference_rejected():

@@ -101,6 +101,23 @@ def test_parse_qualified_requires_sheet():
         parse_qualified("B9")
 
 
+def test_cell_address_is_a_validated_tuple():
+    addr = CellAddress("S1", 12, 2)
+    assert repr(addr) == "CellAddress(sheet='S1', row=12, col=2)"
+    assert (addr.sheet, addr.row, addr.col) == ("S1", 12, 2)
+    assert (addr.a1, addr.qualified, addr.in_bounds()) == ("B12", "S1!B12", True)
+    assert not CellAddress("S1", MAX_ROW + 1, 1).in_bounds()
+    for bad in (("", 1, 1), ("S1", 0, 1), ("S1", 1, 0)):
+        with pytest.raises(InvalidAddress):
+            CellAddress(*bad)
+    # Addresses built apart are one dict key, and equal their plain tuple.
+    values = {addr: "x"}
+    assert values[CellAddress(sheet="S1", row=12, col=2)] == "x"
+    assert values[parse_qualified("S1!B12")] == "x"
+    assert values[("S1", 12, 2)] == "x"
+    assert sorted([CellAddress("S1", 2, 1), addr]) == [CellAddress("S1", 2, 1), addr]
+
+
 def test_qualified_rendering_quotes_when_needed():
     assert CellAddress("Summary", 9, 2).qualified == "Summary!B9"
     assert CellAddress("My Data", 1, 1).qualified == "'My Data'!A1"
@@ -251,6 +268,20 @@ def test_iter_cells_row_major_order():
     wb = make_workbook({"C1": {"v": 1}, "A2": {"v": 2}, "B1": {"v": 3}, "A1": {"v": 4}})
     order = [a.a1 for a, _ in wb.iter_cells()]
     assert order == ["A1", "B1", "C1", "A2"]
+
+
+def test_reading_order_is_kept_with_the_sheet():
+    wb = make_workbook({"C1": {"v": 1}, "A2": {"f": "=C1"}, "B1": {"v": 3}})
+    sheet = wb.sheets[0]
+    assert [(a.a1, c) for a, c in sheet.reading_order] == [
+        ("B1", sheet.cells["B1"]), ("C1", sheet.cells["C1"]), ("A2", sheet.cells["A2"])]
+    # Every walk hands out the same address objects.
+    first = [a for a, _ in wb.iter_cells()]
+    assert all(a is b for a, b in zip(first, (a for a, _ in wb.iter_cells())))
+    assert [a for a, _ in wb.formula_cells()][0] is first[2]
+    # Not a field: equality and repr see only the cells.
+    twin = Sheet("S1", dict(sheet.cells))
+    assert twin == sheet and repr(twin) == repr(sheet)
 
 
 def test_meta_modified_must_be_iso():

@@ -192,6 +192,17 @@ def test_report_round_trip():
     wb = wb_from({"A1": 1.0, "A2": "=A1*2"}, outputs=("S1!A2",))
     report = assess(wb, chain_stats(build_graph(wb)), team_size=3)
     assert report_from_dict(report.to_dict()) == report
+    good = report.to_dict()
+    for bad, where in (({}, "'U'"), ({**good, "U": "x"}, "'U'"),
+                       ({**good, "perOutput": {"S1!A2": {}}}, "'L'"),
+                       ({**good, "perOutput": [1]}, "perOutput"),
+                       ({**good, "residualAfterRounds": 5}, "residualAfterRounds"),
+                       ({**good, "params": {**good["params"], "residualBand": [1]}},
+                        "residualBand"),
+                       ({**good, "params": {**good["params"], "teamYields": [5]}}, "teamYields"),
+                       (5, "object")):
+        with pytest.raises(InvalidConfig, match=where):
+            report_from_dict(bad)  # type: ignore[arg-type]
 
 
 def test_show_stopper_is_a_constant():

@@ -398,3 +398,9 @@ def test_finding_round_trip():
     wb = wb_from({"A1": "=A2*2+3"}, name="model_final")
     for f in run(wb).findings:
         assert finding_from_dict(f.to_dict()) == f
+    good = run(wb).findings[0].to_dict()
+    for bad, where in (({}, "ruleId"), ({**good, "evidence": 5}, "evidence"),
+                       ({k: v for k, v in good.items() if k != "location"}, "location"),
+                       ("x", "object")):
+        with pytest.raises(InvalidConfig, match=where):
+            finding_from_dict(bad)  # type: ignore[arg-type]

@@ -70,6 +70,13 @@ def test_spec_dict_round_trip():
     with pytest.raises(InvalidConfig):
         spec_from_dict({"topology": "chain", "formulaCount": 1,
                         "inputCount": 1, "bogus": 3})
+    good = spec.to_dict()
+    for bad, where in (({}, "topology"), ({**good, "formulaCount": "x"}, "formulaCount"),
+                       ({**good, "errorRate": [0.1]}, "errorRate"),
+                       ({**good, "defectMix": {"JAMMED": "x"}}, "defectMix"),
+                       ({**good, "defectMix": 5}, "defectMix"), ([], "object")):
+        with pytest.raises(InvalidConfig, match=where):
+            spec_from_dict(bad)  # type: ignore[arg-type]
 
 
 @settings(max_examples=50, deadline=None)
