@@ -565,11 +565,11 @@ class EvalPlan:
         self.in_cycle: set[CellAddress] = set()
         self.order: list[CellAddress] = []
         self.dependents: dict[CellAddress, list[CellAddress]] = {}
-        for comp in _tarjan_sccs(asts, adj):
-            addr = comp[0]
-            if len(comp) > 1 or addr in adj[addr]:
+        for comp, is_cycle in _tarjan_sccs(asts, adj):
+            if is_cycle:
                 self.in_cycle.update(comp)
                 continue
+            addr = comp[0]
             self.order.append(addr)
             self.dependents[addr] = []
             for prec in adj[addr]:
@@ -646,9 +646,7 @@ class EvalPlan:
 
 
 def evaluate(
-    wb: Workbook,
-    overrides: dict[CellAddress, Constant] | None = None,
-    asts: dict[CellAddress, FormulaAst] | None = None,
+    wb: Workbook, overrides: dict[CellAddress, Constant] | None = None
 ) -> dict[CellAddress, Value]:
     """Evaluate every non-empty cell to a Value.
 
@@ -657,9 +655,7 @@ def evaluate(
     workbook, same overrides: same values, always.
     """
     overrides = overrides or {}
-    if asts is None:
-        asts = parse_workbook_formulas(wb)
-    asts = {a: t for a, t in asts.items() if a not in overrides}
+    asts = {a: t for a, t in parse_workbook_formulas(wb).items() if a not in overrides}
     return EvalPlan(wb, asts).run(overrides)
 
 
@@ -729,18 +725,16 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
 
-def values_match(expected: Constant, actual: Value | None,
-                 rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL) -> bool:
+def values_match(expected: Constant, actual: Value | None) -> bool:
     """Numeric closeness for numbers, exactness for text and booleans."""
     if isinstance(expected, bool) or isinstance(actual, bool):
         return expected is actual if isinstance(actual, bool) else False
     if isinstance(expected, float) and isinstance(actual, float):
-        return abs(expected - actual) <= max(abs_tol, rel_tol * max(abs(expected), abs(actual)))
+        return abs(expected - actual) <= max(ABS_TOL, REL_TOL * max(abs(expected), abs(actual)))
     return type(expected) is type(actual) and expected == actual
 
 
-def recheck(wb: Workbook, snap: Snapshot,
-            rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL) -> RecheckReport:
+def recheck(wb: Workbook, snap: Snapshot) -> RecheckReport:
     """Re-apply snapshot inputs, re-evaluate, compare declared outputs."""
     overrides: dict[CellAddress, Constant] = {}
     for qualified, constant in snap.inputs.items():
@@ -759,7 +753,7 @@ def recheck(wb: Workbook, snap: Snapshot,
             missing.append(qualified)
             continue
         actual = values.get(addr)
-        if values_match(expected, actual, rel_tol, abs_tol):
+        if values_match(expected, actual):
             matches.append(qualified)
         else:
             mismatches.append(Mismatch(qualified, expected, actual))
@@ -778,10 +772,10 @@ def snapshot_to_json(snap: Snapshot) -> str:
 
 
 def parse_snapshot(text: str | bytes) -> Snapshot:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"snapshot is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"snapshot is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("version") != SNAPSHOT_VERSION:

@@ -1,23 +1,24 @@
-"""Precedent/dependent graph over workbook cells.
+"""Dependency graph over workbook cells, stored as each formula's precedents.
 
 Nodes are every defined cell plus every referenced cell (including empty
-ones: a formula may depend on a blank that someone later fills). Edges run
-precedent -> dependent and are deduplicated per pair. Range references
+ones: a formula may depend on a blank that someone later fills). Each
+formula cell maps to the set of cells it reads; that map is the graph's one
+edge store, and dependents are found by searching it. Range references
 expand to per-cell edges, which is honest about fan-in but can explode, so
-expansion is capped (default one million edges) and breaching the cap is a
-diagnosed error rather than a hang.
+expansion is capped at EDGE_CAP edges and breaching the cap is a diagnosed
+error rather than a hang.
 
-References beyond the grid caps, or into sheets that do not exist, become
-flagged #REF! nodes: the breakage is part of the picture, not an exception.
-A range with any corner beyond the caps is represented by a single flagged
-node at its far corner, mirroring how the evaluator treats the whole range
-as one #REF!.
+References beyond the grid caps, or into sheets that do not exist, stay
+nodes and edges: the breakage is part of the picture, not an exception. A
+range with any corner beyond the caps is represented by a single node at
+its far corner, mirroring how the evaluator treats the whole range as one
+#REF!.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from .errors import ExplosionCap
 from .formula import FormulaAst, parse_workbook_formulas, references
@@ -25,20 +26,21 @@ from .model import MAX_COL, MAX_ROW, CellAddress, Workbook
 
 
 def tarjan_sccs(
-    nodes: Iterable[CellAddress], adj: dict[CellAddress, set[CellAddress]]
-) -> list[list[CellAddress]]:
+    nodes: Iterable[CellAddress], adj: Mapping[CellAddress, AbstractSet[CellAddress]]
+) -> Iterator[tuple[list[CellAddress], bool]]:
     """Strongly connected components, iteratively (chains can be 10k deep).
 
-    Components come out with every component after the ones it points to
-    through adj, so a single pass in emission order is a topological sweep
-    of the condensation. Which such order it is follows the iteration
-    order of nodes and of the adj sets.
+    Yields each component as (members, is_cycle). is_cycle holds when the
+    members lie on a reference cycle: there are several, or the one reads
+    itself. Every component comes after the ones it points to through
+    adj, so a single pass in emission order is a topological sweep of the
+    condensation. Which such order it is follows the iteration order of
+    nodes and of the adj sets.
     """
     index: dict[CellAddress, int] = {}
     low: dict[CellAddress, int] = {}
     on_stack: set[CellAddress] = set()
     stack: list[CellAddress] = []
-    comps: list[list[CellAddress]] = []
     counter = 0
     for root in nodes:
         if root in index:
@@ -78,11 +80,10 @@ def tarjan_sccs(
                     comp.append(w)
                     if w == node:
                         break
-                comps.append(comp)
-    return comps
+                yield comp, len(comp) > 1 or node in adj.get(node, ())
 
 
-DEFAULT_EDGE_CAP = 1_000_000
+EDGE_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -92,18 +93,9 @@ class DepGraph:
     sheet_order: tuple[str, ...]
     nodes: frozenset[CellAddress]
     formula_cells: frozenset[CellAddress]
-    precedents: dict[CellAddress, frozenset[CellAddress]]
-    dependents: dict[CellAddress, frozenset[CellAddress]]
-    ref_error_nodes: frozenset[CellAddress]
+    precedents: dict[CellAddress, frozenset[CellAddress]]  # formula cell -> cells it reads
     output_addresses: tuple[CellAddress, ...]
     edge_count: int
-
-    def precedent_count(self, addr: CellAddress) -> int:
-        return len(self.precedents.get(addr, ()))
-
-    def dependent_count(self, addr: CellAddress) -> int:
-        """Distinct formula cells consuming this cell."""
-        return len(self.dependents.get(addr, ()))
 
     def sheet_index(self, name: str) -> int:
         try:
@@ -130,11 +122,7 @@ def _expand_refs(ast: FormulaAst, known_sheets: set[str]) -> Iterator[CellAddres
                 yield CellAddress(sheet, row, col)
 
 
-def build_graph(
-    wb: Workbook,
-    edge_cap: int = DEFAULT_EDGE_CAP,
-    asts: dict[CellAddress, FormulaAst] | None = None,
-) -> DepGraph:
+def build_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None) -> DepGraph:
     """Construct the full dependency graph; ExplosionCap if it would not fit."""
     if asts is None:
         asts = parse_workbook_formulas(wb)
@@ -145,8 +133,6 @@ def build_graph(
         nodes.add(addr)
 
     precedents: dict[CellAddress, frozenset[CellAddress]] = {}
-    dependents: dict[CellAddress, set[CellAddress]] = {}
-    ref_errors: set[CellAddress] = set()
     edge_count = 0
     for addr in sorted(asts):  # sheet name, then grid position
         ast = asts[addr]
@@ -156,24 +142,18 @@ def build_graph(
                 continue
             precs.add(target)
             edge_count += 1
-            if edge_count > edge_cap:
+            if edge_count > EDGE_CAP:
                 raise ExplosionCap(
-                    f"dependency expansion exceeds {edge_cap} edges at {addr.qualified}"
+                    f"dependency expansion exceeds {EDGE_CAP} edges at {addr.qualified}"
                 )
-            if not target.in_bounds() or target.sheet not in known_sheets:
-                ref_errors.add(target)
         precedents[addr] = frozenset(precs)
         nodes.update(precs)
-        for p in precs:
-            dependents.setdefault(p, set()).add(addr)
 
     return DepGraph(
         sheet_order=tuple(s.name for s in wb.sheets),
         nodes=frozenset(nodes),
         formula_cells=frozenset(asts),
         precedents=precedents,
-        dependents={k: frozenset(v) for k, v in dependents.items()},
-        ref_error_nodes=frozenset(ref_errors),
         output_addresses=wb.output_addresses,
         edge_count=edge_count,
     )
@@ -189,37 +169,23 @@ class ChainStats:
 
 
 def chain_stats(g: DepGraph) -> ChainStats:
-    # Cycles live in the formula-to-formula subgraph. g.precedents is in
-    # reading order, and so are the roots of the search (see EvalPlan).
-    formula_adj = {
-        addr: {p for p in precs if p in g.formula_cells}
-        for addr, precs in g.precedents.items()
-    }
+    # Only formula cells have precedents, so every other node is a singleton
+    # component that weighs nothing and lies on no cycle. Components come out
+    # precedents-first, so one sweep finds the longest dependency path,
+    # counting the formula cells on it. g.precedents is in reading order, and
+    # so are the roots of the search (see EvalPlan).
     cycles = []
-    comp_of: dict[CellAddress, int] = {}
-    comps = tarjan_sccs(formula_adj, formula_adj)
-    for i, comp in enumerate(comps):
-        for member in comp:
-            comp_of[member] = i
-        if len(comp) > 1 or comp[0] in formula_adj.get(comp[0], ()):
+    depth: dict[CellAddress, int] = {}  # formula cells on the longest path ending here
+    for comp, is_cycle in tarjan_sccs(g.precedents, g.precedents):
+        if comp[0] not in g.formula_cells:
+            continue
+        if is_cycle:
             cycles.append(tuple(sorted(comp)))
-    cycles.sort()
-
-    # Longest dependency path, counting formula cells on it. Components come
-    # out precedents-first, so one sweep is enough; constants weigh nothing
-    # and sit in singleton components.
-    longest = 0
-    best: list[int] = []
-    for i, comp in enumerate(comps):
-        weight = len(comp)  # members are formula cells by construction
-        feeding = 0
+        # comp's own members have no depth yet, so only earlier components feed it
+        feeding = max((depth.get(p, 0) for m in comp for p in g.precedents[m]), default=0)
         for member in comp:
-            for p in formula_adj.get(member, ()):
-                j = comp_of[p]
-                if j != i:
-                    feeding = max(feeding, best[j])
-        best.append(weight + feeding)
-        longest = max(longest, best[-1])
+            depth[member] = len(comp) + feeding
+    cycles.sort()
 
     closures: dict[str, int] = {}
     for out in g.output_addresses:
@@ -237,7 +203,7 @@ def chain_stats(g: DepGraph) -> ChainStats:
         closures[out.qualified] = count
 
     return ChainStats(
-        longest_chain_length=longest,
+        longest_chain_length=max(depth.values(), default=0),
         closure_sizes=closures,
         cycles=tuple(cycles),
     )
@@ -248,12 +214,8 @@ def orphan_formulas(g: DepGraph) -> list[CellAddress]:
 
     Sorted reading order (sheet order, then row-major).
     """
-    declared = set(g.output_addresses)
-    out = [
-        addr
-        for addr in g.formula_cells
-        if g.dependent_count(addr) == 0 and addr not in declared
-    ]
+    consumed = set(g.output_addresses).union(*g.precedents.values())
+    out = [addr for addr in g.formula_cells if addr not in consumed]
     out.sort(key=g.sort_key)
     return out
 

@@ -9,6 +9,7 @@ only read back here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -37,14 +38,15 @@ class PlanConfig:
     def __post_init__(self) -> None:
         if self.target_module_size < 1:
             raise InvalidConfig("target_module_size must be >= 1")
-        if self.rate_cap <= 0:
-            raise InvalidConfig(f"rate_cap must be > 0, got {self.rate_cap}")
+        if not 0 < self.rate_cap < math.inf:
+            raise InvalidConfig(f"rate_cap must be finite and > 0, got {self.rate_cap}")
         if self.team_size < 1:
             raise InvalidTeamSize(f"team_size must be >= 1, got {self.team_size}")
         if self.rounds < 0:
             raise InvalidConfig("rounds must be >= 0")
-        if self.session_cap_minutes <= 0:
-            raise InvalidConfig("session_cap_minutes must be > 0")
+        if not 0 < self.session_cap_minutes < math.inf:
+            raise InvalidConfig("session_cap_minutes must be finite and > 0, "
+                                f"got {self.session_cap_minutes}")
         if self.long_formula_tokens < 0:
             raise InvalidConfig("long_formula_tokens must be >= 0")
 

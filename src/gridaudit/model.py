@@ -284,9 +284,6 @@ class Sheet:
             if key != canonical:
                 raise InvalidAddress(f"cell key not canonical: {key!r} (want {canonical!r})")
 
-    def cell_at(self, row: int, col: int) -> CellContent | None:
-        return self.cells.get(f"{col_to_letters(col)}{row}")
-
     @cached_property
     def reading_order(self) -> tuple[tuple[CellAddress, CellContent], ...]:
         """The cells as (address, content) pairs, row-major.

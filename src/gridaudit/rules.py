@@ -199,12 +199,6 @@ class RulesReport:
     def fraud_indicator_count(self) -> int:
         return sum(1 for f in self.findings if f.category == "fraud-indicator")
 
-    def severity_counts(self) -> dict[str, int]:
-        counts = {s: 0 for s in SEVERITIES}
-        for f in self.findings:
-            counts[f.severity] += 1
-        return counts
-
 
 def _mk(rule_id: str, location: CellAddress | None, message: str,
         evidence: dict[str, object]) -> Finding:

@@ -476,6 +476,8 @@ def monte_carlo(params: RiskParams, unique_formulas: int, chain_length: int,
         raise InvalidConfig(f"need at least 1000 trials, got {trials}")
     if unique_formulas < 0 or chain_length < 0:
         raise InvalidConfig("counts must be >= 0")
+    if not 1.0 <= multiplier < math.inf:
+        raise InvalidConfig(f"multiplier must be finite and >= 1, got {multiplier}")
     p_eff = min(1.0, params.p * multiplier)
     rng = np.random.default_rng(rng_seed)
     widest = max(unique_formulas, chain_length, 1)

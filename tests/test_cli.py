@@ -273,6 +273,14 @@ def test_recheck_honors_explicit_snapshot_path(tmp_path):
     assert main(["recheck", str(path), "--snapshot", str(moved)]) == 0
 
 
+def test_recheck_snapshot_not_utf8_exits_two(tmp_path, capsys):
+    path = clean_chain(tmp_path)
+    bad = tmp_path / "latin1.snap"
+    bad.write_bytes(b"\xe9")
+    assert main(["recheck", str(path), "--snapshot", str(bad)]) == 2
+    assert "snapshot is not UTF-8" in capsys.readouterr().err
+
+
 # --- diff / threeway ----------------------------------------------------------
 
 

@@ -22,7 +22,7 @@ from gridaudit.engine import (
     snapshot_to_json,
     values_match,
 )
-from gridaudit.errors import MissingInputCell, NoDeclaredOutputs, OutputIsError
+from gridaudit.errors import MalformedDocument, MissingInputCell, NoDeclaredOutputs, OutputIsError
 from gridaudit.formula import parse_workbook_formulas
 from gridaudit.graph import build_graph, chain_stats
 from gridaudit.model import CellAddress, CellContent
@@ -434,3 +434,14 @@ def test_snapshot_json_roundtrip():
     text = snapshot_to_json(snap)
     again = parse_snapshot(text)
     assert again == snap
+
+
+@pytest.mark.parametrize("doc, message", [
+    (b"\xe9", "not UTF-8"),
+    (b'{"version": 1,', "not valid JSON"),
+    ('{"version": 2, "workbook": "b", "createdAt": "t", "inputs": {}, "outputs": {}}',
+     "unsupported snapshot"),
+])
+def test_parse_snapshot_rejects_malformed_documents(doc, message):
+    with pytest.raises(MalformedDocument, match=message):
+        parse_snapshot(doc)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from gridaudit import graph
 from gridaudit.errors import ExplosionCap
 from gridaudit.graph import build_graph, chain_stats, dump_edges, orphan_formulas
 from gridaudit.model import CellAddress
@@ -21,8 +22,8 @@ def test_range_fans_out_to_per_cell_edges():
     wb = wb_from({"B2": 1, "B5": 2, "B9": "=SUM(B2:B8)"}, outputs=("S1!B9",))
     g = build_graph(wb)
     assert g.edge_count == 7
-    assert g.precedent_count(A("B9")) == 7
-    assert g.dependent_count(A("B2")) == 1
+    assert len(g.precedents[A("B9")]) == 7
+    assert [f for f, precs in g.precedents.items() if A("B2") in precs] == [A("B9")]
     # empty covered cells are nodes too
     assert A("B7") in g.nodes
 
@@ -34,34 +35,45 @@ def test_duplicate_references_deduplicate():
     assert g.precedents[A("B1")] == frozenset({A("A1")})
 
 
-def test_edge_cap_guard():
+def test_edge_cap_guard(monkeypatch):
     wb = wb_from({"A1": "=SUM(B1:B200)"})
+    monkeypatch.setattr(graph, "EDGE_CAP", 100)
     with pytest.raises(ExplosionCap):
-        build_graph(wb, edge_cap=100)
-    assert build_graph(wb, edge_cap=200).edge_count == 200
+        build_graph(wb)
+    monkeypatch.setattr(graph, "EDGE_CAP", 200)
+    assert build_graph(wb).edge_count == 200
 
 
 def test_out_of_bounds_and_missing_sheet_nodes_are_flagged():
     wb = wb_from({"A1": "=XFE1+Nope!B2", "A2": "=SUM(B1:B1048577)"})
     g = build_graph(wb)
-    flagged = {a.qualified for a in g.ref_error_nodes}
-    assert f"S1!XFE1" in flagged
-    assert "Nope!B2" in flagged
-    # the overflowing range collapses to one flagged corner node
-    assert "S1!B1048577" in flagged
-    assert g.precedent_count(A("A2")) == 1
+    assert {a.qualified for a in g.precedents[A("A1")]} == {"S1!XFE1", "Nope!B2"}
+    # the overflowing range collapses to one corner node
+    assert {a.qualified for a in g.precedents[A("A2")]} == {"S1!B1048577"}
+    assert {"S1!XFE1", "Nope!B2", "S1!B1048577"} <= {a.qualified for a in g.nodes}
 
 
 def test_cross_sheet_edges():
     wb = wb_from({"A1": "=Data!B1*2"}, extra_sheets={"Data": {"B1": 5}})
     g = build_graph(wb)
     assert g.precedents[A("A1")] == frozenset({A("B1", "Data")})
-    assert g.dependent_count(A("B1", "Data")) == 1
+    assert [f for f, precs in g.precedents.items() if A("B1", "Data") in precs] == [A("A1")]
 
 
 def test_chain_stats_linear_chain():
     wb = wb_from(
         {"A1": 1, "A2": "=A1*2", "A3": "=A2*2", "A4": "=A3*2"},
+        outputs=("S1!A4",),
+    )
+    stats = chain_stats(build_graph(wb))
+    assert stats.longest_chain_length == 3
+    assert stats.closure_sizes == {"S1!A4": 3}
+    assert stats.cycles == ()
+
+    # constants and empty cells feed the chain but are not links of it
+    wb = wb_from(
+        {"A1": 1, "C1": 5, "A2": "=SUM(A1:A1)+Z9", "A3": "=SUM(A1:A2)+Z10",
+         "A4": "=A3*2+C1+SUM(D1:D50)"},
         outputs=("S1!A4",),
     )
     stats = chain_stats(build_graph(wb))
@@ -121,11 +133,14 @@ def test_orphan_formulas_sorted_reading_order():
             "A2": "=A1+1",   # orphan
             "C1": "=A1*3",   # declared output, not an orphan
             "D1": "=C1*2",   # consumes C1... and is itself an orphan
+            "A3": "=A3+1",   # reads only itself, which consumes it
+            "B3": "=A1*4",   # consumed only through C3's range
+            "C3": "=SUM(B3:B5)",  # orphan
         },
         outputs=("S1!C1",),
     )
     g = build_graph(wb)
-    assert [a.a1 for a in orphan_formulas(g)] == ["D1", "A2", "B2"]
+    assert [a.a1 for a in orphan_formulas(g)] == ["D1", "A2", "B2", "C3"]
 
 
 def test_dump_edges_stable_tab_separated():

@@ -72,6 +72,11 @@ def test_plan_config_from_dict():
         plan_config_from_dict({"rate_cap": 50})
     with pytest.raises(InvalidConfig, match="rateCap"):
         plan_config_from_dict({"rateCap": "x"})
+    for bad in ({"rateCap": float("nan")}, {"rateCap": float("inf")}, {"rateCap": 0},
+                {"sessionCapMinutes": float("nan")}, {"sessionCapMinutes": float("inf")},
+                {"sessionCapMinutes": -5}):
+        with pytest.raises(InvalidConfig, match="finite and > 0"):
+            plan_config_from_dict(bad)
 
 
 # --- Planning -----------------------------------------------------------------

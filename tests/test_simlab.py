@@ -313,6 +313,9 @@ def test_monte_carlo_validates_inputs():
         monte_carlo(params, 10, 5, trials=999)
     with pytest.raises(InvalidConfig):
         monte_carlo(params, -1, 5, trials=1000)
+    for multiplier in (-1.0, 0.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidConfig, match="multiplier"):
+            monte_carlo(params, 10, 5, trials=1000, multiplier=multiplier)
 
 
 def test_monte_carlo_degenerate_edges():
