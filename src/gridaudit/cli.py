@@ -3,7 +3,8 @@
 One binary with subcommands, built for scripted pipelines. Exit codes are
 the contract: 0 clean, 1 the check found something (findings at or above
 --fail-on, differences, conflicts, mismatches, hasty sessions, incomplete
-rule coverage), 2 bad input or usage. Machine output is JSON and
+rule coverage), 2 bad input or usage, 3 an internal error (a fault in the
+tool, reported in one line on stderr). Machine output is JSON and
 round-trips losslessly; human output is stable-ordered, line-oriented
 text. The tool never touches the network.
 """
@@ -672,6 +673,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault in gridaudit itself, not findings
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -20,18 +20,27 @@ cell, so structurally identical copies of a formula ("=A1*2" in B1, "=A2*2"
 in B2) share one normal form ("=RC[-1]*2"). The same walk records the
 formula's structure: its numeric literals, its token count (literals,
 references, operators and function names), the Chebyshev distance to its
-farthest same-sheet reference, and how many references are off-axis or
-cross-sheet. That record, NormalizedFormula, is the only one: it is
-computed once per tree, kept as FormulaAst.normal, and read by unique
-counting, the rules, the risk model, the planner and the seeder.
+farthest same-sheet reference, how many references are off-axis or
+cross-sheet, and which read below or right of the host. That record,
+NormalizedFormula, is the only one: it is kept as FormulaAst.normal, and
+read by unique counting, the rules, the risk model, the planner and the
+seeder.
+
+A workbook is mostly copies of a few shapes, so parse_workbook_formulas
+lexes every formula but parses each copy-translated shape once: the
+repetition SpreadsheetML's shared formulas (<f t="shared">) store one text
+for, and that TACO (Tang et al.) compresses formula graphs by. The copies
+of one shape on one sheet form a formula class; they share its tree, its
+references and its normal form, and a copy's own tree is built only when
+it is read.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Union
 
 from .errors import FormulaSyntaxError, UnknownFunction, UnknownName
@@ -61,22 +70,22 @@ _ARITY: dict[str, tuple[int, int | None]] = {
 # --- AST ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumberLiteral:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TextLiteral:
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BooleanLiteral:
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellRef:
     """A single-cell reference; sheet None means the host sheet."""
 
@@ -87,7 +96,7 @@ class CellRef:
     abs_col: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RangeRef:
     """A rectangular range; corners are normalized so r1 <= r2, c1 <= c2."""
 
@@ -102,20 +111,20 @@ class RangeRef:
     abs_c2: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnaryOp:
     op: str
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinaryOp:
     op: str
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionCall:
     name: str
     args: tuple[Expr, ...]
@@ -126,22 +135,60 @@ Expr = Union[
 ]
 
 
-@dataclass(frozen=True)
 class FormulaAst:
     """A parsed formula bound to its host cell.
 
     References are relative by nature; the host is what makes them concrete,
     so it travels with the tree.
+
+    cls is the first copy of the formula's class (see
+    parse_workbook_formulas), itself for a formula parsed on its own; a copy
+    is built from cls instead of a root. The class's tree, references and
+    normal form are computed once, on cls, and a copy's own tree is the
+    class tree shifted to the copy's host, built on first read.
     """
 
-    source: str
-    host: CellAddress
-    root: Expr
+    __slots__ = ("source", "host", "cls", "_root", "_normal", "_refs", "_anchored")
 
-    @cached_property
+    def __init__(self, source: str, host: CellAddress, root: Expr | None = None,
+                 cls: FormulaAst | None = None):
+        self.source = source
+        self.host = host
+        self.cls = self if cls is None else cls
+        self._root = root
+        self._normal: NormalizedFormula | None = None
+        self._refs: tuple[CellRef | RangeRef, ...] | None = None
+        self._anchored = False
+
+    @property
+    def root(self) -> Expr:
+        root = self._root
+        if root is None:
+            cls = self.cls
+            root = self._root = _shift(cls.root, self.host.row - cls.host.row,
+                                       self.host.col - cls.host.col)
+        return root
+
+    @property
     def normal(self) -> NormalizedFormula:
-        """The normal form, computed on first read and kept with the tree."""
-        return normalize(self)
+        """The normal form, computed once per class and kept with it.
+
+        A copy shares its class's record unless the class has an absolute
+        reference on its own sheet: then the distances depend on where the
+        copy sits, and the copy keeps its own.
+        """
+        normal = self._normal
+        if normal is None:
+            cls = self.cls
+            if cls is self:
+                normal = normalize(self)
+            else:
+                normal = cls.normal
+                _class_refs(self)  # a copy's ask keeps the class's references
+                if cls._anchored:
+                    normal = dataclasses.replace(normal, **_reach(self))
+            self._normal = normal
+        return normal
 
 
 # --- Lexer ----------------------------------------------------------------
@@ -166,11 +213,27 @@ _TOKEN_RE = re.compile(r"""
 _Token = tuple[str, str, int, Union[float, str, tuple[int, int, bool, bool], None]]
 
 
-def _lex(src: str, start: int = 0) -> list[_Token]:
-    """Lex src from start; token offsets index into the full string."""
+def _lex(src: str, host: CellAddress) -> tuple[list[_Token], tuple]:
+    """Lex formula source text (leading '=' required) at a host cell.
+
+    Token offsets index into the full string. Also returns the formula's
+    class key, built in the same pass: the host sheet, then each token's
+    text, except that a reference gives each axis as its offset from the
+    host, or as its coordinate where the axis is absolute ($), so formulas
+    with equal keys parse to trees that differ only by that shift. A row-0
+    reference keeps its row, so it never keys like a valid one. A range's
+    second corner adds whether the corners swap when sorted: with one
+    absolute and one relative corner on an axis, that differs by host.
+    """
+    if not src.startswith("="):
+        raise FormulaSyntaxError("formula must start with '='", 0)
+    if not src[1:].strip():
+        raise FormulaSyntaxError("empty formula", 1)
     tokens: list[_Token] = []
+    key: list[object] = [host.sheet]
+    host_row, host_col = host.row, host.col
     match = _TOKEN_RE.match
-    i = start
+    i = 1
     n = len(src)
     while i < n:
         m = match(src, i)
@@ -184,6 +247,21 @@ def _lex(src: str, start: int = 0) -> list[_Token]:
         if kind == "SPACE":
             i = m.end()
             continue
+        if kind == "REF":
+            abs_col, letters, abs_row, digits = m.group("abs_col", "letters", "abs_row",
+                                                         "digits")
+            row, col = int(digits), letters_to_col(letters)
+            fixed_row, fixed_col = bool(abs_row) or not row, bool(abs_col)
+            key += (row if fixed_row else row - host_row,
+                    col if fixed_col else col - host_col, fixed_row, fixed_col)
+            # a second corner follows "REF :" or "REF : SHEET"
+            k = len(tokens) - (2 if tokens and tokens[-1][0] == "SHEET" else 1)
+            if k >= 1 and tokens[k][1] == ":" and tokens[k - 1][0] == "REF":
+                first_row, first_col = tokens[k - 1][3][:2]  # type: ignore[index]
+                key += (first_row > row, first_col > col)
+            tokens.append((kind, text, i, (row, col, bool(abs_row), fixed_col)))
+            i = m.end()
+            continue
         if kind == "NUMBER":
             value = float(text)
             if not math.isfinite(value):
@@ -192,13 +270,11 @@ def _lex(src: str, start: int = 0) -> list[_Token]:
             value = text[1:-1].replace('""', '"')
         elif kind == "SHEET":
             value = text[1:-2].replace("''", "'") if text[0] == "'" else text[:-1]
-        elif kind == "REF":
-            value = (int(m.group("digits")), letters_to_col(m.group("letters")),
-                     bool(m.group("abs_row")), bool(m.group("abs_col")))
+        key.append(text)
         tokens.append((kind, text, i, value))  # type: ignore[arg-type]
         i = m.end()
     tokens.append(("EOF", "", n, None))
-    return tokens
+    return tokens, tuple(key)
 
 
 # --- Parser ---------------------------------------------------------------
@@ -360,8 +436,8 @@ class _Parser:
 
     def ref_or_range(self, sheet: str | None, first: _Token) -> Expr:
         r1, c1, a_r1, a_c1 = _split_ref(first)
-        if not self.at_op(":"):
-            return self.make_cell_ref(sheet, r1, c1, a_r1, a_c1)
+        if self.tokens[self.pos][1] != ":":  # no token but the operator reads ":"
+            return CellRef(None if sheet == self.host.sheet else sheet, r1, c1, a_r1, a_c1)
         self.advance()
         second_sheet = sheet
         if self.cur[0] == "SHEET":
@@ -385,11 +461,6 @@ class _Parser:
         norm_sheet = None if second_sheet == self.host.sheet else second_sheet
         return RangeRef(norm_sheet, r1, c1, r2, c2, a_r1, a_c1, a_r2, a_c2)
 
-    def make_cell_ref(self, sheet: str | None, row: int, col: int,
-                      abs_row: bool, abs_col: bool) -> CellRef:
-        norm_sheet = None if sheet == self.host.sheet else sheet
-        return CellRef(norm_sheet, row, col, abs_row, abs_col)
-
 
 def _split_ref(tok: _Token) -> tuple[int, int, bool, bool]:
     _, text, offset, parts = tok
@@ -400,13 +471,38 @@ def _split_ref(tok: _Token) -> tuple[int, int, bool, bool]:
 
 def parse_formula(source: str, host: CellAddress) -> FormulaAst:
     """Parse formula source text (leading '=' required) at a host cell."""
-    if not source.startswith("="):
-        raise FormulaSyntaxError("formula must start with '='", 0)
-    if not source[1:].strip():
-        raise FormulaSyntaxError("empty formula", 1)
-    tokens = _lex(source, 1)
-    root = _Parser(tokens, host).parse()
-    return FormulaAst(source=source, host=host, root=root)
+    tokens, _key = _lex(source, host)
+    return FormulaAst(source, host, _Parser(tokens, host).parse())
+
+
+def _moved(node: CellRef | RangeRef, dr: int, dc: int) -> tuple[int, int, int, int]:
+    """A reference's box (r1, c1, r2, c2) in a copy dr rows down and dc
+    columns right: relative axes move, absolute ones stay."""
+    if type(node) is CellRef:
+        row = node.row if node.abs_row else node.row + dr
+        col = node.col if node.abs_col else node.col + dc
+        return row, col, row, col
+    return (node.r1 if node.abs_r1 else node.r1 + dr,
+            node.c1 if node.abs_c1 else node.c1 + dc,
+            node.r2 if node.abs_r2 else node.r2 + dr,
+            node.c2 if node.abs_c2 else node.c2 + dc)
+
+
+def _shift(node: Expr, dr: int, dc: int) -> Expr:
+    """The tree a copy dr rows down and dc columns right holds."""
+    if isinstance(node, CellRef):
+        row, col, _, _ = _moved(node, dr, dc)
+        return CellRef(node.sheet, row, col, node.abs_row, node.abs_col)
+    if isinstance(node, RangeRef):
+        return RangeRef(node.sheet, *_moved(node, dr, dc),
+                        node.abs_r1, node.abs_c1, node.abs_r2, node.abs_c2)
+    if isinstance(node, UnaryOp):
+        return UnaryOp(node.op, _shift(node.operand, dr, dc))
+    if isinstance(node, BinaryOp):
+        return BinaryOp(node.op, _shift(node.left, dr, dc), _shift(node.right, dr, dc))
+    if isinstance(node, FunctionCall):
+        return FunctionCall(node.name, tuple(_shift(arg, dr, dc) for arg in node.args))
+    return node
 
 
 # --- Rendering ------------------------------------------------------------
@@ -496,8 +592,11 @@ class NormalizedFormula:
     Chebyshev distance (max of row and column offsets) to the farthest
     referenced cell on the host sheet; off_axis_ref_count counts the
     same-sheet references sharing neither the host's row nor its column
-    (a range shares one if it spans it). Cross-sheet references have no
-    spatial distance and are tallied in cross_sheet_ref_count.
+    (a range shares one if it spans it). forward_refs gives the positions,
+    in the order references() yields them, of the same-sheet references
+    that reach below the host or right of it on its row. Cross-sheet
+    references have no spatial distance and are tallied in
+    cross_sheet_ref_count.
     """
 
     text: str
@@ -506,18 +605,46 @@ class NormalizedFormula:
     max_ref_distance: int
     off_axis_ref_count: int
     cross_sheet_ref_count: int
+    forward_refs: tuple[int, ...]
 
 
-def _walk(node: Expr) -> Iterator[Expr]:
-    yield node
-    if isinstance(node, UnaryOp):
-        yield from _walk(node.operand)
-    elif isinstance(node, BinaryOp):
-        yield from _walk(node.left)
-        yield from _walk(node.right)
+def _walk(node: Expr, out: list[Expr] | None = None) -> list[Expr]:
+    """Every node of a tree, parents before children, in reading order."""
+    if out is None:
+        out = []
+    out.append(node)
+    if isinstance(node, BinaryOp):
+        _walk(node.left, out)
+        _walk(node.right, out)
+    elif isinstance(node, UnaryOp):
+        _walk(node.operand, out)
     elif isinstance(node, FunctionCall):
         for arg in node.args:
-            yield from _walk(arg)
+            _walk(arg, out)
+    return out
+
+
+def _class_refs(ast: FormulaAst) -> tuple[CellRef | RangeRef, ...]:
+    """The references of ast's class tree in reading order, at the class's host.
+
+    The class walks its tree for them once a copy asks, and keeps them, with
+    whether any on its own sheet has an absolute axis. A formula with no
+    copies walks its tree on each ask, which costs no more than reading it
+    back and keeps nothing.
+    """
+    cls = ast.cls
+    refs = cls._refs
+    if refs is None:
+        refs = tuple(node for node in _walk(cls.root) if isinstance(node, (CellRef, RangeRef)))
+        if ast is not cls:
+            cls._refs = refs
+            cls._anchored = any(
+                node.sheet is None and (node.abs_row or node.abs_col
+                                        if isinstance(node, CellRef)
+                                        else node.abs_r1 or node.abs_c1
+                                        or node.abs_r2 or node.abs_c2)
+                for node in refs)
+    return refs
 
 
 def references(ast: FormulaAst) -> Iterator[tuple[str, int, int, int, int]]:
@@ -525,63 +652,74 @@ def references(ast: FormulaAst) -> Iterator[tuple[str, int, int, int, int]]:
 
     Reading order; an unqualified reference carries the host sheet, and a
     cell reference is a 1x1 box. This is the one walk the dependency graph
-    and the evaluator's ordering both take their edges from.
+    and the evaluator's ordering both take their edges from: the class's
+    references, walked once, shifted to the host.
     """
-    host_sheet = ast.host.sheet
-    for node in _walk(ast.root):
-        if isinstance(node, CellRef):
-            sheet = node.sheet if node.sheet is not None else host_sheet
-            yield (sheet, node.row, node.col, node.row, node.col)
-        elif isinstance(node, RangeRef):
-            sheet = node.sheet if node.sheet is not None else host_sheet
-            yield (sheet, node.r1, node.c1, node.r2, node.c2)
+    host = ast.host
+    cls = ast.cls
+    dr = host.row - cls.host.row
+    dc = host.col - cls.host.col
+    for node in _class_refs(ast):
+        yield (node.sheet if node.sheet is not None else host.sheet, *_moved(node, dr, dc))
+
+
+def _reach(ast: FormulaAst) -> dict[str, object]:
+    """The NormalizedFormula fields that depend on where ast's host is."""
+    host = ast.host
+    max_dist = 0
+    off_axis = 0
+    forward: list[int] = []
+    cross = 0
+    for i, (sheet, r1, c1, r2, c2) in enumerate(references(ast)):
+        if sheet != host.sheet:
+            cross += 1
+            continue
+        max_dist = max(max_dist, abs(r1 - host.row), abs(r2 - host.row),
+                       abs(c1 - host.col), abs(c2 - host.col))
+        if not r1 <= host.row <= r2 and not c1 <= host.col <= c2:
+            off_axis += 1
+        if r2 > host.row or (r1 <= host.row <= r2 and c2 > host.col):
+            forward.append(i)
+    return {"max_ref_distance": max_dist, "off_axis_ref_count": off_axis,
+            "cross_sheet_ref_count": cross, "forward_refs": tuple(forward)}
 
 
 def normalize(ast: FormulaAst) -> NormalizedFormula:
     """The normal form of a formula; read it as ast.normal, which keeps it."""
-    host = ast.host
-    lits: list[float] = []
-    tokens = 0
-    max_dist = 0
-    off_axis = 0
-    cross = 0
-    for node in _walk(ast.root):
-        tokens += 1  # every node is one counted token; parens and commas are not nodes
-        if isinstance(node, NumberLiteral):
-            lits.append(node.value)
-        elif isinstance(node, (CellRef, RangeRef)):
-            if node.sheet is not None:
-                cross += 1
-                continue
-            if isinstance(node, CellRef):
-                r1 = r2 = node.row
-                c1 = c2 = node.col
-            else:
-                r1, c1, r2, c2 = node.r1, node.c1, node.r2, node.c2
-            max_dist = max(max_dist, abs(r1 - host.row), abs(r2 - host.row),
-                           abs(c1 - host.col), abs(c2 - host.col))
-            if not r1 <= host.row <= r2 and not c1 <= host.col <= c2:
-                off_axis += 1
+    nodes = _walk(ast.root)  # every node is one counted token; parens and commas are not nodes
     return NormalizedFormula(
-        text="=" + _render(ast.root, host, "r1c1", 0, False),
-        literals=tuple(lits),
-        token_count=tokens,
-        max_ref_distance=max_dist,
-        off_axis_ref_count=off_axis,
-        cross_sheet_ref_count=cross,
+        text="=" + _render(ast.root, ast.host, "r1c1", 0, False),
+        literals=tuple(node.value for node in nodes if isinstance(node, NumberLiteral)),
+        token_count=len(nodes),
+        **_reach(ast),  # type: ignore[arg-type]
     )
 
 
 def parse_workbook_formulas(wb: Workbook) -> dict[CellAddress, FormulaAst]:
-    """Parse every formula cell once; syntax errors name the failing cell."""
+    """Parse every formula cell; syntax errors name the failing cell.
+
+    Each formula is lexed, and keyed by its class as it is (see _lex). The
+    parser runs once per class, on its first copy in reading order, and
+    every later copy is bound to that copy. Copies parse alike, so the
+    first cell with a syntax error is the one a parse of every cell would
+    stop at.
+    """
     out: dict[CellAddress, FormulaAst] = {}
+    classes: dict[tuple, FormulaAst] = {}
     for addr, content in wb.formula_cells():
+        source: str = content.formula  # type: ignore[assignment]
         try:
-            out[addr] = parse_formula(content.formula, addr)  # type: ignore[arg-type]
+            tokens, key = _lex(source, addr)
+            cls = classes.get(key)
+            if cls is None:
+                ast = classes[key] = FormulaAst(source, addr, _Parser(tokens, addr).parse())
+            else:
+                ast = FormulaAst(source, addr, None, cls)
         except FormulaSyntaxError as exc:
             wrapped = type(exc)(f"{addr.qualified}: {exc}")
             wrapped.offset = exc.offset
             raise wrapped from None
+        out[addr] = ast
     return out
 
 
@@ -590,11 +728,9 @@ def unique_formula_count(wb: Workbook,
     """Number of distinct (sheet, normal form) formulas in the workbook.
 
     Copies pasted down a column count once; the same shape on two sheets
-    counts per sheet.
+    counts per sheet. Read over the formula classes, which copies share.
     """
     if asts is None:
         asts = parse_workbook_formulas(wb)
-    seen: set[tuple[str, str]] = set()
-    for addr, ast in asts.items():
-        seen.add((addr.sheet, ast.normal.text))
-    return len(seen)
+    classes = {ast.cls for ast in asts.values()}
+    return len({(cls.host.sheet, cls.normal.text) for cls in classes})

@@ -284,14 +284,27 @@ class Sheet:
             if key != canonical:
                 raise InvalidAddress(f"cell key not canonical: {key!r} (want {canonical!r})")
 
+    @classmethod
+    def _loaded(cls, name: str, cells: dict[str, CellContent],
+                pairs: list[tuple[CellAddress, CellContent]]) -> Sheet:
+        """A sheet from a document load, which has already parsed and checked
+        every key, and made pairs of them as reading_order holds them."""
+        sheet = object.__new__(cls)
+        object.__setattr__(sheet, "name", name)
+        object.__setattr__(sheet, "cells", cells)
+        pairs.sort()  # keys are canonical, so no two addresses tie
+        sheet.__dict__["reading_order"] = tuple(pairs)
+        return sheet
+
     @cached_property
     def reading_order(self) -> tuple[tuple[CellAddress, CellContent], ...]:
         """The cells as (address, content) pairs, row-major.
 
-        Each key is parsed once, on the first read, and the pairs are kept
-        with the sheet (not a field, so equality and repr see only the
-        cells). Every walk over the sheet's cells reads them, so its
-        address objects are the ones the value maps and indexes hold.
+        Each key is parsed once, on the first read or, for a loaded sheet,
+        on load, and the pairs are kept with the sheet (not a field, so
+        equality and repr see only the cells). Every walk over the sheet's
+        cells reads them, so its address objects are the ones the value
+        maps and indexes hold.
         """
         pairs = [(CellAddress(self.name, *parse_cell_key(key)), content)
                  for key, content in self.cells.items()]
@@ -495,6 +508,7 @@ def parse_workbook(data: str | bytes) -> Workbook:
         raw_cells = raw_sheet.get("cells", {})
         _require(isinstance(raw_cells, dict), f"sheet {sheet_name!r}: 'cells' must be an object")
         cells: dict[str, CellContent] = {}
+        pairs: list[tuple[CellAddress, CellContent]] = []
         for key, raw_cell in raw_cells.items():
             try:
                 row, col = parse_cell_key(key)
@@ -503,8 +517,9 @@ def parse_workbook(data: str | bytes) -> Workbook:
             canonical = f"{col_to_letters(col)}{row}"
             if canonical in cells:
                 raise InvalidCell(f"sheet {sheet_name!r}: duplicate cell {canonical}")
-            cells[canonical] = _parse_cell(raw_cell, f"{sheet_name}!{canonical}")
-        sheets.append(Sheet(sheet_name, cells))
+            content = cells[canonical] = _parse_cell(raw_cell, f"{sheet_name}!{canonical}")
+            pairs.append((CellAddress(sheet_name, row, col), content))
+        sheets.append(Sheet._loaded(sheet_name, cells, pairs))
 
     return Workbook(
         name=name,

@@ -18,15 +18,15 @@ from .errors import InvalidConfig, config_value
 from .formula import (
     AGGREGATE_FUNCTIONS,
     BinaryOp,
-    CellRef,
     Expr,
     FormulaAst,
     FunctionCall,
     RangeRef,
     UnaryOp,
-    _walk,
+    _class_refs,
     canonical_number,
     parse_workbook_formulas,
+    references,
 )
 from .graph import DepGraph, orphan_formulas
 from .model import (
@@ -392,20 +392,27 @@ def _hardwired_findings(wb: Workbook, asts: dict[CellAddress, FormulaAst],
 
 def _dup_literal_findings(wb: Workbook, asts: dict[CellAddress, FormulaAst],
                           cfg: RuleConfig) -> dict[CellAddress, list[Finding]]:
+    def counted(value: float) -> bool:
+        return (value not in cfg.dup_literal_exclusions
+                and abs(value) >= cfg.dup_literal_min_magnitude)
+
+    # each formula class's literals are screened once
+    class_literals: dict[FormulaAst, list[float]] = {}
     out: dict[CellAddress, list[Finding]] = {}
     for sheet in wb.sheets:
         occurrences: dict[float, set[CellAddress]] = {}
         for addr, cell in sheet.reading_order:
             if cell.is_number:
-                occurrences.setdefault(cell.value, set()).add(addr)  # type: ignore[arg-type]
+                if counted(cell.value):  # type: ignore[arg-type]
+                    occurrences.setdefault(cell.value, set()).add(addr)  # type: ignore[arg-type]
             elif cell.is_formula:
-                for lit in asts[addr].normal.literals:
+                cls = asts[addr].cls
+                lits = class_literals.get(cls)
+                if lits is None:
+                    lits = class_literals[cls] = [v for v in cls.normal.literals if counted(v)]
+                for lit in lits:
                     occurrences.setdefault(lit, set()).add(addr)
         for value in sorted(occurrences):
-            if value in cfg.dup_literal_exclusions:
-                continue
-            if abs(value) < cfg.dup_literal_min_magnitude:
-                continue
             addrs = sorted(occurrences[value])  # one sheet: reading order
             if len(addrs) < 2:
                 continue
@@ -442,18 +449,19 @@ def _version_name_finding(wb: Workbook) -> Finding | None:
 
 
 def _flow_offenders(ast: FormulaAst) -> list[str]:
-    host = ast.host
+    """The references that read below or right of the host, in A1 text."""
+    forward = ast.normal.forward_refs
+    if not forward:
+        return []
+    boxes = list(references(ast))
+    nodes = _class_refs(ast)
     bad: list[str] = []
-    for node in _walk(ast.root):
-        if isinstance(node, CellRef) and node.sheet is None:
-            if node.row > host.row or (node.row == host.row and node.col > host.col):
-                bad.append(f"{col_to_letters(node.col)}{node.row}")
-        elif isinstance(node, RangeRef) and node.sheet is None:
-            below = node.r2 > host.row
-            rightward = node.r1 <= host.row <= node.r2 and node.c2 > host.col
-            if below or rightward:
-                bad.append(f"{col_to_letters(node.c1)}{node.r1}"
-                           f":{col_to_letters(node.c2)}{node.r2}")
+    for i in forward:
+        _sheet, r1, c1, r2, c2 = boxes[i]
+        text = f"{col_to_letters(c1)}{r1}"
+        if isinstance(nodes[i], RangeRef):
+            text += f":{col_to_letters(c2)}{r2}"
+        bad.append(text)
     return bad
 
 
@@ -525,9 +533,8 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
     def check_xsheet(addr: CellAddress, cell: CellContent):
         m = normal(addr)
         if m is not None and m.cross_sheet_ref_count > 0:
-            sheets = sorted({node.sheet for node in _walk(asts[addr].root)
-                             if isinstance(node, (CellRef, RangeRef))
-                             and node.sheet is not None})
+            sheets = sorted({node.sheet for node in _class_refs(asts[addr])
+                             if node.sheet is not None})
             return _mk("XSHEET_REF", addr,
                        f"{m.cross_sheet_ref_count} cross-sheet reference(s)",
                        {"count": m.cross_sheet_ref_count, "sheets": sheets})

@@ -17,8 +17,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import EmptyTruth, InvalidConfig, config_value
 from .formula import canonical_number, parse_workbook_formulas
@@ -32,6 +31,9 @@ from .model import (
 )
 from .risk import RiskParams, detection_yield
 from .rules import RULE_IDS
+
+if TYPE_CHECKING:  # numpy loads only in the Monte Carlo functions that use it
+    import numpy as np
 
 TOPOLOGIES = ("chain", "tree", "grid")
 
@@ -478,6 +480,8 @@ def monte_carlo(params: RiskParams, unique_formulas: int, chain_length: int,
         raise InvalidConfig("counts must be >= 0")
     if not 1.0 <= multiplier < math.inf:
         raise InvalidConfig(f"multiplier must be finite and >= 1, got {multiplier}")
+    import numpy as np
+
     p_eff = min(1.0, params.p * multiplier)
     rng = np.random.default_rng(rng_seed)
     widest = max(unique_formulas, chain_length, 1)
@@ -530,6 +534,8 @@ def detection_experiment(seeded: SeededWorkbook, team_size: int | None,
         raise InvalidConfig(f"rounds must be >= 0, got {rounds}")
     if trials < 1:
         raise InvalidConfig(f"trials must be >= 1, got {trials}")
+    import numpy as np
+
     d = detection_yield(params or RiskParams(), team_size, round_yield)
     rng = np.random.default_rng(rng_seed)
     survivors = np.full(trials, len(seeded.truth), dtype=np.int64)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridaudit.formula as formula_mod
 from gridaudit.errors import FormulaSyntaxError, UnknownFunction, UnknownName
 from gridaudit.formula import (
     MAX_DEPTH,
@@ -24,6 +25,8 @@ from gridaudit.formula import (
     canonical_number,
     normalize,
     parse_formula,
+    parse_workbook_formulas,
+    references,
     render,
     unique_formula_count,
 )
@@ -365,3 +368,119 @@ def test_row_zero_reference_rejected():
         parse_formula("=B0", B1)
     with pytest.raises(FormulaSyntaxError):
         parse_formula("=SUM(A0:A3)", B1)
+
+
+# --- formula classes ---------------------------------------------------------
+
+def column_of_copies(rows: int) -> dict[str, object]:
+    cells: dict[str, object] = {f"A{r}": float(r) for r in range(1, rows + 1)}
+    cells.update({f"B{r}": f"=A{r}*2+SUM(A$1:A{r})" for r in range(1, rows + 1)})
+    return cells
+
+
+def test_copies_are_parsed_and_normalized_once_per_class(monkeypatch):
+    wb = wb_from(column_of_copies(1000))
+    parses: list = []
+    normals: list = []
+    parse, norm = formula_mod._Parser.parse, formula_mod.normalize
+
+    def counted_parse(self):
+        parses.append(self.host)
+        return parse(self)
+
+    def counted_normalize(ast):
+        normals.append(ast.host)
+        return norm(ast)
+
+    monkeypatch.setattr(formula_mod._Parser, "parse", counted_parse)
+    monkeypatch.setattr(formula_mod, "normalize", counted_normalize)
+    asts = parse_workbook_formulas(wb)
+    assert {ast.normal.text for ast in asts.values()} == {"=RC[-1]*2+SUM(R1C[-1]:RC[-1])"}
+    # A$1:A1 in B1 is a range whose corners do not swap, as in every later copy
+    assert parses == [CellAddress("S1", 1, 2)]
+    assert normals == [CellAddress("S1", 1, 2)]
+    assert unique_formula_count(wb, asts) == 1
+
+
+def test_copies_match_a_parse_of_each_cell():
+    # Every copy's tree, references and normal form equal those of a parse
+    # of its own text, also where absolute parts make them depend on the host.
+    sources = ["=A{r}*$A$1+A$1", "=SUM(A$5:A{r})", "=SUM($A{r}:C{r})+Data!$B{r}",
+               "=IF(A{r}>$A$20,A{s},$K$39)", "=MAX(K$1:K{r},$A$1:A$2)*1", "=B{s}+S1!A{r}"]
+    cells: dict[str, object] = {}
+    for col, src in zip("BCDEFG", sources):
+        for r in range(1, 40):
+            cells[f"{col}{r}"] = src.format(r=r, s=r + 1)
+    wb = wb_from(cells)
+    asts = parse_workbook_formulas(wb)
+    assert len({ast.cls for ast in asts.values()}) < len(asts)
+    for addr, ast in asts.items():
+        alone = parse_formula(ast.source, addr)
+        assert ast.root == alone.root, addr
+        assert ast.normal == normalize(alone), addr
+        assert list(references(ast)) == list(references(alone)), addr
+
+
+def test_mixed_corner_ranges_sort_per_host_and_count_twice():
+    # One absolute and one relative corner: the range sorts by host, so the
+    # two copies key alike by their tokens but are classes of their own.
+    wb = wb_from({"B4": "=SUM(A$5:A3)", "B10": "=SUM(A$5:A9)"})
+    asts = parse_workbook_formulas(wb)
+    assert asts[CellAddress("S1", 4, 2)].normal.text == "=SUM(R[-1]C[-1]:R5C[-1])"
+    assert asts[CellAddress("S1", 10, 2)].normal.text == "=SUM(R5C[-1]:R[-1]C[-1])"
+    assert unique_formula_count(wb, asts) == 2
+
+
+def test_same_sheet_qualifier_shares_the_normal_form():
+    wb = wb_from({"B1": "=S1!A1", "B2": "=A2"})
+    asts = parse_workbook_formulas(wb)
+    assert {ast.normal.text for ast in asts.values()} == {"=RC[-1]"}
+    assert unique_formula_count(wb, asts) == 1
+
+
+def test_anchored_copies_keep_their_own_distances():
+    wb = wb_from({"A1": 1.0, "B2": "=$A$1+B1", "B40": "=$A$1+B39"})
+    asts = parse_workbook_formulas(wb)
+    near, far = asts[CellAddress("S1", 2, 2)], asts[CellAddress("S1", 40, 2)]
+    assert far.cls is near
+    assert (near.normal.max_ref_distance, near.normal.off_axis_ref_count) == (1, 1)
+    assert (far.normal.max_ref_distance, far.normal.off_axis_ref_count) == (39, 1)
+
+
+def test_later_copy_on_row_zero_names_its_own_cell():
+    # =B1+1 in B2 and =B0+1 in B1 share offsets, but row 0 never resolves.
+    wb = wb_from({"B1": "=B0+1", "B3": "=B2+1", "B2": 1.0})
+    with pytest.raises(FormulaSyntaxError, match=r"^S1!B1: reference 'B0' names row 0"):
+        parse_workbook_formulas(wb)
+    wb = wb_from({"B2": "=B1+1", "C1": "=C0+1", "B1": 1.0})
+    with pytest.raises(FormulaSyntaxError, match=r"^S1!C1: ") as info:
+        parse_workbook_formulas(wb)
+    assert info.value.offset == 1
+
+
+def test_syntax_error_in_a_later_copy_names_its_own_cell_and_offset():
+    wb = wb_from({"A1": 1.0, "B1": "=A1*2", "B2": "=A2*2", "B3": "=A3 * 2 +"})
+    with pytest.raises(FormulaSyntaxError, match=r"^S1!B3: ") as info:
+        parse_workbook_formulas(wb)
+    assert info.value.offset == len("=A3 * 2 +")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_copies_match_a_parse_of_each_cell_property(seed):
+    # Random formulas pasted to a few hosts, with any mix of $-markers, so
+    # that ranges with one absolute corner sort differently by host.
+    rng = random.Random(seed)
+    cells: dict[str, object] = {}
+    for col in range(1, 4):
+        expr = random_expr(rng, depth=3)
+        for _ in range(4):
+            dr, dc = rng.randint(0, 30), rng.randint(0, 3)
+            host = CellAddress("S1", 50 + dr, 50 + 4 * col + dc)
+            cells[host.a1] = render(FormulaAst("=", host, translate_expr(expr, dr, dc)))
+    wb = wb_from(cells)
+    for addr, ast in parse_workbook_formulas(wb).items():
+        alone = parse_formula(ast.source, addr)
+        assert ast.root == alone.root
+        assert ast.normal == normalize(alone)
+        assert list(references(ast)) == list(references(alone))

@@ -260,6 +260,24 @@ def test_flow_violation_cases():
     assert found[2].evidence["references"] == ["C4:C9"]
 
 
+def test_copies_judge_flow_and_arcs_at_their_own_host():
+    # Column B holds copies of one formula class each. A relative class is
+    # judged once and its offenders rendered per copy; an absolute part
+    # makes arc and flow depend on the copy's row.
+    cells: dict[str, object] = {f"A{r}": float(r) + 0.5 for r in range(1, 62)}
+    cells.update({f"B{r}": f"=$C$30+A{r}" for r in range(1, 61)})
+    cells.update({f"D{r}": f"=A{r + 1}*1" for r in range(1, 61)})
+    cells["C30"] = 7.5
+    report = run(wb_from(cells))
+    flow = {f.location.a1: f.evidence["references"] for f in hits(report, "FLOW_VIOLATION")}
+    assert flow == {**{f"B{r}": ["C30"] for r in range(1, 31)},
+                    **{f"D{r}": [f"A{r + 1}"] for r in range(1, 61)}}
+    arcs = {f.location.a1: (f.evidence["maxRefDistance"], f.evidence["offAxisRefCount"])
+            for f in hits(report, "LONG_ARC")}
+    assert arcs == {**{f"B{r}": (30 - r, 1) for r in range(1, 5)},
+                    **{f"B{r}": (r - 30, 1) for r in range(56, 61)}}
+
+
 def test_unprotected_formula_severity_tracks_workbook_protection():
     unlocked = CellContent(formula="=A1*2", locked=False)
     wb = wb_from({"A1": 1.0, "A2": unlocked}, protection=True)
