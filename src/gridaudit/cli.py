@@ -170,10 +170,10 @@ def _load_workbook(path: Path) -> Workbook:
 def _load_json(path: Path, what: str) -> dict[str, object]:
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InvalidConfig(f"{what} {path} is not valid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise InvalidConfig(f"{what} {path} is not UTF-8 text: {exc}") from None
+    except ValueError as exc:  # bad JSON, or an integer too long to read
+        raise InvalidConfig(f"{what} {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidConfig(f"{what} {path} must hold a JSON object")
     return doc
@@ -451,11 +451,14 @@ def _cmd_seed(args: argparse.Namespace) -> int:
     if args.mix is not None:
         try:
             raw = json.loads(args.mix)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise InvalidConfig(f"--mix is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise InvalidConfig("--mix must be a JSON object of class -> weight")
-        mix = tuple((str(k), float(v)) for k, v in raw.items())
+        try:
+            mix = tuple((str(k), float(v)) for k, v in raw.items())
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidConfig(f"--mix weights must be numbers: {args.mix}") from None
     kwargs = {"defect_mix": mix} if mix is not None else {}
     spec = SeedSpec(args.topology, args.formulas, args.inputs,
                     error_rate=args.rate, rng_seed=args.rng_seed, **kwargs)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidConfig
+from .errors import InvalidCell, InvalidConfig, config_value
 from .model import (
     CellAddress,
     CellContent,
@@ -67,32 +67,44 @@ def _content_to_dict(c: CellContent | None) -> dict[str, object] | None:
             "numberFormat": c.number_format}
 
 
-def _content_from_dict(d: dict[str, object] | None) -> CellContent | None:
+def _content_from_dict(d: object) -> CellContent | None:
     if d is None:
         return None
+    if not isinstance(d, dict):
+        raise InvalidConfig(f"cell content must be an object, got {d!r}")
     extra = set(d) - {"value", "formula", "locked", "numberFormat"}
     if extra:
         raise InvalidConfig(f"unknown cell content keys: {sorted(extra)}")
-    return CellContent(
-        value=d.get("value"),
-        formula=d.get("formula"),  # type: ignore[arg-type]
-        locked=bool(d.get("locked", False)),
-        number_format=d.get("numberFormat"),  # type: ignore[arg-type]
-    )
+    try:
+        return CellContent(
+            value=d.get("value"),
+            formula=d.get("formula"),
+            locked=bool(d.get("locked", False)),
+            number_format=d.get("numberFormat"),
+        )
+    except InvalidCell as exc:
+        raise InvalidConfig(f"cell content: {exc}") from None
+
+
+def _location(v: object) -> CellAddress:
+    return parse_qualified(str(v))
 
 
 def entry_from_dict(d: dict[str, object]) -> DiffEntry:
+    where = "diff entry"
+    if not isinstance(d, dict):
+        raise InvalidConfig(f"{where} must be an object, got {d!r}")
     extra = set(d) - {"location", "kind", "class", "before", "after"}
     if extra:
         raise InvalidConfig(f"unknown diff entry keys: {sorted(extra)}")
-    kind = str(d["kind"])
+    kind = config_value(d, "kind", str, where)
     if kind not in KINDS:
         raise InvalidConfig(f"unknown diff kind {kind!r}")
     return DiffEntry(
-        location=parse_qualified(str(d["location"])),
+        location=config_value(d, "location", _location, where),
         kind=kind,
-        before=_content_from_dict(d.get("before")),  # type: ignore[arg-type]
-        after=_content_from_dict(d.get("after")),  # type: ignore[arg-type]
+        before=_content_from_dict(d.get("before")),
+        after=_content_from_dict(d.get("after")),
     )
 
 
@@ -179,20 +191,30 @@ class ThreeWayResult:
         }
 
 
+def _side_from_dict(v: object) -> DiffEntry | None:
+    return None if v is None else entry_from_dict(v)  # type: ignore[arg-type]
+
+
+def _conflict_from_dict(raw: object) -> Conflict:
+    where = "three-way conflict"
+    return Conflict(
+        location=config_value(raw, "location", _location, where),
+        first=config_value(raw, "first", _side_from_dict, where),
+        second=config_value(raw, "second", _side_from_dict, where),
+    )
+
+
 def three_way_result_from_dict(d: dict[str, object]) -> ThreeWayResult:
+    where = "three-way result"
+    if not isinstance(d, dict):
+        raise InvalidConfig(f"{where} must be an object, got {d!r}")
     extra = set(d) - {"agreeing", "conflicting"}
     if extra:
         raise InvalidConfig(f"unknown three-way keys: {sorted(extra)}")
-    conflicts = []
-    for raw in d["conflicting"]:  # type: ignore[union-attr]
-        conflicts.append(Conflict(
-            location=parse_qualified(str(raw["location"])),
-            first=None if raw["first"] is None else entry_from_dict(raw["first"]),
-            second=None if raw["second"] is None else entry_from_dict(raw["second"]),
-        ))
     return ThreeWayResult(
-        agreeing=tuple(entry_from_dict(e) for e in d["agreeing"]),  # type: ignore[union-attr]
-        conflicting=tuple(conflicts),
+        agreeing=config_value(d, "agreeing", lambda v: tuple(map(entry_from_dict, v)), where),
+        conflicting=config_value(
+            d, "conflicting", lambda v: tuple(map(_conflict_from_dict, v)), where),
     )
 
 

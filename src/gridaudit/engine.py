@@ -163,7 +163,13 @@ def value_from_json(raw: Any) -> Value:
     if isinstance(raw, bool):
         return raw
     if isinstance(raw, (int, float)):
-        return float(raw)
+        try:
+            value = float(raw)
+        except OverflowError:
+            raise MalformedDocument("number too large for a float in a snapshot") from None
+        if not math.isfinite(value):  # Infinity would match any number in recheck
+            raise MalformedDocument(f"non-finite number in a snapshot: {value}")
+        return value
     if isinstance(raw, str):
         return raw
     raise MalformedDocument(f"bad value entry: {raw!r}")
@@ -776,7 +782,7 @@ def parse_snapshot(text: str | bytes) -> Snapshot:
         doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except UnicodeDecodeError as exc:
         raise MalformedDocument(f"snapshot is not UTF-8: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer too long to read
         raise MalformedDocument(f"snapshot is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("version") != SNAPSHOT_VERSION:
         raise MalformedDocument("unsupported snapshot document")

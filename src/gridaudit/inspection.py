@@ -19,6 +19,7 @@ from .errors import (
     InvalidConfig,
     InvalidTeamSize,
     ModuleMismatch,
+    config_value,
 )
 from .formula import FormulaAst, parse_workbook_formulas
 from .model import CellAddress, Workbook, parse_qualified
@@ -112,27 +113,32 @@ class InspectionPlan:
         }
 
 
+def _module_from_dict(m: object) -> Module:
+    where = "plan module"
+    return Module(
+        id=config_value(m, "id", str, where),
+        cells=config_value(m, "cells", lambda v: tuple(str(c) for c in v), where),
+        formula_count=config_value(m, "formulaCount", int, where),
+        effective_cells=config_value(m, "effectiveCells", float, where),
+        estimated_minutes=config_value(m, "estimatedMinutes", float, where),
+    )
+
+
 def plan_from_dict(d: dict[str, object]) -> InspectionPlan:
+    where = "plan"
+    if not isinstance(d, dict):
+        raise InvalidConfig(f"{where} must be an object, got {d!r}")
     known = {"modules", "teamSize", "rateCap", "sessionCapMinutes",
              "roundsRecommended"}
     extra = set(d) - known
     if extra:
         raise InvalidConfig(f"unknown plan keys: {sorted(extra)}")
-    modules = []
-    for m in d["modules"]:  # type: ignore[union-attr]
-        modules.append(Module(
-            id=str(m["id"]),
-            cells=tuple(str(c) for c in m["cells"]),
-            formula_count=int(m["formulaCount"]),
-            effective_cells=float(m["effectiveCells"]),
-            estimated_minutes=float(m["estimatedMinutes"]),
-        ))
     return InspectionPlan(
-        modules=tuple(modules),
-        team_size=int(d["teamSize"]),  # type: ignore[arg-type]
-        rate_cap=float(d["rateCap"]),  # type: ignore[arg-type]
-        session_cap_minutes=float(d["sessionCapMinutes"]),  # type: ignore[arg-type]
-        rounds_recommended=int(d["roundsRecommended"]),  # type: ignore[arg-type]
+        modules=config_value(d, "modules", lambda v: tuple(map(_module_from_dict, v)), where),
+        team_size=config_value(d, "teamSize", int, where),
+        rate_cap=config_value(d, "rateCap", float, where),
+        session_cap_minutes=config_value(d, "sessionCapMinutes", float, where),
+        rounds_recommended=config_value(d, "roundsRecommended", int, where),
     )
 
 
@@ -214,9 +220,9 @@ class SessionFindings:
     def __post_init__(self) -> None:
         if not self.inspector_id:
             raise InvalidConfig("inspector_id must not be empty")
-        if self.duration_minutes <= 0:
-            raise InvalidConfig(
-                f"duration_minutes must be > 0, got {self.duration_minutes}")
+        if not 0 < self.duration_minutes < math.inf:
+            raise InvalidConfig("duration_minutes must be finite and > 0, "
+                                f"got {self.duration_minutes}")
 
 
 def session_filename(workbook_name: str, module_id: str,

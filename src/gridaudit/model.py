@@ -237,7 +237,10 @@ class CellContent:
             if isinstance(self.value, bool):
                 pass
             elif isinstance(self.value, (int, float)):
-                v = float(self.value)
+                try:
+                    v = float(self.value)
+                except OverflowError:
+                    raise InvalidCell("number too large for a float") from None
                 if v != v or v in (float("inf"), float("-inf")):
                     raise InvalidCell("non-finite number")
                 object.__setattr__(self, "value", v)
@@ -469,7 +472,7 @@ def parse_workbook(data: str | bytes) -> Workbook:
             raise MalformedDocument(f"not UTF-8: {exc}") from None
     try:
         doc = json.loads(data, parse_constant=_reject_nonfinite)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer too long to read
         raise MalformedDocument(f"not valid JSON: {exc}") from None
 
     _require(isinstance(doc, dict), "document root must be an object")

@@ -1,9 +1,20 @@
 """Mechanical audit rules.
 
-Every enabled rule sweeps every cell; the report carries per-rule examined
-counters against the workbook cell count so sampling shortcuts are
-impossible to hide. A crashing rule becomes an INTERNAL_ERROR finding (and,
-for setup crashes, a coverage shortfall) rather than a silent skip.
+run_rules runs each enabled rule once over the book, in RULE_IDS order.
+Two kinds of rule:
+
+- Book rules (NUM_AS_TEXT, HARDWIRED, DUP_LITERAL, ORPHAN_OUTPUT,
+  VERSION_NAME) read the whole book at once and return their findings.
+- Cell rules (JAMMED, LONG_FORMULA, LONG_ARC, XSHEET_REF, FLOW_VIOLATION,
+  UNPROTECTED_FORMULA) judge one formula cell at a time from its normal
+  form; none of them can flag a constant, so constants are not visited.
+
+A rule's examined count is the workbook cell count once the rule has run,
+so the report shows the whole book was covered. A crash is never a silent
+skip. A cell rule that crashes on a cell gives an INTERNAL_ERROR finding at
+that cell and goes on, so coverage holds. A book rule that crashes gives
+one workbook-level INTERNAL_ERROR, and its examined count stays 0, so the
+coverage shortfall shows.
 """
 
 from __future__ import annotations
@@ -11,7 +22,8 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import groupby
+from typing import Callable, Iterable, Iterator
 
 from .engine import EvalPlan, parse_numeric_text, sheet_indexes
 from .errors import InvalidConfig, config_value
@@ -118,7 +130,7 @@ class RuleConfig:
                 raise InvalidConfig(f"unknown rule {rid!r}")
         for name in ("long_formula_tokens", "long_arc_distance",
                      "dup_literal_min_magnitude", "min_run_length_for_hardwire"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails this too
                 raise InvalidConfig(f"{name} must be positive")
         for rid, sev in self.severity_overrides:
             if rid not in RULE_TABLE:
@@ -220,7 +232,7 @@ def _const_repr(value: object) -> str:
     return str(value)
 
 
-# --- Rule preparation ------------------------------------------------------
+# --- Book rules ------------------------------------------------------------
 
 
 def _textual_number(cell: CellContent) -> float | None:
@@ -322,53 +334,38 @@ def _num_as_text_findings(wb: Workbook,
     return out
 
 
-def _scan_run(entries: list[tuple[CellAddress, CellContent]],
-              norm_text: dict[CellAddress, str], min_run: int,
-              out: dict[CellAddress, Finding]) -> None:
-    """Flag constants strictly inside a run of >= min_run same-form formulas."""
-    i, n = 0, len(entries)
-    while i < n:
-        form = norm_text.get(entries[i][0])
-        if form is None:
-            i += 1
-            continue
-        last_formula = i
-        j = i
-        while j + 1 < n:
-            nxt = norm_text.get(entries[j + 1][0])
-            if nxt is not None and nxt != form:
-                break
-            j += 1
-            if nxt == form:
-                last_formula = j
-        count = sum(1 for k in range(i, last_formula + 1)
-                    if norm_text.get(entries[k][0]) == form)
-        if count >= min_run:
-            for k in range(i + 1, last_formula):
-                addr, cell = entries[k]
-                if norm_text.get(addr) is None:
-                    out.setdefault(addr, _mk(
-                        "HARDWIRED", addr,
-                        f"constant {_const_repr(cell.value)} interrupts a formula run",
-                        {"normalForm": form, "value": _const_repr(cell.value)}))
-        i = last_formula + 1 if last_formula > i else i + 1
-
-
 def _scan_line(line: list[tuple[CellAddress, CellContent]], axis: int,
                norm_text: dict[CellAddress, str], min_run: int,
                out: dict[CellAddress, Finding]) -> None:
-    """Scan each unbroken stretch of one row or column of cells.
+    """Flag the constants inside each run of one row or column of cells.
 
     axis is the address field that advances along the line: 2 (the
-    column) along a row, 1 (the row) down a column.
+    column) along a row, 1 (the row) down a column. A stretch is a part of
+    the line with no empty cell in it; a run is a group of consecutive
+    formulas of one stretch and one normal form, with only constants
+    between them. A run of at least min_run formulas flags the constants
+    strictly between its first and last formula.
     """
-    block: list[tuple[CellAddress, CellContent]] = []
-    for pair in line:
-        if block and pair[0][axis] != block[-1][0][axis] + 1:
-            _scan_run(block, norm_text, min_run, out)
-            block = []
-        block.append(pair)
-    _scan_run(block, norm_text, min_run, out)
+    def records() -> Iterator[tuple[int, str, int]]:
+        """(stretch, form, position) of each formula on the line, in order."""
+        stretch = 0
+        for k, (addr, _cell) in enumerate(line):
+            if k and addr[axis] != line[k - 1][0][axis] + 1:
+                stretch += 1
+            form = norm_text.get(addr)
+            if form is not None:
+                yield stretch, form, k
+
+    for (_stretch, form), run in groupby(records(), key=lambda rec: rec[:2]):
+        positions = [k for _s, _f, k in run]
+        if len(positions) < min_run:
+            continue
+        for addr, cell in line[positions[0] + 1:positions[-1]]:
+            if addr not in norm_text:
+                out.setdefault(addr, _mk(
+                    "HARDWIRED", addr,
+                    f"constant {_const_repr(cell.value)} interrupts a formula run",
+                    {"normalForm": form, "value": _const_repr(cell.value)}))
 
 
 def _hardwired_findings(wb: Workbook, asts: dict[CellAddress, FormulaAst],
@@ -391,14 +388,14 @@ def _hardwired_findings(wb: Workbook, asts: dict[CellAddress, FormulaAst],
 
 
 def _dup_literal_findings(wb: Workbook, asts: dict[CellAddress, FormulaAst],
-                          cfg: RuleConfig) -> dict[CellAddress, list[Finding]]:
+                          cfg: RuleConfig) -> list[Finding]:
     def counted(value: float) -> bool:
         return (value not in cfg.dup_literal_exclusions
                 and abs(value) >= cfg.dup_literal_min_magnitude)
 
     # each formula class's literals are screened once
     class_literals: dict[FormulaAst, list[float]] = {}
-    out: dict[CellAddress, list[Finding]] = {}
+    out: list[Finding] = []
     for sheet in wb.sheets:
         occurrences: dict[float, set[CellAddress]] = {}
         for addr, cell in sheet.reading_order:
@@ -418,7 +415,7 @@ def _dup_literal_findings(wb: Workbook, asts: dict[CellAddress, FormulaAst],
                 continue
             qualified = [a.qualified for a in addrs]
             for addr in addrs:
-                out.setdefault(addr, []).append(_mk(
+                out.append(_mk(
                     "DUP_LITERAL", addr,
                     f"literal {canonical_number(value)} is typed in {len(addrs)} cells",
                     {"value": canonical_number(value), "occurrences": qualified}))
@@ -446,6 +443,9 @@ def _version_name_finding(wb: Workbook) -> Finding | None:
                 "hasVersionToken": has_version,
                 "dateToken": None if date_match is None else date_match.group(0),
                 "modifiedDate": expected})
+
+
+# --- Cell rules ------------------------------------------------------------
 
 
 def _flow_offenders(ast: FormulaAst) -> list[str]:
@@ -476,50 +476,42 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
     cross_sheet_total = sum(ast.normal.cross_sheet_ref_count for ast in asts.values())
     enabled = tuple(r for r in RULE_IDS if r in cfg.enabled)
 
-    dead: dict[str, Finding] = {}
-
-    def prepared(rule_id: str, build: Callable[[], object], fallback: object) -> object:
-        if rule_id not in enabled:
-            return fallback
-        try:
-            return build()
-        except Exception as exc:  # report and leave the coverage gap visible
-            dead[rule_id] = _internal(rule_id, None, exc)
-            return fallback
-
-    num_as_text = prepared("NUM_AS_TEXT", lambda: _num_as_text_findings(wb, asts), {})
-    hardwired = prepared(
-        "HARDWIRED",
-        lambda: _hardwired_findings(wb, asts, cfg.min_run_length_for_hardwire), {})
-    dup_literal = prepared("DUP_LITERAL", lambda: _dup_literal_findings(wb, asts, cfg), {})
-    orphans = prepared("ORPHAN_OUTPUT", lambda: frozenset(orphan_formulas(g)), frozenset())
-    version_finding = prepared("VERSION_NAME", lambda: _version_name_finding(wb), None)
-
     protection_on = wb.meta.protection_enabled
 
-    def normal(addr: CellAddress):
-        ast = asts.get(addr)
-        return None if ast is None else ast.normal
+    def version_name() -> list[Finding]:
+        found = _version_name_finding(wb)
+        return [] if found is None else [found]
 
-    def check_jammed(addr: CellAddress, cell: CellContent):
-        nf = normal(addr)
-        if nf is not None and len(nf.literals) >= 2:
+    book_rules: dict[str, Callable[[], Iterable[Finding]]] = {
+        "NUM_AS_TEXT": lambda: _num_as_text_findings(wb, asts).values(),
+        "HARDWIRED": lambda: _hardwired_findings(
+            wb, asts, cfg.min_run_length_for_hardwire).values(),
+        "DUP_LITERAL": lambda: _dup_literal_findings(wb, asts, cfg),
+        "ORPHAN_OUTPUT": lambda: [
+            _mk("ORPHAN_OUTPUT", addr, "terminal formula is not a declared output",
+                {"dependents": 0}) for addr in orphan_formulas(g)],
+        "VERSION_NAME": version_name,
+    }
+
+    def jammed(addr: CellAddress, cell: CellContent, ast: FormulaAst) -> Finding | None:
+        nf = ast.normal
+        if len(nf.literals) >= 2:
             return _mk("JAMMED", addr,
                        f"formula embeds {len(nf.literals)} literals",
                        {"literals": [canonical_number(v) for v in nf.literals]})
         return None
 
-    def check_long_formula(addr: CellAddress, cell: CellContent):
-        m = normal(addr)
-        if m is not None and m.token_count > cfg.long_formula_tokens:
+    def long_formula(addr: CellAddress, cell: CellContent, ast: FormulaAst) -> Finding | None:
+        m = ast.normal
+        if m.token_count > cfg.long_formula_tokens:
             return _mk("LONG_FORMULA", addr,
                        f"{m.token_count} tokens exceeds the {cfg.long_formula_tokens} limit",
                        {"tokenCount": m.token_count, "threshold": cfg.long_formula_tokens})
         return None
 
-    def check_long_arc(addr: CellAddress, cell: CellContent):
-        m = normal(addr)
-        if m is not None and m.max_ref_distance > cfg.long_arc_distance:
+    def long_arc(addr: CellAddress, cell: CellContent, ast: FormulaAst) -> Finding | None:
+        m = ast.normal
+        if m.max_ref_distance > cfg.long_arc_distance:
             off_axis = m.off_axis_ref_count > 0
             return _mk("LONG_ARC", addr,
                        f"reference arc of {m.max_ref_distance} cells"
@@ -530,20 +522,17 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
                         "offAxisRefCount": m.off_axis_ref_count})
         return None
 
-    def check_xsheet(addr: CellAddress, cell: CellContent):
-        m = normal(addr)
-        if m is not None and m.cross_sheet_ref_count > 0:
-            sheets = sorted({node.sheet for node in _class_refs(asts[addr])
+    def xsheet(addr: CellAddress, cell: CellContent, ast: FormulaAst) -> Finding | None:
+        m = ast.normal
+        if m.cross_sheet_ref_count > 0:
+            sheets = sorted({node.sheet for node in _class_refs(ast)
                              if node.sheet is not None})
             return _mk("XSHEET_REF", addr,
                        f"{m.cross_sheet_ref_count} cross-sheet reference(s)",
                        {"count": m.cross_sheet_ref_count, "sheets": sheets})
         return None
 
-    def check_flow(addr: CellAddress, cell: CellContent):
-        ast = asts.get(addr)
-        if ast is None:
-            return None
+    def flow(addr: CellAddress, cell: CellContent, ast: FormulaAst) -> Finding | None:
         offenders = _flow_offenders(ast)
         if offenders:
             return _mk("FLOW_VIOLATION", addr,
@@ -551,53 +540,43 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
                        {"references": offenders})
         return None
 
-    def check_unprotected(addr: CellAddress, cell: CellContent):
-        if cell.is_formula and not cell.locked:
-            f = _mk("UNPROTECTED_FORMULA", addr,
-                    "formula cell is not locked against edits",
-                    {"protectionEnabled": protection_on})
-            if not protection_on:
-                f = dataclasses.replace(f, severity="error")
-            return f
-        return None
+    def unprotected(addr: CellAddress, cell: CellContent, ast: FormulaAst) -> Finding | None:
+        if cell.locked:
+            return None
+        f = _mk("UNPROTECTED_FORMULA", addr,
+                "formula cell is not locked against edits",
+                {"protectionEnabled": protection_on})
+        return f if protection_on else dataclasses.replace(f, severity="error")
 
-    checkers: dict[str, Callable[[CellAddress, CellContent], object]] = {
-        "NUM_AS_TEXT": lambda addr, cell: num_as_text.get(addr),
-        "HARDWIRED": lambda addr, cell: hardwired.get(addr),
-        "JAMMED": check_jammed,
-        "DUP_LITERAL": lambda addr, cell: dup_literal.get(addr),
-        "LONG_FORMULA": check_long_formula,
-        "LONG_ARC": check_long_arc,
-        "XSHEET_REF": check_xsheet,
-        "ORPHAN_OUTPUT": lambda addr, cell: (
-            _mk("ORPHAN_OUTPUT", addr,
-                "terminal formula is not a declared output",
-                {"dependents": 0}) if addr in orphans else None),
-        "FLOW_VIOLATION": check_flow,
-        "UNPROTECTED_FORMULA": check_unprotected,
-        "VERSION_NAME": lambda addr, cell: None,
+    cell_rules = {
+        "JAMMED": jammed,
+        "LONG_FORMULA": long_formula,
+        "LONG_ARC": long_arc,
+        "XSHEET_REF": xsheet,
+        "FLOW_VIOLATION": flow,
+        "UNPROTECTED_FORMULA": unprotected,
     }
 
-    findings: list[Finding] = list(dead.values())
-    if version_finding is not None:
-        findings.append(version_finding)
+    findings: list[Finding] = []
     examined = {rid: 0 for rid in enabled}
-    for addr, cell in wb.iter_cells():
-        for rid in enabled:
-            if rid in dead:
-                continue
-            examined[rid] += 1
+    for rid in enabled:
+        judge = cell_rules.get(rid)
+        if judge is None:
             try:
-                hit = checkers[rid](addr, cell)
-            except Exception as exc:
-                findings.append(_internal(rid, addr, exc))
+                found = list(book_rules[rid]())
+            except Exception as exc:  # report and leave the coverage gap visible
+                findings.append(_internal(rid, None, exc))
                 continue
-            if hit is None:
-                continue
-            if isinstance(hit, Finding):
-                findings.append(hit)
-            else:
-                findings.extend(hit)
+            findings.extend(found)
+        else:
+            for addr, cell in wb.formula_cells():
+                try:
+                    hit = judge(addr, cell, asts[addr])
+                except Exception as exc:
+                    hit = _internal(rid, addr, exc)
+                if hit is not None:
+                    findings.append(hit)
+        examined[rid] = wb.total_cell_count
 
     overrides = dict(cfg.severity_overrides)
     if overrides:

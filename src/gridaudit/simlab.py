@@ -75,7 +75,7 @@ class SeedSpec:
         for cls, weight in self.defect_mix:
             if cls not in RULE_IDS:
                 raise InvalidConfig(f"unknown defect class {cls!r}")
-            if weight < 0:
+            if not weight >= 0:  # NaN fails this too
                 raise InvalidConfig("defect weights must be >= 0")
             total += weight
         if abs(total - 1.0) > 1e-9:

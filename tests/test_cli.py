@@ -6,6 +6,8 @@ Every test drives main(argv) in process and checks the exit-code contract:
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -19,6 +21,7 @@ from gridaudit.cli import FIXED_TIMESTAMP, audit_report_from_dict, build_audit_r
 from gridaudit.engine import parse_snapshot
 from gridaudit.errors import InvalidConfig
 from gridaudit.model import parse_workbook, serialize_workbook
+from gridaudit.rules import RULE_IDS
 from gridaudit.simlab import SeedSpec, generate_clean, seed_defects, truth_to_json
 
 from helpers import wb_from
@@ -84,6 +87,19 @@ def test_out_of_range_number_literal_exits_two(tmp_path, capsys):
     wb = wb_from({"A1": "=1e400"})
     assert main(["audit", str(write_workbook(tmp_path, wb))]) == 2
     assert "S1!A1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["audit", "risk", "plan", "graph-dump", "snapshot"])
+def test_integer_too_large_for_a_float_exits_two(tmp_path, capsys, command):
+    path = write_workbook(tmp_path, wb_from({"A1": 1.0}, outputs=("S1!A1",)))
+    doc = path.read_text(encoding="utf-8").replace('"v": 1', '"v": 1' + "0" * 400)
+    path.write_text(doc, encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    assert "cell S1!A1: number too large for a float" in capsys.readouterr().err
+    # past the int parser's digit limit, the document itself is unreadable
+    path.write_text(doc.replace("0" * 400, "0" * 5000), encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 def test_unknown_config_section_exits_two(tmp_path, capsys):
@@ -238,6 +254,35 @@ def test_fixed_timestamp_makes_runs_identical(tmp_path):
     assert а.read_bytes() == b.read_bytes()
 
 
+TEN_CLASSES = tuple((cls, 0.1) for cls in RULE_IDS if cls != "VERSION_NAME")
+
+
+# sha256 of the machine report of seeded simlab books, pinned so that any
+# change to a report shows at once. A change that means to alter reports
+# updates these digests and says so in CHANGES.md.
+@pytest.mark.parametrize("topology, formulas, inputs, seed, protection, digest", [
+    ("chain", 60, 6, 4, False,
+     "59617c8919c4a0c019a59f6ea268d85bc7b73dbf2fcd282331e2cf84955fad51"),
+    ("tree", 120, 20, 5, False,
+     "ed4fc1c984b42d38f815d3d234489a3da08062ff8aceb067d12849b9d0115113"),
+    ("grid", 150, 10, 6, True,
+     "f8ea842d2993d9bce9cd18bf74dece1f0a226bb8b64d89feb665746a6a50ee82"),
+])
+def test_machine_report_digest_is_pinned(tmp_path, capsys, topology, formulas, inputs,
+                                         seed, protection, digest):
+    spec = SeedSpec(topology, formulas, inputs, error_rate=0.3,
+                    defect_mix=TEN_CLASSES, rng_seed=seed)
+    wb = seed_defects(generate_clean(spec), spec).workbook
+    wb = dataclasses.replace(
+        wb, meta=dataclasses.replace(wb.meta, protection_enabled=protection))
+    path = write_workbook(tmp_path, wb)
+    capsys.readouterr()
+    assert main(["audit", str(path), "--format", "machine", "--fixed-timestamp"]) == 1
+    out = capsys.readouterr().out
+    assert len(json.loads(out)["findings"]) > 10
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_out_file_with_human_format_still_prints_text(tmp_path, capsys):
     path = clean_chain(tmp_path)
     report = tmp_path / "audit.report"
@@ -300,6 +345,25 @@ def test_recheck_snapshot_not_utf8_exits_two(tmp_path, capsys):
     bad.write_bytes(b"\xe9")
     assert main(["recheck", str(path), "--snapshot", str(bad)]) == 2
     assert "snapshot is not UTF-8" in capsys.readouterr().err
+
+
+def test_recheck_snapshot_number_not_a_finite_float_exits_two(tmp_path, capsys):
+    path = clean_chain(tmp_path)
+    snap = tmp_path / "big.snap"
+    assert main(["snapshot", str(path), "--out", str(snap)]) == 0
+    doc = json.loads(snap.read_text(encoding="utf-8"))
+    doc["inputs"]["Model!A1"] = 10 ** 400
+    snap.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["recheck", str(path), "--snapshot", str(snap)]) == 2
+    assert "number too large for a float" in capsys.readouterr().err
+    # an Infinity output is within any tolerance of every number, so it
+    # would match whatever the book computes
+    del doc["inputs"]["Model!A1"]
+    doc["outputs"] = {key: float("inf") for key in doc["outputs"]}
+    snap.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["recheck", str(path), "--snapshot", str(snap)]) == 2
+    assert "non-finite number" in capsys.readouterr().err
 
 
 # --- diff / threeway ----------------------------------------------------------
@@ -389,6 +453,16 @@ def test_reconcile_hasty_inspector_exits_one(tmp_path, capsys):
     assert "hasty: rushed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("minutes", [float("nan"), float("inf")])
+def test_reconcile_non_finite_duration_exits_two(tmp_path, capsys, minutes):
+    # a session of unbounded length could never be flagged as hasty
+    path = clean_chain(tmp_path)
+    s = write_session(tmp_path, "rushed", "M1",
+                      [{"cell": "Model!A5", "note": "", "suspectedClass": None}], minutes)
+    assert main(["reconcile", str(path), "M1", str(s)]) == 2
+    assert "duration_minutes must be finite" in capsys.readouterr().err
+
+
 def test_reconcile_unknown_module_exits_two(tmp_path, capsys):
     path = clean_chain(tmp_path)
     s = write_session(tmp_path, "ana", "M9", [], 40.0)
@@ -451,6 +525,16 @@ def test_seed_bad_mix_exits_two(tmp_path, capsys):
                "--workbook-out", str(tmp_path / "x.json")])
     assert rc == 2
     assert "mix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mix", ['{"JAMMED": "x"}', '{"JAMMED": 1' + "0" * 400 + "}",
+                                 '{"JAMMED": NaN}'])
+def test_seed_mix_weights_must_be_numbers(tmp_path, capsys, mix):
+    rc = main(["seed", "--topology", "chain", "--formulas", "10",
+               "--inputs", "2", "--mix", mix,
+               "--workbook-out", str(tmp_path / "x.json")])
+    assert rc == 2
+    assert "weights must be" in capsys.readouterr().err
 
 
 def test_mc_matches_closed_form(capsys):

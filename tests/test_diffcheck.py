@@ -238,6 +238,13 @@ def test_entry_dict_round_trip():
     with pytest.raises(InvalidConfig):
         entry_from_dict({"location": "S1!A1", "kind": "renamed",
                          "before": None, "after": None, "class": None})
+    good = diff(a, b)[0].to_dict()
+    for bad, where in (({}, "'kind'"), ({"kind": "added"}, "location"),
+                       ({**good, "before": 5}, "cell content"),
+                       ({**good, "after": {"value": [1]}}, "cell content"),
+                       ("x", "object")):
+        with pytest.raises(InvalidConfig, match=where):
+            entry_from_dict(bad)  # type: ignore[arg-type]
 
 
 def test_three_way_dict_round_trip():
@@ -246,3 +253,11 @@ def test_three_way_dict_round_trip():
                           wb_from({"A1": 6.0, "B1": 1.0}))
     doc = json.loads(json.dumps(res.to_dict()))
     assert three_way_result_from_dict(doc) == res
+    conflict = doc["conflicting"][0]
+    for bad, where in (({}, "agreeing"), ({**doc, "agreeing": 5}, "agreeing"),
+                       ({**doc, "conflicting": [{}]}, "location"),
+                       ({**doc, "conflicting": [{**conflict, "second": 5}]}, "object"),
+                       ({**doc, "agreeing": [{}]}, "'kind'"),
+                       (None, "object")):
+        with pytest.raises(InvalidConfig, match=where):
+            three_way_result_from_dict(bad)  # type: ignore[arg-type]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
 
 from gridaudit.engine import (
@@ -445,3 +448,17 @@ def test_snapshot_json_roundtrip():
 def test_parse_snapshot_rejects_malformed_documents(doc, message):
     with pytest.raises(MalformedDocument, match=message):
         parse_snapshot(doc)
+
+
+def test_parse_snapshot_rejects_numbers_that_are_not_finite_floats():
+    doc = {"version": 1, "workbook": "b", "createdAt": "t",
+           "inputs": {"S1!A1": 10 ** 400}, "outputs": {}}
+    with pytest.raises(MalformedDocument, match="number too large for a float"):
+        parse_snapshot(json.dumps(doc))
+    for value in (math.inf, -math.inf, math.nan):
+        doc["inputs"]["S1!A1"] = value
+        with pytest.raises(MalformedDocument, match="non-finite number"):
+            parse_snapshot(json.dumps(doc))
+    doc["inputs"]["S1!A1"] = 10 ** 4000
+    with pytest.raises(MalformedDocument, match="not valid JSON"):
+        parse_snapshot(json.dumps(doc).replace("1" + "0" * 4000, "1" + "0" * 5000))

@@ -166,6 +166,15 @@ def test_plan_dict_round_trip():
         plan_from_dict({"modules": [], "teamSize": 3, "rateCap": 100,
                         "sessionCapMinutes": 120, "roundsRecommended": 3,
                         "surprise": 1})
+    good = p.to_dict()
+    module = good["modules"][0]
+    for bad, where in (({}, "modules"), ({**good, "teamSize": "x"}, "teamSize"),
+                       ({**good, "modules": 5}, "modules"),
+                       ({**good, "modules": [{}]}, "'id'"),
+                       ({**good, "modules": [{**module, "formulaCount": None}]}, "formulaCount"),
+                       ("x", "object")):
+        with pytest.raises(InvalidConfig, match=where):
+            plan_from_dict(bad)  # type: ignore[arg-type]
 
 
 # --- Sessions -----------------------------------------------------------------
@@ -175,6 +184,10 @@ def test_session_validation():
         SessionFindings("", "M1", (), 60.0)
     with pytest.raises(InvalidConfig):
         SessionFindings("ana", "M1", (), 0.0)
+    for minutes in ("NaN", "Infinity"):
+        with pytest.raises(InvalidConfig, match="finite"):
+            session_from_dict({"inspectorId": "ana", "moduleId": "M1", "items": [],
+                               "durationMinutes": json.loads(minutes)})
     with pytest.raises(InvalidConfig, match="durationMinutes"):
         session_from_dict({"inspectorId": "ana", "moduleId": "M1", "items": []})
     with pytest.raises(InvalidConfig, match="items"):

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import json
+import random
+import tempfile
+import warnings
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridaudit.rules as rules_mod
+from gridaudit.cli import main
 from gridaudit.engine import EvalPlan, evaluate
 from gridaudit.errors import InvalidConfig
 from gridaudit.graph import build_graph
-from gridaudit.model import CellContent, parse_qualified
+from gridaudit.model import CellContent, col_to_letters, parse_qualified
 from gridaudit.rules import (
     RULE_IDS,
     Finding,
@@ -178,6 +187,70 @@ def test_hardwired_row_run():
     wb = wb_from({"B2": "=B1*2", "C2": "=C1*2", "D2": 7.5, "E2": "=E1*2"})
     found = hits(run(wb), "HARDWIRED")
     assert [f.location.a1 for f in found] == ["D2"]
+
+
+def _hardwired_reference(grid: dict[tuple[int, int], int | None],
+                         min_run: int) -> dict[tuple[int, int], int]:
+    """Brute force: (row, col) -> form of each constant HARDWIRED flags.
+
+    grid maps a cell to its formula's form, or None for a constant. Along a
+    line, a constant is flagged when two formulas of one form enclose it
+    with no empty cell and no formula of another form between them, and
+    at least min_run formulas of that form from the first to the second.
+    Rows are scanned before columns, and a cell keeps its first flag.
+    """
+    rows = sorted({r for r, _ in grid})
+    cols = sorted({c for _, c in grid})
+    # (index of the coordinate that advances along the line, its cells)
+    lines = ([(1, [(r, c) for c in cols if (r, c) in grid]) for r in rows]
+             + [(0, [(r, c) for r in rows if (r, c) in grid]) for c in cols])
+    out: dict[tuple[int, int], int] = {}
+    for axis, line in lines:
+        for i, first in enumerate(line):
+            form = grid[first]
+            for j in range(i + 1, len(line)):
+                span = line[i:j + 1]
+                if form is None or grid[line[j]] != form:
+                    continue
+                if any(b[axis] != a[axis] + 1 for a, b in zip(span, span[1:])):
+                    continue
+                if any(grid[cell] not in (None, form) for cell in span):
+                    continue
+                if sum(grid[cell] == form for cell in span) < min_run:
+                    continue
+                for cell in span:
+                    if grid[cell] is None:
+                        out.setdefault(cell, form)
+    return out
+
+
+def test_hardwired_matches_brute_force_on_random_lines():
+    rng = random.Random(8)
+    flagged = 0
+    for trial in range(300):
+        forms = rng.choice([2, 3])
+        grid: dict[tuple[int, int], int | None] = {}
+        for r in range(1, rng.randint(2, 5) + 1):
+            for c in range(1, rng.randint(3, 12) + 1):
+                roll = rng.random()
+                if roll < 0.15:
+                    continue  # a gap
+                grid[(r, c)] = None if roll < 0.45 else rng.randrange(forms)
+        cells = {}
+        for (r, c), form in grid.items():
+            # form k reads the cell 30 + k rows below: normal form =R[30+k]C*2
+            cells[f"{col_to_letters(c)}{r}"] = (
+                float(r * 100 + c) + 0.5 if form is None
+                else f"={col_to_letters(c)}{r + 30 + form}*2")
+        min_run = rng.randint(1, 4)
+        cfg = RuleConfig(enabled=frozenset({"HARDWIRED"}), min_run_length_for_hardwire=min_run)
+        got = {(f.location.row, f.location.col): f.evidence["normalForm"]
+               for f in run(wb_from(cells), cfg).findings}
+        want = {cell: f"=R[{30 + form}]C*2"
+                for cell, form in _hardwired_reference(grid, min_run).items()}
+        assert got == want, (trial, cells, min_run)
+        flagged += len(got)
+    assert flagged > 100  # the lines are not all trivially clean
 
 
 def test_jammed_literal_count():
@@ -358,6 +431,23 @@ def test_crashing_rule_reports_internal_findings(monkeypatch):
     assert report.coverage_ok  # the cell was examined, the crash is on record
 
 
+def test_two_cell_rules_crashing_on_one_cell_report_in_rule_order(monkeypatch):
+    wb = wb_from({"A1": "=Data!A1+B9", "B9": 1.0}, extra_sheets={"Data": {"A1": 2.0}})
+
+    def boom(ast):
+        raise RuntimeError("rule bug")
+
+    monkeypatch.setattr(rules_mod, "_class_refs", boom)  # XSHEET_REF's sheet list
+    monkeypatch.setattr(rules_mod, "_flow_offenders", boom)
+    report = run(wb)
+    internal = [(f.location.qualified, f.evidence["rule"])
+                for f in hits(report, "INTERNAL_ERROR")]
+    # RULE_IDS order, not the alphabetical order of the rule names
+    assert internal == [("S1!A1", "XSHEET_REF"), ("S1!A1", "FLOW_VIOLATION")]
+    assert report.coverage_ok
+    assert set(report.examined.values()) == {3}
+
+
 def test_crashing_prepass_breaks_coverage(monkeypatch):
     wb = wb_from({"A1": 1.0})
 
@@ -377,6 +467,8 @@ def test_rule_config_validation():
         RuleConfig(enabled=frozenset({"NOT_A_RULE"}))
     with pytest.raises(InvalidConfig):
         RuleConfig(long_formula_tokens=0)
+    with pytest.raises(InvalidConfig, match="dup_literal_min_magnitude"):
+        rule_config_from_dict({"thresholds": {"dupLiteralMinMagnitude": float("nan")}})
     with pytest.raises(InvalidConfig):
         RuleConfig(severity_overrides=(("JAMMED", "fatal"),))
     with pytest.raises(InvalidConfig):
@@ -422,3 +514,54 @@ def test_finding_round_trip():
                        ("x", "object")):
         with pytest.raises(InvalidConfig, match=where):
             finding_from_dict(bad)  # type: ignore[arg-type]
+
+
+# --- any document: a report or a located error -----------------------------
+
+_HUGE = st.integers(min_value=2 * 10 ** 308, max_value=10 ** 400)  # beyond any float
+_NUMBERS = st.one_of(st.integers(), st.floats(), _HUGE, _HUGE.map(lambda n: -n))
+_FORMULAS = st.one_of(
+    st.sampled_from(["=A1+1", "=SUM(A1:B2)", "=Data!A1*2", "=A2", "=B1-$A$1",
+                     "=AVERAGE(A1:A3)+1500", "=IF(A1>2,A2,B1)", "=A1&\"x\"", "=1/0"]),
+    st.text(alphabet="AB12:$!+-*/(),.\"= SUMIF", max_size=12).map(lambda s: "=" + s))
+_CELLS = st.one_of(
+    st.fixed_dictionaries({"v": st.one_of(_NUMBERS, st.text(max_size=6), st.booleans())},
+                          optional={"locked": st.booleans(),
+                                    "fmt": st.sampled_from(["text", "general"])}),
+    st.fixed_dictionaries({"f": _FORMULAS}, optional={"locked": st.booleans()}),
+    st.dictionaries(st.sampled_from(["v", "f", "locked", "fmt", "x"]),
+                    st.one_of(st.none(), _NUMBERS, st.text(max_size=4)), max_size=3),
+)
+_SHEETS = st.fixed_dictionaries({
+    "name": st.sampled_from(["S1", "Data"] * 4 + [""]),
+    "cells": st.dictionaries(st.sampled_from(["A1", "A2", "A3", "B1", "B2", "a1", "C9"] * 3
+                                             + ["A0", "XFD1048576", "XFE1"]),
+                             _CELLS, max_size=6),
+})
+_WORKBOOKS = st.fixed_dictionaries(
+    {"version": st.sampled_from([1] * 5 + [2]),
+     "name": st.one_of(st.just("book_v1_2026-01-15"), st.text(max_size=8)),
+     "meta": st.fixed_dictionaries(
+         {"modified": st.sampled_from(["2026-01-15T09:30:00"] * 3 + ["yesterday"])},
+         optional={"outputs": st.lists(st.sampled_from(["S1!A1", "Data!A1"] * 3
+                                                       + ["S1!Z9", "A1"]), max_size=2),
+                   "protectionEnabled": st.sampled_from([True, False] * 3 + [1])}),
+     "sheets": st.lists(_SHEETS, max_size=2)},
+    optional={"extra": st.none()})
+_JSON = st.recursive(st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_size=4)),
+                     lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                             st.dictionaries(st.text(max_size=4), inner,
+                                                             max_size=3)),
+                     max_leaves=8)
+# mostly near the format, so that most documents get as far as the cells
+_DOCUMENTS = st.integers(0, 9).flatmap(lambda k: _JSON if k == 0 else _WORKBOOKS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCUMENTS)
+def test_any_workbook_document_audits_or_fails_located(doc):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        path = Path(tmp) / "book.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["audit", str(path), "--format", "machine"]) in (0, 1, 2)
