@@ -19,6 +19,7 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Any, Callable
 
 from . import __version__
 from .diffcheck import DiffEntry, diff, three_way_check
@@ -29,7 +30,6 @@ from .graph import build_graph, chain_stats, dump_edges
 from .inspection import (
     InspectionPlan,
     PlanConfig,
-    SessionFindings,
     plan,
     plan_config_from_dict,
     reconcile,
@@ -53,7 +53,8 @@ from .rules import (
     rule_config_from_dict,
     run_rules,
 )
-from .simlab import SeedSpec, generate_clean, monte_carlo, seed_defects, truth_to_json
+from .simlab import (SeedSpec, generate_clean, monte_carlo, seed_defects, truth_from_dict,
+                     truth_to_json)
 
 FIXED_TIMESTAMP = "1970-01-01T00:00:00"
 
@@ -179,12 +180,13 @@ def _load_json(path: Path, what: str) -> dict[str, object]:
     return doc
 
 
-def _load_session(path: Path) -> SessionFindings:
-    doc = _load_json(path, "session")
+def _load_doc(path: Path, what: str, from_dict: Callable[[dict[str, object]], Any]) -> Any:
+    """A side file read back through its from_dict; errors name the file."""
+    doc = _load_json(path, what)
     try:
-        return session_from_dict(doc)
+        return from_dict(doc)
     except InvalidConfig as exc:
-        raise InvalidConfig(f"session {path}: {exc}") from None
+        raise InvalidConfig(f"{what} {path}: {exc}") from None
 
 
 def _load_config(args: argparse.Namespace) -> dict[str, object]:
@@ -348,7 +350,7 @@ def _cmd_reconcile(args: argparse.Namespace) -> int:
     module = next((m for m in p.modules if m.id == args.module), None)
     if module is None:
         raise ModuleMismatch(f"plan for {wb.name!r} has no module {args.module!r}")
-    sessions = [_load_session(path) for path in args.sessions]
+    sessions = [_load_doc(path, "session", session_from_dict) for path in args.sessions]
     res = reconcile(sessions, module, rate_cap=cfg.rate_cap)
 
     lines = [
@@ -365,9 +367,8 @@ def _cmd_reconcile(args: argparse.Namespace) -> int:
     machine = res.to_dict()
 
     if args.truth is not None:
-        doc = _load_json(args.truth, "truth")
-        cells = [e["cell"] for e in doc.get("entries", ())
-                 if e.get("cell") != "*"]  # workbook-level entries have no cell
+        cells = [t.cell for t in _load_doc(args.truth, "truth", truth_from_dict)
+                 if t.cell != "*"]  # workbook-level entries have no cell
         rep = yield_report(res.union_items, cells)
         lines.append(f"  yield: {rep.yield_fraction:.2f} "
                      f"({len(rep.detected)} of {len(set(cells))} seeded)")

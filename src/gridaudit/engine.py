@@ -31,7 +31,10 @@ Evaluation is non-recursive over the dependency structure: one Tarjan pass
 over the formula cells, whose edges come from formula.references, puts
 every cycle's cells aside and emits the rest precedents-first, which is the
 evaluation order. Ten-thousand-cell chains evaluate without blowing the
-stack.
+stack. Nor does it recurse inside a formula: each formula is one loop over
+the postorder of its class's tree, with a stack of operands, so a sum of
+thousands of terms evaluates in one frame. IF still evaluates only the
+branch it takes, by walking into it, one level per nested IF.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from __future__ import annotations
 import datetime
 import json
 import math
+import operator
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -54,17 +58,16 @@ from .errors import (
 from .graph import tarjan_sccs as _tarjan_sccs
 from .formula import (
     BinaryOp,
-    BooleanLiteral,
     CellRef,
     Expr,
     FormulaAst,
     FunctionCall,
-    NumberLiteral,
     RangeRef,
-    TextLiteral,
     UnaryOp,
+    _moved,
     canonical_number,
     parse_workbook_formulas,
+    postorder,
     references,
 )
 from .model import (
@@ -127,19 +130,6 @@ class _Err(Exception):
 
     def __init__(self, error: ErrorValue):
         self.error = error
-
-
-def render_value(v: Value | None) -> str:
-    """Stable human rendering of a computed value."""
-    if v is None:
-        return ""
-    if isinstance(v, ErrorValue):
-        return v.code
-    if isinstance(v, bool):
-        return "TRUE" if v else "FALSE"
-    if isinstance(v, float):
-        return canonical_number(v)
-    return v
 
 
 def value_to_json(v: Value) -> Any:
@@ -211,217 +201,187 @@ class _SheetIndex:
 # --- evaluator ---------------------------------------------------------------
 
 
+# An operand on the evaluator's stack: a value, or a reference that its
+# consumer reads in its own way (an aggregate skips text, an operator coerces).
+_Operand = Union[Value, CellRef, RangeRef]
+
+
 class _Evaluator:
+    """Evaluates formulas over a value map. A formula is read as its class's
+    tree at the formula's offset, which sheet, dr and dc hold during run."""
+
     def __init__(self, values: dict[CellAddress, Value], indexes: dict[str, _SheetIndex]):
         self.values = values
         self.indexes = indexes
+        self.sheet = ""
+        self.dr = self.dc = 0
 
-    # -- coercions
+    def run(self, ast: FormulaAst) -> Value:
+        """The value of one formula; an error is a value here."""
+        self.sheet = ast.host.sheet
+        self.dr, self.dc = ast.offset
+        try:
+            return self.eval(ast.cls.root)  # type: ignore[arg-type]
+        except _Err as err:
+            return err.error
 
-    def as_number(self, v: Value | None) -> float:
-        if isinstance(v, ErrorValue):
-            raise _Err(v)
-        if isinstance(v, bool):
-            return 1.0 if v else 0.0
+    def eval(self, root: Expr) -> Value:
+        """The value of a tree: each node in postorder takes its operands
+        off the stack and leaves its value there.
+
+        A node that fails leaves its error there, raised again when its
+        consumer reads it; consumers read operands in order, so the first
+        error in reading order wins ("abc"+1/0 is #VALUE!). An IF's
+        branches are not in the walk: IF evaluates the one it takes, the
+        only recursion, one level per nested IF.
+        """
+        stack: list[_Operand] = []
+        for node in postorder(root, branches=False):
+            kind = type(node)
+            v: _Operand
+            try:
+                if kind is BinaryOp:
+                    right = stack.pop()
+                    v = self.binary(node.op, stack.pop(), right)  # type: ignore[union-attr]
+                elif kind is FunctionCall:
+                    n = 1 if node.name == "IF" else len(node.args)  # type: ignore[union-attr]
+                    args = stack[-n:]
+                    del stack[-n:]
+                    v = self.call(node, args)  # type: ignore[arg-type]
+                elif kind is UnaryOp:
+                    v = self.as_number(stack.pop())
+                    v = -v if node.op == "-" else v  # type: ignore[union-attr]
+                elif kind is CellRef or kind is RangeRef:
+                    v = node  # type: ignore[assignment]
+                else:  # a literal
+                    v = node.value  # type: ignore[union-attr]
+            except _Err as err:
+                v = err.error
+            stack.append(v)
+        v = self.scalar(stack[0])
+        return 0.0 if v is None else v
+
+    # -- reading operands
+
+    def scalar(self, v: _Operand) -> Value | None:
+        """An operand's scalar value: a cell reference gives its cell's value
+        (None when empty, so each consumer applies its own empty rule), a
+        range has none, and an error is raised."""
+        kind = type(v)
+        if kind is CellRef:
+            return self.resolve_cell(v)  # type: ignore[arg-type]
+        if kind is RangeRef:
+            raise _Err(VALUE_ERR)
+        if kind is ErrorValue:
+            raise _Err(v)  # type: ignore[arg-type]
+        return v  # type: ignore[return-value]
+
+    def as_number(self, v: _Operand) -> float:
+        if type(v) is not float:
+            v = self.scalar(v)
         if isinstance(v, float):
             return v
+        if isinstance(v, bool):
+            return 1.0 if v else 0.0
         if v is None:
             return 0.0
-        parsed = parse_numeric_text(v)
+        parsed = parse_numeric_text(v)  # type: ignore[arg-type]
         if parsed is None:
             raise _Err(VALUE_ERR)
         return parsed
 
-    def as_text(self, v: Value | None) -> str:
-        if isinstance(v, ErrorValue):
-            raise _Err(v)
+    def as_text(self, v: _Operand) -> str:
+        v = self.scalar(v)
         if v is None:
             return ""
         if isinstance(v, bool):
             return "TRUE" if v else "FALSE"
         if isinstance(v, float):
             return canonical_number(v)
-        return v
+        return v  # type: ignore[return-value]
 
-    def as_logical(self, v: Value | None) -> bool:
-        if isinstance(v, ErrorValue):
-            raise _Err(v)
+    def as_logical(self, v: _Operand) -> bool:
+        v = self.scalar(v)
         if isinstance(v, bool):
             return v
         if isinstance(v, float):
             return v != 0.0
         if v is None:
             return False
-        s = v.strip().upper()
+        s = v.strip().upper()  # type: ignore[union-attr]
         if s == "TRUE":
             return True
         if s == "FALSE":
             return False
         raise _Err(VALUE_ERR)
 
-    # -- reference resolution
+    # -- reference resolution, at the offset of the formula being run
 
-    def resolve_cell(self, node: CellRef, host: CellAddress) -> Value | None:
-        sheet = node.sheet if node.sheet is not None else host.sheet
-        if node.row > MAX_ROW or node.col > MAX_COL:
+    def resolve_cell(self, node: CellRef) -> Value | None:
+        row = node.row if node.abs_row else node.row + self.dr
+        col = node.col if node.abs_col else node.col + self.dc
+        sheet = node.sheet if node.sheet is not None else self.sheet
+        if row > MAX_ROW or col > MAX_COL or sheet not in self.indexes:
             raise _Err(REF_ERR)
-        if sheet not in self.indexes:
-            raise _Err(REF_ERR)
-        v = self.values.get((sheet, node.row, node.col))  # equals its CellAddress
+        v = self.values.get((sheet, row, col))  # equals its CellAddress
         if isinstance(v, ErrorValue):
             raise _Err(v)
         return v
 
-    def iter_range(self, node: RangeRef, host: CellAddress) -> Iterator[Value]:
-        sheet = node.sheet if node.sheet is not None else host.sheet
-        if node.r2 > MAX_ROW or node.c2 > MAX_COL:
+    def iter_range(self, node: RangeRef) -> Iterator[Value]:
+        r1, c1, r2, c2 = _moved(node, self.dr, self.dc)
+        if r2 > MAX_ROW or c2 > MAX_COL:
             raise _Err(REF_ERR)
-        index = self.indexes.get(sheet)
+        index = self.indexes.get(node.sheet if node.sheet is not None else self.sheet)
         if index is None:
             raise _Err(REF_ERR)
-        for addr in index.iter_box(node.r1, node.c1, node.r2, node.c2):
+        for addr in index.iter_box(r1, c1, r2, c2):
             v = self.values[addr]
             if isinstance(v, ErrorValue):
                 raise _Err(v)
             yield v
 
-    # -- expression evaluation
-
-    def eval(self, node: Expr, host: CellAddress) -> Value:
-        if isinstance(node, NumberLiteral):
-            return node.value
-        if isinstance(node, TextLiteral):
-            return node.value
-        if isinstance(node, BooleanLiteral):
-            return node.value
-        if isinstance(node, CellRef):
-            v = self.resolve_cell(node, host)
-            return 0.0 if v is None else v
-        if isinstance(node, RangeRef):
-            raise _Err(VALUE_ERR)  # a bare range has no scalar value
-        if isinstance(node, UnaryOp):
-            v = self.as_number(self.eval(node.operand, host))
-            return -v if node.op == "-" else v
-        if isinstance(node, BinaryOp):
-            return self.eval_binary(node, host)
-        if isinstance(node, FunctionCall):
-            return self.eval_call(node, host)
-        raise TypeError(f"unknown node {node!r}")
-
-    def eval_binary(self, node: BinaryOp, host: CellAddress) -> Value:
-        op = node.op
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            return self.compare(op, node, host)
+    def binary(self, op: str, left: _Operand, right: _Operand) -> Value:
+        if op in _COMPARISONS:
+            return _compare(op, self.scalar(left), self.scalar(right))
         if op == "&":
-            return self.as_text(self.eval_scalar(node.left, host)) + self.as_text(
-                self.eval_scalar(node.right, host)
-            )
-        a = self.as_number(self.eval_scalar(node.left, host))
-        b = self.as_number(self.eval_scalar(node.right, host))
-        if op == "+":
-            r = a + b
-        elif op == "-":
-            r = a - b
-        elif op == "*":
-            r = a * b
-        elif op == "/":
-            if b == 0.0:
-                raise _Err(DIV0)
-            r = a / b
-        elif op == "^":
-            r = self.power(a, b)
-        else:
-            raise TypeError(f"unknown operator {op!r}")
+            return self.as_text(left) + self.as_text(right)
+        r = _ARITHMETIC[op](self.as_number(left), self.as_number(right))
         if not math.isfinite(r):
             raise _Err(VALUE_ERR)
         return r
 
-    @staticmethod
-    def power(a: float, b: float) -> float:
-        if a == 0.0 and b == 0.0:
-            return 1.0
-        if a == 0.0 and b < 0.0:
-            raise _Err(DIV0)
-        try:
-            r = a**b
-        except OverflowError:
-            raise _Err(VALUE_ERR) from None
-        except ZeroDivisionError:
-            raise _Err(DIV0) from None
-        if isinstance(r, complex):  # negative base, fractional exponent
-            raise _Err(VALUE_ERR)
-        return float(r)
-
-    def eval_scalar(self, node: Expr, host: CellAddress) -> Value | None:
-        """Evaluate in scalar context; empty cell references stay None so
-        each consumer applies its own empty rule."""
-        if isinstance(node, CellRef):
-            return self.resolve_cell(node, host)
-        return self.eval(node, host)
-
-    def compare(self, op: str, node: BinaryOp, host: CellAddress) -> bool:
-        left = self.eval_scalar(node.left, host)
-        right = self.eval_scalar(node.right, host)
-        if left is None and right is None:
-            left = right = 0.0
-        elif left is None:
-            left = _zero_like(right)
-        elif right is None:
-            right = _zero_like(left)
-        lrank, rrank = _type_rank(left), _type_rank(right)
-        if lrank != rrank:
-            if op == "=":
-                return False
-            if op == "<>":
-                return True
-            cmp = -1 if lrank < rrank else 1
-        else:
-            lk = left.casefold() if isinstance(left, str) else left
-            rk = right.casefold() if isinstance(right, str) else right
-            cmp = 0 if lk == rk else (-1 if lk < rk else 1)
-        if op == "=":
-            return cmp == 0
-        if op == "<>":
-            return cmp != 0
-        if op == "<":
-            return cmp < 0
-        if op == "<=":
-            return cmp <= 0
-        if op == ">":
-            return cmp > 0
-        return cmp >= 0
-
     # -- functions
 
-    def eval_call(self, node: FunctionCall, host: CellAddress) -> Value:
+    def call(self, node: FunctionCall, args: list[_Operand]) -> Value:
+        """Apply a function to its operands; an IF's one operand is its
+        condition, and it evaluates the branch that condition picks."""
         name = node.name
         if name == "IF":
-            cond = self.as_logical(self.eval_scalar(node.args[0], host))
-            if cond:
-                return self.eval(node.args[1], host)
+            if self.as_logical(args[0]):
+                return self.eval(node.args[1])
             if len(node.args) == 3:
-                return self.eval(node.args[2], host)
+                return self.eval(node.args[2])
             return False
         if name in ("AND", "OR"):
             # No short-circuit: arguments are all evaluated, IF is the only
             # lazy form.
-            bools = [self.as_logical(self.eval_scalar(a, host)) for a in node.args]
+            bools = [self.as_logical(a) for a in args]
             return all(bools) if name == "AND" else any(bools)
         if name == "NOT":
-            return not self.as_logical(self.eval_scalar(node.args[0], host))
+            return not self.as_logical(args[0])
         if name == "ABS":
-            return abs(self.as_number(self.eval_scalar(node.args[0], host)))
+            return abs(self.as_number(args[0]))
         if name == "ROUND":
-            x = self.as_number(self.eval_scalar(node.args[0], host))
-            d = int(self.as_number(self.eval_scalar(node.args[1], host)))
+            x = self.as_number(args[0])
+            d = int(self.as_number(args[1]))
             r = _round_half_away(x, d)
             if not math.isfinite(r):  # 1.7e308 rounded to -308 digits
                 raise _Err(VALUE_ERR)
             return r
-        return self.eval_aggregate(name, node.args, host)
+        return self.aggregate(name, args)
 
-    def gather(self, args: tuple[Expr, ...], host: CellAddress,
-               counting: bool) -> list[float]:
+    def gather(self, args: list[_Operand], counting: bool) -> list[float]:
         """Numeric stream feeding an aggregate.
 
         Referenced cells/ranges contribute plain numbers only (text,
@@ -431,29 +391,23 @@ class _Evaluator:
         out: list[float] = []
         for arg in args:
             if isinstance(arg, RangeRef):
-                for v in self.iter_range(arg, host):
-                    if isinstance(v, float) and not isinstance(v, bool):
+                for v in self.iter_range(arg):
+                    if isinstance(v, float):
                         out.append(v)
-                continue
-            if isinstance(arg, CellRef):
-                v = self.resolve_cell(arg, host)
-                if isinstance(v, float) and not isinstance(v, bool):
+            elif isinstance(arg, CellRef):
+                v = self.resolve_cell(arg)
+                if isinstance(v, float):
                     out.append(v)
-                continue
-            v = self.eval_scalar(arg, host)
-            if counting:
-                if isinstance(v, ErrorValue):
-                    raise _Err(v)
-                coerced = _soft_number(v)
+            elif counting:
+                coerced = _soft_number(self.scalar(arg))
                 if coerced is not None:
                     out.append(coerced)
-                continue
-            out.append(self.as_number(v))
+            else:
+                out.append(self.as_number(arg))
         return out
 
-    def eval_aggregate(self, name: str, args: tuple[Expr, ...],
-                       host: CellAddress) -> Value:
-        nums = self.gather(args, host, counting=(name == "COUNT"))
+    def aggregate(self, name: str, args: list[_Operand]) -> Value:
+        nums = self.gather(args, counting=(name == "COUNT"))
         if name == "COUNT":
             return float(len(nums))
         if name in ("SUM", "AVERAGE"):
@@ -481,12 +435,51 @@ def _zero_like(v: Value) -> Value:
     return ""
 
 
-def _type_rank(v: Value) -> int:
+def _order_key(v: Value) -> tuple[int, Value]:
+    """Mixed types order number < text < logical; text ignores case."""
     if isinstance(v, bool):
-        return 2
+        return 2, v
     if isinstance(v, float):
-        return 0
-    return 1
+        return 0, v
+    return 1, v.casefold()  # type: ignore[union-attr]
+
+
+def _compare(op: str, left: Value | None, right: Value | None) -> bool:
+    if left is None and right is None:
+        left = right = 0.0
+    elif left is None:
+        left = _zero_like(right)  # type: ignore[arg-type]
+    elif right is None:
+        right = _zero_like(left)
+    return _COMPARISONS[op](_order_key(left), _order_key(right))  # type: ignore[arg-type]
+
+
+def _divide(a: float, b: float) -> float:
+    if b == 0.0:
+        raise _Err(DIV0)
+    return a / b
+
+
+def _power(a: float, b: float) -> float:
+    if a == 0.0 and b == 0.0:
+        return 1.0
+    if a == 0.0 and b < 0.0:
+        raise _Err(DIV0)
+    try:
+        r = a**b
+    except OverflowError:
+        raise _Err(VALUE_ERR) from None
+    except ZeroDivisionError:
+        raise _Err(DIV0) from None
+    if isinstance(r, complex):  # negative base, fractional exponent
+        raise _Err(VALUE_ERR)
+    return float(r)
+
+
+_COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt, "<=": operator.le,
+                ">": operator.gt, ">=": operator.ge}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide,
+               "^": _power}
 
 
 def _soft_number(v: Value | None) -> float | None:
@@ -641,14 +634,10 @@ class EvalPlan:
             values.update(saved)
 
     def _eval_into(self, addrs: list[CellAddress], values: dict[CellAddress, Value]) -> None:
-        ev = _Evaluator(values, self.indexes)
+        run = _Evaluator(values, self.indexes).run
         asts = self.asts
         for addr in addrs:
-            try:
-                v: Value = ev.eval(asts[addr].root, addr)
-            except _Err as err:
-                v = err.error
-            values[addr] = v
+            values[addr] = run(asts[addr])
 
 
 def evaluate(

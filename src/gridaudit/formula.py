@@ -31,8 +31,9 @@ lexes every formula but parses each copy-translated shape once: the
 repetition SpreadsheetML's shared formulas (<f t="shared">) store one text
 for, and that TACO (Tang et al.) compresses formula graphs by. The copies
 of one shape on one sheet form a formula class; they share its tree, its
-references and its normal form, and a copy's own tree is built only when
-it is read.
+references and its normal form. A copy has no tree of its own: it is read
+as the class tree at the copy's offset. Every walk over a tree is a loop
+over its postorder, so a formula of any length walks in one frame.
 """
 
 from __future__ import annotations
@@ -142,32 +143,29 @@ class FormulaAst:
     so it travels with the tree.
 
     cls is the first copy of the formula's class (see
-    parse_workbook_formulas), itself for a formula parsed on its own; a copy
-    is built from cls instead of a root. The class's tree, references and
-    normal form are computed once, on cls, and a copy's own tree is the
-    class tree shifted to the copy's host, built on first read.
+    parse_workbook_formulas), itself for a formula parsed on its own. Only
+    cls holds a tree (root); a copy has none, and every reader takes the
+    class tree with its relative references moved by the copy's offset.
+    The class's references and normal form are computed once, on cls.
     """
 
-    __slots__ = ("source", "host", "cls", "_root", "_normal", "_refs", "_anchored")
+    __slots__ = ("source", "host", "root", "cls", "_normal", "_refs", "_anchored")
 
     def __init__(self, source: str, host: CellAddress, root: Expr | None = None,
                  cls: FormulaAst | None = None):
         self.source = source
         self.host = host
+        self.root = root
         self.cls = self if cls is None else cls
-        self._root = root
         self._normal: NormalizedFormula | None = None
         self._refs: tuple[CellRef | RangeRef, ...] | None = None
         self._anchored = False
 
     @property
-    def root(self) -> Expr:
-        root = self._root
-        if root is None:
-            cls = self.cls
-            root = self._root = _shift(cls.root, self.host.row - cls.host.row,
-                                       self.host.col - cls.host.col)
-        return root
+    def offset(self) -> tuple[int, int]:
+        """How many rows down and columns right of its class's host it sits."""
+        cls_host = self.cls.host
+        return self.host.row - cls_host.row, self.host.col - cls_host.col
 
     @property
     def normal(self) -> NormalizedFormula:
@@ -281,16 +279,9 @@ def _lex(src: str, host: CellAddress) -> tuple[list[_Token], tuple]:
 
 # Deepest nesting of parentheses, function calls and unary signs a formula
 # may have. Desktop spreadsheets stop function nesting at 64; the bound also
-# keeps the parser and every recursive tree walk well inside Python's
-# recursion limit.
+# keeps the parser, and the evaluator's walk into a taken IF branch, well
+# inside Python's recursion limit.
 MAX_NESTING = 64
-
-# Greatest height of a formula's tree, counted in operators, unary signs and
-# calls from the root down to the deepest operand. A chain such as
-# A1+A1+...+A1 needs no nesting but builds one level per operator, and every
-# tree walk recurses that deep; evaluation takes up to five stack frames a
-# level, so the deepest tree stays well inside the default recursion limit.
-MAX_DEPTH = 128
 
 # Binary operators by precedence level, loosest first; all left-associative.
 _LEVEL = {
@@ -303,7 +294,8 @@ _LEVEL = {
 
 
 class _Parser:
-    """Recursive descent; each parse method returns (expr, tree height)."""
+    """Recursive descent; it recurses only into a nesting level, so an
+    operator chain of any length parses in a loop."""
 
     def __init__(self, tokens: list[_Token], host: CellAddress):
         self.tokens = tokens
@@ -335,55 +327,45 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise FormulaSyntaxError(f"nesting deeper than {MAX_NESTING} levels", tok[2])
 
-    @staticmethod
-    def taller(height: int, tok: _Token) -> int:
-        """The height of a node over a subtree of the given height, made at tok."""
-        if height >= MAX_DEPTH:
-            raise FormulaSyntaxError(
-                f"more than {MAX_DEPTH} levels of operators and calls", tok[2])
-        return height + 1
-
     def parse(self) -> Expr:
-        expr, _height = self.binary(1)
+        expr = self.binary(1)
         kind, text, offset, _ = self.cur
         if kind != "EOF":
             raise FormulaSyntaxError(f"unexpected trailing input {text!r}", offset)
         return expr
 
-    def binary(self, min_level: int) -> tuple[Expr, int]:
+    def binary(self, min_level: int) -> Expr:
         """Operands joined by operators of min_level or tighter (precedence
         climbing over _LEVEL); "-2^2" is (-2)^2, since unary binds tighter."""
-        left, height = self.unary()
+        left = self.unary()
         while True:
             tok = self.tokens[self.pos]
             level = _LEVEL.get(tok[1]) if tok[0] == "OP" else None
             if level is None or level < min_level:
-                return left, height
+                return left
             self.pos += 1
-            right, right_height = self.binary(level + 1)
-            height = self.taller(max(height, right_height), tok)
-            left = BinaryOp(tok[1], left, right)
+            left = BinaryOp(tok[1], left, self.binary(level + 1))
 
-    def unary(self) -> tuple[Expr, int]:
+    def unary(self) -> Expr:
         tok = self.tokens[self.pos]
         if tok[0] == "OP" and tok[1] in ("-", "+"):
             self.pos += 1
             self.nest(tok)
-            operand, height = self.unary()
+            operand = self.unary()
             self.depth -= 1
-            return UnaryOp(tok[1], operand), self.taller(height, tok)
+            return UnaryOp(tok[1], operand)
         return self.primary()
 
-    def primary(self) -> tuple[Expr, int]:
+    def primary(self) -> Expr:
         tok = self.tokens[self.pos]
         kind, text, offset, value = tok
         self.pos += 1
         if kind == "REF":
-            return self.ref_or_range(None, tok), 0
+            return self.ref_or_range(None, tok)
         if kind == "NUMBER":
-            return NumberLiteral(value), 0  # type: ignore[arg-type]
+            return NumberLiteral(value)  # type: ignore[arg-type]
         if kind == "STRING":
-            return TextLiteral(value), 0  # type: ignore[arg-type]
+            return TextLiteral(value)  # type: ignore[arg-type]
         if kind == "OP" and text == "(":
             self.nest(tok)
             inner = self.binary(1)
@@ -396,20 +378,20 @@ class _Parser:
                 raise FormulaSyntaxError("expected cell reference after sheet qualifier",
                                          ref[2])
             self.advance()
-            return self.ref_or_range(value, ref), 0  # type: ignore[arg-type]
+            return self.ref_or_range(value, ref)  # type: ignore[arg-type]
         if kind == "NAME":
             if self.at_op("("):
                 return self.funcall(tok)
             upper = text.upper()
             if upper == "TRUE":
-                return BooleanLiteral(True), 0
+                return BooleanLiteral(True)
             if upper == "FALSE":
-                return BooleanLiteral(False), 0
+                return BooleanLiteral(False)
             raise UnknownName(f"unknown name {text!r} (named ranges are not supported)",
                               offset)
         raise FormulaSyntaxError(f"unexpected token {text or 'end'!r}", offset)
 
-    def funcall(self, name_tok: _Token) -> tuple[Expr, int]:
+    def funcall(self, name_tok: _Token) -> Expr:
         _, text, offset, _ = name_tok
         name = text.upper()
         if name not in SUPPORTED_FUNCTIONS:
@@ -417,12 +399,9 @@ class _Parser:
         self.expect_op("(")
         self.nest(name_tok)
         args: list[Expr] = []
-        height = 0
         if not self.at_op(")"):
             while True:
-                arg, arg_height = self.binary(1)
-                args.append(arg)
-                height = max(height, arg_height)
+                args.append(self.binary(1))
                 if not self.at_op(","):
                     break
                 self.advance()
@@ -432,7 +411,7 @@ class _Parser:
         if len(args) < lo or (hi is not None and len(args) > hi):
             wants = f"{lo}" if hi == lo else (f"{lo}..{hi}" if hi else f">={lo}")
             raise FormulaSyntaxError(f"{name} takes {wants} argument(s), got {len(args)}", offset)
-        return FunctionCall(name, tuple(args)), self.taller(height, name_tok)
+        return FunctionCall(name, tuple(args))
 
     def ref_or_range(self, sheet: str | None, first: _Token) -> Expr:
         r1, c1, a_r1, a_c1 = _split_ref(first)
@@ -488,21 +467,32 @@ def _moved(node: CellRef | RangeRef, dr: int, dc: int) -> tuple[int, int, int, i
             node.c2 if node.abs_c2 else node.c2 + dc)
 
 
-def _shift(node: Expr, dr: int, dc: int) -> Expr:
-    """The tree a copy dr rows down and dc columns right holds."""
-    if isinstance(node, CellRef):
-        row, col, _, _ = _moved(node, dr, dc)
-        return CellRef(node.sheet, row, col, node.abs_row, node.abs_col)
-    if isinstance(node, RangeRef):
-        return RangeRef(node.sheet, *_moved(node, dr, dc),
-                        node.abs_r1, node.abs_c1, node.abs_r2, node.abs_c2)
-    if isinstance(node, UnaryOp):
-        return UnaryOp(node.op, _shift(node.operand, dr, dc))
-    if isinstance(node, BinaryOp):
-        return BinaryOp(node.op, _shift(node.left, dr, dc), _shift(node.right, dr, dc))
-    if isinstance(node, FunctionCall):
-        return FunctionCall(node.name, tuple(_shift(arg, dr, dc) for arg in node.args))
-    return node
+def postorder(root: Expr, branches: bool = True) -> list[Expr]:
+    """Every node of a tree, each after the operands it takes, in reading order.
+
+    The one walk over formula trees, and a loop, so a tree of any height
+    walks in one frame. With branches False, an IF takes only its
+    condition: its second and third arguments are left out, with all below
+    them, for the evaluator to walk when it takes one.
+    """
+    out: list[Expr] = []  # filled in reverse: a node, then its operands right to left
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        kind = type(node)
+        if kind is BinaryOp:
+            stack.append(node.left)  # type: ignore[union-attr]
+            stack.append(node.right)  # type: ignore[union-attr]
+        elif kind is FunctionCall:
+            if branches or node.name != "IF":  # type: ignore[union-attr]
+                stack += node.args  # type: ignore[union-attr]
+            else:
+                stack.append(node.args[0])  # type: ignore[union-attr]
+        elif kind is UnaryOp:
+            stack.append(node.operand)  # type: ignore[union-attr]
+    out.reverse()
+    return out
 
 
 # --- Rendering ------------------------------------------------------------
@@ -532,50 +522,58 @@ def _render_corner(row: int, col: int, a_r: bool, a_c: bool, host: CellAddress,
     return _r1c1_axis("R", row, a_r, host.row) + _r1c1_axis("C", col, a_c, host.col)
 
 
-def _render_ref(node: CellRef | RangeRef, host: CellAddress, style: str) -> str:
-    """A reference in A1 or host-relative R1C1 style; a range is two corners."""
+def _render_ref(node: CellRef | RangeRef, host: CellAddress, dr: int, dc: int,
+                style: str) -> str:
+    """A reference moved dr rows and dc columns, in A1 or host-relative R1C1
+    style; a range is two corners."""
+    r1, c1, r2, c2 = _moved(node, dr, dc)
     prefix = "" if node.sheet is None else quote_sheet(node.sheet) + "!"
     if isinstance(node, CellRef):
-        return prefix + _render_corner(node.row, node.col, node.abs_row, node.abs_col,
-                                       host, style)
-    return (prefix + _render_corner(node.r1, node.c1, node.abs_r1, node.abs_c1, host, style)
-            + ":" + _render_corner(node.r2, node.c2, node.abs_r2, node.abs_c2, host, style))
+        return prefix + _render_corner(r1, c1, node.abs_row, node.abs_col, host, style)
+    return (prefix + _render_corner(r1, c1, node.abs_r1, node.abs_c1, host, style)
+            + ":" + _render_corner(r2, c2, node.abs_r2, node.abs_c2, host, style))
 
 
-def _render(node: Expr, host: CellAddress, style: str, parent_level: int,
-            right_child: bool) -> str:
-    if isinstance(node, NumberLiteral):
-        return canonical_number(node.value)
-    if isinstance(node, TextLiteral):
-        return '"' + node.value.replace('"', '""') + '"'
-    if isinstance(node, BooleanLiteral):
-        return "TRUE" if node.value else "FALSE"
-    if isinstance(node, (CellRef, RangeRef)):
-        return _render_ref(node, host, style)
-    if isinstance(node, FunctionCall):
-        args = ",".join(_render(a, host, style, 0, False) for a in node.args)
-        return f"{node.name}({args})"
-    if isinstance(node, UnaryOp):
-        inner = _render(node.operand, host, style, _UNARY_LEVEL, False)
-        text = node.op + inner
-        if parent_level > _UNARY_LEVEL:
-            return f"({text})"
-        return text
-    if isinstance(node, BinaryOp):
-        level = _LEVEL[node.op]
-        left = _render(node.left, host, style, level, False)
-        right = _render(node.right, host, style, level, True)
-        text = f"{left}{node.op}{right}"
-        if level < parent_level or (level == parent_level and right_child):
-            return f"({text})"
-        return text
-    raise TypeError(f"unknown node: {node!r}")
+def _render(nodes: list[Expr], host: CellAddress, dr: int, dc: int, style: str) -> str:
+    """The text of a tree from its postorder, references moved dr rows and dc
+    columns. Each operand's stack entry keeps its precedence level, so its
+    consumer adds parentheses only where precedence requires them."""
+    stack: list[tuple[str, int]] = []
+    for node in nodes:
+        if isinstance(node, BinaryOp):
+            level = _LEVEL[node.op]
+            right, right_level = stack.pop()
+            left, left_level = stack.pop()
+            if left_level < level:
+                left = f"({left})"
+            if right_level <= level:  # left-associative: a right operand at par groups
+                right = f"({right})"
+            stack.append((left + node.op + right, level))
+        elif isinstance(node, UnaryOp):
+            inner, inner_level = stack.pop()
+            if inner_level < _UNARY_LEVEL:
+                inner = f"({inner})"
+            stack.append((node.op + inner, _UNARY_LEVEL))
+        elif isinstance(node, FunctionCall):
+            n = len(node.args)  # never 0: every function takes an argument
+            args = ",".join(text for text, _level in stack[-n:])
+            del stack[-n:]
+            stack.append((f"{node.name}({args})", _ATOM_LEVEL))
+        elif isinstance(node, NumberLiteral):
+            stack.append((canonical_number(node.value), _ATOM_LEVEL))
+        elif isinstance(node, TextLiteral):
+            stack.append(('"' + node.value.replace('"', '""') + '"', _ATOM_LEVEL))
+        elif isinstance(node, BooleanLiteral):
+            stack.append(("TRUE" if node.value else "FALSE", _ATOM_LEVEL))
+        else:
+            stack.append((_render_ref(node, host, dr, dc, style), _ATOM_LEVEL))
+    return stack[0][0]
 
 
 def render(ast: FormulaAst) -> str:
     """Render back to A1-style source. parse(render(ast)) is structurally
     equal to ast; parentheses appear only where precedence requires them."""
-    return "=" + _render(ast.root, ast.host, "a1", 0, False)
+    return "=" + _render(postorder(ast.cls.root), ast.host, *ast.offset, "a1")
 
 
 # --- Normal form -------------------------------------------------------------
@@ -608,22 +606,6 @@ class NormalizedFormula:
     forward_refs: tuple[int, ...]
 
 
-def _walk(node: Expr, out: list[Expr] | None = None) -> list[Expr]:
-    """Every node of a tree, parents before children, in reading order."""
-    if out is None:
-        out = []
-    out.append(node)
-    if isinstance(node, BinaryOp):
-        _walk(node.left, out)
-        _walk(node.right, out)
-    elif isinstance(node, UnaryOp):
-        _walk(node.operand, out)
-    elif isinstance(node, FunctionCall):
-        for arg in node.args:
-            _walk(arg, out)
-    return out
-
-
 def _class_refs(ast: FormulaAst) -> tuple[CellRef | RangeRef, ...]:
     """The references of ast's class tree in reading order, at the class's host.
 
@@ -635,7 +617,8 @@ def _class_refs(ast: FormulaAst) -> tuple[CellRef | RangeRef, ...]:
     cls = ast.cls
     refs = cls._refs
     if refs is None:
-        refs = tuple(node for node in _walk(cls.root) if isinstance(node, (CellRef, RangeRef)))
+        refs = tuple(node for node in postorder(cls.root)
+                     if isinstance(node, (CellRef, RangeRef)))
         if ast is not cls:
             cls._refs = refs
             cls._anchored = any(
@@ -656,9 +639,7 @@ def references(ast: FormulaAst) -> Iterator[tuple[str, int, int, int, int]]:
     references, walked once, shifted to the host.
     """
     host = ast.host
-    cls = ast.cls
-    dr = host.row - cls.host.row
-    dc = host.col - cls.host.col
+    dr, dc = ast.offset
     for node in _class_refs(ast):
         yield (node.sheet if node.sheet is not None else host.sheet, *_moved(node, dr, dc))
 
@@ -685,10 +666,15 @@ def _reach(ast: FormulaAst) -> dict[str, object]:
 
 
 def normalize(ast: FormulaAst) -> NormalizedFormula:
-    """The normal form of a formula; read it as ast.normal, which keeps it."""
-    nodes = _walk(ast.root)  # every node is one counted token; parens and commas are not nodes
+    """The normal form of a formula; read it as ast.normal, which keeps it.
+
+    A copy's R1C1 text is its class's: relative parts are offsets from the
+    host, which the copy shares, and absolute parts do not move.
+    """
+    cls = ast.cls
+    nodes = postorder(cls.root)  # every node is one counted token; parens and commas are not
     return NormalizedFormula(
-        text="=" + _render(ast.root, ast.host, "r1c1", 0, False),
+        text="=" + _render(nodes, cls.host, 0, 0, "r1c1"),
         literals=tuple(node.value for node in nodes if isinstance(node, NumberLiteral)),
         token_count=len(nodes),
         **_reach(ast),  # type: ignore[arg-type]

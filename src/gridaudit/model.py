@@ -64,7 +64,6 @@ class UnknownFieldWarning(UserWarning):
 
 _CELL_KEY_RE = re.compile(r"^([A-Za-z]{1,3})([0-9]{1,7})$")
 _BARE_SHEET_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_A1_REF_RE = re.compile(r"^(\$?)([A-Za-z]{1,3})(\$?)([0-9]{1,7})$")
 
 
 def col_to_letters(col: int) -> str:
@@ -122,19 +121,6 @@ class CellAddress(_Coordinates):
         return self.row <= MAX_ROW and self.col <= MAX_COL
 
 
-@dataclass(frozen=True)
-class A1Ref:
-    """A parsed A1-style reference: address plus absolute-marker flags.
-
-    The $-markers are presentation state, kept apart from the coordinates
-    so address math never has to strip them.
-    """
-
-    address: CellAddress
-    abs_row: bool = False
-    abs_col: bool = False
-
-
 def quote_sheet(name: str) -> str:
     """Render a sheet name for qualified addresses, quoting when needed."""
     if _BARE_SHEET_RE.match(name):
@@ -186,25 +172,6 @@ def _split_sheet_prefix(text: str) -> tuple[str | None, str]:
             raise InvalidAddress(f"bad sheet name: {name!r}")
         return name, rest
     return None, text
-
-
-def parse_a1(text: str, host: CellAddress) -> A1Ref:
-    """Parse an A1-style reference with optional sheet qualifier and $-markers.
-
-    An unqualified reference resolves to the host's sheet. Grid caps are
-    enforced here; formula evaluation has its own #REF! path for
-    out-of-bounds references and does not come through this function.
-    """
-    sheet, rest = _split_sheet_prefix(text)
-    m = _A1_REF_RE.match(rest)
-    if not m:
-        raise InvalidAddress(f"bad A1 reference: {text!r}")
-    col = letters_to_col(m.group(2))
-    row = int(m.group(4))
-    addr = CellAddress(sheet if sheet is not None else host.sheet, row, col)
-    if not addr.in_bounds():
-        raise InvalidAddress(f"address out of grid bounds: {text!r}")
-    return A1Ref(addr, abs_row=bool(m.group(3)), abs_col=bool(m.group(1)))
 
 
 def parse_qualified(text: str) -> CellAddress:
@@ -261,13 +228,6 @@ class CellContent:
             and isinstance(self.value, float)
             and not isinstance(self.value, bool)
             and self.number_format != "text"
-        )
-
-    @property
-    def is_text(self) -> bool:
-        return self.value is not None and (
-            isinstance(self.value, str)
-            or (isinstance(self.value, float) and self.number_format == "text")
         )
 
 

@@ -30,14 +30,15 @@ from .errors import InvalidConfig, config_value
 from .formula import (
     AGGREGATE_FUNCTIONS,
     BinaryOp,
-    Expr,
     FormulaAst,
     FunctionCall,
     RangeRef,
     UnaryOp,
     _class_refs,
+    _moved,
     canonical_number,
     parse_workbook_formulas,
+    postorder,
     references,
 )
 from .graph import DepGraph, orphan_formulas
@@ -246,25 +247,31 @@ def _textual_number(cell: CellContent) -> float | None:
     return None
 
 
-def _aggregate_ranges(ast: FormulaAst) -> list[RangeRef]:
+def _aggregate_boxes(ast: FormulaAst) -> list[tuple[str, int, int, int, int]]:
+    """Boxes (sheet, r1, c1, r2, c2) of the ranges an aggregate reads; the
+    stack holds each operand's ranges that no aggregate has taken yet."""
     found: list[RangeRef] = []
-
-    def go(node: Expr, inside: bool) -> None:
+    stack: list[list[RangeRef]] = []
+    for node in postorder(ast.cls.root):  # type: ignore[arg-type]
         if isinstance(node, RangeRef):
-            if inside:
-                found.append(node)
-        elif isinstance(node, FunctionCall):
-            inner = inside or node.name in AGGREGATE_FUNCTIONS
-            for arg in node.args:
-                go(arg, inner)
-        elif isinstance(node, UnaryOp):
-            go(node.operand, inside)
+            stack.append([node])
         elif isinstance(node, BinaryOp):
-            go(node.left, inside)
-            go(node.right, inside)
-
-    go(ast.root, False)
-    return found
+            right = stack.pop()
+            stack[-1] = stack[-1] + right
+        elif isinstance(node, FunctionCall):
+            n = len(node.args)
+            ranges = [rng for operand in stack[-n:] for rng in operand]
+            del stack[-n:]
+            if node.name in AGGREGATE_FUNCTIONS:
+                found += ranges
+                ranges = []
+            stack.append(ranges)
+        elif not isinstance(node, UnaryOp):  # a unary sign keeps its operand's
+            stack.append([])
+    sheet = ast.host.sheet
+    dr, dc = ast.offset
+    return [(rng.sheet if rng.sheet is not None else sheet, *_moved(rng, dr, dc))
+            for rng in found]
 
 
 def _num_as_text_findings(wb: Workbook,
@@ -283,12 +290,11 @@ def _num_as_text_findings(wb: Workbook,
     indexes = sheet_indexes(wb)
     hosts_of: dict[CellAddress, set[CellAddress]] = {}
     for host, ast in asts.items():
-        for rng in _aggregate_ranges(ast):
-            sheet = rng.sheet if rng.sheet is not None else host.sheet
+        for sheet, r1, c1, r2, c2 in _aggregate_boxes(ast):
             index = indexes.get(sheet)
             if index is None:
                 continue
-            for addr in index.iter_box(rng.r1, rng.c1, rng.r2, rng.c2):
+            for addr in index.iter_box(r1, c1, r2, c2):
                 if addr in candidates:
                     hosts_of.setdefault(addr, set()).add(host)
 

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import EmptyTruth, InvalidConfig, config_value
+from .errors import EmptyTruth, InvalidAddress, InvalidConfig, config_value
 from .formula import canonical_number, parse_workbook_formulas
 from .model import (
     CellAddress,
@@ -28,6 +28,7 @@ from .model import (
     Workbook,
     WorkbookMeta,
     col_to_letters,
+    parse_qualified,
 )
 from .risk import RiskParams, detection_yield
 from .rules import RULE_IDS
@@ -144,6 +145,36 @@ def truth_to_json(seeded: SeededWorkbook) -> str:
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _truth_cell(v: object) -> str:
+    """A seeded cell as written: "*" or a qualified address."""
+    if not isinstance(v, str):
+        raise TypeError(v)
+    if v != "*":
+        try:
+            parse_qualified(v)
+        except InvalidAddress:
+            raise ValueError(v) from None
+    return v
+
+
+def _defect_class(v: object) -> str:
+    if v not in RULE_IDS:
+        raise ValueError(v)
+    return v  # type: ignore[return-value]
+
+
+def _truth_entry(raw: object) -> TruthEntry:
+    where = "truth entry"
+    return TruthEntry(cell=config_value(raw, "cell", _truth_cell, where),
+                      defect_class=config_value(raw, "class", _defect_class, where),
+                      original=config_value(raw, "original", str, where))
+
+
+def truth_from_dict(d: dict[str, object]) -> tuple[TruthEntry, ...]:
+    """The entries of a truth document as truth_to_json writes it."""
+    return config_value(d, "entries", lambda v: tuple(map(_truth_entry, v)), "truth")
 
 
 # --- Clean generation -------------------------------------------------------

@@ -212,35 +212,31 @@ def test_audit_parses_each_cell_key_once(tmp_path, monkeypatch, capsys):
     assert len(calls) <= wb.total_cell_count + 3 * len(wb.meta.outputs)
 
 
-def _deep_book(tmp_path: Path, links: int, nested: bool) -> Path:
-    """A1 = 1 and output B1 = a formula whose tree is links levels deep:
-    a flat sum, or SUM calls nested to the limit around a comparison chain
-    (the most stack frames per level when evaluated)."""
+def _deep_book(tmp_path: Path, terms: int, nested: bool) -> Path:
+    """A1 = 1 and output B1 = a chain of terms references to A1: a flat sum,
+    or a comparison chain inside SUM( and IF(TRUE, calls, alternating,
+    nested to the limit (the evaluator walks into each taken IF branch)."""
     if nested:
         calls = formula.MAX_NESTING - 1
-        src = ("=" + "SUM(" * calls + "=".join(["A1"] * (links - calls + 1))
-               + ")" * calls)
+        openers = "".join("SUM(" if i % 2 else "IF(TRUE," for i in range(calls))
+        src = "=" + openers + "=".join(["A1"] * terms) + ")" * calls
     else:
-        src = "=" + "+".join(["A1"] * (links + 1))
+        src = "=" + "+".join(["A1"] * terms)
     return write_workbook(tmp_path, wb_from({"A1": 1.0, "B1": src}, outputs=("S1!B1",)),
-                          f"deep{links}.json")
+                          f"deep{terms}.json")
 
 
 @pytest.mark.parametrize("nested", [False, True])
 def test_deepest_formula_runs_through_every_command(tmp_path, capsys, nested):
-    path = _deep_book(tmp_path, formula.MAX_DEPTH, nested)
+    # Only nesting is bounded; a 2000-term chain is a tree 1999 levels high.
+    path = _deep_book(tmp_path, 2000, nested)
     snap = tmp_path / "deep.snapshot.json"
     assert main(["snapshot", str(path), "--out", str(snap)]) == 0
+    assert parse_snapshot(snap.read_text()).outputs == {"S1!B1": 0.0 if nested else 2000.0}
     assert main(["recheck", str(path), "--snapshot", str(snap)]) == 0
     assert main(["audit", str(path)]) in (0, 1)
     for command in ("graph-dump", "plan", "risk"):
         assert main([command, str(path)]) == 0
-    deeper = _deep_book(tmp_path, formula.MAX_DEPTH + 1, nested)
-    capsys.readouterr()
-    for argv in (["snapshot", str(deeper)], ["recheck", str(deeper), "--snapshot", str(snap)],
-                 ["audit", str(deeper)], ["graph-dump", str(deeper)], ["plan", str(deeper)]):
-        assert main(argv) == 2
-        assert f"more than {formula.MAX_DEPTH} levels" in capsys.readouterr().err
 
 
 def test_fixed_timestamp_makes_runs_identical(tmp_path):
@@ -485,6 +481,29 @@ def test_reconcile_with_truth_reports_yield(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     expected = 2 / len(seeded.truth)
     assert doc["yield"]["yieldFraction"] == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("truth_doc, message", [
+    ({"entries": 5}, "truth 'entries' has a bad value 5"),
+    ({"entries": [5]}, "truth entry must be an object"),
+    ({"entries": [{"class": "JAMMED", "original": ""}]}, "truth entry lacks 'cell'"),
+    ({"entries": [{"cell": ["Model!A5"], "class": "JAMMED", "original": ""}]},
+     "truth entry 'cell' has a bad value"),
+    ({"entries": [{"cell": 5, "class": "JAMMED", "original": ""}]},
+     "truth entry 'cell' has a bad value 5"),
+    ({"entries": [{"cell": "nonsense", "class": "JAMMED", "original": ""}]},
+     "truth entry 'cell' has a bad value 'nonsense'"),
+    ({"entries": [{"cell": "Model!A5", "class": "TYPO", "original": ""}]},
+     "truth entry 'class' has a bad value 'TYPO'"),
+    ({"workbook": "w"}, "truth lacks 'entries'"),
+])
+def test_reconcile_malformed_truth_exits_two(tmp_path, capsys, truth_doc, message):
+    path = clean_chain(tmp_path)
+    s = write_session(tmp_path, "ana", "M1", [], 40.0)
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps(truth_doc), encoding="utf-8")
+    assert main(["reconcile", str(path), "M1", str(s), "--truth", str(truth)]) == 2
+    assert f"error: truth {truth}: {message}" in capsys.readouterr().err
 
 
 # --- seed / mc ----------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import random
 
 import pytest
 
+import gridaudit.engine as engine_mod
 from gridaudit.engine import (
     CYCLE_ERR,
     DIV0,
@@ -20,17 +23,17 @@ from gridaudit.engine import (
     parse_numeric_text,
     parse_snapshot,
     recheck,
-    render_value,
     snapshot,
     snapshot_to_json,
+    value_to_json,
     values_match,
 )
 from gridaudit.errors import MalformedDocument, MissingInputCell, NoDeclaredOutputs, OutputIsError
-from gridaudit.formula import parse_workbook_formulas
+from gridaudit.formula import FormulaAst, parse_workbook_formulas, render
 from gridaudit.graph import build_graph, chain_stats
-from gridaudit.model import CellAddress, CellContent
+from gridaudit.model import CellAddress, CellContent, Workbook, col_to_letters
 from gridaudit.simlab import SeedSpec, generate_clean, seed_defects
-from helpers import wb_from
+from helpers import random_expr, translate_expr, wb_from
 
 
 def val(wb, a1: str, sheet: str = "S1"):
@@ -152,6 +155,19 @@ def test_if_is_lazy_and_or_are_not():
     assert formula_result("=IF(FALSE,1)") is False  # missing else
     assert formula_result("=AND(FALSE,1/0)") == DIV0
     assert formula_result("=OR(TRUE,1/0)") == DIV0
+
+
+def test_if_never_reads_the_branch_it_does_not_take(monkeypatch):
+    def no_range_read(*_args):
+        raise AssertionError("an untaken branch read a range")
+
+    monkeypatch.setattr(engine_mod._Evaluator, "iter_range", no_range_read)
+    cells = {"A1": 1.0, "A2": 2.0}
+    assert formula_result("=IF(TRUE,1,SUM(A1:A2))", cells) == 1.0
+    assert formula_result("=IF(A1>5,SUM(A1:A2)/0,2)+IF(FALSE,COUNT(A1:A2))", cells) == 2.0
+    assert formula_result("=SUM(IF(A1,IF(A2<0,MAX(A1:A2),3),MIN(A1:A2)),1)", cells) == 4.0
+    with pytest.raises(AssertionError, match="untaken"):  # a taken branch does read
+        formula_result("=IF(TRUE,SUM(A1:A2))", cells)
 
 
 def test_if_condition_coercion():
@@ -314,6 +330,54 @@ def test_long_chain_no_recursion_limit():
     assert val(wb, f"A{n}") == float(n)
 
 
+def _random_book(seed: int) -> Workbook:
+    """Constants of every kind, error cells, a cycle and depth-4 random
+    formulas pasted as copies, on S1 and two sheets its references name."""
+    rng = random.Random(seed)
+
+    def constant() -> object:
+        kind = rng.randrange(5)
+        if kind == 0:
+            return rng.choice(["12", " 3.5", "abc", "TRUE", "", "1e400"])
+        if kind == 1:
+            return CellContent(value=float(rng.randint(0, 99)), number_format="text",
+                               locked=True)
+        if kind == 2:
+            return rng.random() < 0.5
+        return rng.choice([0.0, 1.0, -2.5, 7.0, 1e300, float(rng.randint(-50, 50))])
+
+    cells: dict[str, object] = {f"{col_to_letters(rng.randint(1, 14))}{rng.randint(1, 14)}":
+                                constant() for _ in range(60)}
+    for _ in range(8):
+        expr = random_expr(rng, depth=4, coord_span=12)
+        row, col = rng.randint(1, 8), rng.randint(1, 8)
+        for _ in range(4):
+            dr, dc = rng.randint(0, 5), rng.randint(0, 5)
+            host = CellAddress("S1", row + dr, col + dc)
+            cells[host.a1] = render(FormulaAst("=", host, translate_expr(expr, dr, dc)))
+    cells.update({"P1": "=1/0", "P2": '="abc"+1', "P3": "=Nowhere!A1", "P4": "=P1+P2",
+                  "Q1": "=Q2+1", "Q2": "=Q1*2", "Q3": "=SUM(Q1:Q2)"})
+    data = {f"A{r}": constant() for r in range(1, 13)}
+    data.update({"B1": "=SUM(A1:A12)", "B2": "=S1!A1&A2", "B3": "=COUNT(S1!A1:C14)"})
+    return wb_from(cells, extra_sheets={"Data": data, "it's": {"A1": 5.0, "C3": "=A1*2"}})
+
+
+# sha256 of evaluate() over seeded random books, values in address order,
+# pinned so that any change to a value shows at once. A change that means
+# to alter values updates these and says so in CHANGES.md.
+@pytest.mark.parametrize("seed, digest", [
+    (1, "6051921730f1fd3c8f6a5aa7830248a89cb3811617e534a61e55f14a73095d14"),
+    (2, "2423ee68c2556f356f9d47dc15039dac7492edfa268168379ad4833052093983"),
+    (3, "2f249594fc1e5fbab739587df0f512f6ce80c39873ae53ddd04bdb00e7c9d249"),
+    (4, "5efc7260029774eb321b9676a80fecbe7a32ff39399b0bbdbf99addbfa9cce41"),
+])
+def test_evaluation_digest_is_pinned(seed, digest):
+    values = evaluate(_random_book(seed))
+    doc = [[addr.qualified, value_to_json(values[addr])] for addr in sorted(values)]
+    assert sum(isinstance(v, dict) for _, v in doc) > 5  # error values are there
+    assert hashlib.sha256(json.dumps(doc).encode("utf-8")).hexdigest() == digest
+
+
 def test_evaluate_is_deterministic():
     wb = wb_from({"A1": 2, "A2": "=A1*3", "A3": "=SUM(A1:A2)"})
     assert evaluate(wb) == evaluate(wb)
@@ -329,15 +393,6 @@ def test_evaluate_with_overrides():
 
 
 # --- values and rendering --------------------------------------------------------
-
-def test_render_value():
-    assert render_value(2.0) == "2"
-    assert render_value(2.5) == "2.5"
-    assert render_value(True) == "TRUE"
-    assert render_value("x") == "x"
-    assert render_value(DIV0) == "#DIV/0!"
-    assert render_value(None) == ""
-
 
 def test_values_match_tolerances():
     assert values_match(1.0, 1.0 + 1e-13)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import gridaudit.formula as formula_mod
 from gridaudit.errors import FormulaSyntaxError, UnknownFunction, UnknownName
 from gridaudit.formula import (
-    MAX_DEPTH,
     MAX_NESTING,
     BinaryOp,
     BooleanLiteral,
@@ -26,6 +25,7 @@ from gridaudit.formula import (
     normalize,
     parse_formula,
     parse_workbook_formulas,
+    postorder,
     references,
     render,
     unique_formula_count,
@@ -163,15 +163,25 @@ def test_nesting_depth_is_bounded(opener):
 
 @pytest.mark.parametrize("op", ["+", "&", "<=", "^"])
 def test_operator_chains_are_bounded(op):
-    def chain(links: int) -> str:
-        return "=" + op.join(["A1"] * (links + 1))
+    # Only nesting is bounded: a 2000-term chain, a tree 1999 levels high,
+    # parses, renders and normalizes at the default recursion limit.
+    src = "=" + op.join(["A1"] * 2000)
+    ast = parse_formula(src, B1)
+    assert isinstance(ast.root, BinaryOp) and ast.root.op == op
+    assert render(ast) == src
+    assert ast.normal.token_count == 3999
+    assert len(list(references(ast))) == 2000
 
-    root = parse_formula(chain(MAX_DEPTH), B1).root
-    assert isinstance(root, BinaryOp) and root.op == op
-    with pytest.raises(FormulaSyntaxError) as info:
-        parse_formula(chain(MAX_DEPTH + 1), B1)
-    # At the operator that makes one level too many.
-    assert info.value.offset == len(chain(MAX_DEPTH))
+
+def test_postorder_lists_operands_before_their_node_in_reading_order():
+    root = parse_formula('=IF(A1>1,-B1,"x")*SUM(C1:C2,2)', B1).root
+    a1, one, b1, x, c, two = (CellRef(None, 1, 1), NumberLiteral(1.0), CellRef(None, 1, 2),
+                              TextLiteral("x"), RangeRef(None, 1, 3, 2, 3), NumberLiteral(2.0))
+    cond, neg = BinaryOp(">", a1, one), UnaryOp("-", b1)
+    if_, sum_ = FunctionCall("IF", (cond, neg, x)), FunctionCall("SUM", (c, two))
+    assert postorder(root) == [a1, one, cond, b1, neg, x, if_, c, two, sum_, root]
+    # without branches an IF takes its condition only
+    assert postorder(root, branches=False) == [a1, one, cond, if_, c, two, sum_, root]
 
 
 def test_trailing_garbage_rejected():
@@ -416,7 +426,9 @@ def test_copies_match_a_parse_of_each_cell():
     assert len({ast.cls for ast in asts.values()}) < len(asts)
     for addr, ast in asts.items():
         alone = parse_formula(ast.source, addr)
-        assert ast.root == alone.root, addr
+        assert (ast.root is None) == (ast.cls is not ast), addr  # a copy has no tree
+        assert translate_expr(ast.cls.root, *ast.offset) == alone.root, addr
+        assert render(ast) == render(alone), addr
         assert ast.normal == normalize(alone), addr
         assert list(references(ast)) == list(references(alone)), addr
 
@@ -481,6 +493,7 @@ def test_copies_match_a_parse_of_each_cell_property(seed):
     wb = wb_from(cells)
     for addr, ast in parse_workbook_formulas(wb).items():
         alone = parse_formula(ast.source, addr)
-        assert ast.root == alone.root
+        assert translate_expr(ast.cls.root, *ast.offset) == alone.root
+        assert render(ast) == render(alone)
         assert ast.normal == normalize(alone)
         assert list(references(ast)) == list(references(alone))

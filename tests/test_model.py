@@ -16,7 +16,6 @@ from gridaudit.errors import (
 from gridaudit.model import (
     MAX_COL,
     MAX_ROW,
-    A1Ref,
     CellAddress,
     CellContent,
     Sheet,
@@ -25,15 +24,11 @@ from gridaudit.model import (
     WorkbookMeta,
     col_to_letters,
     letters_to_col,
-    parse_a1,
     parse_cell_key,
     parse_qualified,
     parse_workbook,
     serialize_workbook,
 )
-
-HOST = CellAddress("S1", 5, 3)
-
 
 def make_workbook(cells: dict[str, dict], name: str = "wb_v1_2026-01-15",
                   outputs: list[str] | None = None, protection: bool = False) -> Workbook:
@@ -78,27 +73,13 @@ def test_parse_cell_key_strict():
             parse_cell_key(bad)
 
 
-def test_parse_a1_relative_and_absolute():
-    assert parse_a1("B12", HOST) == A1Ref(CellAddress("S1", 12, 2))
-    assert parse_a1("$A$1", HOST) == A1Ref(CellAddress("S1", 1, 1), abs_row=True, abs_col=True)
-    assert parse_a1("$A1", HOST) == A1Ref(CellAddress("S1", 1, 1), abs_row=False, abs_col=True)
-    assert parse_a1("A$1", HOST) == A1Ref(CellAddress("S1", 1, 1), abs_row=True, abs_col=False)
-
-
-def test_parse_a1_sheet_qualifiers():
-    assert parse_a1("Data!B2", HOST).address == CellAddress("Data", 2, 2)
-    assert parse_a1("'My Data'!B2", HOST).address == CellAddress("My Data", 2, 2)
-    assert parse_a1("'It''s'!A1", HOST).address == CellAddress("It's", 1, 1)
-    with pytest.raises(InvalidAddress):
-        parse_a1("'Unterminated!A1", HOST)
-    with pytest.raises(InvalidAddress):
-        parse_a1("XFE1", HOST)
-
-
 def test_parse_qualified_requires_sheet():
     assert parse_qualified("Summary!B9") == CellAddress("Summary", 9, 2)
-    with pytest.raises(InvalidAddress):
-        parse_qualified("B9")
+    assert parse_qualified("'My Data'!B2") == CellAddress("My Data", 2, 2)
+    assert parse_qualified("'It''s'!A1") == CellAddress("It's", 1, 1)
+    for bad in ("B9", "'Unterminated!A1", "'S1'A1", "''!A1", "Data!XFE1", "Data!$B$2"):
+        with pytest.raises(InvalidAddress):
+            parse_qualified(bad)
 
 
 def test_cell_address_is_a_validated_tuple():
@@ -139,8 +120,6 @@ def test_cell_content_exactly_one_of_value_or_formula():
 
 
 def test_cell_content_numeric_text_flags():
-    assert CellContent(value="500").is_text
-    assert CellContent(value=500.0, number_format="text").is_text
     assert not CellContent(value=500.0, number_format="text").is_number
     assert CellContent(value=500.0).is_number
     assert not CellContent(value=True).is_number

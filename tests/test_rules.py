@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import tempfile
 import warnings
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,7 @@ from gridaudit.cli import main
 from gridaudit.engine import EvalPlan, evaluate
 from gridaudit.errors import InvalidConfig
 from gridaudit.graph import build_graph
-from gridaudit.model import CellContent, col_to_letters, parse_qualified
+from gridaudit.model import CellContent, col_to_letters, parse_qualified, serialize_workbook
 from gridaudit.rules import (
     RULE_IDS,
     Finding,
@@ -26,6 +28,7 @@ from gridaudit.rules import (
     rule_config_from_dict,
     run_rules,
 )
+from gridaudit.simlab import SeedSpec, generate_clean
 from helpers import wb_from
 
 
@@ -557,11 +560,70 @@ _JSON = st.recursive(st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_s
 _DOCUMENTS = st.integers(0, 9).flatmap(lambda k: _JSON if k == 0 else _WORKBOOKS)
 
 
+
+
+def _near(fields: dict, optional: dict | None = None) -> st.SearchStrategy:
+    """Mostly documents shaped like a side file, sometimes any JSON."""
+    shaped = st.fixed_dictionaries(fields, optional=optional or {})
+    return st.integers(0, 4).flatmap(lambda k: _JSON if k == 0 else shaped)
+
+
+_CELL_NAMES = st.one_of(st.sampled_from(["Model!A5", "S1!A1", "*", "A1", "nonsense", "S1!A0"]),
+                        _JSON)
+_SIDE_FILES = st.fixed_dictionaries({
+    "snapshot": _near({"version": st.sampled_from([1, 1, 1, 2]), "workbook": _JSON,
+                       "createdAt": st.sampled_from(["2026-01-15T09:30:00", 5]),
+                       "inputs": st.dictionaries(_CELL_NAMES.filter(lambda c: isinstance(c, str)),
+                                                 _JSON, max_size=3),
+                       "outputs": st.one_of(_JSON, st.dictionaries(
+                           st.sampled_from(["S1!A1", "Data!A1", "Model!A5"]), _JSON, max_size=2))}),
+    "config": _near({}, {"rules": st.dictionaries(
+                             st.sampled_from(["enabled", "thresholds", "severityOverrides",
+                                              "suppressions", "x"]), _JSON, max_size=2),
+                         "plan": st.dictionaries(
+                             st.sampled_from(["targetModuleSize", "rateCap", "rounds", "x"]),
+                             _JSON, max_size=2)}),
+    "session": _near({"inspectorId": _JSON, "moduleId": st.sampled_from(["M1", "M9"]),
+                      "durationMinutes": st.one_of(_NUMBERS, _JSON),
+                      "items": st.one_of(_JSON, st.lists(st.one_of(_JSON, st.fixed_dictionaries(
+                          {"cell": _CELL_NAMES}, optional={"note": _JSON,
+                                                           "suspectedClass": _JSON})),
+                          max_size=2))}),
+    "truth": _near({"entries": st.one_of(_JSON, st.lists(st.one_of(_JSON, st.fixed_dictionaries(
+                        {"cell": _CELL_NAMES},
+                        optional={"class": st.sampled_from(["JAMMED", "TYPO"]),
+                                  "original": _JSON})), max_size=2))},
+                   {"workbook": _JSON}),
+})
+
+
 @settings(max_examples=300, deadline=None)
-@given(doc=_DOCUMENTS)
-def test_any_workbook_document_audits_or_fails_located(doc):
+@given(doc=_DOCUMENTS, side=_SIDE_FILES)
+def test_any_workbook_document_audits_or_fails_located(doc, side):
+    # Every command ends in exit 0, 1 or 2 on the document, and so do the
+    # commands that read a snapshot, config, session or truth file.
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        path = Path(tmp) / "book.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["audit", str(path), "--format", "machine"]) in (0, 1, 2)
+        files = {name: Path(tmp) / f"{name}.json" for name in ("book", *side)}
+        files["book"].write_text(json.dumps(doc), encoding="utf-8")
+        for name, value in side.items():
+            files[name].write_text(json.dumps(value), encoding="utf-8")
+        book, clean = str(files["book"]), str(Path(tmp) / "clean.json")
+        Path(clean).write_text(serialize_workbook(generate_clean(SeedSpec("chain", 6, 2))),
+                               encoding="utf-8")
+        session = Path(tmp) / "ana.session"
+        session.write_text(json.dumps({"inspectorId": "ana", "moduleId": "M1",
+                                       "durationMinutes": 30, "items": []}), encoding="utf-8")
+        own_snapshot = str(Path(tmp) / "own.snapshot.json")
+        for argv in (["audit", book, "--format", "machine"],
+                     ["snapshot", book, "--out", own_snapshot],
+                     ["recheck", book, "--snapshot", own_snapshot],
+                     ["recheck", book, "--snapshot", str(files["snapshot"])],
+                     ["graph-dump", book], ["plan", book], ["risk", book],
+                     ["diff", book, clean], ["threeway", clean, book, book],
+                     ["audit", book, "--config", str(files["config"])],
+                     ["plan", clean, "--config", str(files["config"])],
+                     ["reconcile", clean, "M1", str(files["session"])],
+                     ["reconcile", clean, "M1", str(session), "--truth", str(files["truth"])]):
+            with redirect_stdout(io.StringIO()):
+                assert main(argv) in (0, 1, 2), argv

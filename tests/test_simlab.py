@@ -25,6 +25,7 @@ from gridaudit.simlab import (
     monte_carlo,
     seed_defects,
     spec_from_dict,
+    truth_from_dict,
     truth_to_json,
 )
 
@@ -219,6 +220,14 @@ def test_truth_json_shape():
     assert doc["workbook"] == seeded.workbook.name
     assert len(doc["entries"]) == 10
     assert set(doc["entries"][0]) == {"cell", "class", "original"}
+
+
+def test_truth_round_trips_through_its_dict():
+    spec = SeedSpec("grid", 40, 6, error_rate=0.5,
+                    defect_mix=(("JAMMED", 0.5), ("VERSION_NAME", 0.5)), rng_seed=2)
+    seeded = seed_defects(generate_clean(spec), spec)
+    assert any(t.cell == "*" for t in seeded.truth)
+    assert truth_from_dict(json.loads(truth_to_json(seeded))) == seeded.truth
 
 
 def test_seeded_count_tracks_binomial_mean():
