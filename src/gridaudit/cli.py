@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import json
 import os
 import sys
@@ -224,14 +225,16 @@ def _plan_config(args: argparse.Namespace) -> PlanConfig:
 
 
 def _emit(args: argparse.Namespace, human: str, machine: dict[str, object]) -> None:
-    payload = json.dumps(machine, ensure_ascii=False, indent=2) + "\n"
+    """Write the JSON report to --out, or to stdout in machine format, and the
+    human text to stdout in human format. The JSON is encoded only if written."""
     out: Path | None = getattr(args, "out", None)
-    if out is not None:
-        out.write_text(payload, encoding="utf-8")
-    if args.format == "machine":
-        if out is None:
+    if out is not None or args.format == "machine":
+        payload = json.dumps(machine, ensure_ascii=False, indent=2) + "\n"
+        if out is not None:
+            out.write_text(payload, encoding="utf-8")
+        else:
             sys.stdout.write(payload)
-    else:
+    if args.format != "machine":
         sys.stdout.write(human)
 
 
@@ -549,7 +552,10 @@ def _add_config_flag(sp: argparse.ArgumentParser) -> None:
                     help="config file (also honored via GRIDAUDIT_CONFIG)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as
+    it was, and no argument has a mutable default."""
     parser = argparse.ArgumentParser(
         prog="gridaudit",
         description="Audit spreadsheet workbooks for errors, fraud patterns, "
@@ -567,7 +573,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="stamp reports with a constant time")
     _add_config_flag(audit)
     _add_output_flags(audit)
-    audit.set_defaults(handler=_cmd_audit)
 
     risk = sub.add_parser("risk", help="error-rate arithmetic for one workbook")
     risk.add_argument("workbook", type=Path)
@@ -580,7 +585,6 @@ def _build_parser() -> argparse.ArgumentParser:
     risk.add_argument("--rounds", type=int, default=3)
     _add_config_flag(risk)
     _add_output_flags(risk)
-    risk.set_defaults(handler=_cmd_risk)
 
     plan_cmd = sub.add_parser("plan", help="partition formulas into inspection modules")
     plan_cmd.add_argument("workbook", type=Path)
@@ -591,7 +595,6 @@ def _build_parser() -> argparse.ArgumentParser:
     plan_cmd.add_argument("--rounds", type=int, default=None)
     _add_config_flag(plan_cmd)
     _add_output_flags(plan_cmd)
-    plan_cmd.set_defaults(handler=_cmd_plan)
 
     rec = sub.add_parser("reconcile", help="merge inspector sessions for a module")
     rec.add_argument("workbook", type=Path)
@@ -605,13 +608,11 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--rate-cap", type=float, default=None, dest="rate_cap")
     _add_config_flag(rec)
     _add_output_flags(rec)
-    rec.set_defaults(handler=_cmd_reconcile)
 
     diff_cmd = sub.add_parser("diff", help="cell-level comparison of two workbooks")
     diff_cmd.add_argument("workbook_a", type=Path)
     diff_cmd.add_argument("workbook_b", type=Path)
     _add_output_flags(diff_cmd)
-    diff_cmd.set_defaults(handler=_cmd_diff)
 
     three = sub.add_parser("threeway",
                            help="compare two independent edits against a base")
@@ -619,20 +620,17 @@ def _build_parser() -> argparse.ArgumentParser:
     three.add_argument("copy1", type=Path)
     three.add_argument("copy2", type=Path)
     _add_output_flags(three)
-    three.set_defaults(handler=_cmd_threeway)
 
     snap = sub.add_parser("snapshot", help="freeze inputs and output values")
     snap.add_argument("workbook", type=Path)
     snap.add_argument("--fixed-timestamp", action="store_true")
     _add_output_flags(snap)
-    snap.set_defaults(handler=_cmd_snapshot)
 
     rech = sub.add_parser("recheck", help="re-evaluate against a snapshot")
     rech.add_argument("workbook", type=Path)
     rech.add_argument("--snapshot", type=Path, default=None,
                       help="snapshot file (default: <workbook>.snapshot)")
     _add_output_flags(rech)
-    rech.set_defaults(handler=_cmd_recheck)
 
     seed = sub.add_parser("seed", help="generate a workbook with seeded defects")
     seed.add_argument("--topology", choices=("chain", "tree", "grid"),
@@ -647,7 +645,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       dest="workbook_out")
     seed.add_argument("--truth-out", type=Path, default=None, dest="truth_out")
     _add_output_flags(seed)
-    seed.set_defaults(handler=_cmd_seed)
 
     mc = sub.add_parser("mc", help="Monte Carlo check of the risk closed forms")
     mc.add_argument("--p", type=float, default=0.02)
@@ -657,20 +654,21 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--trials", type=int, default=100_000)
     mc.add_argument("--rng-seed", type=int, default=0, dest="rng_seed")
     _add_output_flags(mc)
-    mc.set_defaults(handler=_cmd_mc)
 
     dump = sub.add_parser("graph-dump", help="print the dependency edge list")
     dump.add_argument("workbook", type=Path)
     _add_output_flags(dump)
-    dump.set_defaults(handler=_cmd_graph_dump)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # Each command runs _cmd_<command>, looked up at the call, not when the
+    # parser was built.
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.handler(args)
+        return handler(args)
     except GridAuditError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

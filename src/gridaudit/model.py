@@ -39,6 +39,8 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring
+from string import ascii_uppercase
 from typing import Any, Iterator, NamedTuple
 
 from .errors import (
@@ -63,6 +65,9 @@ class UnknownFieldWarning(UserWarning):
 
 
 _CELL_KEY_RE = re.compile(r"^([A-Za-z]{1,3})([0-9]{1,7})$")
+# A canonical key: upper-case letters, a row with no leading zero, and
+# nothing after it (\Z, since $ would also match before a final newline).
+_CANONICAL_KEY_RE = re.compile(r"([A-Z]{1,3})([1-9][0-9]{0,6})\Z")
 _BARE_SHEET_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
@@ -141,6 +146,15 @@ def parse_cell_key(key: str) -> tuple[int, int]:
     if row < 1 or row > MAX_ROW or col > MAX_COL:
         raise InvalidAddress(f"address out of grid bounds: {key!r}")
     return row, col
+
+
+def _canonical_key(key: str) -> re.Match[str] | None:
+    """The match of a key already in canonical form within the grid caps
+    ("B12"; not "b12", "B012" or "XFE1"), else None."""
+    m = _CANONICAL_KEY_RE.match(key)
+    if m is None or (len(m[1]) == 3 and m[1] > "XFD") or (len(m[2]) == 7 and m[2] > "1048576"):
+        return None
+    return m
 
 
 def _split_sheet_prefix(text: str) -> tuple[str | None, str]:
@@ -242,9 +256,9 @@ class Sheet:
         if not self.name:
             raise InvalidAddress("empty sheet name")
         for key in self.cells:
-            row, col = parse_cell_key(key)
-            canonical = f"{col_to_letters(col)}{row}"
-            if key != canonical:
+            if _canonical_key(key) is None:
+                row, col = parse_cell_key(key)  # raises for a key off the grid
+                canonical = f"{col_to_letters(col)}{row}"
                 raise InvalidAddress(f"cell key not canonical: {key!r} (want {canonical!r})")
 
     @classmethod
@@ -473,11 +487,16 @@ def parse_workbook(data: str | bytes) -> Workbook:
         cells: dict[str, CellContent] = {}
         pairs: list[tuple[CellAddress, CellContent]] = []
         for key, raw_cell in raw_cells.items():
-            try:
-                row, col = parse_cell_key(key)
-            except InvalidAddress:
-                raise InvalidAddress(f"sheet {sheet_name!r}: bad cell address {key!r}") from None
-            canonical = f"{col_to_letters(col)}{row}"
+            m = _canonical_key(key)
+            if m is not None:
+                canonical, row, col = key, int(m[2]), letters_to_col(m[1])
+            else:
+                try:
+                    row, col = parse_cell_key(key)
+                except InvalidAddress:
+                    raise InvalidAddress(
+                        f"sheet {sheet_name!r}: bad cell address {key!r}") from None
+                canonical = f"{col_to_letters(col)}{row}"
             if canonical in cells:
                 raise InvalidCell(f"sheet {sheet_name!r}: duplicate cell {canonical}")
             content = cells[canonical] = _parse_cell(raw_cell, f"{sheet_name}!{canonical}")
@@ -492,47 +511,62 @@ def parse_workbook(data: str | bytes) -> Workbook:
     )
 
 
-def _constant_to_json(v: Constant) -> Any:
+def _constant_json(v: Constant) -> str:
+    """A constant as JSON text. Integral floats are written as ints; 2^53
+    bounds exact conversion."""
     if isinstance(v, bool):
-        return v
+        return "true" if v else "false"
     if isinstance(v, float):
-        # Integral floats round-trip as ints; 2^53 bounds exact conversion.
         if v == int(v) and abs(v) <= 2**53:
-            return int(v)
-        return v
-    return v
+            return str(int(v))
+        return repr(v)
+    return encode_basestring(v)
 
 
-def workbook_to_dict(wb: Workbook) -> dict[str, Any]:
-    """The canonical dict shape, deterministically ordered."""
-    sheets = []
-    for s in wb.sheets:
-        cells: dict[str, Any] = {}
-        for key in sorted(s.cells, key=lambda k: parse_cell_key(k)):
-            c = s.cells[key]
-            entry: dict[str, Any] = {}
-            if c.is_formula:
-                entry["f"] = c.formula
-            else:
-                entry["v"] = _constant_to_json(c.value)  # type: ignore[arg-type]
-            if c.locked:
-                entry["locked"] = True
-            if c.number_format is not None:
-                entry["fmt"] = c.number_format
-            cells[key] = entry
-        sheets.append({"name": s.name, "cells": cells})
-    return {
-        "version": DOCUMENT_VERSION,
-        "name": wb.name,
-        "meta": {
-            "modified": wb.meta.modified,
-            "outputs": list(wb.meta.outputs),
-            "protectionEnabled": wb.meta.protection_enabled,
-        },
-        "sheets": sheets,
-    }
+def _reading_key(key: str) -> tuple[int, str, int, str]:
+    """Sort key putting canonical keys in (row, col) order without parsing
+    them: rows compare by digit count, then as text (no leading zeros); in
+    one row, the key's length and then its text order the column letters."""
+    digits = key.lstrip(ascii_uppercase)
+    return len(digits), digits, len(key), key
 
 
 def serialize_workbook(wb: Workbook) -> str:
-    """Serialize deterministically; parse(serialize(wb)) == wb."""
-    return json.dumps(workbook_to_dict(wb), ensure_ascii=False, indent=2) + "\n"
+    """Serialize deterministically; parse(serialize(wb)) == wb.
+
+    The text is json.dumps(doc, ensure_ascii=False, indent=2) + "\\n" for
+    the documented shape with each sheet's cells in reading order. It is
+    written in one pass, one chunk per cell, with strings escaped by the
+    json module's own encoder.
+    """
+    enc = encode_basestring
+    meta = wb.meta
+    out = [f'{{\n  "version": {DOCUMENT_VERSION},\n  "name": {enc(wb.name)},\n'
+           f'  "meta": {{\n    "modified": {enc(meta.modified)},\n    "outputs": [']
+    sep = "\n      "
+    for output in meta.outputs:
+        out.append(sep + enc(output))
+        sep = ",\n      "
+    out.append("\n    ]" if meta.outputs else "]")
+    out.append(f',\n    "protectionEnabled": {"true" if meta.protection_enabled else "false"}'
+               f'\n  }},\n  "sheets": [')
+    sheet_sep = "\n    "
+    for sheet in wb.sheets:
+        out.append(f'{sheet_sep}{{\n      "name": {enc(sheet.name)},\n      "cells": {{')
+        sheet_sep = ",\n    "
+        cells = sheet.cells
+        sep = "\n        "
+        for key in sorted(cells, key=_reading_key):
+            c = cells[key]
+            if c.formula is not None:
+                first = f'"f": {enc(c.formula)}'
+            else:
+                first = f'"v": {_constant_json(c.value)}'  # type: ignore[arg-type]
+            locked = ',\n          "locked": true' if c.locked else ""
+            fmt = ("" if c.number_format is None
+                   else f',\n          "fmt": {enc(c.number_format)}')
+            out.append(f'{sep}"{key}": {{\n          {first}{locked}{fmt}\n        }}')
+            sep = ",\n        "
+        out.append("\n      }\n    }" if cells else "}\n    }")
+    out.append("\n  ]\n}\n" if wb.sheets else "]\n}\n")
+    return "".join(out)

@@ -17,7 +17,14 @@ from gridaudit.formula import (
     TextLiteral,
     UnaryOp,
 )
-from gridaudit.model import CellContent, Sheet, Workbook, WorkbookMeta
+from gridaudit.model import (
+    DOCUMENT_VERSION,
+    CellContent,
+    Sheet,
+    Workbook,
+    WorkbookMeta,
+    parse_cell_key,
+)
 
 DEFAULT_MODIFIED = "2026-01-15T09:30:00"
 DEFAULT_NAME = "book_v1_2026-01-15"
@@ -53,6 +60,47 @@ def wb_from(
         sheets=tuple(sheets),
         meta=WorkbookMeta(modified=modified, outputs=outputs, protection_enabled=protection),
     )
+
+
+def reference_document(wb: Workbook) -> dict[str, Any]:
+    """The documented workbook shape as a dict, cells in reading order.
+
+    The serializer's reference: serialize_workbook(wb) must equal
+    json.dumps(reference_document(wb), ensure_ascii=False, indent=2) + "\\n".
+    """
+
+    def constant(v: Any) -> Any:
+        # Integral floats round-trip as ints; 2^53 bounds exact conversion.
+        if isinstance(v, float) and v == int(v) and abs(v) <= 2**53:
+            return int(v)
+        return v
+
+    sheets = []
+    for s in wb.sheets:
+        cells: dict[str, Any] = {}
+        for key in sorted(s.cells, key=parse_cell_key):
+            c = s.cells[key]
+            entry: dict[str, Any] = {}
+            if c.is_formula:
+                entry["f"] = c.formula
+            else:
+                entry["v"] = constant(c.value)
+            if c.locked:
+                entry["locked"] = True
+            if c.number_format is not None:
+                entry["fmt"] = c.number_format
+            cells[key] = entry
+        sheets.append({"name": s.name, "cells": cells})
+    return {
+        "version": DOCUMENT_VERSION,
+        "name": wb.name,
+        "meta": {
+            "modified": wb.meta.modified,
+            "outputs": list(wb.meta.outputs),
+            "protectionEnabled": wb.meta.protection_enabled,
+        },
+        "sheets": sheets,
+    }
 
 
 # --- random expression trees -------------------------------------------------

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridaudit.errors import (
     DanglingOutput,
@@ -29,6 +32,9 @@ from gridaudit.model import (
     parse_workbook,
     serialize_workbook,
 )
+from gridaudit.rules import RULE_IDS
+from gridaudit.simlab import SeedSpec, generate_clean, seed_defects
+from helpers import reference_document
 
 def make_workbook(cells: dict[str, dict], name: str = "wb_v1_2026-01-15",
                   outputs: list[str] | None = None, protection: bool = False) -> Workbook:
@@ -229,6 +235,7 @@ def test_grid_caps_constants():
     assert MAX_ROW == 1_048_576
     assert MAX_COL == 16_384
     assert parse_cell_key(f"XFD{MAX_ROW}") == (MAX_ROW, MAX_COL)
+    assert list(Sheet("S1", {f"XFD{MAX_ROW}": CellContent(value=1.0)}).cells) == [f"XFD{MAX_ROW}"]
 
 
 def test_workbook_helpers():
@@ -267,3 +274,84 @@ def test_meta_modified_must_be_iso():
     with pytest.raises(MalformedDocument):
         WorkbookMeta(modified="yesterday")
     assert WorkbookMeta(modified="2026-01-15T09:30:00").modified_date.isoformat() == "2026-01-15"
+
+
+# --- cell keys ----------------------------------------------------------------
+
+@pytest.mark.parametrize("key, message", [
+    ("B02", "cell key not canonical: 'B02' (want 'B2')"),
+    ("A0", "address out of grid bounds: 'A0'"),
+    ("XFE1", "address out of grid bounds: 'XFE1'"),
+    ("A1048577", "address out of grid bounds: 'A1048577'"),
+    ("AAAA1", "bad cell address: 'AAAA1'"),
+    ("A1\n", "cell key not canonical: 'A1\\n' (want 'A1')"),  # \Z, not $, ends a key
+    ("b2", "cell key not canonical: 'b2' (want 'B2')"),
+])
+def test_sheet_rejects_keys_not_canonical(key, message):
+    with pytest.raises(InvalidAddress) as exc:
+        Sheet("S1", {key: CellContent(value=1.0)})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("key", ["A0", "XFE1", "A1048577", "AAAA1", "a0", ""])
+def test_load_rejects_keys_off_the_grid(key):
+    with pytest.raises(InvalidAddress) as exc:
+        make_workbook({key: {"v": 1}})
+    assert str(exc.value) == f"sheet 'S1': bad cell address {key!r}"
+
+
+@pytest.mark.parametrize("key, canonical", [("b2", "B2"), ("B02", "B2"), ("xfd1048576", "XFD1048576")])
+def test_load_canonicalizes_keys(key, canonical):
+    wb = make_workbook({key: {"v": 1}})
+    assert list(wb.sheets[0].cells) == [canonical]
+    assert [a.a1 for a, _ in wb.iter_cells()] == [canonical]
+
+
+# --- the serializer -------------------------------------------------------------
+
+_TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\ufeffé数'),
+                max_size=10)
+_CONSTANTS = (st.floats(allow_nan=False, allow_infinity=False)
+              | st.sampled_from([-0.0, 2.0**53, -(2.0**53), 2.0**53 + 2, 1e16, 5e-324, 0.1])
+              | st.booleans() | _TEXT)
+_FORMATS = st.sampled_from([None, "text"])
+_CONTENTS = (st.builds(CellContent, value=_CONSTANTS, locked=st.booleans(), number_format=_FORMATS)
+             | st.builds(CellContent, formula=_TEXT.map(lambda t: "=" + t + "1"),
+                         locked=st.booleans(), number_format=_FORMATS))
+_KEYS = st.builds(lambda r, c: f"{col_to_letters(c)}{r}",
+                  st.integers(1, 30) | st.sampled_from([9, 10, 99, 100, MAX_ROW]),
+                  st.integers(1, 30) | st.sampled_from([26, 27, 702, 703, MAX_COL]))
+
+
+@st.composite
+def _workbooks(draw) -> Workbook:
+    sheets = [Sheet(name, cells) for name, cells in draw(st.lists(
+        st.tuples(_TEXT.filter(bool), st.dictionaries(_KEYS, _CONTENTS, max_size=8)),
+        max_size=3, unique_by=lambda s: s[0]))]
+    cells = [CellAddress(s.name, *parse_cell_key(k)).qualified for s in sheets for k in s.cells]
+    outputs = draw(st.lists(st.sampled_from(cells), max_size=3)) if cells else []
+    meta = WorkbookMeta(modified=draw(st.datetimes()).isoformat(), outputs=tuple(outputs),
+                        protection_enabled=draw(st.booleans()))
+    return Workbook(draw(_TEXT), tuple(sheets), meta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wb=_workbooks())
+def test_serializer_writes_what_json_dumps_writes(wb):
+    text = serialize_workbook(wb)
+    assert text == json.dumps(reference_document(wb), ensure_ascii=False, indent=2) + "\n"
+    assert parse_workbook(text) == wb
+    # The writer leaves a sheet's reading order unbuilt.
+    assert not any("reading_order" in s.__dict__ for s in wb.sheets)
+
+
+@pytest.mark.parametrize("topology, inputs, seed, digest", [
+    ("chain", 20, 3, "632330df6e0a146baa4275df50beffa305fdbe036ffcdc030ed43bdfdb533231"),
+    ("tree", 40, 5, "6698e3104e34c5f7c39ae3dc96cb3e34e9cc37fb35238706fbc16184521addef"),
+    ("grid", 12, 7, "a9ec42b8c2ba2b128adb41649b177e88d50032e8c3d220871e280f2dabacf80d"),
+])
+def test_seeded_books_serialize_to_pinned_bytes(topology, inputs, seed, digest):
+    mix = tuple((cls, 1 / len(RULE_IDS)) for cls in RULE_IDS)
+    spec = SeedSpec(topology, 400, inputs, error_rate=0.3, defect_mix=mix, rng_seed=seed)
+    text = serialize_workbook(seed_defects(generate_clean(spec), spec).workbook)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
