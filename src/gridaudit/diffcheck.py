@@ -28,10 +28,6 @@ KINDS = (
     "lockChanged",
 )
 
-_MIRROR = {"added": "removed", "removed": "added",
-           "formulaToConstant": "constantToFormula",
-           "constantToFormula": "formulaToConstant"}
-
 _NUMERIC_TOLERANCE = 1e-12
 
 
@@ -45,10 +41,6 @@ class DiffEntry:
     @property
     def fraud_indicator(self) -> bool:
         return self.kind == "formulaToConstant"
-
-    @property
-    def mirrored_kind(self) -> str:
-        return _MIRROR.get(self.kind, self.kind)
 
     def to_dict(self) -> dict[str, object]:
         return {

@@ -28,7 +28,7 @@ tested rather than left to chance:
   case-insensitively, and coerce an empty operand to the other side's type.
 
 Evaluation is non-recursive over the dependency structure: one Tarjan pass
-over the formula cells, whose edges come from formula.references, puts
+over the formula cells, whose edges come from graph.precedents_of, puts
 every cycle's cells aside and emits the rest precedents-first, which is the
 evaluation order. Ten-thousand-cell chains evaluate without blowing the
 stack. Nor does it recurse inside a formula: each formula is one loop over
@@ -44,7 +44,6 @@ import json
 import math
 import operator
 import re
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from typing import Any, Iterator, Union
@@ -55,6 +54,7 @@ from .errors import (
     NoDeclaredOutputs,
     OutputIsError,
 )
+from .graph import SheetIndex, precedents_of, sheet_indexes
 from .graph import tarjan_sccs as _tarjan_sccs
 from .formula import (
     BinaryOp,
@@ -68,7 +68,6 @@ from .formula import (
     canonical_number,
     parse_workbook_formulas,
     postorder,
-    references,
 )
 from .model import (
     MAX_COL,
@@ -76,7 +75,6 @@ from .model import (
     CellAddress,
     CellContent,
     Constant,
-    Sheet,
     Workbook,
     parse_qualified,
 )
@@ -165,39 +163,6 @@ def value_from_json(raw: Any) -> Value:
     raise MalformedDocument(f"bad value entry: {raw!r}")
 
 
-# --- sheet index -------------------------------------------------------------
-
-
-class _SheetIndex:
-    """Row index over a sheet's non-empty cells for range iteration.
-
-    cells is the sheet's own address objects in reading order, so a range
-    yields the very keys of the value map; rows[k] is an occupied row and
-    its cells are cells[starts[k]:starts[k + 1]].
-    """
-
-    def __init__(self, sheet: Sheet):
-        self.name = sheet.name
-        self.cells = tuple(addr for addr, _content in sheet.reading_order)
-        self.rows: list[int] = []
-        self.starts: list[int] = []
-        for i, addr in enumerate(self.cells):
-            if not self.rows or self.rows[-1] != addr.row:
-                self.rows.append(addr.row)
-                self.starts.append(i)
-        self.starts.append(len(self.cells))
-
-    def iter_box(self, r1: int, c1: int, r2: int, c2: int) -> Iterator[CellAddress]:
-        """Non-empty cells inside the box, reading order."""
-        cells, name, starts = self.cells, self.name, self.starts
-        for k in range(bisect_left(self.rows, r1), bisect_right(self.rows, r2)):
-            row = self.rows[k]
-            # Addresses are (sheet, row, col) tuples and sort like them.
-            a = bisect_left(cells, (name, row, c1), starts[k], starts[k + 1])
-            b = bisect_right(cells, (name, row, c2), a, starts[k + 1])
-            yield from cells[a:b]
-
-
 # --- evaluator ---------------------------------------------------------------
 
 
@@ -210,7 +175,7 @@ class _Evaluator:
     """Evaluates formulas over a value map. A formula is read as its class's
     tree at the formula's offset, which sheet, dr and dc hold during run."""
 
-    def __init__(self, values: dict[CellAddress, Value], indexes: dict[str, _SheetIndex]):
+    def __init__(self, values: dict[CellAddress, Value], indexes: dict[str, SheetIndex]):
         self.values = values
         self.indexes = indexes
         self.sheet = ""
@@ -503,29 +468,6 @@ def _round_half_away(x: float, digits: int) -> float:
 # --- dependency ordering -----------------------------------------------------
 
 
-def sheet_indexes(wb: Workbook) -> dict[str, _SheetIndex]:
-    """One range index per sheet, keyed by sheet name."""
-    return {s.name: _SheetIndex(s) for s in wb.sheets}
-
-
-def _formula_precedents(ast: FormulaAst, indexes: dict[str, _SheetIndex],
-                        keep: set[CellAddress]) -> set[CellAddress]:
-    """The cells in keep that the formula references.
-
-    keep holds the formula cells, plus any constants being watched; empty
-    cells are never in it, so a box only visits its occupied cells. A box
-    beyond the grid or on a missing sheet gives nothing: the evaluator
-    reads that whole reference as #REF! without reading a cell.
-    """
-    out: set[CellAddress] = set()
-    for sheet, r1, c1, r2, c2 in references(ast):
-        index = indexes.get(sheet)
-        if index is None or r2 > MAX_ROW or c2 > MAX_COL:
-            continue
-        out.update(addr for addr in index.iter_box(r1, c1, r2, c2) if addr in keep)
-    return out
-
-
 class EvalPlan:
     """The value-independent half of evaluation, built once per formula set.
 
@@ -535,44 +477,46 @@ class EvalPlan:
     evaluates the whole book; eval_cells() re-evaluates a few cells against
     a changed input without touching the rest.
 
-    watch names constant cells whose forward cone (cone()) is wanted. Their
-    direct readers come from the same reference walk that builds the
-    formula adjacency.
+    Order and cycles come from the formulas' precedents (graph.precedents_of),
+    which a caller that has built the graph of the same formulas passes in.
+    watch names constant cells whose forward cone (cone()) is wanted.
     """
 
     def __init__(self, wb: Workbook, asts: dict[CellAddress, FormulaAst],
                  watch: frozenset[CellAddress] = frozenset(),
-                 indexes: dict[str, _SheetIndex] | None = None):
+                 indexes: dict[str, SheetIndex] | None = None,
+                 precedents: dict[CellAddress, frozenset[CellAddress]] | None = None):
         self.wb = wb
         self.asts = asts
         self.indexes = sheet_indexes(wb) if indexes is None else indexes
-        formula_set = set(asts)
-        keep = formula_set | watch if watch else formula_set
-        adj = {addr: _formula_precedents(ast, self.indexes, keep)
-               for addr, ast in asts.items()}
+        if precedents is None:
+            precedents = {addr: precedents_of(ast, self.indexes)[0]
+                          for addr, ast in asts.items()}
         self._readers: dict[CellAddress, list[CellAddress]] = {}
         if watch:
-            for addr, precs in adj.items():
+            for addr, precs in precedents.items():
                 for cell in precs & watch:
                     self._readers.setdefault(cell, []).append(addr)
-                precs -= watch
 
         # Components come out precedents-first, so each cell's off-cycle
         # precedents are already in order when it is reached. Roots in
         # reading order (that of asts) keep the search shallow on books
-        # whose formulas read the cells above or to their left.
+        # whose formulas read the cells above or to their left. The other
+        # cells the search reaches have no precedents, and are passed over.
         self.in_cycle: set[CellAddress] = set()
         self.order: list[CellAddress] = []
         self.dependents: dict[CellAddress, list[CellAddress]] = {}
-        for comp, is_cycle in _tarjan_sccs(asts, adj):
+        for comp, is_cycle in _tarjan_sccs(asts, precedents):
+            if comp[0] not in asts:
+                continue
             if is_cycle:
                 self.in_cycle.update(comp)
                 continue
             addr = comp[0]
             self.order.append(addr)
             self.dependents[addr] = []
-            for prec in adj[addr]:
-                if prec not in self.in_cycle:
+            for prec in precedents[addr]:
+                if prec in self.dependents:  # an off-cycle formula, ordered already
                     self.dependents[prec].append(addr)
         self._position: dict[CellAddress, int] | None = None
 

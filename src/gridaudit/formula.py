@@ -634,9 +634,9 @@ def references(ast: FormulaAst) -> Iterator[tuple[str, int, int, int, int]]:
     """Every reference of a formula as a box (sheet, r1, c1, r2, c2).
 
     Reading order; an unqualified reference carries the host sheet, and a
-    cell reference is a 1x1 box. This is the one walk the dependency graph
-    and the evaluator's ordering both take their edges from: the class's
-    references, walked once, shifted to the host.
+    cell reference is a 1x1 box: the class's references, walked once,
+    shifted to the host. graph.precedents_of, which the dependency graph
+    and the evaluator's ordering both take their edges from, reads them.
     """
     host = ast.host
     dr, dc = ast.offset

@@ -1,28 +1,91 @@
 """Dependency graph over workbook cells, stored as each formula's precedents.
 
-Nodes are every defined cell plus every referenced cell (including empty
-ones: a formula may depend on a blank that someone later fills). Each
-formula cell maps to the set of cells it reads; that map is the graph's one
-edge store, and dependents are found by searching it. Range references
-expand to per-cell edges, which is honest about fan-in but can explode, so
-expansion is capped at EDGE_CAP edges and breaching the cap is a diagnosed
-error rather than a hang.
+precedents_of is the one dependency walker: the evaluator's order takes its
+edges from it too. A formula reads each cell a single reference names, even
+an empty one (someone may fill it later), and each occupied cell of a range.
+A range's empty cells are counted, not listed, as in the range-compressed
+graph of TACO (Tang et al.): edge_count counts every cell the references
+cover, and only dump_edges lists them all. That is honest about fan-in but
+can explode, so the count is capped at EDGE_CAP, and breaching the cap is a
+diagnosed error rather than a hang.
 
 References beyond the grid caps, or into sheets that do not exist, stay
 nodes and edges: the breakage is part of the picture, not an exception. A
-range with any corner beyond the caps is represented by a single node at
+range with any corner beyond the caps, or on a missing sheet, is one node at
 its far corner, mirroring how the evaluator treats the whole range as one
 #REF!.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Iterator, Mapping
 
 from .errors import ExplosionCap
 from .formula import FormulaAst, parse_workbook_formulas, references
-from .model import MAX_COL, MAX_ROW, CellAddress, Workbook
+from .model import MAX_COL, MAX_ROW, CellAddress, Sheet, Workbook
+
+Box = tuple[str, int, int, int, int]  # sheet, r1, c1, r2, c2
+
+
+class SheetIndex:
+    """Index over a sheet's non-empty cells for cell and range lookups.
+
+    cells is the sheet's own address objects in reading order, and address
+    maps each to itself, so a lookup yields the very keys of the value map;
+    rows[k] is an occupied row and its cells are cells[starts[k]:starts[k+1]].
+    """
+
+    def __init__(self, sheet: Sheet):
+        self.name = sheet.name
+        self.cells = tuple(addr for addr, _content in sheet.reading_order)
+        self.address = {addr: addr for addr in self.cells}
+        self.rows: list[int] = []
+        self.starts: list[int] = []
+        for i, addr in enumerate(self.cells):
+            if not self.rows or self.rows[-1] != addr.row:
+                self.rows.append(addr.row)
+                self.starts.append(i)
+        self.starts.append(len(self.cells))
+
+    def iter_box(self, r1: int, c1: int, r2: int, c2: int) -> Iterator[CellAddress]:
+        """Non-empty cells inside the box, reading order."""
+        cells, name, starts = self.cells, self.name, self.starts
+        for k in range(bisect_left(self.rows, r1), bisect_right(self.rows, r2)):
+            row = self.rows[k]
+            a = bisect_left(cells, (name, row, c1), starts[k], starts[k + 1])
+            b = bisect_right(cells, (name, row, c2), a, starts[k + 1])
+            yield from cells[a:b]
+
+
+def sheet_indexes(wb: Workbook) -> dict[str, SheetIndex]:
+    """One index per sheet, keyed by sheet name."""
+    return {s.name: SheetIndex(s) for s in wb.sheets}
+
+
+def precedents_of(ast: FormulaAst, indexes: Mapping[str, SheetIndex]
+                  ) -> tuple[frozenset[CellAddress], tuple[Box, ...]]:
+    """The cells a formula reads, and the boxes of the ranges it reads them through.
+
+    A single reference gives its cell, and a range in the grid on a sheet of
+    the book its occupied cells and its box; any other range its far corner.
+    An occupied cell is the sheet's own address object."""
+    precs: set[CellAddress] = set()
+    boxes: tuple[Box, ...] = ()
+    for sheet, r1, c1, r2, c2 in references(ast):
+        index = indexes.get(sheet)
+        if index is not None and r2 <= MAX_ROW and c2 <= MAX_COL:
+            if r1 != r2 or c1 != c2:
+                precs.update(index.iter_box(r1, c1, r2, c2))
+                boxes += ((sheet, r1, c1, r2, c2),)
+                continue
+            occupied = index.address.get((sheet, r1, c1))
+            if occupied is not None:
+                precs.add(occupied)
+                continue
+        precs.add(CellAddress(sheet, r2, c2))
+    return frozenset(precs), boxes
 
 
 def tarjan_sccs(
@@ -91,11 +154,12 @@ class DepGraph:
     """Built once from a workbook, then read-only."""
 
     sheet_order: tuple[str, ...]
-    nodes: frozenset[CellAddress]
+    nodes: frozenset[CellAddress]  # defined cells and the cells formulas read
     formula_cells: frozenset[CellAddress]
     precedents: dict[CellAddress, frozenset[CellAddress]]  # formula cell -> cells it reads
+    ranges: dict[CellAddress, tuple[Box, ...]]  # formula cell -> its in-grid ranges
     output_addresses: tuple[CellAddress, ...]
-    edge_count: int
+    edge_count: int  # cells the references cover, empty range cells included
 
     def sheet_index(self, name: str) -> int:
         try:
@@ -107,46 +171,42 @@ class DepGraph:
         return (self.sheet_index(addr.sheet), addr.row, addr.col)
 
 
-def _expand_refs(ast: FormulaAst, known_sheets: set[str]) -> Iterator[CellAddress]:
-    """Every cell a formula references, ranges expanded, #REF! targets kept."""
-    for sheet, r1, c1, r2, c2 in references(ast):
-        single = r1 == r2 and c1 == c2
-        if single or r2 > MAX_ROW or c2 > MAX_COL or sheet not in known_sheets:
-            # A single cell (kept off the range loop so its address shares
-            # the AST's coordinates), or one flagged node standing in for an
-            # unusable range; either way the far corner.
-            yield CellAddress(sheet, r2, c2)
-            continue
-        for row in range(r1, r2 + 1):
-            for col in range(c1, c2 + 1):
-                yield CellAddress(sheet, row, col)
+def _covered(precs: frozenset[CellAddress], boxes: tuple[Box, ...]) -> int:
+    """Cells a formula's references cover: the union of its ranges' boxes,
+    swept down the row bands their edges cut, and its precedents outside it."""
+    covered = 0
+    cuts = sorted({r for _s, r1, _c1, r2, _c2 in boxes for r in (r1, r2 + 1)})
+    for top, end in zip(cuts, cuts[1:]):
+        reach: dict[str, int] = {}  # sheet -> the band's last column counted
+        for s, c1, c2 in sorted((s, c1, c2) for s, r1, c1, r2, c2 in boxes if r1 <= top <= r2):
+            if c2 > reach.get(s, 0):
+                covered += (c2 - max(c1 - 1, reach.get(s, 0))) * (end - top)
+                reach[s] = c2
+    return covered + sum(1 for s, r, c in precs
+                         if not any(s == bs and r1 <= r <= r2 and c1 <= c <= c2
+                                    for bs, r1, c1, r2, c2 in boxes))
 
 
 def build_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None) -> DepGraph:
     """Construct the full dependency graph; ExplosionCap if it would not fit."""
     if asts is None:
         asts = parse_workbook_formulas(wb)
-    known_sheets = {s.name for s in wb.sheets}
+    indexes = sheet_indexes(wb)
 
-    nodes: set[CellAddress] = set()
-    for addr, _content in wb.iter_cells():
-        nodes.add(addr)
-
+    nodes = {addr for addr, _content in wb.iter_cells()}
     precedents: dict[CellAddress, frozenset[CellAddress]] = {}
+    ranges: dict[CellAddress, tuple[Box, ...]] = {}
     edge_count = 0
     for addr in sorted(asts):  # sheet name, then grid position
-        ast = asts[addr]
-        precs: set[CellAddress] = set()
-        for target in _expand_refs(ast, known_sheets):
-            if target in precs:
-                continue
-            precs.add(target)
-            edge_count += 1
-            if edge_count > EDGE_CAP:
-                raise ExplosionCap(
-                    f"dependency expansion exceeds {EDGE_CAP} edges at {addr.qualified}"
-                )
-        precedents[addr] = frozenset(precs)
+        precs, boxes = precedents_of(asts[addr], indexes)
+        edge_count += _covered(precs, boxes) if boxes else len(precs)
+        if edge_count > EDGE_CAP:
+            raise ExplosionCap(
+                f"dependency expansion exceeds {EDGE_CAP} edges at {addr.qualified}"
+            )
+        precedents[addr] = precs
+        if boxes:
+            ranges[addr] = boxes
         nodes.update(precs)
 
     return DepGraph(
@@ -154,6 +214,7 @@ def build_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None)
         nodes=frozenset(nodes),
         formula_cells=frozenset(asts),
         precedents=precedents,
+        ranges=ranges,
         output_addresses=wb.output_addresses,
         edge_count=edge_count,
     )
@@ -221,9 +282,14 @@ def orphan_formulas(g: DepGraph) -> list[CellAddress]:
 
 
 def dump_edges(g: DepGraph) -> str:
-    """Edge list, one "precedent<TAB>dependent" line per edge, stable order."""
+    """Edge list, one "precedent<TAB>dependent" line per edge, stable order;
+    each cell a range covers is an edge, empty or not."""
     lines = []
     for dependent in sorted(g.precedents, key=g.sort_key):
-        for precedent in sorted(g.precedents[dependent], key=g.sort_key):
+        cells = set(g.precedents[dependent])
+        for sheet, r1, c1, r2, c2 in g.ranges.get(dependent, ()):
+            cells.update(CellAddress(sheet, row, col)
+                         for row in range(r1, r2 + 1) for col in range(c1, c2 + 1))
+        for precedent in sorted(cells, key=g.sort_key):
             lines.append(f"{precedent.qualified}\t{dependent.qualified}\n")
     return "".join(lines)

@@ -225,11 +225,6 @@ class SessionFindings:
                                 f"got {self.duration_minutes}")
 
 
-def session_filename(workbook_name: str, module_id: str,
-                     inspector_id: str) -> str:
-    return f"{workbook_name}.{module_id}.{inspector_id}.session"
-
-
 def session_to_dict(s: SessionFindings) -> dict[str, object]:
     return {
         "inspectorId": s.inspector_id,

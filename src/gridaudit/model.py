@@ -64,9 +64,9 @@ class UnknownFieldWarning(UserWarning):
     """Raised (as a warning) when a document carries fields we do not know."""
 
 
-_CELL_KEY_RE = re.compile(r"^([A-Za-z]{1,3})([0-9]{1,7})$")
-# A canonical key: upper-case letters, a row with no leading zero, and
-# nothing after it (\Z, since $ would also match before a final newline).
+# A key ends at \Z, since $ would also match before a final newline.
+_CELL_KEY_RE = re.compile(r"([A-Za-z]{1,3})([0-9]{1,7})\Z")
+# A canonical key: upper-case letters, a row with no leading zero.
 _CANONICAL_KEY_RE = re.compile(r"([A-Z]{1,3})([1-9][0-9]{0,6})\Z")
 _BARE_SHEET_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -257,7 +257,7 @@ class Sheet:
             raise InvalidAddress("empty sheet name")
         for key in self.cells:
             if _canonical_key(key) is None:
-                row, col = parse_cell_key(key)  # raises for a key off the grid
+                row, col = parse_cell_key(key.removesuffix("\n"))  # raises off the grid
                 canonical = f"{col_to_letters(col)}{row}"
                 raise InvalidAddress(f"cell key not canonical: {key!r} (want {canonical!r})")
 

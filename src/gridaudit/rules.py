@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable, Iterable, Iterator
 
-from .engine import EvalPlan, parse_numeric_text, sheet_indexes
+from .engine import EvalPlan, parse_numeric_text
 from .errors import InvalidConfig, config_value
 from .formula import (
     AGGREGATE_FUNCTIONS,
@@ -41,7 +41,7 @@ from .formula import (
     postorder,
     references,
 )
-from .graph import DepGraph, orphan_formulas
+from .graph import DepGraph, orphan_formulas, sheet_indexes
 from .model import (
     CellAddress,
     CellContent,
@@ -274,7 +274,7 @@ def _aggregate_boxes(ast: FormulaAst) -> list[tuple[str, int, int, int, int]]:
             for rng in found]
 
 
-def _num_as_text_findings(wb: Workbook,
+def _num_as_text_findings(wb: Workbook, g: DepGraph,
                           asts: dict[CellAddress, FormulaAst]) -> dict[CellAddress, Finding]:
     """Text-numbers inside an aggregate range, or amid numeric neighbours.
 
@@ -299,7 +299,8 @@ def _num_as_text_findings(wb: Workbook,
                     hosts_of.setdefault(addr, set()).add(host)
 
     if hosts_of:
-        plan = EvalPlan(wb, asts, watch=frozenset(hosts_of), indexes=indexes)
+        plan = EvalPlan(wb, asts, watch=frozenset(hosts_of), indexes=indexes,
+                        precedents=g.precedents)
         base = plan.run()
     out: dict[CellAddress, Finding] = {}
     for addr, (cell, coerced) in candidates.items():
@@ -489,7 +490,7 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
         return [] if found is None else [found]
 
     book_rules: dict[str, Callable[[], Iterable[Finding]]] = {
-        "NUM_AS_TEXT": lambda: _num_as_text_findings(wb, asts).values(),
+        "NUM_AS_TEXT": lambda: _num_as_text_findings(wb, g, asts).values(),
         "HARDWIRED": lambda: _hardwired_findings(
             wb, asts, cfg.min_run_length_for_hardwire).values(),
         "DUP_LITERAL": lambda: _dup_literal_findings(wb, asts, cfg),

@@ -11,14 +11,20 @@ from gridaudit.formula import (
     BooleanLiteral,
     CellRef,
     Expr,
+    FormulaAst,
     FunctionCall,
     NumberLiteral,
     RangeRef,
     TextLiteral,
     UnaryOp,
+    references,
 )
+from gridaudit.graph import DepGraph
 from gridaudit.model import (
     DOCUMENT_VERSION,
+    MAX_COL,
+    MAX_ROW,
+    CellAddress,
     CellContent,
     Sheet,
     Workbook,
@@ -101,6 +107,38 @@ def reference_document(wb: Workbook) -> dict[str, Any]:
         },
         "sheets": sheets,
     }
+
+
+def expanded_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst]) -> DepGraph:
+    """The dependency graph with every range expanded cell by cell.
+
+    The graph's meaning spelled out, as the reference for the graph that
+    counts a range's empty cells instead of listing them: a formula reads
+    each cell its references cover, empty or not; a range beyond the grid
+    or on a missing sheet reads its far corner. edge_count is the number of
+    such cells, each once per formula.
+    """
+    known_sheets = {s.name for s in wb.sheets}
+    precedents: dict[CellAddress, frozenset[CellAddress]] = {}
+    for addr in sorted(asts):
+        cells: set[CellAddress] = set()
+        for sheet, r1, c1, r2, c2 in references(asts[addr]):
+            if r2 > MAX_ROW or c2 > MAX_COL or sheet not in known_sheets:
+                cells.add(CellAddress(sheet, r2, c2))
+            else:
+                cells.update(CellAddress(sheet, row, col)
+                             for row in range(r1, r2 + 1) for col in range(c1, c2 + 1))
+        precedents[addr] = frozenset(cells)
+    nodes = {addr for addr, _content in wb.iter_cells()}.union(*precedents.values())
+    return DepGraph(
+        sheet_order=tuple(s.name for s in wb.sheets),
+        nodes=frozenset(nodes),
+        formula_cells=frozenset(asts),
+        precedents=precedents,
+        ranges={},
+        output_addresses=wb.output_addresses,
+        edge_count=sum(len(cells) for cells in precedents.values()),
+    )
 
 
 # --- random expression trees -------------------------------------------------

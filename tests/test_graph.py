@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridaudit import graph
+from gridaudit.engine import EvalPlan
 from gridaudit.errors import ExplosionCap
+from gridaudit.formula import parse_workbook_formulas
 from gridaudit.graph import build_graph, chain_stats, dump_edges, orphan_formulas
-from gridaudit.model import CellAddress
-from helpers import wb_from
+from gridaudit.model import CellAddress, col_to_letters
+from helpers import expanded_graph, wb_from
 
 
 def A(a1: str, sheet: str = "S1") -> CellAddress:
@@ -22,10 +28,33 @@ def test_range_fans_out_to_per_cell_edges():
     wb = wb_from({"B2": 1, "B5": 2, "B9": "=SUM(B2:B8)"}, outputs=("S1!B9",))
     g = build_graph(wb)
     assert g.edge_count == 7
-    assert len(g.precedents[A("B9")]) == 7
+    # the occupied cells are precedents; the empty ones are counted, and dumped
+    assert g.precedents[A("B9")] == frozenset({A("B2"), A("B5")})
     assert [f for f, precs in g.precedents.items() if A("B2") in precs] == [A("B9")]
-    # empty covered cells are nodes too
-    assert A("B7") in g.nodes
+    assert dump_edges(g) == "".join(f"S1!B{r}\tS1!B9\n" for r in range(2, 9))
+
+
+def test_tall_range_is_counted_not_listed():
+    wb = wb_from({"A1": 1, "A2": 2, "B1": "=SUM(A1:A900000)"})
+    asts = parse_workbook_formulas(wb)
+    tracemalloc.start()
+    try:
+        g = build_graph(wb, asts=asts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count == 900_000
+    assert g.precedents[A("B1")] == frozenset({A("A1"), A("A2")})
+    assert peak < 1_000_000
+
+
+def test_overlapping_ranges_count_each_cell_once():
+    wb = wb_from({"A2": 1, "C1": "=SUM(A1:B3,B2:B5,A3:A4,Nope!A1:B2)+A4+B9"})
+    g = build_graph(wb)
+    # 6 + 2 + 1 cells of the union, B9 outside it, and the missing sheet's corner
+    assert g.edge_count == 11
+    assert {a.qualified for a in g.precedents[A("C1")]} == {
+        "S1!A2", "S1!A4", "S1!B9", "Nope!B2"}
 
 
 def test_duplicate_references_deduplicate():
@@ -165,3 +194,49 @@ def test_graph_of_10k_formulas_is_quick():
     stats = chain_stats(g)
     assert time.monotonic() - start < 5.0
     assert stats.longest_chain_length == 4999
+
+
+# --- the graph against its cell-by-cell meaning --------------------------------
+
+_PREFIXES = ["", "", "", "S1!", "Data!", "Nope!"]
+
+
+def _ref(prefix: str, r1: int, c1: int, r2: int, c2: int) -> str:
+    first = f"{col_to_letters(c1)}{r1}"
+    return prefix + (first if (r1, c1) == (r2, c2) else f"{first}:{col_to_letters(c2)}{r2}")
+
+
+_rows = st.integers(1, 7)
+_cols = st.integers(1, 4)
+# a far row or column puts a range's corner beyond the grid
+_refs = st.builds(_ref, st.sampled_from(_PREFIXES), _rows, _cols,
+                  _rows | st.just(1_048_577), _cols | st.just(16_385))
+_formulas = st.lists(_refs, min_size=1, max_size=4).map(lambda refs: f"=SUM({','.join(refs)})")
+_cells = st.dictionaries(st.builds(lambda r, c: f"{col_to_letters(c)}{r}", _rows, _cols),
+                         st.sampled_from([1, 2.5, "x"]) | _formulas, max_size=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s1=_cells, data=_cells)
+def test_graph_and_plan_match_the_cell_by_cell_expansion(s1, data):
+    wb = wb_from(s1, extra_sheets={"Data": data})
+    asts = parse_workbook_formulas(wb)
+    ref = expanded_graph(wb, asts)
+    g = build_graph(wb, asts=asts)
+    assert g.edge_count == ref.edge_count
+    assert dump_edges(g) == dump_edges(ref)
+    stats = chain_stats(g)
+    assert stats == chain_stats(ref)
+    assert orphan_formulas(g) == orphan_formulas(ref)
+
+    plan = EvalPlan(wb, asts)
+    assert plan.in_cycle == {a for cycle in stats.cycles for a in cycle}
+    assert EvalPlan(wb, asts, precedents=g.precedents).in_cycle == plan.in_cycle
+    position = {addr: i for i, addr in enumerate(plan.order)}
+    assert len(position) == len(plan.order)
+    assert position.keys() == asts.keys() - plan.in_cycle
+    for addr in plan.order:
+        for prec in ref.precedents[addr]:
+            if prec in position:
+                assert position[prec] < position[addr], (addr, prec)
+    assert plan.run() == EvalPlan(wb, asts, precedents=ref.precedents).run()

@@ -26,7 +26,6 @@ from gridaudit.inspection import (
     plan_config_from_dict,
     plan_from_dict,
     reconcile,
-    session_filename,
     session_from_dict,
     session_to_dict,
     yield_report,
@@ -196,11 +195,6 @@ def test_session_validation():
     with pytest.raises(InvalidConfig, match="cell"):
         session_from_dict({"inspectorId": "ana", "moduleId": "M1",
                            "durationMinutes": 5, "items": [3]})
-
-
-def test_session_file_name():
-    assert (session_filename("budget_v2", "M3", "ana")
-            == "budget_v2.M3.ana.session")
 
 
 def test_session_dict_round_trip():

@@ -74,7 +74,7 @@ def test_column_letters_roundtrip_exhaustive_head():
 def test_parse_cell_key_strict():
     assert parse_cell_key("B12") == (12, 2)
     assert parse_cell_key("xfd1048576") == (1048576, 16384)
-    for bad in ("", "B", "12", "$B$1", "S!B1", "B0", "XFE1", "B1048577"):
+    for bad in ("", "B", "12", "$B$1", "S!B1", "B0", "XFE1", "B1048577", "B1\n"):
         with pytest.raises(InvalidAddress):
             parse_cell_key(bad)
 
@@ -83,7 +83,8 @@ def test_parse_qualified_requires_sheet():
     assert parse_qualified("Summary!B9") == CellAddress("Summary", 9, 2)
     assert parse_qualified("'My Data'!B2") == CellAddress("My Data", 2, 2)
     assert parse_qualified("'It''s'!A1") == CellAddress("It's", 1, 1)
-    for bad in ("B9", "'Unterminated!A1", "'S1'A1", "''!A1", "Data!XFE1", "Data!$B$2"):
+    for bad in ("B9", "'Unterminated!A1", "'S1'A1", "''!A1", "Data!XFE1", "Data!$B$2",
+                "S1!B2\n"):
         with pytest.raises(InvalidAddress):
             parse_qualified(bad)
 
@@ -293,11 +294,17 @@ def test_sheet_rejects_keys_not_canonical(key, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("key", ["A0", "XFE1", "A1048577", "AAAA1", "a0", ""])
+@pytest.mark.parametrize("key", ["A0", "XFE1", "A1048577", "AAAA1", "a0", "", "A1\n"])
 def test_load_rejects_keys_off_the_grid(key):
     with pytest.raises(InvalidAddress) as exc:
         make_workbook({key: {"v": 1}})
     assert str(exc.value) == f"sheet 'S1': bad cell address {key!r}"
+
+
+def test_load_rejects_an_output_ending_in_a_newline():
+    with pytest.raises(InvalidAddress) as exc:
+        make_workbook({"A1\n": {"v": 1}}, outputs=["S1!A1\n"])
+    assert str(exc.value) == "bad cell address: 'A1\\n'"
 
 
 @pytest.mark.parametrize("key, canonical", [("b2", "B2"), ("B02", "B2"), ("xfd1048576", "XFD1048576")])

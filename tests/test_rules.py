@@ -14,12 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridaudit.engine as engine_mod
+import gridaudit.graph as graph_mod
 import gridaudit.rules as rules_mod
-from gridaudit.cli import main
+from gridaudit.cli import build_audit_report, main
 from gridaudit.engine import EvalPlan, evaluate
 from gridaudit.errors import InvalidConfig
 from gridaudit.graph import build_graph
-from gridaudit.model import CellContent, col_to_letters, parse_qualified, serialize_workbook
+from gridaudit.model import (
+    CellAddress,
+    CellContent,
+    col_to_letters,
+    parse_qualified,
+    serialize_workbook,
+)
 from gridaudit.rules import (
     RULE_IDS,
     Finding,
@@ -162,6 +170,23 @@ def test_num_as_text_evaluates_the_book_once_plus_each_cone(monkeypatch, k):
     monkeypatch.setattr(EvalPlan, "_eval_into", counting)
     assert len(hits(run(wb_from(cells)), "NUM_AS_TEXT")) == k
     assert evaluated == [6] + [3] * k  # the whole book once, then one cone per text-number
+
+
+def test_num_as_text_audit_walks_each_formula_once(monkeypatch):
+    walked: list[CellAddress] = []
+    real = graph_mod.precedents_of
+
+    def counting(ast, indexes):
+        walked.append(ast.host)
+        return real(ast, indexes)
+
+    monkeypatch.setattr(graph_mod, "precedents_of", counting)
+    monkeypatch.setattr(engine_mod, "precedents_of", counting)
+    wb = wb_from({"A1": "5", "A2": 3.0, "A3": "7", "B1": "=SUM(A1:A3)", "B2": "=B1*2",
+                  "C1": "=A2+1"})
+    rep = build_audit_report(wb)
+    assert len([f for f in rep.findings if f.rule_id == "NUM_AS_TEXT"]) == 2
+    assert sorted(walked) == sorted(addr for addr, _cell in wb.formula_cells())
 
 
 def test_hardwired_interior_constant():
