@@ -27,14 +27,14 @@ tested rather than left to chance:
 * Comparisons order mixed types as number < text < logical, compare text
   case-insensitively, and coerce an empty operand to the other side's type.
 
-Evaluation is non-recursive over the dependency structure: one Tarjan pass
-over the formula cells, whose edges come from graph.precedents_of, puts
-every cycle's cells aside and emits the rest precedents-first, which is the
-evaluation order. Ten-thousand-cell chains evaluate without blowing the
-stack. Nor does it recurse inside a formula: each formula is one loop over
-the postorder of its class's tree, with a stack of operands, so a sum of
-thousands of terms evaluates in one frame. IF still evaluates only the
-branch it takes, by walking into it, one level per nested IF.
+Evaluation is non-recursive over the dependency structure: its order is
+that of graph.condense, the one Tarjan pass over the formulas' precedents
+(graph.precedents_of), with every cycle's cells put aside. Ten-thousand-cell
+chains evaluate without blowing the stack. Nor does it recurse inside a
+formula: each formula is one loop over the postorder of its class's tree,
+with a stack of operands, so a sum of thousands of terms evaluates in one
+frame. IF still evaluates only the branch it takes, by walking into it, one
+level per nested IF.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ from .errors import (
     NoDeclaredOutputs,
     OutputIsError,
 )
-from .graph import SheetIndex, precedents_of, sheet_indexes
-from .graph import tarjan_sccs as _tarjan_sccs
+from .graph import DepGraph, SheetIndex, condense, precedents_of, sheet_indexes
 from .formula import (
     BinaryOp,
     CellRef,
@@ -469,56 +468,29 @@ def _round_half_away(x: float, digits: int) -> float:
 
 
 class EvalPlan:
-    """The value-independent half of evaluation, built once per formula set.
+    """The value-independent half of evaluation, built once per formula set:
+    the sheet indexes, the cells on reference cycles (each is #CYCLE!), and
+    the other formula cells in the condensation's order. run() evaluates the
+    whole book; eval_cells() re-evaluates a few cells, such as a graph's
+    cone(), against a changed input without touching the rest.
 
-    Holds the sheet indexes, the cells on reference cycles (each evaluates
-    to #CYCLE!), and a topological order of the other formula cells (the
-    order Tarjan emits them in) with their formula dependents. run()
-    evaluates the whole book; eval_cells() re-evaluates a few cells against
-    a changed input without touching the rest.
-
-    Order and cycles come from the formulas' precedents (graph.precedents_of),
-    which a caller that has built the graph of the same formulas passes in.
-    watch names constant cells whose forward cone (cone()) is wanted.
+    The indexes and condensation are those of g, the graph of the same
+    formulas, if given; else the plan condenses the formulas' precedents
+    itself and keeps none of them.
     """
 
     def __init__(self, wb: Workbook, asts: dict[CellAddress, FormulaAst],
-                 watch: frozenset[CellAddress] = frozenset(),
-                 indexes: dict[str, SheetIndex] | None = None,
-                 precedents: dict[CellAddress, frozenset[CellAddress]] | None = None):
+                 g: DepGraph | None = None):
         self.wb = wb
         self.asts = asts
-        self.indexes = sheet_indexes(wb) if indexes is None else indexes
-        if precedents is None:
-            precedents = {addr: precedents_of(ast, self.indexes)[0]
-                          for addr, ast in asts.items()}
-        self._readers: dict[CellAddress, list[CellAddress]] = {}
-        if watch:
-            for addr, precs in precedents.items():
-                for cell in precs & watch:
-                    self._readers.setdefault(cell, []).append(addr)
-
-        # Components come out precedents-first, so each cell's off-cycle
-        # precedents are already in order when it is reached. Roots in
-        # reading order (that of asts) keep the search shallow on books
-        # whose formulas read the cells above or to their left. The other
-        # cells the search reaches have no precedents, and are passed over.
-        self.in_cycle: set[CellAddress] = set()
-        self.order: list[CellAddress] = []
-        self.dependents: dict[CellAddress, list[CellAddress]] = {}
-        for comp, is_cycle in _tarjan_sccs(asts, precedents):
-            if comp[0] not in asts:
-                continue
-            if is_cycle:
-                self.in_cycle.update(comp)
-                continue
-            addr = comp[0]
-            self.order.append(addr)
-            self.dependents[addr] = []
-            for prec in precedents[addr]:
-                if prec in self.dependents:  # an off-cycle formula, ordered already
-                    self.dependents[prec].append(addr)
-        self._position: dict[CellAddress, int] | None = None
+        if g is None:
+            self.indexes = sheet_indexes(wb)
+            cond = condense(asts, {addr: precedents_of(ast, self.indexes)[0]
+                                   for addr, ast in asts.items()})
+        else:
+            self.indexes, cond = g.indexes, g.condensation
+        self.in_cycle = {addr for cycle in cond.cycles for addr in cycle}
+        self.order = [addr for addr in cond.order if addr not in self.in_cycle]
 
     def run(self, overrides: dict[CellAddress, Constant] | None = None
             ) -> dict[CellAddress, Value]:
@@ -540,23 +512,6 @@ class EvalPlan:
             values[addr] = CYCLE_ERR
         self._eval_into(self.order, values)
         return values
-
-    def cone(self, cell: CellAddress) -> list[CellAddress]:
-        """The formulas whose value can depend on a watched cell, in plan order.
-
-        Those are its direct readers and their transitive dependents; cycle
-        cells are #CYCLE! whatever their inputs, so the cone stops at them.
-        """
-        if self._position is None:
-            self._position = {addr: i for i, addr in enumerate(self.order)}
-        stack = [r for r in self._readers.get(cell, ()) if r not in self.in_cycle]
-        seen = set(stack)
-        while stack:
-            for dep in self.dependents[stack.pop()]:
-                if dep not in seen:
-                    seen.add(dep)
-                    stack.append(dep)
-        return sorted(seen, key=self._position.__getitem__)
 
     def eval_cells(self, addrs: list[CellAddress], values: dict[CellAddress, Value],
                    overlay: dict[CellAddress, Value]) -> dict[CellAddress, Value]:

@@ -1,26 +1,28 @@
 """Dependency graph over workbook cells, stored as each formula's precedents.
 
-precedents_of is the one dependency walker: the evaluator's order takes its
-edges from it too. A formula reads each cell a single reference names, even
-an empty one (someone may fill it later), and each occupied cell of a range.
-A range's empty cells are counted, not listed, as in the range-compressed
-graph of TACO (Tang et al.): edge_count counts every cell the references
-cover, and only dump_edges lists them all. That is honest about fan-in but
-can explode, so the count is capped at EDGE_CAP, and breaching the cap is a
-diagnosed error rather than a hang.
+precedents_of is the one dependency walker, and condense the one pass that
+finds strongly connected components: chain_stats, cone() and the evaluation
+order read the condensation build_graph keeps. A formula reads each cell a
+single reference names, even an empty one (someone may fill it later), and
+each occupied cell of a range. A range's empty cells are counted, not
+listed, as in the range-compressed graph of TACO (Tang et al.): edge_count
+counts every cell the references cover, and only dump_edges lists them all.
+That is honest about fan-in but can explode, so the count is capped at
+EDGE_CAP, and breaching the cap is a diagnosed error rather than a hang.
 
 References beyond the grid caps, or into sheets that do not exist, stay
 nodes and edges: the breakage is part of the picture, not an exception. A
-range with any corner beyond the caps, or on a missing sheet, is one node at
-its far corner, mirroring how the evaluator treats the whole range as one
-#REF!.
+range with any corner beyond the caps, or on a missing sheet, is one node
+at its far corner, mirroring how the evaluator treats the whole range as
+one #REF!.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import AbstractSet, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ExplosionCap
 from .formula import FormulaAst, parse_workbook_formulas, references
@@ -96,9 +98,8 @@ def tarjan_sccs(
     Yields each component as (members, is_cycle). is_cycle holds when the
     members lie on a reference cycle: there are several, or the one reads
     itself. Every component comes after the ones it points to through
-    adj, so a single pass in emission order is a topological sweep of the
-    condensation. Which such order it is follows the iteration order of
-    nodes and of the adj sets.
+    adj. Which such order it is follows the iteration order of nodes and
+    of the adj sets. condense is its one caller.
     """
     index: dict[CellAddress, int] = {}
     low: dict[CellAddress, int] = {}
@@ -146,6 +147,30 @@ def tarjan_sccs(
                 yield comp, len(comp) > 1 or node in adj.get(node, ())
 
 
+class Condensation(NamedTuple):
+    """The formula cells' strongly connected components, flattened: a list
+    of (members, is_cycle) tuples cost a 20k-formula chain about 1 MB."""
+
+    order: list[CellAddress]  # every formula cell, precedents first, a cycle's members together
+    cycles: tuple[tuple[CellAddress, ...], ...]  # members sorted, cycles sorted
+
+
+def condense(formulas: Collection[CellAddress],
+             precedents: Mapping[CellAddress, AbstractSet[CellAddress]]) -> Condensation:
+    """One Tarjan pass over the formula cells. Roots in the order of formulas:
+    reading order keeps the search shallow on books whose formulas read the
+    cells above or to their left. The other cells it reaches read nothing and
+    are passed over."""
+    order: list[CellAddress] = []
+    cycles = []
+    for comp, is_cycle in tarjan_sccs(formulas, precedents):
+        if comp[0] in formulas:
+            order += comp
+            if is_cycle:
+                cycles.append(tuple(sorted(comp)))
+    return Condensation(order, tuple(sorted(cycles)))
+
+
 EDGE_CAP = 1_000_000
 
 
@@ -160,6 +185,8 @@ class DepGraph:
     ranges: dict[CellAddress, tuple[Box, ...]]  # formula cell -> its in-grid ranges
     output_addresses: tuple[CellAddress, ...]
     edge_count: int  # cells the references cover, empty range cells included
+    indexes: dict[str, SheetIndex]
+    condensation: Condensation
 
     def sheet_index(self, name: str) -> int:
         try:
@@ -169,6 +196,34 @@ class DepGraph:
 
     def sort_key(self, addr: CellAddress) -> tuple[int, int, int]:
         return (self.sheet_index(addr.sheet), addr.row, addr.col)
+
+    def cone(self, cell: CellAddress) -> list[CellAddress]:
+        """The formulas whose value can depend on cell, in condensation order:
+        its readers and their dependents, stopping at cycle cells, which are
+        #CYCLE! whatever their inputs."""
+        readers, position = self._cone_index
+        stack = list(readers.get(cell, ()))
+        seen = set(stack)
+        while stack:
+            for dep in readers.get(stack.pop(), ()):
+                if dep not in seen:
+                    seen.add(dep)
+                    stack.append(dep)
+        return sorted(seen, key=position.__getitem__)
+
+    @cached_property
+    def _cone_index(self) -> tuple[dict[CellAddress, list[CellAddress]], dict[CellAddress, int]]:
+        """Each cell's off-cycle formula readers, and each off-cycle formula's
+        position in the condensation order; built on the first cone()."""
+        on_cycle = {addr for cycle in self.condensation.cycles for addr in cycle}
+        readers: dict[CellAddress, list[CellAddress]] = {}
+        position: dict[CellAddress, int] = {}
+        for i, addr in enumerate(self.condensation.order):
+            if addr not in on_cycle:
+                position[addr] = i
+                for prec in self.precedents[addr]:
+                    readers.setdefault(prec, []).append(addr)
+        return readers, position
 
 
 def _covered(precs: frozenset[CellAddress], boxes: tuple[Box, ...]) -> int:
@@ -209,6 +264,7 @@ def build_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None)
             ranges[addr] = boxes
         nodes.update(precs)
 
+    condensation = condense(asts, precedents)  # Tarjan state and the copy of nodes never coexist
     return DepGraph(
         sheet_order=tuple(s.name for s in wb.sheets),
         nodes=frozenset(nodes),
@@ -217,6 +273,8 @@ def build_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None)
         ranges=ranges,
         output_addresses=wb.output_addresses,
         edge_count=edge_count,
+        indexes=indexes,
+        condensation=condensation,
     )
 
 
@@ -230,43 +288,34 @@ class ChainStats:
 
 
 def chain_stats(g: DepGraph) -> ChainStats:
-    # Only formula cells have precedents, so every other node is a singleton
-    # component that weighs nothing and lies on no cycle. Components come out
-    # precedents-first, so one sweep finds the longest dependency path,
-    # counting the formula cells on it. g.precedents is in reading order, and
-    # so are the roots of the search (see EvalPlan).
-    cycles = []
+    # The condensation lists precedents first, so one sweep finds the longest
+    # dependency path, counting the formula cells on it. A cycle's members
+    # come together and share one depth, set at the first of them.
+    cycle_of = {addr: cycle for cycle in g.condensation.cycles for addr in cycle}
     depth: dict[CellAddress, int] = {}  # formula cells on the longest path ending here
-    for comp, is_cycle in tarjan_sccs(g.precedents, g.precedents):
-        if comp[0] not in g.formula_cells:
-            continue
-        if is_cycle:
-            cycles.append(tuple(sorted(comp)))
-        # comp's own members have no depth yet, so only earlier components feed it
-        feeding = max((depth.get(p, 0) for m in comp for p in g.precedents[m]), default=0)
-        for member in comp:
-            depth[member] = len(comp) + feeding
-    cycles.sort()
+    for addr in g.condensation.order:
+        if addr not in depth:
+            comp = cycle_of.get(addr, (addr,))
+            # comp's own members have no depth yet, so only earlier cells feed it
+            feeding = max((depth.get(p, 0) for m in comp for p in g.precedents[m]), default=0)
+            for member in comp:
+                depth[member] = len(comp) + feeding
 
     closures: dict[str, int] = {}
     for out in g.output_addresses:
         seen: set[CellAddress] = set()
         stack = [out]
-        count = 0
         while stack:
             cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            if cur in g.formula_cells:
-                count += 1
-            stack.extend(g.precedents.get(cur, ()))
-        closures[out.qualified] = count
+            if cur not in seen:
+                seen.add(cur)
+                stack.extend(g.precedents.get(cur, ()))
+        closures[out.qualified] = len(seen & g.formula_cells)
 
     return ChainStats(
         longest_chain_length=max(depth.values(), default=0),
         closure_sizes=closures,
-        cycles=tuple(cycles),
+        cycles=g.condensation.cycles,
     )
 
 

@@ -470,8 +470,10 @@ def parse_workbook(data: str | bytes) -> Workbook:
 
     outputs = []
     for out in raw_outputs:
-        addr = parse_qualified(out)  # InvalidAddress with the raw string on failure
-        outputs.append(addr.qualified)
+        try:
+            outputs.append(parse_qualified(out).qualified)
+        except InvalidAddress as exc:
+            raise InvalidAddress(f"output {out!r}: {exc}") from None
 
     raw_sheets = doc.get("sheets")
     _require(isinstance(raw_sheets, list), "'sheets' must be a list")

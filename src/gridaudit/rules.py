@@ -41,7 +41,7 @@ from .formula import (
     postorder,
     references,
 )
-from .graph import DepGraph, orphan_formulas, sheet_indexes
+from .graph import DepGraph, orphan_formulas
 from .model import (
     CellAddress,
     CellContent,
@@ -287,11 +287,10 @@ def _num_as_text_findings(wb: Workbook, g: DepGraph,
                   if (coerced := _textual_number(cell)) is not None}
     if not candidates:
         return {}
-    indexes = sheet_indexes(wb)
     hosts_of: dict[CellAddress, set[CellAddress]] = {}
     for host, ast in asts.items():
         for sheet, r1, c1, r2, c2 in _aggregate_boxes(ast):
-            index = indexes.get(sheet)
+            index = g.indexes.get(sheet)
             if index is None:
                 continue
             for addr in index.iter_box(r1, c1, r2, c2):
@@ -299,15 +298,13 @@ def _num_as_text_findings(wb: Workbook, g: DepGraph,
                     hosts_of.setdefault(addr, set()).add(host)
 
     if hosts_of:
-        plan = EvalPlan(wb, asts, watch=frozenset(hosts_of), indexes=indexes,
-                        precedents=g.precedents)
+        plan = EvalPlan(wb, asts, g)
         base = plan.run()
     out: dict[CellAddress, Finding] = {}
     for addr, (cell, coerced) in candidates.items():
-        hosts = sorted(hosts_of.get(addr, ()),
-                       key=lambda a: (wb.sheet_index(a.sheet), a.row, a.col))
+        hosts = sorted(hosts_of.get(addr, ()), key=g.sort_key)
         if hosts:
-            coerced_vals = plan.eval_cells(plan.cone(addr), base, {addr: coerced})
+            coerced_vals = plan.eval_cells(g.cone(addr), base, {addr: coerced})
             understatement = 0.0
             for h in hosts:
                 before = base.get(h)

@@ -19,7 +19,7 @@ from gridaudit.formula import (
     UnaryOp,
     references,
 )
-from gridaudit.graph import DepGraph
+from gridaudit.graph import Condensation, DepGraph, sheet_indexes
 from gridaudit.model import (
     DOCUMENT_VERSION,
     MAX_COL,
@@ -116,7 +116,8 @@ def expanded_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst]) -> DepGrap
     counts a range's empty cells instead of listing them: a formula reads
     each cell its references cover, empty or not; a range beyond the grid
     or on a missing sheet reads its far corner. edge_count is the number of
-    such cells, each once per formula.
+    such cells, each once per formula. The condensation is Reachability's,
+    found without Tarjan.
     """
     known_sheets = {s.name for s in wb.sheets}
     precedents: dict[CellAddress, frozenset[CellAddress]] = {}
@@ -138,7 +139,69 @@ def expanded_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst]) -> DepGrap
         ranges={},
         output_addresses=wb.output_addresses,
         edge_count=sum(len(cells) for cells in precedents.values()),
+        indexes=sheet_indexes(wb),
+        condensation=Reachability(precedents).condensation(),
     )
+
+
+class Reachability:
+    """Cycles, chains, an order and cones from plain reachability over a
+    precedents map: the reference for graph.condense, which runs Tarjan.
+
+    A formula is on a cycle when it reaches itself through its precedents,
+    and its component is itself and the formulas it reaches that reach it
+    back. Quadratic, so for small books only.
+    """
+
+    def __init__(self, precedents: dict[CellAddress, frozenset[CellAddress]]):
+        self.precedents = precedents
+        self.reach = {f: self._reached(precedents[f]) for f in precedents}
+        self.component = {f: tuple(sorted({f} | {h for h in self.reach[f] if f in self.reach[h]}))
+                          for f in precedents}
+        self.cycles = tuple(sorted({self.component[f] for f in precedents if f in self.reach[f]}))
+        self.on_cycle = {f for cycle in self.cycles for f in cycle}
+
+    def _reached(self, cells: frozenset[CellAddress]) -> set[CellAddress]:
+        """The formulas reachable from cells through precedents, cells' own included."""
+        seen: set[CellAddress] = set()
+        stack = [c for c in cells if c in self.precedents]
+        while stack:
+            cell = stack.pop()
+            if cell not in seen:
+                seen.add(cell)
+                stack.extend(c for c in self.precedents[cell] if c in self.precedents)
+        return seen
+
+    def condensation(self) -> Condensation:
+        """A formula that reaches another's component reaches more formulas,
+        counting its own, so ordering by that count puts precedents first."""
+        order = sorted(self.precedents,
+                       key=lambda f: (len(self.reach[f] | {f}), self.component[f]))
+        return Condensation(order, self.cycles)
+
+    def longest_chain(self) -> int:
+        """Formula cells on the longest dependency path: a memoised longest
+        path over the components, each weighing its number of members."""
+        memo: dict[tuple[CellAddress, ...], int] = {}
+
+        def longest(comp: tuple[CellAddress, ...]) -> int:
+            if comp not in memo:
+                below = {self.component[p] for m in comp for p in self.precedents[m]
+                         if p in self.precedents} - {comp}
+                memo[comp] = len(comp) + max(map(longest, below), default=0)
+            return memo[comp]
+
+        return max(map(longest, set(self.component.values())), default=0)
+
+    def cone(self, cell: CellAddress) -> set[CellAddress]:
+        """The off-cycle formulas reachable from cell through off-cycle formulas."""
+        cone: set[CellAddress] = set()
+        frontier = {cell}
+        while frontier:
+            frontier = {f for f, precs in self.precedents.items()
+                        if f not in self.on_cycle and f not in cone and precs & frontier}
+            cone |= frontier
+        return cone
 
 
 # --- random expression trees -------------------------------------------------

@@ -262,10 +262,12 @@ def test_eval_cells_reevaluates_a_cone_over_an_overlay():
     wb = wb_from({"A1": "2", "A2": 3.0, "B1": "=SUM(A1:A2)", "B2": "=B1*10",
                   "C1": "=A2+1", "D1": "=D1+A1"})
     a1 = CellAddress("S1", 1, 1)
-    plan = EvalPlan(wb, parse_workbook_formulas(wb), watch=frozenset({a1}))
+    asts = parse_workbook_formulas(wb)
+    g = build_graph(wb, asts=asts)
+    plan = EvalPlan(wb, asts, g)
     values = plan.run()
     before = dict(values)
-    cone = plan.cone(a1)
+    cone = g.cone(a1)
     assert [a.a1 for a in cone] == ["B1", "B2"]  # D1 is on a cycle, C1 does not read A1
     new = plan.eval_cells(cone, values, {a1: 2.0})
     assert new == {CellAddress("S1", 1, 2): 5.0, CellAddress("S1", 2, 2): 50.0}

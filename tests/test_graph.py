@@ -14,7 +14,7 @@ from gridaudit.errors import ExplosionCap
 from gridaudit.formula import parse_workbook_formulas
 from gridaudit.graph import build_graph, chain_stats, dump_edges, orphan_formulas
 from gridaudit.model import CellAddress, col_to_letters
-from helpers import expanded_graph, wb_from
+from helpers import Reachability, expanded_graph, wb_from
 
 
 def A(a1: str, sheet: str = "S1") -> CellAddress:
@@ -216,27 +216,53 @@ _cells = st.dictionaries(st.builds(lambda r, c: f"{col_to_letters(c)}{r}", _rows
                          st.sampled_from([1, 2.5, "x"]) | _formulas, max_size=10)
 
 
+def _assert_precedents_first(order: list[CellAddress], ref: Reachability) -> None:
+    """order holds every formula once, each after its precedents' components,
+    with each component's members adjacent."""
+    position = {addr: i for i, addr in enumerate(order)}
+    assert len(position) == len(order) and position.keys() == ref.precedents.keys()
+    for addr, comp in ref.component.items():
+        spots = sorted(position[m] for m in comp)
+        assert spots == list(range(spots[0], spots[0] + len(comp)))
+        for prec in ref.precedents[addr]:
+            if prec in position and prec not in comp:
+                assert position[prec] < position[addr], (addr, prec)
+
+
 @settings(max_examples=200, deadline=None)
 @given(s1=_cells, data=_cells)
 def test_graph_and_plan_match_the_cell_by_cell_expansion(s1, data):
     wb = wb_from(s1, extra_sheets={"Data": data})
     asts = parse_workbook_formulas(wb)
     ref = expanded_graph(wb, asts)
+    reach = Reachability(ref.precedents)
     g = build_graph(wb, asts=asts)
     assert g.edge_count == ref.edge_count
     assert dump_edges(g) == dump_edges(ref)
+    assert g.condensation.cycles == reach.cycles
+    _assert_precedents_first(g.condensation.order, reach)
+    _assert_precedents_first(ref.condensation.order, reach)
     stats = chain_stats(g)
+    assert stats.longest_chain_length == reach.longest_chain()
     assert stats == chain_stats(ref)
     assert orphan_formulas(g) == orphan_formulas(ref)
 
     plan = EvalPlan(wb, asts)
-    assert plan.in_cycle == {a for cycle in stats.cycles for a in cycle}
-    assert EvalPlan(wb, asts, precedents=g.precedents).in_cycle == plan.in_cycle
-    position = {addr: i for i, addr in enumerate(plan.order)}
-    assert len(position) == len(plan.order)
-    assert position.keys() == asts.keys() - plan.in_cycle
-    for addr in plan.order:
-        for prec in ref.precedents[addr]:
-            if prec in position:
-                assert position[prec] < position[addr], (addr, prec)
-    assert plan.run() == EvalPlan(wb, asts, precedents=ref.precedents).run()
+    assert plan.in_cycle == reach.on_cycle
+    plan_g = EvalPlan(wb, asts, g)
+    assert plan_g.in_cycle == plan.in_cycle
+    for p in (plan, plan_g):
+        position = {addr: i for i, addr in enumerate(p.order)}
+        assert len(position) == len(p.order)
+        assert position.keys() == asts.keys() - p.in_cycle
+        for addr in p.order:
+            for prec in ref.precedents[addr]:
+                if prec in position:
+                    assert position[prec] < position[addr], (addr, prec)
+    position = {addr: i for i, addr in enumerate(plan_g.order)}
+    for cell, content in wb.iter_cells():
+        if not content.is_formula:
+            cone = g.cone(cell)
+            assert set(cone) == reach.cone(cell), cell
+            assert [position[addr] for addr in cone] == sorted(position[addr] for addr in cone)
+    assert plan.run() == plan_g.run() == EvalPlan(wb, asts, ref).run()

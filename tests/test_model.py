@@ -304,7 +304,10 @@ def test_load_rejects_keys_off_the_grid(key):
 def test_load_rejects_an_output_ending_in_a_newline():
     with pytest.raises(InvalidAddress) as exc:
         make_workbook({"A1\n": {"v": 1}}, outputs=["S1!A1\n"])
-    assert str(exc.value) == "bad cell address: 'A1\\n'"
+    assert str(exc.value) == "output 'S1!A1\\n': bad cell address: 'A1\\n'"
+    with pytest.raises(InvalidAddress) as exc:
+        make_workbook({"A1": {"v": 1}}, outputs=["Data!XFE1"])
+    assert str(exc.value) == "output 'Data!XFE1': address out of grid bounds: 'XFE1'"
 
 
 @pytest.mark.parametrize("key, canonical", [("b2", "B2"), ("B02", "B2"), ("xfd1048576", "XFD1048576")])

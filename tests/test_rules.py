@@ -189,6 +189,36 @@ def test_num_as_text_audit_walks_each_formula_once(monkeypatch):
     assert sorted(walked) == sorted(addr for addr, _cell in wb.formula_cells())
 
 
+@pytest.mark.parametrize("command, exit_code", [
+    ("audit", 1), ("risk", 0), ("snapshot", 0), ("recheck", 0)])
+def test_each_command_condenses_and_indexes_the_book_once(monkeypatch, tmp_path, command,
+                                                          exit_code):
+    # two text-numbers under a SUM: an audit's NUM_AS_TEXT evaluates the book
+    wb = wb_from({"A1": "5", "A2": 3.0, "A3": "7", "B1": "=SUM(A1:A3)", "B2": "=B1*2",
+                  "C1": "=A2+1", "D1": "=D1+A1"}, outputs=("S1!B2",))
+    path = tmp_path / "book.json"
+    path.write_text(serialize_workbook(wb), encoding="utf-8")
+    with redirect_stdout(io.StringIO()):
+        assert main(["snapshot", str(path)]) == 0
+    calls = {"tarjan_sccs": 0, "sheet_indexes": 0}
+    for name in calls:
+        real = getattr(graph_mod, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        # every module that holds the function, by any name, calls the counter
+        for mod in (graph_mod, engine_mod, rules_mod):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    with redirect_stdout(io.StringIO()) as out:
+        assert main([command, str(path)]) == exit_code
+    assert command != "audit" or "NUM_AS_TEXT" in out.getvalue()
+    assert calls == {"tarjan_sccs": 1, "sheet_indexes": 1}
+
+
 def test_hardwired_interior_constant():
     wb = wb_from(
         {
