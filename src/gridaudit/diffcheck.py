@@ -71,7 +71,7 @@ def _content_from_dict(d: object) -> CellContent | None:
         return CellContent(
             value=d.get("value"),
             formula=d.get("formula"),
-            locked=bool(d.get("locked", False)),
+            locked=d.get("locked", False),
             number_format=d.get("numberFormat"),
         )
     except InvalidCell as exc:

@@ -597,8 +597,7 @@ def snapshot(wb: Workbook, created_at: str | None = None) -> Snapshot:
         raise NoDeclaredOutputs(f"workbook {wb.name!r} declares no outputs")
     values = evaluate(wb)
     outputs: dict[str, Constant] = {}
-    for qualified in wb.meta.outputs:
-        addr = parse_qualified(qualified)
+    for qualified, addr in zip(wb.meta.outputs, wb.output_addresses):
         v = values[addr]
         if isinstance(v, ErrorValue):
             raise OutputIsError(f"output {qualified} evaluates to {v.code}")

@@ -45,7 +45,8 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .errors import FormulaSyntaxError, UnknownFunction, UnknownName
-from .model import CellAddress, Workbook, col_to_letters, letters_to_col, quote_sheet
+from .model import (CellAddress, Workbook, canonical_number, col_to_letters, letters_to_col,
+                    quote_sheet)
 
 SUPPORTED_FUNCTIONS = frozenset(
     {"SUM", "AVERAGE", "MIN", "MAX", "COUNT", "IF", "AND", "OR", "NOT", "ROUND", "ABS"}
@@ -499,13 +500,6 @@ def postorder(root: Expr, branches: bool = True) -> list[Expr]:
 
 _UNARY_LEVEL = 6
 _ATOM_LEVEL = 7
-
-
-def canonical_number(v: float) -> str:
-    """Shortest stable spelling; integral floats print without a point."""
-    if v == int(v) and abs(v) <= 2**53:
-        return str(int(v))
-    return repr(v)
 
 
 def _r1c1_axis(letter: str, coord: int, is_abs: bool, origin: int) -> str:

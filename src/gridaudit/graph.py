@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Collection, Iterable, Iterator, Mapping, NamedTuple
+from typing import AbstractSet, Collection, Iterable, Iterator, KeysView, Mapping, NamedTuple
 
 from .errors import ExplosionCap
 from .formula import FormulaAst, parse_workbook_formulas, references
@@ -179,14 +179,22 @@ class DepGraph:
     """Built once from a workbook, then read-only."""
 
     sheet_order: tuple[str, ...]
-    nodes: frozenset[CellAddress]  # defined cells and the cells formulas read
-    formula_cells: frozenset[CellAddress]
     precedents: dict[CellAddress, frozenset[CellAddress]]  # formula cell -> cells it reads
     ranges: dict[CellAddress, tuple[Box, ...]]  # formula cell -> its in-grid ranges
     output_addresses: tuple[CellAddress, ...]
     edge_count: int  # cells the references cover, empty range cells included
     indexes: dict[str, SheetIndex]
     condensation: Condensation
+
+    @property
+    def formula_cells(self) -> KeysView[CellAddress]:
+        return self.precedents.keys()
+
+    @cached_property
+    def nodes(self) -> frozenset[CellAddress]:
+        """Defined cells and the cells formulas read."""
+        return frozenset(addr for index in self.indexes.values()
+                         for addr in index.cells).union(*self.precedents.values())
 
     def sheet_index(self, name: str) -> int:
         try:
@@ -247,8 +255,6 @@ def build_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None)
     if asts is None:
         asts = parse_workbook_formulas(wb)
     indexes = sheet_indexes(wb)
-
-    nodes = {addr for addr, _content in wb.iter_cells()}
     precedents: dict[CellAddress, frozenset[CellAddress]] = {}
     ranges: dict[CellAddress, tuple[Box, ...]] = {}
     edge_count = 0
@@ -262,19 +268,14 @@ def build_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None)
         precedents[addr] = precs
         if boxes:
             ranges[addr] = boxes
-        nodes.update(precs)
-
-    condensation = condense(asts, precedents)  # Tarjan state and the copy of nodes never coexist
     return DepGraph(
         sheet_order=tuple(s.name for s in wb.sheets),
-        nodes=frozenset(nodes),
-        formula_cells=frozenset(asts),
         precedents=precedents,
         ranges=ranges,
         output_addresses=wb.output_addresses,
         edge_count=edge_count,
         indexes=indexes,
-        condensation=condensation,
+        condensation=condense(asts, precedents),
     )
 
 

@@ -20,10 +20,12 @@ A workbook document looks like:
     }
 
 Cells hold exactly one of a constant ("v": number, string, or boolean) or a
-formula ("f": text starting with "="), plus optional "locked" (default false)
-and "fmt" ("text" or "general"; omitted means general). Empty cells are
-absent from the map. Unknown fields anywhere are ignored with a warning so
-documents from newer writers still load.
+formula ("f": text starting with "="), plus optional "locked" (a boolean,
+default false) and "fmt" ("text" or "general"; omitted means general).
+Empty cells are absent from the map. Unknown fields anywhere are ignored
+with a warning so documents from newer writers still load. CellContent is
+the one check of what a cell holds, for a loaded cell and one built in
+code alike; the loader checks only the JSON shape around it.
 
 Model objects are frozen dataclasses, and addresses immutable tuples;
 constructors validate their invariants, so a Workbook that exists is a
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -209,26 +212,25 @@ class CellContent:
     def __post_init__(self) -> None:
         if (self.value is None) == (self.formula is None):
             raise InvalidCell("cell must hold exactly one of value or formula")
+        if not isinstance(self.locked, bool):
+            raise InvalidCell("'locked' must be a boolean")
+        if self.number_format not in (None, "text"):
+            raise InvalidCell(f"unsupported fmt: {self.number_format!r}")
         if self.formula is not None:
             if not isinstance(self.formula, str) or not self.formula.startswith("="):
                 raise InvalidCell(f"formula must start with '=': {self.formula!r}")
             if len(self.formula) == 1:
                 raise InvalidCell("empty formula")
-        if self.value is not None:
-            if isinstance(self.value, bool):
-                pass
-            elif isinstance(self.value, (int, float)):
-                try:
-                    v = float(self.value)
-                except OverflowError:
-                    raise InvalidCell("number too large for a float") from None
-                if v != v or v in (float("inf"), float("-inf")):
-                    raise InvalidCell("non-finite number")
-                object.__setattr__(self, "value", v)
-            elif not isinstance(self.value, str):
-                raise InvalidCell(f"unsupported constant type: {type(self.value).__name__}")
-        if self.number_format not in (None, "text"):
-            raise InvalidCell(f"unsupported fmt: {self.number_format!r}")
+        elif isinstance(self.value, (int, float)) and not isinstance(self.value, bool):
+            try:
+                v = float(self.value)
+            except OverflowError:
+                raise InvalidCell("number too large for a float") from None
+            if not math.isfinite(v):
+                raise InvalidCell("non-finite number")
+            object.__setattr__(self, "value", v)
+        elif not isinstance(self.value, (str, bool)):
+            raise InvalidCell(f"unsupported constant type: {type(self.value).__name__}")
 
     @property
     def is_formula(self) -> bool:
@@ -321,18 +323,19 @@ class Workbook:
     meta: WorkbookMeta
 
     def __post_init__(self) -> None:
-        # Sheet name -> position, built once; not a field, so equality and
-        # repr see only the sheets themselves.
+        # Sheet name -> position and the parsed outputs, built once; not
+        # fields, so equality and repr see only the sheets and meta.
         positions: dict[str, int] = {}
         for i, sheet in enumerate(self.sheets):
             if sheet.name in positions:
                 raise DuplicateSheet(f"duplicate sheet name: {sheet.name!r}")
             positions[sheet.name] = i
         object.__setattr__(self, "_positions", positions)
-        for out in self.meta.outputs:
-            addr = parse_qualified(out)
+        outputs = tuple(map(parse_qualified, self.meta.outputs))
+        for out, addr in zip(self.meta.outputs, outputs):
             if self.cell(addr) is None:
                 raise DanglingOutput(f"declared output does not resolve: {out!r}")
+        object.__setattr__(self, "_outputs", outputs)
 
     def sheet(self, name: str) -> Sheet | None:
         i = self._positions.get(name)
@@ -363,7 +366,7 @@ class Workbook:
 
     @property
     def output_addresses(self) -> tuple[CellAddress, ...]:
-        return tuple(parse_qualified(o) for o in self.meta.outputs)
+        return self._outputs
 
     def replace_cell(self, addr: CellAddress, content: CellContent | None) -> Workbook:
         """Functional update: returns a new workbook with one cell replaced.
@@ -403,33 +406,24 @@ def _warn_unknown(fields: dict[str, Any], known: set[str], where: str) -> None:
             warnings.warn(f"ignoring unknown field {key!r} in {where}", UnknownFieldWarning)
 
 
-def _parse_cell(raw: Any, where: str) -> CellContent:
-    _require(isinstance(raw, dict), f"cell {where} must be an object")
-    _warn_unknown(raw, {"v", "f", "locked", "fmt"}, f"cell {where}")
-    has_v = "v" in raw
-    has_f = "f" in raw
-    if has_v == has_f:
-        raise InvalidCell(f"cell {where} must have exactly one of 'v' or 'f'")
-    locked = raw.get("locked", False)
-    if not isinstance(locked, bool):
-        raise InvalidCell(f"cell {where}: 'locked' must be a boolean")
+_CELL_FIELDS = {"v", "f", "locked", "fmt"}
+
+
+def _parse_cell(raw: Any, sheet_name: str, key: str) -> CellContent:
+    """One document cell. Only its JSON shape is checked here; CellContent
+    checks what it holds. The location joins a message only on a refusal."""
+    if not isinstance(raw, dict):
+        raise MalformedDocument(f"cell {sheet_name}!{key} must be an object")
+    if not raw.keys() <= _CELL_FIELDS:
+        _warn_unknown(raw, _CELL_FIELDS, f"cell {sheet_name}!{key}")
+    if ("v" in raw) == ("f" in raw):
+        raise InvalidCell(f"cell {sheet_name}!{key} must have exactly one of 'v' or 'f'")
     fmt = raw.get("fmt")
-    if fmt == "general":
-        fmt = None
-    elif fmt not in (None, "text"):
-        raise InvalidCell(f"cell {where}: unsupported fmt {fmt!r}")
     try:
-        if has_f:
-            f = raw["f"]
-            if not isinstance(f, str):
-                raise InvalidCell("'f' must be a string")
-            return CellContent(formula=f, locked=locked, number_format=fmt)
-        v = raw["v"]
-        if not isinstance(v, (int, float, str, bool)):
-            raise InvalidCell("unsupported constant type")
-        return CellContent(value=v, locked=locked, number_format=fmt)
+        return CellContent(raw.get("v"), raw.get("f"), raw.get("locked", False),
+                           None if fmt == "general" else fmt)
     except InvalidCell as exc:
-        raise InvalidCell(f"cell {where}: {exc}") from None
+        raise InvalidCell(f"cell {sheet_name}!{key}: {exc}") from None
 
 
 def parse_workbook(data: str | bytes) -> Workbook:
@@ -501,7 +495,7 @@ def parse_workbook(data: str | bytes) -> Workbook:
                 canonical = f"{col_to_letters(col)}{row}"
             if canonical in cells:
                 raise InvalidCell(f"sheet {sheet_name!r}: duplicate cell {canonical}")
-            content = cells[canonical] = _parse_cell(raw_cell, f"{sheet_name}!{canonical}")
+            content = cells[canonical] = _parse_cell(raw_cell, sheet_name, canonical)
             pairs.append((CellAddress(sheet_name, row, col), content))
         sheets.append(Sheet._loaded(sheet_name, cells, pairs))
 
@@ -513,15 +507,20 @@ def parse_workbook(data: str | bytes) -> Workbook:
     )
 
 
+def canonical_number(v: float) -> str:
+    """Shortest stable spelling; integral floats print without a point (2^53
+    bounds exact conversion)."""
+    if v == int(v) and abs(v) <= 2**53:
+        return str(int(v))
+    return repr(v)
+
+
 def _constant_json(v: Constant) -> str:
-    """A constant as JSON text. Integral floats are written as ints; 2^53
-    bounds exact conversion."""
+    """A constant as JSON text; a number in its canonical spelling."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        if v == int(v) and abs(v) <= 2**53:
-            return str(int(v))
-        return repr(v)
+        return canonical_number(v)
     return encode_basestring(v)
 
 

@@ -68,6 +68,20 @@ def wb_from(
     )
 
 
+# Cell objects the loader refuses, each with a message naming its cell.
+MALFORMED_CELLS = (
+    {}, {"v": None}, {"f": 5}, {"f": "A1"}, {"f": "="}, {"v": [1]},
+    {"v": 1, "locked": 1}, {"v": 1, "fmt": "pct"}, {"v": 10**400}, {"v": 1, "f": "=B1"}, 5,
+)
+
+
+def one_cell_document(cell: Any) -> dict[str, Any]:
+    """A document whose one sheet "S1" holds cell at A1."""
+    return {"version": DOCUMENT_VERSION, "name": DEFAULT_NAME,
+            "meta": {"modified": DEFAULT_MODIFIED},
+            "sheets": [{"name": "S1", "cells": {"A1": cell}}]}
+
+
 def reference_document(wb: Workbook) -> dict[str, Any]:
     """The documented workbook shape as a dict, cells in reading order.
 
@@ -130,11 +144,8 @@ def expanded_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst]) -> DepGrap
                 cells.update(CellAddress(sheet, row, col)
                              for row in range(r1, r2 + 1) for col in range(c1, c2 + 1))
         precedents[addr] = frozenset(cells)
-    nodes = {addr for addr, _content in wb.iter_cells()}.union(*precedents.values())
     return DepGraph(
         sheet_order=tuple(s.name for s in wb.sheets),
-        nodes=frozenset(nodes),
-        formula_cells=frozenset(asts),
         precedents=precedents,
         ranges={},
         output_addresses=wb.output_addresses,

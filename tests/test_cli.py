@@ -24,7 +24,7 @@ from gridaudit.model import parse_workbook, serialize_workbook
 from gridaudit.rules import RULE_IDS
 from gridaudit.simlab import SeedSpec, generate_clean, seed_defects, truth_to_json
 
-from helpers import wb_from
+from helpers import MALFORMED_CELLS, one_cell_document, wb_from
 
 
 def write_workbook(tmp_path: Path, wb, name: str = "wb.json") -> Path:
@@ -87,6 +87,15 @@ def test_out_of_range_number_literal_exits_two(tmp_path, capsys):
     wb = wb_from({"A1": "=1e400"})
     assert main(["audit", str(write_workbook(tmp_path, wb))]) == 2
     assert "S1!A1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", MALFORMED_CELLS, ids=repr)
+def test_malformed_cell_exits_two_naming_it(tmp_path, capsys, cell):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(one_cell_document(cell)), encoding="utf-8")
+    assert main(["audit", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "S1!A1" in err
 
 
 @pytest.mark.parametrize("command", ["audit", "risk", "plan", "graph-dump", "snapshot"])

@@ -248,6 +248,7 @@ def test_entry_dict_round_trip():
     for bad, where in (({}, "'kind'"), ({"kind": "added"}, "location"),
                        ({**good, "before": 5}, "cell content"),
                        ({**good, "after": {"value": [1]}}, "cell content"),
+                       ({**good, "after": {"value": 1, "locked": "false"}}, "cell content"),
                        ("x", "object")):
         with pytest.raises(InvalidConfig, match=where):
             entry_from_dict(bad)  # type: ignore[arg-type]

@@ -34,7 +34,7 @@ from gridaudit.model import (
 )
 from gridaudit.rules import RULE_IDS
 from gridaudit.simlab import SeedSpec, generate_clean, seed_defects
-from helpers import reference_document
+from helpers import MALFORMED_CELLS, one_cell_document, reference_document
 
 def make_workbook(cells: dict[str, dict], name: str = "wb_v1_2026-01-15",
                   outputs: list[str] | None = None, protection: bool = False) -> Workbook:
@@ -121,6 +121,8 @@ def test_cell_content_exactly_one_of_value_or_formula():
         CellContent(value=1.0, formula="=A1")
     with pytest.raises(InvalidCell):
         CellContent(formula="A1")  # no '='
+    with pytest.raises(InvalidCell, match="'locked' must be a boolean"):
+        CellContent(value=1, locked="yes")
     assert CellContent(value=3).value == 3.0
     assert CellContent(value=True).value is True
     assert CellContent(formula="=A1").is_formula
@@ -192,12 +194,39 @@ def test_parse_errors_name_the_location():
     }
     with pytest.raises(InvalidAddress, match="ZZZZ1"):
         parse_workbook(json.dumps({**base, "sheets": [{"name": "S1", "cells": {"ZZZZ1": {"v": 1}}}]}))
-    with pytest.raises(InvalidCell, match="S1!A1"):
-        parse_workbook(json.dumps({**base, "sheets": [{"name": "S1", "cells": {"A1": {}}}]}))
-    with pytest.raises(InvalidCell):
-        parse_workbook(json.dumps(
-            {**base, "sheets": [{"name": "S1", "cells": {"A1": {"v": 1, "f": "=B1"}}}]}
-        ))
+
+
+@pytest.mark.parametrize("cell", MALFORMED_CELLS, ids=repr)
+def test_malformed_cell_is_refused_naming_its_cell(cell):
+    with pytest.raises((InvalidCell, MalformedDocument), match="S1!A1"):
+        parse_workbook(json.dumps(one_cell_document(cell)))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -(10**400)])
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4)
+    | st.sampled_from(["=", "=A1", "A1", "=1+", "text", "general", "pct"]),
+    lambda kids: st.lists(kids, max_size=2) | st.dictionaries(st.text(max_size=2), kids, max_size=2),
+    max_leaves=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.dictionaries(st.sampled_from(["v", "f", "locked", "fmt"]), _JSON_VALUES))
+def test_a_cell_loads_iff_cell_content_accepts_it(raw):
+    # The loader's one shape rule: exactly one of the keys "v" and "f".
+    # Then "general" means no fmt, and CellContent judges the rest.
+    fmt = raw.get("fmt")
+    try:
+        if ("v" in raw) == ("f" in raw):
+            raise InvalidCell("shape")
+        expected = CellContent(raw.get("v"), raw.get("f"), raw.get("locked", False),
+                               None if fmt == "general" else fmt)
+    except InvalidCell:
+        with pytest.raises(InvalidCell, match="S1!A1"):
+            parse_workbook(json.dumps(one_cell_document(raw)))
+        return
+    loaded = parse_workbook(json.dumps(one_cell_document(raw))).sheets[0].cells["A1"]
+    assert loaded == expected and type(loaded.value) is type(expected.value)
 
 
 def test_duplicate_sheet_and_dangling_output():
