@@ -485,7 +485,7 @@ class EvalPlan:
         self.asts = asts
         if g is None:
             self.indexes = sheet_indexes(wb)
-            cond = condense(asts, {addr: precedents_of(ast, self.indexes)[0]
+            cond = condense(asts, {addr: precedents_of(ast, self.indexes)
                                    for addr, ast in asts.items()})
         else:
             self.indexes, cond = g.indexes, g.condensation

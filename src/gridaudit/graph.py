@@ -2,19 +2,19 @@
 
 precedents_of is the one dependency walker, and condense the one pass that
 finds strongly connected components: chain_stats, cone() and the evaluation
-order read the condensation build_graph keeps. A formula reads each cell a
-single reference names, even an empty one (someone may fill it later), and
-each occupied cell of a range. A range's empty cells are counted, not
-listed, as in the range-compressed graph of TACO (Tang et al.): edge_count
-counts every cell the references cover, and only dump_edges lists them all.
-That is honest about fan-in but can explode, so the count is capped at
-EDGE_CAP, and breaching the cap is a diagnosed error rather than a hang.
+order read the condensation build_graph keeps. The precedents are the
+graph's edges. A formula reads each cell a single reference names, occupied
+or empty (someone may fill it later), and each occupied cell of a range in
+the grid; a range's empty cells are not edges, as in the range-compressed
+graph of TACO (Tang et al.). edge_count is the sum of the precedent sets'
+sizes, dump_edges prints one line per precedent, and the count is capped at
+EDGE_CAP, so breaching the cap is a diagnosed error rather than a hang.
 
 References beyond the grid caps, or into sheets that do not exist, stay
 nodes and edges: the breakage is part of the picture, not an exception. A
-range with any corner beyond the caps, or on a missing sheet, is one node
-at its far corner, mirroring how the evaluator treats the whole range as
-one #REF!.
+range with any corner beyond the caps, or on a missing sheet, reads its far
+corner, one node, mirroring how the evaluator treats the whole range as one
+#REF!.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ from typing import AbstractSet, Collection, Iterable, Iterator, KeysView, Mappin
 from .errors import ExplosionCap
 from .formula import FormulaAst, parse_workbook_formulas, references
 from .model import MAX_COL, MAX_ROW, CellAddress, Sheet, Workbook
-
-Box = tuple[str, int, int, int, int]  # sheet, r1, c1, r2, c2
-
 
 class SheetIndex:
     """Index over a sheet's non-empty cells for cell and range lookups.
@@ -66,28 +63,25 @@ def sheet_indexes(wb: Workbook) -> dict[str, SheetIndex]:
     return {s.name: SheetIndex(s) for s in wb.sheets}
 
 
-def precedents_of(ast: FormulaAst, indexes: Mapping[str, SheetIndex]
-                  ) -> tuple[frozenset[CellAddress], tuple[Box, ...]]:
-    """The cells a formula reads, and the boxes of the ranges it reads them through.
+def precedents_of(ast: FormulaAst, indexes: Mapping[str, SheetIndex]) -> frozenset[CellAddress]:
+    """The cells a formula reads.
 
     A single reference gives its cell, and a range in the grid on a sheet of
-    the book its occupied cells and its box; any other range its far corner.
-    An occupied cell is the sheet's own address object."""
+    the book its occupied cells; any other range its far corner. An occupied
+    cell is the sheet's own address object."""
     precs: set[CellAddress] = set()
-    boxes: tuple[Box, ...] = ()
     for sheet, r1, c1, r2, c2 in references(ast):
         index = indexes.get(sheet)
         if index is not None and r2 <= MAX_ROW and c2 <= MAX_COL:
             if r1 != r2 or c1 != c2:
                 precs.update(index.iter_box(r1, c1, r2, c2))
-                boxes += ((sheet, r1, c1, r2, c2),)
                 continue
             occupied = index.address.get((sheet, r1, c1))
             if occupied is not None:
                 precs.add(occupied)
                 continue
         precs.add(CellAddress(sheet, r2, c2))
-    return frozenset(precs), boxes
+    return frozenset(precs)
 
 
 def tarjan_sccs(
@@ -180,9 +174,8 @@ class DepGraph:
 
     sheet_order: tuple[str, ...]
     precedents: dict[CellAddress, frozenset[CellAddress]]  # formula cell -> cells it reads
-    ranges: dict[CellAddress, tuple[Box, ...]]  # formula cell -> its in-grid ranges
     output_addresses: tuple[CellAddress, ...]
-    edge_count: int  # cells the references cover, empty range cells included
+    edge_count: int  # the precedent sets' sizes, summed
     indexes: dict[str, SheetIndex]
     condensation: Condensation
 
@@ -234,44 +227,24 @@ class DepGraph:
         return readers, position
 
 
-def _covered(precs: frozenset[CellAddress], boxes: tuple[Box, ...]) -> int:
-    """Cells a formula's references cover: the union of its ranges' boxes,
-    swept down the row bands their edges cut, and its precedents outside it."""
-    covered = 0
-    cuts = sorted({r for _s, r1, _c1, r2, _c2 in boxes for r in (r1, r2 + 1)})
-    for top, end in zip(cuts, cuts[1:]):
-        reach: dict[str, int] = {}  # sheet -> the band's last column counted
-        for s, c1, c2 in sorted((s, c1, c2) for s, r1, c1, r2, c2 in boxes if r1 <= top <= r2):
-            if c2 > reach.get(s, 0):
-                covered += (c2 - max(c1 - 1, reach.get(s, 0))) * (end - top)
-                reach[s] = c2
-    return covered + sum(1 for s, r, c in precs
-                         if not any(s == bs and r1 <= r <= r2 and c1 <= c <= c2
-                                    for bs, r1, c1, r2, c2 in boxes))
-
-
 def build_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None) -> DepGraph:
     """Construct the full dependency graph; ExplosionCap if it would not fit."""
     if asts is None:
         asts = parse_workbook_formulas(wb)
     indexes = sheet_indexes(wb)
     precedents: dict[CellAddress, frozenset[CellAddress]] = {}
-    ranges: dict[CellAddress, tuple[Box, ...]] = {}
     edge_count = 0
     for addr in sorted(asts):  # sheet name, then grid position
-        precs, boxes = precedents_of(asts[addr], indexes)
-        edge_count += _covered(precs, boxes) if boxes else len(precs)
+        precs = precedents_of(asts[addr], indexes)
+        edge_count += len(precs)
         if edge_count > EDGE_CAP:
             raise ExplosionCap(
                 f"dependency expansion exceeds {EDGE_CAP} edges at {addr.qualified}"
             )
         precedents[addr] = precs
-        if boxes:
-            ranges[addr] = boxes
     return DepGraph(
         sheet_order=tuple(s.name for s in wb.sheets),
         precedents=precedents,
-        ranges=ranges,
         output_addresses=wb.output_addresses,
         edge_count=edge_count,
         indexes=indexes,
@@ -332,14 +305,9 @@ def orphan_formulas(g: DepGraph) -> list[CellAddress]:
 
 
 def dump_edges(g: DepGraph) -> str:
-    """Edge list, one "precedent<TAB>dependent" line per edge, stable order;
-    each cell a range covers is an edge, empty or not."""
+    """Edge list, one "precedent<TAB>dependent" line per precedent, stable order."""
     lines = []
     for dependent in sorted(g.precedents, key=g.sort_key):
-        cells = set(g.precedents[dependent])
-        for sheet, r1, c1, r2, c2 in g.ranges.get(dependent, ()):
-            cells.update(CellAddress(sheet, row, col)
-                         for row in range(r1, r2 + 1) for col in range(c1, c2 + 1))
-        for precedent in sorted(cells, key=g.sort_key):
+        for precedent in sorted(g.precedents[dependent], key=g.sort_key):
             lines.append(f"{precedent.qualified}\t{dependent.qualified}\n")
     return "".join(lines)

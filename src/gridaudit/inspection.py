@@ -237,14 +237,28 @@ def session_to_dict(s: SessionFindings) -> dict[str, object]:
     }
 
 
+def _text(v: object) -> str:
+    if not isinstance(v, str):
+        raise TypeError(v)
+    return v
+
+
+def _minutes(v: object) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(v)
+    return float(v)
+
+
 def session_from_dict(d: dict[str, object]) -> SessionFindings:
-    known = {"inspectorId", "moduleId", "durationMinutes", "items"}
-    extra = set(d) - known
+    """A session file's object, its types checked strictly: a value of the
+    wrong type is refused, not coerced."""
+    where = "session"
+    extra = set(d) - {"inspectorId", "moduleId", "durationMinutes", "items"}
     if extra:
         raise InvalidConfig(f"unknown session keys: {sorted(extra)}")
-    missing = known - {"items"} - set(d)
-    if missing:
-        raise InvalidConfig(f"missing session keys: {sorted(missing)}")
+    inspector_id = config_value(d, "inspectorId", _text, where)
+    module_id = config_value(d, "moduleId", _text, where)
+    duration = config_value(d, "durationMinutes", _minutes, where)
     if not isinstance(d.get("items", []), list):
         raise InvalidConfig("session items must be a list")
     items = []
@@ -254,19 +268,15 @@ def session_from_dict(d: dict[str, object]) -> SessionFindings:
         bad = set(raw) - {"cell", "note", "suspectedClass"}
         if bad:
             raise InvalidConfig(f"unknown session item keys: {sorted(bad)}")
-        cls = raw.get("suspectedClass")
         items.append(SessionItem(
-            cell=str(raw["cell"]),
-            note=str(raw.get("note", "")),
-            suspected_class=None if cls is None else str(cls),
+            cell=config_value(raw, "cell", _text, "session item"),
+            note=config_value(raw, "note", _text, "session item") if "note" in raw else "",
+            suspected_class=(None if raw.get("suspectedClass") is None
+                             else config_value(raw, "suspectedClass", _text, "session item")),
         ))
-    try:
-        duration = float(d["durationMinutes"])  # type: ignore[arg-type]
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidConfig(f"durationMinutes {d['durationMinutes']!r} is not a number") from None
     return SessionFindings(
-        inspector_id=str(d["inspectorId"]),
-        module_id=str(d["moduleId"]),
+        inspector_id=inspector_id,
+        module_id=module_id,
         items=tuple(items),
         duration_minutes=duration,
     )

@@ -232,6 +232,18 @@ class CellContent:
         elif not isinstance(self.value, (str, bool)):
             raise InvalidCell(f"unsupported constant type: {type(self.value).__name__}")
 
+    def _key(self) -> tuple[object, ...]:
+        # the value's type too: True == 1.0 in Python, but not as a cell
+        return (type(self.value), self.value, self.formula, self.locked, self.number_format)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CellContent):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     @property
     def is_formula(self) -> bool:
         return self.formula is not None

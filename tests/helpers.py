@@ -124,14 +124,15 @@ def reference_document(wb: Workbook) -> dict[str, Any]:
 
 
 def expanded_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst]) -> DepGraph:
-    """The dependency graph with every range expanded cell by cell.
+    """The dependency graph with every range walked cell by cell.
 
     The graph's meaning spelled out, as the reference for the graph that
-    counts a range's empty cells instead of listing them: a formula reads
-    each cell its references cover, empty or not; a range beyond the grid
-    or on a missing sheet reads its far corner. edge_count is the number of
-    such cells, each once per formula. The condensation is Reachability's,
-    found without Tarjan.
+    looks up a range's occupied cells in a sheet index: a formula reads
+    each cell a single reference names, occupied or empty, and each
+    occupied cell of a range in the grid on a sheet of the book; any other
+    range reads its far corner. edge_count is the number of such cells,
+    each once per formula. The condensation is Reachability's, found
+    without Tarjan.
     """
     known_sheets = {s.name for s in wb.sheets}
     precedents: dict[CellAddress, frozenset[CellAddress]] = {}
@@ -140,14 +141,16 @@ def expanded_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst]) -> DepGrap
         for sheet, r1, c1, r2, c2 in references(asts[addr]):
             if r2 > MAX_ROW or c2 > MAX_COL or sheet not in known_sheets:
                 cells.add(CellAddress(sheet, r2, c2))
+            elif (r1, c1) == (r2, c2):
+                cells.add(CellAddress(sheet, r1, c1))
             else:
-                cells.update(CellAddress(sheet, row, col)
-                             for row in range(r1, r2 + 1) for col in range(c1, c2 + 1))
+                box = (CellAddress(sheet, row, col)
+                       for row in range(r1, r2 + 1) for col in range(c1, c2 + 1))
+                cells.update(cell for cell in box if wb.cell(cell) is not None)
         precedents[addr] = frozenset(cells)
     return DepGraph(
         sheet_order=tuple(s.name for s in wb.sheets),
         precedents=precedents,
-        ranges={},
         output_addresses=wb.output_addresses,
         edge_count=sum(len(cells) for cells in precedents.values()),
         indexes=sheet_indexes(wb),

@@ -200,6 +200,29 @@ def test_audit_normalizes_each_formula_class_once(monkeypatch):
     assert len(classes) < sum(1 for _ in wb.formula_cells())
 
 
+def test_readme_library_example_parses_formulas_once(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    spec = SeedSpec("grid", 90, 6, error_rate=0.3, rng_seed=4)
+    write_workbook(tmp_path, seed_defects(generate_clean(spec), spec).workbook, "model.json")
+    original = formula.parse_workbook_formulas
+    calls: list = []
+
+    def counted(wb):
+        calls.append(wb.name)
+        return original(wb)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("gridaudit")
+                and getattr(module, "parse_workbook_formulas", None) is original):
+            monkeypatch.setattr(module, "parse_workbook_formulas", counted)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {})
+    assert len(calls) == 1
+    risk_score, p_any_error = map(float, capsys.readouterr().out.split())
+    assert risk_score > 0 and 0 < p_any_error < 1
+
+
 def test_audit_parses_each_cell_key_once(tmp_path, monkeypatch, capsys):
     # Loading parses each key once and hands the sheet its reading order;
     # each declared output is parsed on load, by the workbook's check and
@@ -585,6 +608,16 @@ def test_graph_dump_lists_edges(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "S1!A1\tS1!A2" in out
     assert "S1!A2\tS1!A3" in out
+
+
+def test_range_down_the_whole_column_audits(tmp_path, capsys):
+    # a range's empty cells are not edges, so a million-row SUM stays under EDGE_CAP
+    wb = wb_from({"A1": 1.0, "A2": 2.0, "B1": "=SUM(A1:A1048576)"}, outputs=("S1!B1",))
+    path = write_workbook(tmp_path, wb)
+    rc = main(["audit", str(path), "--format", "machine"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == int(any(f["severity"] == "error" for f in doc["findings"]))
+    assert doc["chainSummary"]["edgeCount"] == 2
 
 
 # --- no-network guarantee -----------------------------------------------------

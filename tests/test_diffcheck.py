@@ -215,6 +215,14 @@ def test_three_way_divergent_change_conflicts():
     assert c.second.after.value == 7.0
 
 
+def test_three_way_true_and_one_conflict():
+    base = wb_from({"A1": 5.0})
+    res = three_way_check(base, wb_from({"A1": True}), wb_from({"A1": 1.0}))
+    assert res.agreeing == ()
+    assert [(c.first.after.value, c.second.after.value) for c in res.conflicting] == [
+        (True, 1.0)]
+
+
 def test_three_way_unilateral_change_conflicts():
     base = wb_from({"A1": 5.0, "B1": 1.0})
     res = three_way_check(base, wb_from({"A1": 6.0, "B1": 1.0}),

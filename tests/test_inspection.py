@@ -183,18 +183,23 @@ def test_session_validation():
         SessionFindings("", "M1", (), 60.0)
     with pytest.raises(InvalidConfig):
         SessionFindings("ana", "M1", (), 0.0)
-    for minutes in ("NaN", "Infinity"):
-        with pytest.raises(InvalidConfig, match="finite"):
-            session_from_dict({"inspectorId": "ana", "moduleId": "M1", "items": [],
-                               "durationMinutes": json.loads(minutes)})
-    with pytest.raises(InvalidConfig, match="durationMinutes"):
-        session_from_dict({"inspectorId": "ana", "moduleId": "M1", "items": []})
-    with pytest.raises(InvalidConfig, match="items"):
-        session_from_dict({"inspectorId": "ana", "moduleId": "M1",
-                           "durationMinutes": 5, "items": 5})
-    with pytest.raises(InvalidConfig, match="cell"):
-        session_from_dict({"inspectorId": "ana", "moduleId": "M1",
-                           "durationMinutes": 5, "items": [3]})
+    good = {"inspectorId": "ana", "moduleId": "M1", "durationMinutes": 5, "items": []}
+    for bad, where in (
+            ({**good, "durationMinutes": json.loads("NaN")}, "finite"),
+            ({**good, "durationMinutes": json.loads("Infinity")}, "finite"),
+            ({k: v for k, v in good.items() if k != "durationMinutes"}, "durationMinutes"),
+            ({**good, "items": 5}, "items"),
+            ({**good, "items": [3]}, "cell"),
+            # a wrong-typed value is refused, not coerced
+            ({**good, "inspectorId": None}, "inspectorId"),
+            ({**good, "moduleId": 7}, "moduleId"),
+            ({**good, "durationMinutes": True}, "durationMinutes"),
+            ({**good, "durationMinutes": "5"}, "durationMinutes"),
+            ({**good, "items": [{"cell": 5}]}, "cell"),
+            ({**good, "items": [{"cell": "S1!A1", "note": ["x"]}]}, "note"),
+            ({**good, "items": [{"cell": "S1!A1", "suspectedClass": 1}]}, "suspectedClass")):
+        with pytest.raises(InvalidConfig, match=where):
+            session_from_dict(bad)
 
 
 def test_session_dict_round_trip():

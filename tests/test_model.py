@@ -128,6 +128,13 @@ def test_cell_content_exactly_one_of_value_or_formula():
     assert CellContent(formula="=A1").is_formula
 
 
+@pytest.mark.parametrize("x, y", [(True, 1.0), (False, 0.0), (True, 1), ("1", 1.0)])
+def test_cell_content_equality_sees_the_value_type(x, y):
+    assert CellContent(value=x) != CellContent(value=y)
+    assert hash(CellContent(value=x)) != hash(CellContent(value=y))
+    assert CellContent(value=x) == CellContent(value=x)
+
+
 def test_cell_content_numeric_text_flags():
     assert not CellContent(value=500.0, number_format="text").is_number
     assert CellContent(value=500.0).is_number
