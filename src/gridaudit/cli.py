@@ -20,42 +20,20 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from . import __version__
-from .diffcheck import DiffEntry, diff, three_way_check
-from .engine import parse_snapshot, recheck, snapshot, snapshot_to_json, value_to_json
-from .errors import GridAuditError, InvalidConfig, ModuleMismatch, config_value
-from .formula import parse_workbook_formulas
-from .graph import build_graph, chain_stats, dump_edges
-from .inspection import (
-    InspectionPlan,
-    PlanConfig,
-    plan,
-    plan_config_from_dict,
-    reconcile,
-    session_from_dict,
-    yield_report,
-)
+from .errors import GridAuditError, InvalidConfig, ModuleMismatch, config_value, plain
 from .model import Workbook, parse_workbook, serialize_workbook
-from .risk import (
-    RiskParams,
-    RiskReport,
-    assess,
-    effective_rate,
-    p_any_error,
-    p_chain_correct,
-    report_from_dict,
-)
-from .rules import (
-    Finding,
-    RuleConfig,
-    finding_from_dict,
-    rule_config_from_dict,
-    run_rules,
-)
-from .simlab import (SeedSpec, generate_clean, monte_carlo, seed_defects, truth_from_dict,
-                     truth_to_json)
+
+# Each command imports the layers it calls inside its function, so a run
+# loads only those. The import runs at each call and reads the module's
+# current binding, so a name rebound in its module is seen here too.
+if TYPE_CHECKING:
+    from .diffcheck import DiffEntry
+    from .inspection import InspectionPlan, PlanConfig
+    from .risk import RiskParams, RiskReport
+    from .rules import Finding, RuleConfig
 
 FIXED_TIMESTAMP = "1970-01-01T00:00:00"
 
@@ -97,6 +75,9 @@ class AuditReport:
 
 
 def audit_report_from_dict(d: dict[str, object]) -> AuditReport:
+    from .risk import report_from_dict
+    from .rules import finding_from_dict
+
     where = "audit report"
     if not isinstance(d, dict):
         raise InvalidConfig(f"{where} must be an object, got {d!r}")
@@ -124,12 +105,17 @@ def audit_report_from_dict(d: dict[str, object]) -> AuditReport:
 
 
 def _int_values(d: object) -> dict[str, int]:
-    return {k: int(v) for k, v in dict(d).items()}  # type: ignore[call-overload]
+    return {k: plain(v, int) for k, v in dict(d).items()}  # type: ignore[call-overload]
 
 
 def build_audit_report(wb: Workbook, rule_cfg: RuleConfig | None = None,
                        params: RiskParams | None = None,
                        fixed_timestamp: bool = False) -> AuditReport:
+    from .formula import parse_workbook_formulas
+    from .graph import build_graph, chain_stats
+    from .risk import assess
+    from .rules import run_rules
+
     asts = parse_workbook_formulas(wb)
     g = build_graph(wb, asts=asts)
     rules_rep = run_rules(wb, g, rule_cfg, asts=asts)
@@ -205,6 +191,8 @@ def _load_config(args: argparse.Namespace) -> dict[str, object]:
 
 
 def _rule_config(args: argparse.Namespace) -> RuleConfig | None:
+    from .rules import rule_config_from_dict
+
     doc = _load_config(args)
     if "rules" not in doc:
         return None
@@ -212,6 +200,8 @@ def _rule_config(args: argparse.Namespace) -> RuleConfig | None:
 
 
 def _plan_config(args: argparse.Namespace) -> PlanConfig:
+    from .inspection import plan_config_from_dict
+
     doc = _load_config(args)
     cfg = plan_config_from_dict(doc.get("plan", {}))  # type: ignore[arg-type]
     overrides = {
@@ -322,6 +312,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_risk(args: argparse.Namespace) -> int:
+    from .formula import parse_workbook_formulas
+    from .graph import build_graph, chain_stats
+    from .risk import RiskParams, assess
+    from .rules import run_rules
+
     wb = _load_workbook(args.workbook)
     asts = parse_workbook_formulas(wb)
     g = build_graph(wb, asts=asts)
@@ -340,6 +335,8 @@ def _cmd_risk(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from .inspection import plan
+
     wb = _load_workbook(args.workbook)
     p = plan(wb, _plan_config(args))
     _emit(args, _render_plan(p), p.to_dict())
@@ -347,6 +344,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_reconcile(args: argparse.Namespace) -> int:
+    from .inspection import plan, reconcile, session_from_dict, yield_report
+
     wb = _load_workbook(args.workbook)
     cfg = _plan_config(args)
     p = plan(wb, cfg)
@@ -370,6 +369,8 @@ def _cmd_reconcile(args: argparse.Namespace) -> int:
     machine = res.to_dict()
 
     if args.truth is not None:
+        from .simlab import truth_from_dict
+
         cells = [t.cell for t in _load_doc(args.truth, "truth", truth_from_dict)
                  if t.cell != "*"]  # workbook-level entries have no cell
         rep = yield_report(res.union_items, cells)
@@ -382,6 +383,8 @@ def _cmd_reconcile(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
+    from .diffcheck import diff
+
     a = _load_workbook(args.workbook_a)
     b = _load_workbook(args.workbook_b)
     entries = diff(a, b)
@@ -395,6 +398,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_threeway(args: argparse.Namespace) -> int:
+    from .diffcheck import three_way_check
+
     base = _load_workbook(args.base)
     res = three_way_check(base, _load_workbook(args.copy1),
                           _load_workbook(args.copy2))
@@ -410,6 +415,8 @@ def _cmd_threeway(args: argparse.Namespace) -> int:
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
+    from .engine import snapshot, snapshot_to_json
+
     wb = _load_workbook(args.workbook)
     snap = snapshot(wb, created_at=FIXED_TIMESTAMP if args.fixed_timestamp else None)
     if args.out is None:
@@ -421,6 +428,8 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
 
 
 def _cmd_recheck(args: argparse.Namespace) -> int:
+    from .engine import parse_snapshot, recheck, value_to_json
+
     wb = _load_workbook(args.workbook)
     snap_path = args.snapshot or Path(str(args.workbook) + ".snapshot")
     snap = parse_snapshot(snap_path.read_bytes())
@@ -451,6 +460,8 @@ def _cmd_recheck(args: argparse.Namespace) -> int:
 
 
 def _cmd_seed(args: argparse.Namespace) -> int:
+    from .simlab import SeedSpec, generate_clean, seed_defects, truth_to_json
+
     mix = None
     if args.mix is not None:
         try:
@@ -494,6 +505,9 @@ def _cmd_seed(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
+    from .risk import RiskParams, effective_rate, p_any_error, p_chain_correct
+    from .simlab import monte_carlo
+
     params = RiskParams(p=args.p)
     res = monte_carlo(params, args.unique_formulas, args.chain_length,
                       trials=args.trials, rng_seed=args.rng_seed,
@@ -525,6 +539,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph_dump(args: argparse.Namespace) -> int:
+    from .graph import build_graph, dump_edges
+
     wb = _load_workbook(args.workbook)
     g = build_graph(wb)
     text = dump_edges(g)

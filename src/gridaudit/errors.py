@@ -3,7 +3,8 @@
 Every failure the tool can diagnose maps to one of these; the CLI turns any
 of them into exit code 2 with a one-line diagnostic. Anything else escaping
 is a bug, not a user error. config_value reads one key of a dict read back
-from a file, so a missing key or a bad value is an InvalidConfig too.
+from a file, so a missing key or a bad value is an InvalidConfig too; a
+value of the wrong plain type is refused, not coerced.
 """
 
 from __future__ import annotations
@@ -94,14 +95,30 @@ class InvalidConfig(GridAuditError):
     """Rule or planner configuration failed validation."""
 
 
+# a plain type -> the types a file value must already have to be read as it
+_PLAIN: dict[type, tuple[type, ...]] = {str: (str,), int: (int,), float: (int, float),
+                                        bool: (bool,)}
+
+
+def plain(value: object, convert: Callable[[Any], T]) -> T:
+    """convert(value), where a plain type (str, int, float, bool) reads only a
+    value of that type, or an int as a float, and never a bool as a number;
+    TypeError otherwise. Other converters are called as they are."""
+    kinds = _PLAIN.get(convert)  # type: ignore[call-overload]
+    if kinds is not None and (not isinstance(value, kinds)
+                              or (isinstance(value, bool) and convert is not bool)):
+        raise TypeError(value)
+    return convert(value)
+
+
 def config_value(d: object, key: str, convert: Callable[[Any], T], where: str) -> T:
-    """convert(d[key]) for a file-form object; InvalidConfig naming where and
-    key when d is not an object, lacks key, or holds a value convert rejects."""
+    """plain(d[key], convert) for a file-form object; InvalidConfig naming where
+    and key when d is not an object, lacks key, or holds a value convert rejects."""
     if not isinstance(d, dict):
         raise InvalidConfig(f"{where} must be an object, got {d!r}")
     if key not in d:
         raise InvalidConfig(f"{where} lacks {key!r}")
     try:
-        return convert(d[key])
+        return plain(d[key], convert)
     except (TypeError, ValueError, OverflowError):
         raise InvalidConfig(f"{where} {key!r} has a bad value {d[key]!r}") from None

@@ -20,6 +20,7 @@ from .errors import (
     InvalidTeamSize,
     ModuleMismatch,
     config_value,
+    plain,
 )
 from .formula import FormulaAst, parse_workbook_formulas
 from .model import CellAddress, Workbook, parse_qualified
@@ -64,14 +65,9 @@ def plan_config_from_dict(d: dict[str, object]) -> PlanConfig:
     extra = set(d) - set(known)
     if extra:
         raise InvalidConfig(f"unknown plan config keys: {sorted(extra)}")
-    kwargs: dict[str, object] = {}
-    for key, attr in known.items():
-        if key in d:
-            caster = float if attr in ("rate_cap", "session_cap_minutes") else int
-            try:
-                kwargs[attr] = caster(d[key])  # type: ignore[arg-type]
-            except (TypeError, ValueError, OverflowError):
-                raise InvalidConfig(f"plan config {key!r} has a bad value {d[key]!r}") from None
+    kwargs = {attr: config_value(d, key, float if attr in ("rate_cap", "session_cap_minutes")
+                                 else int, "plan config")
+              for key, attr in known.items() if key in d}
     return PlanConfig(**kwargs)  # type: ignore[arg-type]
 
 
@@ -117,7 +113,7 @@ def _module_from_dict(m: object) -> Module:
     where = "plan module"
     return Module(
         id=config_value(m, "id", str, where),
-        cells=config_value(m, "cells", lambda v: tuple(str(c) for c in v), where),
+        cells=config_value(m, "cells", lambda v: tuple(plain(c, str) for c in v), where),
         formula_count=config_value(m, "formulaCount", int, where),
         effective_cells=config_value(m, "effectiveCells", float, where),
         estimated_minutes=config_value(m, "estimatedMinutes", float, where),
@@ -237,18 +233,6 @@ def session_to_dict(s: SessionFindings) -> dict[str, object]:
     }
 
 
-def _text(v: object) -> str:
-    if not isinstance(v, str):
-        raise TypeError(v)
-    return v
-
-
-def _minutes(v: object) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise TypeError(v)
-    return float(v)
-
-
 def session_from_dict(d: dict[str, object]) -> SessionFindings:
     """A session file's object, its types checked strictly: a value of the
     wrong type is refused, not coerced."""
@@ -256,9 +240,9 @@ def session_from_dict(d: dict[str, object]) -> SessionFindings:
     extra = set(d) - {"inspectorId", "moduleId", "durationMinutes", "items"}
     if extra:
         raise InvalidConfig(f"unknown session keys: {sorted(extra)}")
-    inspector_id = config_value(d, "inspectorId", _text, where)
-    module_id = config_value(d, "moduleId", _text, where)
-    duration = config_value(d, "durationMinutes", _minutes, where)
+    inspector_id = config_value(d, "inspectorId", str, where)
+    module_id = config_value(d, "moduleId", str, where)
+    duration = config_value(d, "durationMinutes", float, where)
     if not isinstance(d.get("items", []), list):
         raise InvalidConfig("session items must be a list")
     items = []
@@ -269,10 +253,10 @@ def session_from_dict(d: dict[str, object]) -> SessionFindings:
         if bad:
             raise InvalidConfig(f"unknown session item keys: {sorted(bad)}")
         items.append(SessionItem(
-            cell=config_value(raw, "cell", _text, "session item"),
-            note=config_value(raw, "note", _text, "session item") if "note" in raw else "",
+            cell=config_value(raw, "cell", str, "session item"),
+            note=config_value(raw, "note", str, "session item") if "note" in raw else "",
             suspected_class=(None if raw.get("suspectedClass") is None
-                             else config_value(raw, "suspectedClass", _text, "session item")),
+                             else config_value(raw, "suspectedClass", str, "session item")),
         ))
     return SessionFindings(
         inspector_id=inspector_id,

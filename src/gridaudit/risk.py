@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .errors import InvalidConfig, InvalidTeamSize, config_value
+from .errors import InvalidConfig, InvalidTeamSize, config_value, plain
 from .formula import FormulaAst, parse_workbook_formulas, unique_formula_count
-from .graph import ChainStats
 from .model import CellAddress, Workbook
+
+if TYPE_CHECKING:
+    from .graph import ChainStats
 
 # Observed share of audited workbooks carrying a grave ("show stopper")
 # defect. A corpus property, quoted in reports for context; it cannot be
@@ -188,7 +191,7 @@ class RiskReport:
 
 
 def _floats(v: object) -> tuple[float, ...]:
-    return tuple(float(x) for x in v)  # type: ignore[union-attr]
+    return tuple(plain(x, float) for x in v)  # type: ignore[union-attr]
 
 
 def _band(v: object) -> tuple[float, float]:
@@ -217,7 +220,7 @@ def report_from_dict(d: dict[str, object]) -> RiskReport:
         residual_after_rounds=config_value(d, "residualAfterRounds", _floats, where),
         risk_score=config_value(d, "riskScore", float, where),
         params=config_value(d, "params", _params_from_dict, where),
-        notes=config_value(d, "notes", lambda v: tuple(str(n) for n in v), where),
+        notes=config_value(d, "notes", lambda v: tuple(plain(n, str) for n in v), where),
     )
 
 
@@ -244,7 +247,8 @@ def _params_from_dict(d: dict[str, object]) -> RiskParams:
         m=config_value(d, "m", float, where),
         generic_round_yield=config_value(d, "genericRoundYield", float, where),
         team_yields=config_value(
-            d, "teamYields", lambda v: tuple((int(k), float(y)) for k, y in v), where),
+            d, "teamYields",
+            lambda v: tuple((plain(k, int), plain(y, float)) for k, y in v), where),
         residual_band=config_value(d, "residualBand", _band, where),
         tokens_per_multiplier=config_value(d, "tokensPerMultiplier", float, where),
         multiplier_cap=config_value(d, "multiplierCap", float, where),

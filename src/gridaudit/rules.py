@@ -26,7 +26,7 @@ from itertools import groupby
 from typing import Callable, Iterable, Iterator
 
 from .engine import EvalPlan, parse_numeric_text
-from .errors import InvalidConfig, config_value
+from .errors import InvalidConfig, config_value, plain
 from .formula import (
     AGGREGATE_FUNCTIONS,
     BinaryOp,
@@ -156,7 +156,8 @@ def rule_config_from_dict(d: dict[str, object]) -> RuleConfig:
             raise InvalidConfig(f"{key} must be a list")
     kwargs: dict[str, object] = {}
     if "enabled" in d:
-        kwargs["enabled"] = frozenset(str(r) for r in d["enabled"])  # type: ignore[union-attr]
+        kwargs["enabled"] = config_value(
+            d, "enabled", lambda v: frozenset(plain(r, str) for r in v), "rule config")
     thresholds = d.get("thresholds", {})
     if not isinstance(thresholds, dict):
         raise InvalidConfig("thresholds must be an object")
@@ -165,19 +166,14 @@ def rule_config_from_dict(d: dict[str, object]) -> RuleConfig:
         "longArcDistance": ("long_arc_distance", int),
         "dupLiteralMinMagnitude": ("dup_literal_min_magnitude", float),
         "minRunLengthForHardwire": ("min_run_length_for_hardwire", int),
-        "dupLiteralExclusions": None,
+        "dupLiteralExclusions": ("dup_literal_exclusions",
+                                 lambda v: frozenset(plain(x, float) for x in v)),
     }
-    for key, value in thresholds.items():
+    for key in thresholds:
         if key not in mapping:
             raise InvalidConfig(f"unknown threshold {key!r}")
-        try:
-            if key == "dupLiteralExclusions":
-                kwargs["dup_literal_exclusions"] = frozenset(float(v) for v in value)
-            else:
-                attr, conv = mapping[key]
-                kwargs[attr] = conv(value)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidConfig(f"threshold {key!r} has a bad value {value!r}") from None
+        attr, conv = mapping[key]
+        kwargs[attr] = config_value(thresholds, key, conv, "threshold")
     overrides = d.get("severityOverrides", {})
     if not isinstance(overrides, dict):
         raise InvalidConfig("severityOverrides must be an object")

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import EmptyTruth, InvalidAddress, InvalidConfig, config_value
+from .errors import EmptyTruth, InvalidAddress, InvalidConfig, config_value, plain
 from .formula import canonical_number, parse_workbook_formulas
 from .model import (
     CellAddress,
@@ -30,11 +30,12 @@ from .model import (
     col_to_letters,
     parse_qualified,
 )
-from .risk import RiskParams, detection_yield
 from .rules import RULE_IDS
 
-if TYPE_CHECKING:  # numpy loads only in the Monte Carlo functions that use it
+if TYPE_CHECKING:  # numpy and risk load only in the Monte Carlo functions that use them
     import numpy as np
+
+    from .risk import RiskParams
 
 TOPOLOGIES = ("chain", "tree", "grid")
 
@@ -96,7 +97,7 @@ class SeedSpec:
 
 
 def _mix_from_dict(mix: object) -> tuple[tuple[str, float], ...]:
-    return tuple((str(k), float(v)) for k, v in dict(mix).items())  # type: ignore[call-overload]
+    return tuple((str(k), plain(v, float)) for k, v in dict(mix).items())  # type: ignore[call-overload]
 
 
 def spec_from_dict(d: dict[str, object]) -> SeedSpec:
@@ -566,6 +567,8 @@ def detection_experiment(seeded: SeededWorkbook, team_size: int | None,
     if trials < 1:
         raise InvalidConfig(f"trials must be >= 1, got {trials}")
     import numpy as np
+
+    from .risk import RiskParams, detection_yield
 
     d = detection_yield(params or RiskParams(), team_size, round_yield)
     rng = np.random.default_rng(rng_seed)

@@ -6,8 +6,10 @@ Every test drives main(argv) in process and checks the exit-code contract:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -127,6 +129,27 @@ def test_unknown_config_section_exits_two(tmp_path, capsys):
     assert "'rules' must be an object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, message", [
+    # a value of the wrong type is refused, not coerced
+    ("plan", {"plan": {"teamSize": True}}, "plan config 'teamSize' has a bad value True"),
+    ("plan", {"plan": {"targetModuleSize": 2.9}}, "'targetModuleSize' has a bad value 2.9"),
+    ("plan", {"plan": {"rateCap": "300"}}, "plan config 'rateCap' has a bad value '300'"),
+    ("plan", {"plan": {"sessionCapMinutes": False}}, "'sessionCapMinutes' has a bad value"),
+    ("audit", {"rules": {"thresholds": {"longFormulaTokens": 12.0}}},
+     "threshold 'longFormulaTokens' has a bad value 12.0"),
+    ("audit", {"rules": {"thresholds": {"dupLiteralMinMagnitude": "2"}}},
+     "threshold 'dupLiteralMinMagnitude' has a bad value '2'"),
+    ("risk", {"rules": {"thresholds": {"dupLiteralExclusions": [0, True]}}},
+     "threshold 'dupLiteralExclusions' has a bad value [0, True]"),
+    ("audit", {"rules": {"enabled": ["JAMMED", 5]}}, "'enabled' has a bad value ['JAMMED', 5]"),
+])
+def test_wrong_typed_config_exits_two(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    assert main([command, str(clean_chain(tmp_path)), "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_internal_error_exits_three(tmp_path, monkeypatch, capsys):
     # Any exception that is not bad input is a fault in the tool: one line
     # on stderr and exit 3, never 1, which a script reads as findings.
@@ -145,6 +168,96 @@ def test_cli_import_loads_no_numpy():
     subprocess.run([sys.executable, "-c",
                     "import gridaudit.cli, sys; assert 'numpy' not in sys.modules"],
                    env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+
+
+_ALL_LAYERS = frozenset({"diffcheck", "engine", "formula", "graph", "inspection", "risk",
+                         "rules", "simlab"})
+
+# command -> the gridaudit modules it must not load; each command imports
+# only the layers it calls, and only mc loads numpy
+_NOT_LOADED = {
+    "--version": _ALL_LAYERS,
+    "diff": _ALL_LAYERS - {"diffcheck"},
+    "threeway": _ALL_LAYERS - {"diffcheck"},
+    "plan": {"engine", "graph", "rules", "risk", "simlab"},
+    "reconcile": {"engine", "graph", "rules", "risk", "simlab"},
+    "graph-dump": {"engine"},
+    "snapshot": {"rules", "risk", "inspection", "simlab", "diffcheck"},
+    "recheck": {"rules", "risk", "inspection", "simlab", "diffcheck"},
+    "audit": {"inspection", "simlab", "diffcheck"},
+    "risk": {"inspection", "simlab", "diffcheck"},
+    "seed": {"risk", "inspection", "diffcheck"},
+    "mc": set(),
+}
+
+# runs main(argv) and prints its exit code, the gridaudit modules loaded
+# and whether numpy was, as the last line
+_IMPORT_PROBE = """
+import json, sys
+from gridaudit.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m.split(".", 1)[1] for m in sys.modules
+                               if m.startswith("gridaudit.")), "numpy" in sys.modules]))
+"""
+
+
+def _run_in_fresh_interpreter(code: str, *argv: str) -> str:
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-W", "error", "-c", code, *argv],
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+                          capture_output=True, text=True).stdout
+
+
+@pytest.fixture(scope="module")
+def import_probe_argv(tmp_path_factory) -> dict[str, list[str]]:
+    tmp = tmp_path_factory.mktemp("imports")
+    spec = SeedSpec("grid", 40, 8, error_rate=0.3, rng_seed=3)
+    clean = generate_clean(spec)
+    book = str(write_workbook(tmp, clean, "clean.json"))
+    seeded = str(write_workbook(tmp, seed_defects(clean, spec).workbook, "seeded.json"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["snapshot", book]) == 0
+    session = str(write_session(tmp, "ana", "M1", [], 40.0))
+    return {
+        "--version": ["--version"],
+        "diff": ["diff", book, seeded],
+        "threeway": ["threeway", book, seeded, book],
+        "plan": ["plan", book],
+        "reconcile": ["reconcile", book, "M1", session],
+        "graph-dump": ["graph-dump", seeded],
+        "snapshot": ["snapshot", book, "--out", str(tmp / "snap.json")],
+        "recheck": ["recheck", book],
+        "audit": ["audit", seeded],
+        "risk": ["risk", seeded],
+        "seed": ["seed", "--topology", "chain", "--formulas", "10", "--inputs", "2",
+                 "--rate", "0.4", "--workbook-out", str(tmp / "out.json")],
+        "mc": ["mc", "--U", "10", "--trials", "1000"],
+    }
+
+
+@pytest.mark.parametrize("command", sorted(_NOT_LOADED))
+def test_each_command_loads_only_its_layers(import_probe_argv, command):
+    out = _run_in_fresh_interpreter(_IMPORT_PROBE, *import_probe_argv[command])
+    code, loaded, numpy_loaded = json.loads(out.splitlines()[-1])
+    assert code in (0, 1)
+    assert set(loaded) & set(_NOT_LOADED[command]) == set()
+    assert command != "--version" or set(loaded) == {"cli", "errors", "model"}
+    assert numpy_loaded == (command == "mc")
+
+
+def test_package_import_loads_no_layer_and_exports_all():
+    _run_in_fresh_interpreter("""
+import sys, gridaudit
+assert [m for m in sys.modules if m.startswith("gridaudit.")] == []
+names = {}
+exec("from gridaudit import *", names)
+assert set(gridaudit.__all__) <= set(names) and set(gridaudit.__all__) <= set(dir(gridaudit))
+import gridaudit.graph
+assert names["build_graph"] is gridaudit.graph.build_graph
+""")
 
 
 def test_usage_error_exits_two():

@@ -569,6 +569,8 @@ def test_finding_round_trip():
     good = run(wb).findings[0].to_dict()
     for bad, where in (({}, "ruleId"), ({**good, "evidence": 5}, "evidence"),
                        ({k: v for k, v in good.items() if k != "location"}, "location"),
+                       ({**good, "ruleId": 5}, "'ruleId' has a bad value 5"),
+                       ({**good, "message": None}, "'message' has a bad value None"),
                        ("x", "object")):
         with pytest.raises(InvalidConfig, match=where):
             finding_from_dict(bad)  # type: ignore[arg-type]

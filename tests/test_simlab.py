@@ -73,6 +73,8 @@ def test_spec_dict_round_trip():
                         "inputCount": 1, "bogus": 3})
     good = spec.to_dict()
     for bad, where in (({}, "topology"), ({**good, "formulaCount": "x"}, "formulaCount"),
+                       ({**good, "formulaCount": 3.9}, "'formulaCount' has a bad value 3.9"),
+                       ({**good, "inputCount": True}, "'inputCount' has a bad value True"),
                        ({**good, "errorRate": [0.1]}, "errorRate"),
                        ({**good, "defectMix": {"JAMMED": "x"}}, "defectMix"),
                        ({**good, "defectMix": 5}, "defectMix"), ([], "object")):
