@@ -471,7 +471,7 @@ def _cmd_seed(args: argparse.Namespace) -> int:
         if not isinstance(raw, dict):
             raise InvalidConfig("--mix must be a JSON object of class -> weight")
         try:
-            mix = tuple((str(k), float(v)) for k, v in raw.items())
+            mix = tuple((str(k), plain(v, float)) for k, v in raw.items())
         except (TypeError, ValueError, OverflowError):
             raise InvalidConfig(f"--mix weights must be numbers: {args.mix}") from None
     kwargs = {"defect_mix": mix} if mix is not None else {}

@@ -31,10 +31,12 @@ Evaluation is non-recursive over the dependency structure: its order is
 that of graph.condense, the one Tarjan pass over the formulas' precedents
 (graph.precedents_of), with every cycle's cells put aside. Ten-thousand-cell
 chains evaluate without blowing the stack. Nor does it recurse inside a
-formula: each formula is one loop over the postorder of its class's tree,
-with a stack of operands, so a sum of thousands of terms evaluates in one
-frame. IF still evaluates only the branch it takes, by walking into it, one
-level per nested IF.
+formula: each formula is one loop, with a stack of operands, over its
+class's walk (the postorder of the class tree without IF branches), so a
+sum of thousands of terms evaluates in one frame. The class keeps that walk
+once a copy is evaluated, and each copy reads its own number literals from
+its literal vector by each literal's slot. IF still evaluates only the
+branch it takes, by walking into it, one level per nested IF.
 """
 
 from __future__ import annotations
@@ -61,8 +63,10 @@ from .formula import (
     Expr,
     FormulaAst,
     FunctionCall,
+    NumberLiteral,
     RangeRef,
     UnaryOp,
+    _class_walk,
     _moved,
     canonical_number,
     parse_workbook_formulas,
@@ -172,26 +176,29 @@ _Operand = Union[Value, CellRef, RangeRef]
 
 class _Evaluator:
     """Evaluates formulas over a value map. A formula is read as its class's
-    tree at the formula's offset, which sheet, dr and dc hold during run."""
+    tree at the formula's offset with the formula's literals, which sheet,
+    dr, dc and literals hold during run."""
 
     def __init__(self, values: dict[CellAddress, Value], indexes: dict[str, SheetIndex]):
         self.values = values
         self.indexes = indexes
         self.sheet = ""
         self.dr = self.dc = 0
+        self.literals: tuple[float, ...] = ()
 
     def run(self, ast: FormulaAst) -> Value:
         """The value of one formula; an error is a value here."""
         self.sheet = ast.host.sheet
         self.dr, self.dc = ast.offset
+        self.literals = ast.literals
         try:
-            return self.eval(ast.cls.root)  # type: ignore[arg-type]
+            return self.eval(_class_walk(ast))
         except _Err as err:
             return err.error
 
-    def eval(self, root: Expr) -> Value:
-        """The value of a tree: each node in postorder takes its operands
-        off the stack and leaves its value there.
+    def eval(self, nodes: list[Expr]) -> Value:
+        """The value of a walk (a postorder without IF branches): each node
+        takes its operands off the stack and leaves its value there.
 
         A node that fails leaves its error there, raised again when its
         consumer reads it; consumers read operands in order, so the first
@@ -200,7 +207,8 @@ class _Evaluator:
         only recursion, one level per nested IF.
         """
         stack: list[_Operand] = []
-        for node in postorder(root, branches=False):
+        literals = self.literals
+        for node in nodes:
             kind = type(node)
             v: _Operand
             try:
@@ -217,7 +225,9 @@ class _Evaluator:
                     v = -v if node.op == "-" else v  # type: ignore[union-attr]
                 elif kind is CellRef or kind is RangeRef:
                     v = node  # type: ignore[assignment]
-                else:  # a literal
+                elif kind is NumberLiteral:
+                    v = literals[node.slot]  # type: ignore[union-attr]
+                else:  # text or a logical
                     v = node.value  # type: ignore[union-attr]
             except _Err as err:
                 v = err.error
@@ -323,9 +333,9 @@ class _Evaluator:
         name = node.name
         if name == "IF":
             if self.as_logical(args[0]):
-                return self.eval(node.args[1])
+                return self.eval(postorder(node.args[1], branches=False))
             if len(node.args) == 3:
-                return self.eval(node.args[2])
+                return self.eval(postorder(node.args[2], branches=False))
             return False
         if name in ("AND", "OR"):
             # No short-circuit: arguments are all evaluated, IF is the only

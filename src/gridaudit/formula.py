@@ -30,10 +30,14 @@ A workbook is mostly copies of a few shapes, so parse_workbook_formulas
 lexes every formula but parses each copy-translated shape once: the
 repetition SpreadsheetML's shared formulas (<f t="shared">) store one text
 for, and that TACO (Tang et al.) compresses formula graphs by. The copies
-of one shape on one sheet form a formula class; they share its tree, its
-references and its normal form. A copy has no tree of its own: it is read
-as the class tree at the copy's offset. Every walk over a tree is a loop
-over its postorder, so a formula of any length walks in one frame.
+of one shape on one sheet form a formula class. A shape's number literals
+are slots: "=A1+2" in B1 and "=A2+3" in B2 are one class, and each copy
+keeps its own literal vector, the numbers it holds in reading order.
+Copies share the class's tree and references, and a copy whose literals
+equal the class's shares its normal form too. A copy has no tree of its
+own: it is read as the class tree at the copy's offset, with the copy's
+literals in the slots. Every walk over a tree is a loop over its
+postorder, so a formula of any length walks in one frame.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from .errors import FormulaSyntaxError, UnknownFunction, UnknownName
@@ -74,7 +78,11 @@ _ARITY: dict[str, tuple[int, int | None]] = {
 
 @dataclass(frozen=True, slots=True)
 class NumberLiteral:
+    """A number; slot is its index in the formula's literal vector
+    (FormulaAst.literals), which readers take a copy's value from."""
+
     value: float
+    slot: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,21 +154,27 @@ class FormulaAst:
     cls is the first copy of the formula's class (see
     parse_workbook_formulas), itself for a formula parsed on its own. Only
     cls holds a tree (root); a copy has none, and every reader takes the
-    class tree with its relative references moved by the copy's offset.
-    The class's references and normal form are computed once, on cls.
+    class tree with its relative references moved by the copy's offset and
+    its number literals read from the copy's literals, the vector each
+    NumberLiteral's slot indexes. A copy whose literals equal the class's
+    holds the class's tuple. The class's references and normal form are
+    computed once, on cls. A tree built by hand, given without literals,
+    has its slots numbered here and its literals read from it.
     """
 
-    __slots__ = ("source", "host", "root", "cls", "_normal", "_refs", "_anchored")
+    __slots__ = ("source", "host", "root", "cls", "literals", "_normal", "_facts")
 
     def __init__(self, source: str, host: CellAddress, root: Expr | None = None,
-                 cls: FormulaAst | None = None):
+                 cls: FormulaAst | None = None, literals: tuple[float, ...] | None = None):
+        if literals is None:
+            root, literals = _numbered(root)  # type: ignore[arg-type]
         self.source = source
         self.host = host
         self.root = root
         self.cls = self if cls is None else cls
+        self.literals = literals
         self._normal: NormalizedFormula | None = None
-        self._refs: tuple[CellRef | RangeRef, ...] | None = None
-        self._anchored = False
+        self._facts: _ClassFacts | None = None
 
     @property
     def offset(self) -> tuple[int, int]:
@@ -170,11 +184,13 @@ class FormulaAst:
 
     @property
     def normal(self) -> NormalizedFormula:
-        """The normal form, computed once per class and kept with it.
+        """The normal form, computed once per (class, literal vector) and
+        kept with the class.
 
-        A copy shares its class's record unless the class has an absolute
-        reference on its own sheet: then the distances depend on where the
-        copy sits, and the copy keeps its own.
+        A copy shares its class's record if it holds the class's literals,
+        else the record of the first copy to ask with its literals. Where
+        the class has an absolute reference on its own sheet, the distances
+        depend on where the copy sits, and the copy keeps its own.
         """
         normal = self._normal
         if normal is None:
@@ -182,9 +198,14 @@ class FormulaAst:
             if cls is self:
                 normal = normalize(self)
             else:
-                normal = cls.normal
-                _class_refs(self)  # a copy's ask keeps the class's references
-                if cls._anchored:
+                facts = _class_facts(cls)  # a copy's ask keeps the class's facts
+                if self.literals is cls.literals:
+                    normal = cls.normal
+                else:
+                    normal = facts.normals.get(self.literals)
+                    if normal is None:
+                        normal = facts.normals[self.literals] = normalize(self)
+                if facts.anchored:
                     normal = dataclasses.replace(normal, **_reach(self))
             self._normal = normal
         return normal
@@ -212,17 +233,19 @@ _TOKEN_RE = re.compile(r"""
 _Token = tuple[str, str, int, Union[float, str, tuple[int, int, bool, bool], None]]
 
 
-def _lex(src: str, host: CellAddress) -> tuple[list[_Token], tuple]:
+def _lex(src: str, host: CellAddress) -> tuple[list[_Token], tuple, tuple[float, ...]]:
     """Lex formula source text (leading '=' required) at a host cell.
 
-    Token offsets index into the full string. Also returns the formula's
-    class key, built in the same pass: the host sheet, then each token's
-    text, except that a reference gives each axis as its offset from the
-    host, or as its coordinate where the axis is absolute ($), so formulas
-    with equal keys parse to trees that differ only by that shift. A row-0
-    reference keeps its row, so it never keys like a valid one. A range's
-    second corner adds whether the corners swap when sorted: with one
-    absolute and one relative corner on an axis, that differs by host.
+    Token offsets index into the full string. Also returns, built in the
+    same pass, the formula's class key and its literal vector: the values
+    of its numbers in reading order. The key is the host sheet, then each
+    token's text, except that a number is a slot (None) and a reference
+    gives each axis as its offset from the host, or as its coordinate
+    where the axis is absolute ($). So formulas with equal keys parse to
+    trees that differ only by that shift and by their literal vectors. A
+    row-0 reference keeps its row, so it never keys like a valid one. A
+    range's second corner adds whether the corners swap when sorted: with
+    one absolute and one relative corner on an axis, that differs by host.
     """
     if not src.startswith("="):
         raise FormulaSyntaxError("formula must start with '='", 0)
@@ -230,6 +253,7 @@ def _lex(src: str, host: CellAddress) -> tuple[list[_Token], tuple]:
         raise FormulaSyntaxError("empty formula", 1)
     tokens: list[_Token] = []
     key: list[object] = [host.sheet]
+    literals: list[float] = []
     host_row, host_col = host.row, host.col
     match = _TOKEN_RE.match
     i = 1
@@ -265,15 +289,18 @@ def _lex(src: str, host: CellAddress) -> tuple[list[_Token], tuple]:
             value = float(text)
             if not math.isfinite(value):
                 raise FormulaSyntaxError(f"number {text} is out of range", i)
-        elif kind == "STRING":
-            value = text[1:-1].replace('""', '"')
-        elif kind == "SHEET":
-            value = text[1:-2].replace("''", "'") if text[0] == "'" else text[:-1]
-        key.append(text)
+            literals.append(value)
+            key.append(None)
+        else:
+            if kind == "STRING":
+                value = text[1:-1].replace('""', '"')
+            elif kind == "SHEET":
+                value = text[1:-2].replace("''", "'") if text[0] == "'" else text[:-1]
+            key.append(text)
         tokens.append((kind, text, i, value))  # type: ignore[arg-type]
         i = m.end()
     tokens.append(("EOF", "", n, None))
-    return tokens, tuple(key)
+    return tokens, tuple(key), tuple(literals)
 
 
 # --- Parser ---------------------------------------------------------------
@@ -303,6 +330,7 @@ class _Parser:
         self.pos = 0
         self.host = host
         self.depth = 0
+        self.slots = 0  # number literals so far, in reading order
 
     @property
     def cur(self) -> _Token:
@@ -364,7 +392,8 @@ class _Parser:
         if kind == "REF":
             return self.ref_or_range(None, tok)
         if kind == "NUMBER":
-            return NumberLiteral(value)  # type: ignore[arg-type]
+            self.slots += 1
+            return NumberLiteral(value, self.slots - 1)  # type: ignore[arg-type]
         if kind == "STRING":
             return TextLiteral(value)  # type: ignore[arg-type]
         if kind == "OP" and text == "(":
@@ -451,8 +480,8 @@ def _split_ref(tok: _Token) -> tuple[int, int, bool, bool]:
 
 def parse_formula(source: str, host: CellAddress) -> FormulaAst:
     """Parse formula source text (leading '=' required) at a host cell."""
-    tokens, _key = _lex(source, host)
-    return FormulaAst(source, host, _Parser(tokens, host).parse())
+    tokens, _key, literals = _lex(source, host)
+    return FormulaAst(source, host, _Parser(tokens, host).parse(), None, literals)
 
 
 def _moved(node: CellRef | RangeRef, dr: int, dc: int) -> tuple[int, int, int, int]:
@@ -496,6 +525,30 @@ def postorder(root: Expr, branches: bool = True) -> list[Expr]:
     return out
 
 
+def _numbered(root: Expr) -> tuple[Expr, tuple[float, ...]]:
+    """A tree built by hand, rebuilt with its number literals' slots numbered
+    in reading order, and its literal vector: what the parser gives."""
+    literals: list[float] = []
+    stack: list[Expr] = []
+    for node in postorder(root):
+        kind = type(node)
+        if kind is NumberLiteral:
+            node = NumberLiteral(node.value, len(literals))  # type: ignore[union-attr]
+            literals.append(node.value)
+        elif kind is BinaryOp:
+            right = stack.pop()
+            node = BinaryOp(node.op, stack.pop(), right)  # type: ignore[union-attr]
+        elif kind is UnaryOp:
+            node = UnaryOp(node.op, stack.pop())  # type: ignore[union-attr]
+        elif kind is FunctionCall:
+            n = len(node.args)  # type: ignore[union-attr]
+            args = tuple(stack[len(stack) - n:])
+            del stack[len(stack) - n:]
+            node = FunctionCall(node.name, args)  # type: ignore[union-attr]
+        stack.append(node)
+    return stack[0], tuple(literals)
+
+
 # --- Rendering ------------------------------------------------------------
 
 _UNARY_LEVEL = 6
@@ -528,10 +581,12 @@ def _render_ref(node: CellRef | RangeRef, host: CellAddress, dr: int, dc: int,
             + ":" + _render_corner(r2, c2, node.abs_r2, node.abs_c2, host, style))
 
 
-def _render(nodes: list[Expr], host: CellAddress, dr: int, dc: int, style: str) -> str:
+def _render(nodes: list[Expr], literals: tuple[float, ...], host: CellAddress, dr: int,
+            dc: int, style: str) -> str:
     """The text of a tree from its postorder, references moved dr rows and dc
-    columns. Each operand's stack entry keeps its precedence level, so its
-    consumer adds parentheses only where precedence requires them."""
+    columns and number literals read from literals. Each operand's stack
+    entry keeps its precedence level, so its consumer adds parentheses only
+    where precedence requires them."""
     stack: list[tuple[str, int]] = []
     for node in nodes:
         if isinstance(node, BinaryOp):
@@ -554,7 +609,7 @@ def _render(nodes: list[Expr], host: CellAddress, dr: int, dc: int, style: str) 
             del stack[-n:]
             stack.append((f"{node.name}({args})", _ATOM_LEVEL))
         elif isinstance(node, NumberLiteral):
-            stack.append((canonical_number(node.value), _ATOM_LEVEL))
+            stack.append((canonical_number(literals[node.slot]), _ATOM_LEVEL))
         elif isinstance(node, TextLiteral):
             stack.append(('"' + node.value.replace('"', '""') + '"', _ATOM_LEVEL))
         elif isinstance(node, BooleanLiteral):
@@ -567,7 +622,7 @@ def _render(nodes: list[Expr], host: CellAddress, dr: int, dc: int, style: str) 
 def render(ast: FormulaAst) -> str:
     """Render back to A1-style source. parse(render(ast)) is structurally
     equal to ast; parentheses appear only where precedence requires them."""
-    return "=" + _render(postorder(ast.cls.root), ast.host, *ast.offset, "a1")
+    return "=" + _render(postorder(ast.cls.root), ast.literals, ast.host, *ast.offset, "a1")
 
 
 # --- Normal form -------------------------------------------------------------
@@ -577,18 +632,18 @@ def render(ast: FormulaAst) -> str:
 class NormalizedFormula:
     """Host-relative normal form and structural size of one formula.
 
-    text is the R1C1 rendering, which copies of one formula share, and
-    literals the numeric constants in reading order. token_count counts
-    literals, references (a range is one token), operators, and function
-    names; parentheses and commas do not count. max_ref_distance is the
-    Chebyshev distance (max of row and column offsets) to the farthest
-    referenced cell on the host sheet; off_axis_ref_count counts the
-    same-sheet references sharing neither the host's row nor its column
-    (a range shares one if it spans it). forward_refs gives the positions,
-    in the order references() yields them, of the same-sheet references
-    that reach below the host or right of it on its row. Cross-sheet
-    references have no spatial distance and are tallied in
-    cross_sheet_ref_count.
+    text is the R1C1 rendering, which copies of one formula with equal
+    literals share, and literals the numeric constants in reading order.
+    token_count counts literals, references (a range is one token),
+    operators, and function names; parentheses and commas do not count.
+    max_ref_distance is the Chebyshev distance (max of row and column
+    offsets) to the farthest referenced cell on the host sheet;
+    off_axis_ref_count counts the same-sheet references sharing neither the
+    host's row nor its column (a range shares one if it spans it).
+    forward_refs gives the positions, in the order references() yields
+    them, of the same-sheet references that reach below the host or right
+    of it on its row. Cross-sheet references have no spatial distance and
+    are tallied in cross_sheet_ref_count.
     """
 
     text: str
@@ -600,28 +655,66 @@ class NormalizedFormula:
     forward_refs: tuple[int, ...]
 
 
+class _ClassFacts:
+    """What a class keeps once a copy asks for it.
+
+    refs are the class tree's references in reading order, at the class's
+    host, and anchored says whether any on its own sheet has an absolute
+    axis. normals holds the normal form of each literal vector but the
+    class's own that a copy has asked for, and walk the evaluator's walk
+    (postorder without IF branches), made when a copy is first evaluated.
+    """
+
+    __slots__ = ("refs", "anchored", "normals", "walk")
+
+    def __init__(self, root: Expr):
+        self.refs = _refs_of(root)
+        self.anchored = any(
+            node.sheet is None and (node.abs_row or node.abs_col
+                                    if isinstance(node, CellRef)
+                                    else node.abs_r1 or node.abs_c1
+                                    or node.abs_r2 or node.abs_c2)
+            for node in self.refs)
+        self.normals: dict[tuple[float, ...], NormalizedFormula] = {}
+        self.walk: list[Expr] | None = None
+
+
+def _refs_of(root: Expr) -> tuple[CellRef | RangeRef, ...]:
+    return tuple(node for node in postorder(root) if isinstance(node, (CellRef, RangeRef)))
+
+
+def _class_facts(cls: FormulaAst) -> _ClassFacts:
+    facts = cls._facts
+    if facts is None:
+        facts = cls._facts = _ClassFacts(cls.root)  # type: ignore[arg-type]
+    return facts
+
+
 def _class_refs(ast: FormulaAst) -> tuple[CellRef | RangeRef, ...]:
     """The references of ast's class tree in reading order, at the class's host.
 
-    The class walks its tree for them once a copy asks, and keeps them, with
-    whether any on its own sheet has an absolute axis. A formula with no
-    copies walks its tree on each ask, which costs no more than reading it
-    back and keeps nothing.
+    The class walks its tree for them once a copy asks, and keeps them. A
+    formula with no copies walks its tree on each ask, which costs no more
+    than reading it back and keeps nothing.
     """
     cls = ast.cls
-    refs = cls._refs
-    if refs is None:
-        refs = tuple(node for node in postorder(cls.root)
-                     if isinstance(node, (CellRef, RangeRef)))
-        if ast is not cls:
-            cls._refs = refs
-            cls._anchored = any(
-                node.sheet is None and (node.abs_row or node.abs_col
-                                        if isinstance(node, CellRef)
-                                        else node.abs_r1 or node.abs_c1
-                                        or node.abs_r2 or node.abs_c2)
-                for node in refs)
-    return refs
+    if ast is cls and cls._facts is None:
+        return _refs_of(cls.root)  # type: ignore[arg-type]
+    return _class_facts(cls).refs
+
+
+def _class_walk(ast: FormulaAst) -> list[Expr]:
+    """The postorder of ast's class tree without IF branches, which the
+    evaluator runs at ast's offset with ast's literals. The class keeps it
+    once a copy asks; a formula with no copies walks its tree on each ask."""
+    cls = ast.cls
+    if ast is cls and cls._facts is None:
+        return postorder(cls.root, branches=False)  # type: ignore[arg-type]
+    facts = _class_facts(cls)
+    walk = facts.walk
+    if walk is None:
+        walk = facts.walk = postorder(cls.root, branches=False)  # type: ignore[arg-type]
+    return walk
 
 
 def references(ast: FormulaAst) -> Iterator[tuple[str, int, int, int, int]]:
@@ -662,14 +755,15 @@ def _reach(ast: FormulaAst) -> dict[str, object]:
 def normalize(ast: FormulaAst) -> NormalizedFormula:
     """The normal form of a formula; read it as ast.normal, which keeps it.
 
-    A copy's R1C1 text is its class's: relative parts are offsets from the
-    host, which the copy shares, and absolute parts do not move.
+    A copy's R1C1 text is its class's with its own literals: relative parts
+    are offsets from the host, which the copy shares, and absolute parts do
+    not move.
     """
     cls = ast.cls
     nodes = postorder(cls.root)  # every node is one counted token; parens and commas are not
     return NormalizedFormula(
-        text="=" + _render(nodes, cls.host, 0, 0, "r1c1"),
-        literals=tuple(node.value for node in nodes if isinstance(node, NumberLiteral)),
+        text="=" + _render(nodes, ast.literals, cls.host, 0, 0, "r1c1"),
+        literals=ast.literals,
         token_count=len(nodes),
         **_reach(ast),  # type: ignore[arg-type]
     )
@@ -680,7 +774,8 @@ def parse_workbook_formulas(wb: Workbook) -> dict[CellAddress, FormulaAst]:
 
     Each formula is lexed, and keyed by its class as it is (see _lex). The
     parser runs once per class, on its first copy in reading order, and
-    every later copy is bound to that copy. Copies parse alike, so the
+    every later copy is bound to that copy with its own literal vector, or
+    the class's tuple where they are equal. Copies parse alike, so the
     first cell with a syntax error is the one a parse of every cell would
     stop at.
     """
@@ -689,12 +784,15 @@ def parse_workbook_formulas(wb: Workbook) -> dict[CellAddress, FormulaAst]:
     for addr, content in wb.formula_cells():
         source: str = content.formula  # type: ignore[assignment]
         try:
-            tokens, key = _lex(source, addr)
+            tokens, key, literals = _lex(source, addr)
             cls = classes.get(key)
             if cls is None:
-                ast = classes[key] = FormulaAst(source, addr, _Parser(tokens, addr).parse())
+                ast = classes[key] = FormulaAst(source, addr, _Parser(tokens, addr).parse(),
+                                                None, literals)
             else:
-                ast = FormulaAst(source, addr, None, cls)
+                if literals == cls.literals:
+                    literals = cls.literals
+                ast = FormulaAst(source, addr, None, cls, literals)
         except FormulaSyntaxError as exc:
             wrapped = type(exc)(f"{addr.qualified}: {exc}")
             wrapped.offset = exc.offset
@@ -707,10 +805,13 @@ def unique_formula_count(wb: Workbook,
                          asts: dict[CellAddress, FormulaAst] | None = None) -> int:
     """Number of distinct (sheet, normal form) formulas in the workbook.
 
-    Copies pasted down a column count once; the same shape on two sheets
-    counts per sheet. Read over the formula classes, which copies share.
+    Copies pasted down a column count once, unless their literals differ;
+    the same shape on two sheets counts per sheet. Read over one copy of
+    each (class, literal vector), the unit a normal form is computed for.
     """
     if asts is None:
         asts = parse_workbook_formulas(wb)
-    classes = {ast.cls for ast in asts.values()}
-    return len({(cls.host.sheet, cls.normal.text) for cls in classes})
+    firsts: dict[tuple[FormulaAst, tuple[float, ...]], FormulaAst] = {}
+    for ast in asts.values():
+        firsts.setdefault((ast.cls, ast.literals), ast)
+    return len({(ast.host.sheet, ast.normal.text) for ast in firsts.values()})

@@ -393,8 +393,9 @@ def _dup_literal_findings(wb: Workbook, asts: dict[CellAddress, FormulaAst],
         return (value not in cfg.dup_literal_exclusions
                 and abs(value) >= cfg.dup_literal_min_magnitude)
 
-    # each formula class's literals are screened once
-    class_literals: dict[FormulaAst, list[float]] = {}
+    # each literal vector is screened once; copies of a class with equal
+    # literals share one vector
+    screened: dict[tuple[float, ...], list[float]] = {}
     out: list[Finding] = []
     for sheet in wb.sheets:
         occurrences: dict[float, set[CellAddress]] = {}
@@ -403,10 +404,10 @@ def _dup_literal_findings(wb: Workbook, asts: dict[CellAddress, FormulaAst],
                 if counted(cell.value):  # type: ignore[arg-type]
                     occurrences.setdefault(cell.value, set()).add(addr)  # type: ignore[arg-type]
             elif cell.is_formula:
-                cls = asts[addr].cls
-                lits = class_literals.get(cls)
+                vector = asts[addr].literals
+                lits = screened.get(vector)
                 if lits is None:
-                    lits = class_literals[cls] = [v for v in cls.normal.literals if counted(v)]
+                    lits = screened[vector] = [v for v in vector if counted(v)]
                 for lit in lits:
                     occurrences.setdefault(lit, set()).add(addr)
         for value in sorted(occurrences):

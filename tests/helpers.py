@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 from typing import Any
 
+from gridaudit.engine import (
+    _ARITHMETIC,
+    _COMPARISONS,
+    CYCLE_ERR,
+    DIV0,
+    REF_ERR,
+    VALUE_ERR,
+    ErrorValue,
+    Value,
+    _compare,
+    _Err,
+    _round_half_away,
+    _soft_number,
+    effective_constant,
+    parse_numeric_text,
+)
 from gridaudit.formula import (
     BinaryOp,
     BooleanLiteral,
@@ -17,7 +34,10 @@ from gridaudit.formula import (
     RangeRef,
     TextLiteral,
     UnaryOp,
+    canonical_number,
+    parse_formula,
     references,
+    render,
 )
 from gridaudit.graph import Condensation, DepGraph, sheet_indexes
 from gridaudit.model import (
@@ -218,6 +238,189 @@ class Reachability:
         return cone
 
 
+class ReferenceEvaluator:
+    """evaluate()'s meaning spelled out, as the reference for the evaluator
+    that runs each class's kept walk at a copy's offset with its literals.
+
+    Each formula is parsed on its own with parse_formula and evaluated by
+    recursion over its tree, reading each referenced cell's value on demand:
+    the evaluator as it was before the postorder walk. A formula on a
+    reference cycle (Reachability, over expanded_graph) is #CYCLE!. The
+    operators' scalar rules are the engine's own helpers; what this checks
+    is the walk, the classes and slots, the order and the cycles. Recursive,
+    so for small books only.
+    """
+
+    def __init__(self, wb: Workbook):
+        self.wb = wb
+        self.sheets = {s.name for s in wb.sheets}
+        self.asts = {addr: parse_formula(c.formula, addr)  # type: ignore[arg-type]
+                     for addr, c in wb.formula_cells()}
+        cycles = expanded_graph(wb, self.asts).condensation.cycles
+        self.on_cycle = {addr for cycle in cycles for addr in cycle}
+        self.values: dict[CellAddress, Value] = {}
+
+    def evaluate(self) -> dict[CellAddress, Value]:
+        """The value of every non-empty cell."""
+        return {addr: self.value(addr) for addr, _content in self.wb.iter_cells()}
+
+    def value(self, addr: CellAddress) -> Value:
+        if addr not in self.values:
+            content = self.wb.cell(addr)
+            assert content is not None
+            if not content.is_formula:
+                self.values[addr] = effective_constant(content)
+            elif addr in self.on_cycle:
+                self.values[addr] = CYCLE_ERR
+            else:
+                try:
+                    self.values[addr] = self.eval(self.asts[addr].root, addr)  # type: ignore[arg-type]
+                except _Err as err:
+                    self.values[addr] = err.error
+        return self.values[addr]
+
+    # -- references
+
+    def resolve(self, node: CellRef, host: CellAddress) -> Value | None:
+        sheet = host.sheet if node.sheet is None else node.sheet
+        if node.row > MAX_ROW or node.col > MAX_COL or sheet not in self.sheets:
+            raise _Err(REF_ERR)
+        addr = CellAddress(sheet, node.row, node.col)
+        v = self.value(addr) if self.wb.cell(addr) is not None else None
+        if isinstance(v, ErrorValue):
+            raise _Err(v)
+        return v
+
+    def range_values(self, node: RangeRef, host: CellAddress) -> list[Value]:
+        sheet = host.sheet if node.sheet is None else node.sheet
+        if node.r2 > MAX_ROW or node.c2 > MAX_COL or sheet not in self.sheets:
+            raise _Err(REF_ERR)
+        out: list[Value] = []
+        for row in range(node.r1, node.r2 + 1):
+            for col in range(node.c1, node.c2 + 1):
+                addr = CellAddress(sheet, row, col)
+                if self.wb.cell(addr) is not None:
+                    v = self.value(addr)
+                    if isinstance(v, ErrorValue):
+                        raise _Err(v)
+                    out.append(v)
+        return out
+
+    # -- coercions of a scalar (None is an empty cell)
+
+    def scalar(self, node: Expr, host: CellAddress) -> Value | None:
+        return self.resolve(node, host) if isinstance(node, CellRef) else self.eval(node, host)
+
+    @staticmethod
+    def number(v: Value | None) -> float:
+        if isinstance(v, bool):
+            return 1.0 if v else 0.0
+        if isinstance(v, float):
+            return v
+        if v is None:
+            return 0.0
+        parsed = parse_numeric_text(v)  # type: ignore[arg-type]
+        if parsed is None:
+            raise _Err(VALUE_ERR)
+        return parsed
+
+    @staticmethod
+    def text(v: Value | None) -> str:
+        if v is None:
+            return ""
+        if isinstance(v, bool):
+            return "TRUE" if v else "FALSE"
+        if isinstance(v, float):
+            return canonical_number(v)
+        return v  # type: ignore[return-value]
+
+    @staticmethod
+    def logical(v: Value | None) -> bool:
+        if isinstance(v, bool):
+            return v
+        if isinstance(v, float):
+            return v != 0.0
+        if v is None:
+            return False
+        word = v.strip().upper()  # type: ignore[union-attr]
+        if word not in ("TRUE", "FALSE"):
+            raise _Err(VALUE_ERR)
+        return word == "TRUE"
+
+    # -- the tree
+
+    def eval(self, node: Expr, host: CellAddress) -> Value:
+        if isinstance(node, (NumberLiteral, TextLiteral, BooleanLiteral)):
+            return node.value
+        if isinstance(node, CellRef):
+            v = self.resolve(node, host)
+            return 0.0 if v is None else v
+        if isinstance(node, RangeRef):
+            raise _Err(VALUE_ERR)  # a bare range has no scalar value
+        if isinstance(node, UnaryOp):
+            x = self.number(self.scalar(node.operand, host))
+            return -x if node.op == "-" else x
+        if isinstance(node, BinaryOp):
+            left = self.scalar(node.left, host)
+            if node.op in _COMPARISONS:
+                return _compare(node.op, left, self.scalar(node.right, host))
+            if node.op == "&":
+                return self.text(left) + self.text(self.scalar(node.right, host))
+            a = self.number(left)
+            r = _ARITHMETIC[node.op](a, self.number(self.scalar(node.right, host)))
+            if not math.isfinite(r):
+                raise _Err(VALUE_ERR)
+            return r
+        assert isinstance(node, FunctionCall)
+        return self.call(node.name, node.args, host)
+
+    def call(self, name: str, args: tuple[Expr, ...], host: CellAddress) -> Value:
+        if name == "IF":
+            if self.logical(self.scalar(args[0], host)):
+                return self.eval(args[1], host)
+            return self.eval(args[2], host) if len(args) == 3 else False
+        if name in ("AND", "OR"):
+            bools = [self.logical(self.scalar(a, host)) for a in args]
+            return all(bools) if name == "AND" else any(bools)
+        if name == "NOT":
+            return not self.logical(self.scalar(args[0], host))
+        if name == "ABS":
+            return abs(self.number(self.scalar(args[0], host)))
+        if name == "ROUND":
+            x = self.number(self.scalar(args[0], host))
+            r = _round_half_away(x, int(self.number(self.scalar(args[1], host))))
+            if not math.isfinite(r):
+                raise _Err(VALUE_ERR)
+            return r
+        nums: list[float] = []
+        for arg in args:
+            if isinstance(arg, RangeRef):
+                nums += [v for v in self.range_values(arg, host) if isinstance(v, float)]
+            elif isinstance(arg, CellRef):
+                v = self.resolve(arg, host)
+                if isinstance(v, float):
+                    nums.append(v)
+            elif name == "COUNT":
+                coerced = _soft_number(self.scalar(arg, host))
+                if coerced is not None:
+                    nums.append(coerced)
+            else:
+                nums.append(self.number(self.scalar(arg, host)))
+        if name == "COUNT":
+            return float(len(nums))
+        if name in ("SUM", "AVERAGE"):
+            try:
+                total = math.fsum(nums)
+            except OverflowError:
+                raise _Err(VALUE_ERR) from None
+            if name == "SUM":
+                return total
+            if not nums:
+                raise _Err(DIV0)
+            return total / len(nums)
+        return (min(nums) if name == "MIN" else max(nums)) if nums else 0.0
+
+
 # --- random expression trees -------------------------------------------------
 
 _FOREIGN_SHEETS = [None, None, None, "Data", "My Data", "it's"]
@@ -285,8 +488,12 @@ def random_expr(rng: random.Random, depth: int = 3, coord_span: int = 40,
         random_expr(rng, depth - 1, coord_span, uniform_range_flags) for _ in range(n)))
 
 
-def translate_expr(node: Expr, dr: int, dc: int) -> Expr:
-    """Shift the relative parts of references, as a copy-paste would."""
+def translate_expr(node: Expr, dr: int, dc: int,
+                   literals: tuple[float, ...] | None = None) -> Expr:
+    """Shift the relative parts of references, as a copy-paste would; with
+    literals, each number literal also takes the value its slot indexes."""
+    if isinstance(node, NumberLiteral) and literals is not None:
+        return NumberLiteral(literals[node.slot], node.slot)
     if isinstance(node, CellRef):
         return replace(
             node,
@@ -302,10 +509,46 @@ def translate_expr(node: Expr, dr: int, dc: int) -> Expr:
             c2=node.c2 if node.abs_c2 else node.c2 + dc,
         )
     if isinstance(node, UnaryOp):
-        return UnaryOp(node.op, translate_expr(node.operand, dr, dc))
+        return UnaryOp(node.op, translate_expr(node.operand, dr, dc, literals))
     if isinstance(node, BinaryOp):
-        return BinaryOp(node.op, translate_expr(node.left, dr, dc),
-                        translate_expr(node.right, dr, dc))
+        return BinaryOp(node.op, translate_expr(node.left, dr, dc, literals),
+                        translate_expr(node.right, dr, dc, literals))
     if isinstance(node, FunctionCall):
-        return FunctionCall(node.name, tuple(translate_expr(a, dr, dc) for a in node.args))
+        return FunctionCall(node.name, tuple(translate_expr(a, dr, dc, literals)
+                                             for a in node.args))
     return node
+
+
+def literal_copies_book(seed: int) -> Workbook:
+    """A random small book of copied columns whose copies differ only in
+    their number literals, with IF branches, error values and cycles.
+
+    Each column is one random formula pasted down a few rows with a fresh
+    literal vector per copy; one column in three has IF at its top. Copies
+    read constants of every kind, error cells, and one another, so some
+    columns read themselves round a cycle.
+    """
+    rng = random.Random(seed)
+    cells: dict[str, Any] = {}
+    for _ in range(30):
+        row, col = rng.randint(1, 12), rng.randint(1, 12)
+        cells[CellAddress("S1", row, col).a1] = rng.choice(
+            [1.0, 2.5, -3.0, 0.0, "7", " 2.5", "abc", "", True, False,
+             CellContent(value=4.0, number_format="text", locked=True)])
+    cells.update({"A13": "=1/0", "B13": '="x"+1', "C13": "=Nowhere!A1",
+                  "D13": "=E13+1", "E13": "=D13*2"})
+    for _ in range(5):
+        expr = random_expr(rng, depth=3, coord_span=14)
+        if rng.random() < 0.34:
+            expr = FunctionCall("IF", (random_expr(rng, 1, 14), expr,
+                                       random_expr(rng, 2, 14)))
+        row, col = rng.randint(1, 10), rng.randint(1, 12)
+        numbered = FormulaAst("=", CellAddress("S1", row, col), expr)
+        for dr in range(rng.randint(2, 5)):
+            host = CellAddress("S1", row + dr, col)
+            literals = tuple(rng.choice([0.0, 1.0, 2.0, 3.5, 10.0, 1e-07])
+                             for _ in numbered.literals)
+            moved = translate_expr(numbered.root, dr, 0, literals)  # type: ignore[arg-type]
+            cells[host.a1] = render(FormulaAst("=", host, moved))
+    return wb_from(cells, extra_sheets={"Data": {"A1": 5.0, "B2": "=A1+S1!A1"},
+                                        "My Data": {"C3": "=3+Data!A1"}})

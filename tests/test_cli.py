@@ -293,8 +293,9 @@ def test_machine_report_round_trips(tmp_path, capsys):
 
 
 def test_audit_normalizes_each_formula_class_once(monkeypatch):
-    # Wrap normalize in every gridaudit module that holds the name, so a
-    # second route to it would be counted too.
+    # Once per (class, literal vector): copies that differ only in a number
+    # are one class but two normal forms. Wrap normalize in every gridaudit
+    # module that holds the name, so a second route to it would be counted too.
     spec = SeedSpec("grid", 90, 6, error_rate=0.3, rng_seed=4)
     wb = seed_defects(generate_clean(spec), spec).workbook
     original = formula.normalize
@@ -308,9 +309,12 @@ def test_audit_normalizes_each_formula_class_once(monkeypatch):
         if name.startswith("gridaudit") and getattr(module, "normalize", None) is original:
             monkeypatch.setattr(module, "normalize", counted)
     build_audit_report(wb, fixed_timestamp=True)
-    classes = {ast.cls.host for ast in formula.parse_workbook_formulas(wb).values()}
-    assert sorted(calls) == sorted(classes)  # each class once, at its first copy
-    assert len(classes) < sum(1 for _ in wb.formula_cells())
+    asts = formula.parse_workbook_formulas(wb)
+    firsts: dict = {}
+    for addr, ast in asts.items():
+        firsts.setdefault((ast.cls, ast.literals), addr)
+    assert sorted(calls) == sorted(firsts.values())  # each once, at its first copy
+    assert len({ast.cls for ast in asts.values()}) < len(firsts) < len(asts)
 
 
 def test_readme_library_example_parses_formulas_once(tmp_path, monkeypatch, capsys):
@@ -692,7 +696,7 @@ def test_seed_bad_mix_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mix", ['{"JAMMED": "x"}', '{"JAMMED": 1' + "0" * 400 + "}",
-                                 '{"JAMMED": NaN}'])
+                                 '{"JAMMED": NaN}', '{"JAMMED": true}', '{"JAMMED": "0.5"}'])
 def test_seed_mix_weights_must_be_numbers(tmp_path, capsys, mix):
     rc = main(["seed", "--topology", "chain", "--formulas", "10",
                "--inputs", "2", "--mix", mix,

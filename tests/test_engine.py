@@ -8,6 +8,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridaudit.engine as engine_mod
 from gridaudit.engine import (
@@ -33,7 +35,8 @@ from gridaudit.formula import FormulaAst, parse_workbook_formulas, render
 from gridaudit.graph import build_graph, chain_stats
 from gridaudit.model import CellAddress, CellContent, Workbook, col_to_letters
 from gridaudit.simlab import SeedSpec, generate_clean, seed_defects
-from helpers import random_expr, translate_expr, wb_from
+from helpers import (ReferenceEvaluator, literal_copies_book, random_expr, translate_expr,
+                     wb_from)
 
 
 def val(wb, a1: str, sheet: str = "S1"):
@@ -519,3 +522,14 @@ def test_parse_snapshot_rejects_numbers_that_are_not_finite_floats():
     doc["inputs"]["S1!A1"] = 10 ** 4000
     with pytest.raises(MalformedDocument, match="not valid JSON"):
         parse_snapshot(json.dumps(doc).replace("1" + "0" * 4000, "1" + "0" * 5000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_evaluate_matches_the_reference_evaluator_property(seed):
+    # Copies that differ only in their literals are one class, evaluated
+    # through one kept walk; the reference parses and recurses per cell.
+    wb = literal_copies_book(seed)
+    typed = [{addr: (type(v), v) for addr, v in values.items()}
+             for values in (evaluate(wb), ReferenceEvaluator(wb).evaluate())]
+    assert typed[0] == typed[1]

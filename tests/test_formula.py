@@ -31,7 +31,8 @@ from gridaudit.formula import (
     unique_formula_count,
 )
 from gridaudit.model import CellAddress
-from helpers import random_expr, translate_expr, wb_from
+from gridaudit.simlab import SeedSpec, generate_clean
+from helpers import literal_copies_book, random_expr, translate_expr, wb_from
 
 B1 = CellAddress("S1", 1, 2)
 C2 = CellAddress("S1", 2, 3)
@@ -414,11 +415,13 @@ def test_copies_are_parsed_and_normalized_once_per_class(monkeypatch):
 
 def test_copies_match_a_parse_of_each_cell():
     # Every copy's tree, references and normal form equal those of a parse
-    # of its own text, also where absolute parts make them depend on the host.
+    # of its own text, also where absolute parts make them depend on the host
+    # and where copies differ in their number literals.
     sources = ["=A{r}*$A$1+A$1", "=SUM(A$5:A{r})", "=SUM($A{r}:C{r})+Data!$B{r}",
-               "=IF(A{r}>$A$20,A{s},$K$39)", "=MAX(K$1:K{r},$A$1:A$2)*1", "=B{s}+S1!A{r}"]
+               "=IF(A{r}>$A$20,A{s},$K$39)", "=MAX(K$1:K{r},$A$1:A$2)*1", "=B{s}+S1!A{r}",
+               "=A{r}+{r}", "=IF(A{r}>{s},2.5,$A$1*{r})"]
     cells: dict[str, object] = {}
-    for col, src in zip("BCDEFG", sources):
+    for col, src in zip("BCDEFGHI", sources):
         for r in range(1, 40):
             cells[f"{col}{r}"] = src.format(r=r, s=r + 1)
     wb = wb_from(cells)
@@ -427,7 +430,8 @@ def test_copies_match_a_parse_of_each_cell():
     for addr, ast in asts.items():
         alone = parse_formula(ast.source, addr)
         assert (ast.root is None) == (ast.cls is not ast), addr  # a copy has no tree
-        assert translate_expr(ast.cls.root, *ast.offset) == alone.root, addr
+        assert ast.literals == alone.literals, addr
+        assert translate_expr(ast.cls.root, *ast.offset, ast.literals) == alone.root, addr
         assert render(ast) == render(alone), addr
         assert ast.normal == normalize(alone), addr
         assert list(references(ast)) == list(references(alone)), addr
@@ -493,7 +497,35 @@ def test_copies_match_a_parse_of_each_cell_property(seed):
     wb = wb_from(cells)
     for addr, ast in parse_workbook_formulas(wb).items():
         alone = parse_formula(ast.source, addr)
-        assert translate_expr(ast.cls.root, *ast.offset) == alone.root
+        assert ast.literals == alone.literals
+        assert translate_expr(ast.cls.root, *ast.offset, ast.literals) == alone.root
         assert render(ast) == render(alone)
         assert ast.normal == normalize(alone)
         assert list(references(ast)) == list(references(alone))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_unique_formula_count_matches_a_parse_of_each_cell_property(seed):
+    # Copies that differ only in a literal share a class but not a normal form.
+    wb = literal_copies_book(seed)
+    brute = {(addr.sheet, normalize(parse_formula(cell.formula, addr)).text)
+             for addr, cell in wb.formula_cells()}
+    assert unique_formula_count(wb) == len(brute)
+
+
+def test_copies_differing_only_in_literals_parse_as_one_class(monkeypatch):
+    # The chain topology's =A4+2, =A5+3, ...: one parse, one literal vector each.
+    wb = generate_clean(SeedSpec("chain", 2000, 20, rng_seed=1))
+    parses: list = []
+    parse = formula_mod._Parser.parse
+
+    def counted_parse(self):
+        parses.append(self.host)
+        return parse(self)
+
+    monkeypatch.setattr(formula_mod._Parser, "parse", counted_parse)
+    asts = parse_workbook_formulas(wb)
+    assert len({ast.cls for ast in asts.values()}) == len(parses) <= 2
+    assert len({ast.literals for ast in asts.values()}) > 1000
+    assert unique_formula_count(wb, asts) == len({ast.normal.text for ast in asts.values()})
