@@ -4,8 +4,8 @@ One binary with subcommands, built for scripted pipelines. Exit codes are
 the contract: 0 clean, 1 the check found something (findings at or above
 --fail-on, differences, conflicts, mismatches, hasty sessions, incomplete
 rule coverage), 2 bad input or usage, 3 an internal error (a fault in the
-tool, reported in one line on stderr). Machine output is JSON and
-round-trips losslessly; human output is stable-ordered, line-oriented
+tool, reported in one line on stderr). Machine output is the JSON of each
+result's to_dict; human output is stable-ordered, line-oriented
 text. The tool never touches the network.
 """
 
@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from . import __version__
-from .errors import GridAuditError, InvalidConfig, ModuleMismatch, config_value, plain
+from .errors import GridAuditError, InvalidConfig, ModuleMismatch, plain
 from .model import Workbook, parse_workbook, serialize_workbook
 
 # Each command imports the layers it calls inside its function, so a run
@@ -72,40 +72,6 @@ class AuditReport:
             },
             "suppressedCount": self.suppressed_count,
         }
-
-
-def audit_report_from_dict(d: dict[str, object]) -> AuditReport:
-    from .risk import report_from_dict
-    from .rules import finding_from_dict
-
-    where = "audit report"
-    if not isinstance(d, dict):
-        raise InvalidConfig(f"{where} must be an object, got {d!r}")
-    known = {"toolVersion", "workbookName", "generatedAt", "findings", "risk",
-             "chainSummary", "coverage", "suppressedCount"}
-    extra = set(d) - known
-    if extra:
-        raise InvalidConfig(f"unknown audit report keys: {sorted(extra)}")
-    cov = config_value(d, "coverage", dict, where)
-    return AuditReport(
-        tool_version=config_value(d, "toolVersion", str, where),
-        workbook_name=config_value(d, "workbookName", str, where),
-        generated_at=config_value(d, "generatedAt", str, where),
-        findings=config_value(d, "findings", lambda v: tuple(map(finding_from_dict, v)), where),
-        risk=report_from_dict(config_value(d, "risk", dict, where)),
-        chain_summary=config_value(d, "chainSummary", _int_values, where),
-        coverage={
-            "examined": config_value(cov, "examined", _int_values, "audit coverage"),
-            "applicable": config_value(cov, "applicable", int, "audit coverage"),
-            "enabled": config_value(cov, "enabled", tuple, "audit coverage"),
-            "ok": config_value(cov, "ok", bool, "audit coverage"),
-        },
-        suppressed_count=config_value(d, "suppressedCount", int, where),
-    )
-
-
-def _int_values(d: object) -> dict[str, int]:
-    return {k: plain(v, int) for k, v in dict(d).items()}  # type: ignore[call-overload]
 
 
 def build_audit_report(wb: Workbook, rule_cfg: RuleConfig | None = None,

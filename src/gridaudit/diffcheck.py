@@ -10,23 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidCell, InvalidConfig, config_value
-from .model import (
-    CellAddress,
-    CellContent,
-    Workbook,
-    parse_qualified,
-)
-
-KINDS = (
-    "added",
-    "removed",
-    "valueChanged",
-    "formulaChanged",
-    "formulaToConstant",
-    "constantToFormula",
-    "lockChanged",
-)
+from .model import CellAddress, CellContent, Workbook
 
 _NUMERIC_TOLERANCE = 1e-12
 
@@ -57,47 +41,6 @@ def _content_to_dict(c: CellContent | None) -> dict[str, object] | None:
         return None
     return {"value": c.value, "formula": c.formula, "locked": c.locked,
             "numberFormat": c.number_format}
-
-
-def _content_from_dict(d: object) -> CellContent | None:
-    if d is None:
-        return None
-    if not isinstance(d, dict):
-        raise InvalidConfig(f"cell content must be an object, got {d!r}")
-    extra = set(d) - {"value", "formula", "locked", "numberFormat"}
-    if extra:
-        raise InvalidConfig(f"unknown cell content keys: {sorted(extra)}")
-    try:
-        return CellContent(
-            value=d.get("value"),
-            formula=d.get("formula"),
-            locked=d.get("locked", False),
-            number_format=d.get("numberFormat"),
-        )
-    except InvalidCell as exc:
-        raise InvalidConfig(f"cell content: {exc}") from None
-
-
-def _location(v: object) -> CellAddress:
-    return parse_qualified(str(v))
-
-
-def entry_from_dict(d: dict[str, object]) -> DiffEntry:
-    where = "diff entry"
-    if not isinstance(d, dict):
-        raise InvalidConfig(f"{where} must be an object, got {d!r}")
-    extra = set(d) - {"location", "kind", "class", "before", "after"}
-    if extra:
-        raise InvalidConfig(f"unknown diff entry keys: {sorted(extra)}")
-    kind = config_value(d, "kind", str, where)
-    if kind not in KINDS:
-        raise InvalidConfig(f"unknown diff kind {kind!r}")
-    return DiffEntry(
-        location=config_value(d, "location", _location, where),
-        kind=kind,
-        before=_content_from_dict(d.get("before")),
-        after=_content_from_dict(d.get("after")),
-    )
 
 
 def _values_equal(x: object, y: object) -> bool:
@@ -181,33 +124,6 @@ class ThreeWayResult:
             "agreeing": [e.to_dict() for e in self.agreeing],
             "conflicting": [c.to_dict() for c in self.conflicting],
         }
-
-
-def _side_from_dict(v: object) -> DiffEntry | None:
-    return None if v is None else entry_from_dict(v)  # type: ignore[arg-type]
-
-
-def _conflict_from_dict(raw: object) -> Conflict:
-    where = "three-way conflict"
-    return Conflict(
-        location=config_value(raw, "location", _location, where),
-        first=config_value(raw, "first", _side_from_dict, where),
-        second=config_value(raw, "second", _side_from_dict, where),
-    )
-
-
-def three_way_result_from_dict(d: dict[str, object]) -> ThreeWayResult:
-    where = "three-way result"
-    if not isinstance(d, dict):
-        raise InvalidConfig(f"{where} must be an object, got {d!r}")
-    extra = set(d) - {"agreeing", "conflicting"}
-    if extra:
-        raise InvalidConfig(f"unknown three-way keys: {sorted(extra)}")
-    return ThreeWayResult(
-        agreeing=config_value(d, "agreeing", lambda v: tuple(map(entry_from_dict, v)), where),
-        conflicting=config_value(
-            d, "conflicting", lambda v: tuple(map(_conflict_from_dict, v)), where),
-    )
 
 
 def three_way_check(base: Workbook, copy1: Workbook,

@@ -663,12 +663,15 @@ class _ClassFacts:
     axis. normals holds the normal form of each literal vector but the
     class's own that a copy has asked for, and walk the evaluator's walk
     (postorder without IF branches), made when a copy is first evaluated.
+    aggregates are the ranges an aggregate reads, at the class's host,
+    kept by NUM_AS_TEXT when a copy first asks.
     """
 
-    __slots__ = ("refs", "anchored", "normals", "walk")
+    __slots__ = ("refs", "aggregates", "anchored", "normals", "walk")
 
     def __init__(self, root: Expr):
         self.refs = _refs_of(root)
+        self.aggregates: tuple[RangeRef, ...] | None = None
         self.anchored = any(
             node.sheet is None and (node.abs_row or node.abs_col
                                     if isinstance(node, CellRef)

@@ -20,7 +20,6 @@ from .errors import (
     InvalidTeamSize,
     ModuleMismatch,
     config_value,
-    plain,
 )
 from .formula import FormulaAst, parse_workbook_formulas
 from .model import CellAddress, Workbook, parse_qualified
@@ -109,35 +108,6 @@ class InspectionPlan:
         }
 
 
-def _module_from_dict(m: object) -> Module:
-    where = "plan module"
-    return Module(
-        id=config_value(m, "id", str, where),
-        cells=config_value(m, "cells", lambda v: tuple(plain(c, str) for c in v), where),
-        formula_count=config_value(m, "formulaCount", int, where),
-        effective_cells=config_value(m, "effectiveCells", float, where),
-        estimated_minutes=config_value(m, "estimatedMinutes", float, where),
-    )
-
-
-def plan_from_dict(d: dict[str, object]) -> InspectionPlan:
-    where = "plan"
-    if not isinstance(d, dict):
-        raise InvalidConfig(f"{where} must be an object, got {d!r}")
-    known = {"modules", "teamSize", "rateCap", "sessionCapMinutes",
-             "roundsRecommended"}
-    extra = set(d) - known
-    if extra:
-        raise InvalidConfig(f"unknown plan keys: {sorted(extra)}")
-    return InspectionPlan(
-        modules=config_value(d, "modules", lambda v: tuple(map(_module_from_dict, v)), where),
-        team_size=config_value(d, "teamSize", int, where),
-        rate_cap=config_value(d, "rateCap", float, where),
-        session_cap_minutes=config_value(d, "sessionCapMinutes", float, where),
-        rounds_recommended=config_value(d, "roundsRecommended", int, where),
-    )
-
-
 def effective_cells(token_count: int, long_formula_tokens: int = 10) -> float:
     """Review load of one formula; excess tokens cost half a cell each."""
     return 1.0 + 0.5 * max(0, token_count - long_formula_tokens)
@@ -219,18 +189,6 @@ class SessionFindings:
         if not 0 < self.duration_minutes < math.inf:
             raise InvalidConfig("duration_minutes must be finite and > 0, "
                                 f"got {self.duration_minutes}")
-
-
-def session_to_dict(s: SessionFindings) -> dict[str, object]:
-    return {
-        "inspectorId": s.inspector_id,
-        "moduleId": s.module_id,
-        "durationMinutes": s.duration_minutes,
-        "items": [
-            {"cell": it.cell, "note": it.note, "suspectedClass": it.suspected_class}
-            for it in s.items
-        ],
-    }
 
 
 def session_from_dict(d: dict[str, object]) -> SessionFindings:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import InvalidConfig, InvalidTeamSize, config_value, plain
+from .errors import InvalidConfig, InvalidTeamSize
 from .formula import FormulaAst, parse_workbook_formulas, unique_formula_count
 from .model import CellAddress, Workbook
 
@@ -190,40 +190,6 @@ class RiskReport:
         }
 
 
-def _floats(v: object) -> tuple[float, ...]:
-    return tuple(plain(x, float) for x in v)  # type: ignore[union-attr]
-
-
-def _band(v: object) -> tuple[float, float]:
-    lo, hi = _floats(v)  # ValueError unless exactly two
-    return lo, hi
-
-
-def _per_output_from_dict(d: dict[str, object]) -> dict[str, OutputRisk]:
-    out = {}
-    for key, o in dict(d).items():
-        where = f"risk report output {key!r}"
-        out[key] = OutputRisk(chain_length=config_value(o, "L", int, where),
-                              p_chain_correct=config_value(o, "pChainCorrect", float, where),
-                              p_material=config_value(o, "pMaterial", float, where))
-    return out
-
-
-def report_from_dict(d: dict[str, object]) -> RiskReport:
-    where = "risk report"
-    return RiskReport(
-        unique_formulas=config_value(d, "U", int, where),
-        expected_errors=config_value(d, "E", float, where),
-        p_any_error=config_value(d, "pAnyError", float, where),
-        multiplier=config_value(d, "multiplier", float, where),
-        per_output=config_value(d, "perOutput", _per_output_from_dict, where),
-        residual_after_rounds=config_value(d, "residualAfterRounds", _floats, where),
-        risk_score=config_value(d, "riskScore", float, where),
-        params=config_value(d, "params", _params_from_dict, where),
-        notes=config_value(d, "notes", lambda v: tuple(plain(n, str) for n in v), where),
-    )
-
-
 def _params_to_dict(params: RiskParams) -> dict[str, object]:
     return {
         "p": params.p,
@@ -236,23 +202,6 @@ def _params_to_dict(params: RiskParams) -> dict[str, object]:
         "tokensPerMultiplier": params.tokens_per_multiplier,
         "multiplierCap": params.multiplier_cap,
     }
-
-
-def _params_from_dict(d: dict[str, object]) -> RiskParams:
-    where = "risk params"
-    return RiskParams(
-        p=config_value(d, "p", float, where),
-        p_audit=config_value(d, "pAudit", float, where),
-        s=config_value(d, "s", float, where),
-        m=config_value(d, "m", float, where),
-        generic_round_yield=config_value(d, "genericRoundYield", float, where),
-        team_yields=config_value(
-            d, "teamYields",
-            lambda v: tuple((plain(k, int), plain(y, float)) for k, y in v), where),
-        residual_band=config_value(d, "residualBand", _band, where),
-        tokens_per_multiplier=config_value(d, "tokensPerMultiplier", float, where),
-        multiplier_cap=config_value(d, "multiplierCap", float, where),
-    )
 
 
 def assess(wb: Workbook, stats: ChainStats, params: RiskParams | None = None, *,

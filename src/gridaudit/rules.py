@@ -30,10 +30,12 @@ from .errors import InvalidConfig, config_value, plain
 from .formula import (
     AGGREGATE_FUNCTIONS,
     BinaryOp,
+    Expr,
     FormulaAst,
     FunctionCall,
     RangeRef,
     UnaryOp,
+    _class_facts,
     _class_refs,
     _moved,
     canonical_number,
@@ -93,19 +95,6 @@ class Finding:
             "message": self.message,
             "evidence": dict(self.evidence),
         }
-
-
-def finding_from_dict(d: dict[str, object]) -> Finding:
-    where = "finding"
-    return Finding(
-        rule_id=config_value(d, "ruleId", str, where),
-        severity=config_value(d, "severity", str, where),
-        category=config_value(d, "class", str, where),
-        location=config_value(
-            d, "location", lambda v: None if v is None else parse_qualified(str(v)), where),
-        message=config_value(d, "message", str, where),
-        evidence=config_value(d, "evidence", dict, where) if "evidence" in d else {},
-    )
 
 
 @dataclass(frozen=True)
@@ -243,12 +232,12 @@ def _textual_number(cell: CellContent) -> float | None:
     return None
 
 
-def _aggregate_boxes(ast: FormulaAst) -> list[tuple[str, int, int, int, int]]:
-    """Boxes (sheet, r1, c1, r2, c2) of the ranges an aggregate reads; the
-    stack holds each operand's ranges that no aggregate has taken yet."""
+def _aggregate_ranges(root: Expr) -> tuple[RangeRef, ...]:
+    """The ranges an aggregate of a tree reads; the stack holds each
+    operand's ranges that no aggregate has taken yet."""
     found: list[RangeRef] = []
     stack: list[list[RangeRef]] = []
-    for node in postorder(ast.cls.root):  # type: ignore[arg-type]
+    for node in postorder(root):
         if isinstance(node, RangeRef):
             stack.append([node])
         elif isinstance(node, BinaryOp):
@@ -264,6 +253,21 @@ def _aggregate_boxes(ast: FormulaAst) -> list[tuple[str, int, int, int, int]]:
             stack.append(ranges)
         elif not isinstance(node, UnaryOp):  # a unary sign keeps its operand's
             stack.append([])
+    return tuple(found)
+
+
+def _aggregate_boxes(ast: FormulaAst) -> list[tuple[str, int, int, int, int]]:
+    """Boxes (sheet, r1, c1, r2, c2) of the ranges an aggregate reads: its
+    class's, moved to its host. The class keeps its ranges once a copy asks;
+    a formula with no copies walks its tree on each ask and keeps nothing."""
+    cls = ast.cls
+    if ast is cls and cls._facts is None:
+        found = _aggregate_ranges(cls.root)  # type: ignore[arg-type]
+    else:
+        facts = _class_facts(cls)
+        found = facts.aggregates
+        if found is None:
+            found = facts.aggregates = _aggregate_ranges(cls.root)  # type: ignore[arg-type]
     sheet = ast.host.sheet
     dr, dc = ast.offset
     return [(rng.sheet if rng.sheet is not None else sheet, *_moved(rng, dr, dc))

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import EmptyTruth, InvalidAddress, InvalidConfig, config_value, plain
+from .errors import EmptyTruth, InvalidAddress, InvalidConfig, config_value
 from .formula import canonical_number, parse_workbook_formulas
 from .model import (
     CellAddress,
@@ -94,32 +94,6 @@ class SeedSpec:
             "defectMix": {cls: w for cls, w in self.defect_mix},
             "rngSeed": self.rng_seed,
         }
-
-
-def _mix_from_dict(mix: object) -> tuple[tuple[str, float], ...]:
-    return tuple((str(k), plain(v, float)) for k, v in dict(mix).items())  # type: ignore[call-overload]
-
-
-def spec_from_dict(d: dict[str, object]) -> SeedSpec:
-    where = "seed spec"
-    if not isinstance(d, dict):
-        raise InvalidConfig(f"{where} must be an object, got {d!r}")
-    known = {"topology", "formulaCount", "inputCount", "errorRate", "defectMix", "rngSeed"}
-    extra = set(d) - known
-    if extra:
-        raise InvalidConfig(f"unknown seed spec keys: {sorted(extra)}")
-    kwargs: dict[str, object] = {
-        "topology": config_value(d, "topology", str, where),
-        "formula_count": config_value(d, "formulaCount", int, where),
-        "input_count": config_value(d, "inputCount", int, where),
-    }
-    if "errorRate" in d:
-        kwargs["error_rate"] = config_value(d, "errorRate", float, where)
-    if "defectMix" in d:
-        kwargs["defect_mix"] = config_value(d, "defectMix", _mix_from_dict, where)
-    if "rngSeed" in d:
-        kwargs["rng_seed"] = config_value(d, "rngSeed", int, where)
-    return SeedSpec(**kwargs)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)

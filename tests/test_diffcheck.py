@@ -2,20 +2,10 @@
 
 from __future__ import annotations
 
-import json
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridaudit.diffcheck import (
-    DiffEntry,
-    diff,
-    entry_from_dict,
-    three_way_check,
-    three_way_result_from_dict,
-)
-from gridaudit.errors import InvalidConfig
+from gridaudit.diffcheck import diff, three_way_check
 from gridaudit.model import CellContent
 from gridaudit.simlab import SeedSpec, generate_clean, seed_defects
 from helpers import wb_from
@@ -239,40 +229,3 @@ def test_three_way_untouched_locations_are_omitted():
     res = three_way_check(base, copy1, copy2)
     assert [e.location.qualified for e in res.agreeing] == ["S1!A1"]
     assert [c.location.qualified for c in res.conflicting] == ["S1!B1"]
-
-
-# --- serialization --------------------------------------------------------------
-
-def test_entry_dict_round_trip():
-    a = wb_from({"A1": 5.0, "B1": "=A1*2"})
-    b = wb_from({"A1": "5", "C2": True})
-    for entry in diff(a, b):
-        doc = json.loads(json.dumps(entry.to_dict()))
-        assert entry_from_dict(doc) == entry
-    with pytest.raises(InvalidConfig):
-        entry_from_dict({"location": "S1!A1", "kind": "renamed",
-                         "before": None, "after": None, "class": None})
-    good = diff(a, b)[0].to_dict()
-    for bad, where in (({}, "'kind'"), ({"kind": "added"}, "location"),
-                       ({**good, "before": 5}, "cell content"),
-                       ({**good, "after": {"value": [1]}}, "cell content"),
-                       ({**good, "after": {"value": 1, "locked": "false"}}, "cell content"),
-                       ("x", "object")):
-        with pytest.raises(InvalidConfig, match=where):
-            entry_from_dict(bad)  # type: ignore[arg-type]
-
-
-def test_three_way_dict_round_trip():
-    base = wb_from({"A1": 5.0, "B1": 1.0})
-    res = three_way_check(base, wb_from({"A1": 6.0, "B1": 2.0}),
-                          wb_from({"A1": 6.0, "B1": 1.0}))
-    doc = json.loads(json.dumps(res.to_dict()))
-    assert three_way_result_from_dict(doc) == res
-    conflict = doc["conflicting"][0]
-    for bad, where in (({}, "agreeing"), ({**doc, "agreeing": 5}, "agreeing"),
-                       ({**doc, "conflicting": [{}]}, "location"),
-                       ({**doc, "conflicting": [{**conflict, "second": 5}]}, "object"),
-                       ({**doc, "agreeing": [{}]}, "'kind'"),
-                       (None, "object")):
-        with pytest.raises(InvalidConfig, match=where):
-            three_way_result_from_dict(bad)  # type: ignore[arg-type]

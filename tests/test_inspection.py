@@ -16,7 +16,6 @@ from gridaudit.errors import (
     ModuleMismatch,
 )
 from gridaudit.inspection import (
-    InspectionPlan,
     Module,
     PlanConfig,
     SessionFindings,
@@ -24,10 +23,8 @@ from gridaudit.inspection import (
     effective_cells,
     plan,
     plan_config_from_dict,
-    plan_from_dict,
     reconcile,
     session_from_dict,
-    session_to_dict,
     yield_report,
 )
 from gridaudit.simlab import SeedSpec, generate_clean
@@ -157,23 +154,9 @@ def test_plan_partitions_formula_cells_exactly(topology, fc, ic, target):
         assert m.estimated_minutes <= 120.0
 
 
-def test_plan_dict_round_trip():
-    wb = generate_clean(SeedSpec("grid", 60, 10, rng_seed=2))
-    p = plan(wb)
-    assert plan_from_dict(json.loads(json.dumps(p.to_dict()))) == p
-    with pytest.raises(InvalidConfig):
-        plan_from_dict({"modules": [], "teamSize": 3, "rateCap": 100,
-                        "sessionCapMinutes": 120, "roundsRecommended": 3,
-                        "surprise": 1})
-    good = p.to_dict()
-    module = good["modules"][0]
-    for bad, where in (({}, "modules"), ({**good, "teamSize": "x"}, "teamSize"),
-                       ({**good, "modules": 5}, "modules"),
-                       ({**good, "modules": [{}]}, "'id'"),
-                       ({**good, "modules": [{**module, "formulaCount": None}]}, "formulaCount"),
-                       ("x", "object")):
-        with pytest.raises(InvalidConfig, match=where):
-            plan_from_dict(bad)  # type: ignore[arg-type]
+def test_plan_dict_is_json_safe():
+    p = plan(generate_clean(SeedSpec("grid", 60, 10, rng_seed=2)))
+    assert json.loads(json.dumps(p.to_dict())) == p.to_dict()
 
 
 # --- Sessions -----------------------------------------------------------------
@@ -197,21 +180,12 @@ def test_session_validation():
             ({**good, "durationMinutes": "5"}, "durationMinutes"),
             ({**good, "items": [{"cell": 5}]}, "cell"),
             ({**good, "items": [{"cell": "S1!A1", "note": ["x"]}]}, "note"),
-            ({**good, "items": [{"cell": "S1!A1", "suspectedClass": 1}]}, "suspectedClass")):
+            ({**good, "items": [{"cell": "S1!A1", "suspectedClass": 1}]}, "suspectedClass"),
+            ({**good, "oops": 1}, "unknown session keys"),
+            ({**good, "items": [{"cell": "S1!A1", "severity": "high"}]},
+             "unknown session item keys")):
         with pytest.raises(InvalidConfig, match=where):
             session_from_dict(bad)
-
-
-def test_session_dict_round_trip():
-    s = simple_session("ana", "M1", ["S1!B3", "S1!C7"])
-    assert session_from_dict(json.loads(json.dumps(session_to_dict(s)))) == s
-    with pytest.raises(InvalidConfig):
-        session_from_dict({"inspectorId": "x", "moduleId": "M1",
-                           "durationMinutes": 5, "items": [], "oops": 1})
-    with pytest.raises(InvalidConfig):
-        session_from_dict({"inspectorId": "x", "moduleId": "M1",
-                           "durationMinutes": 5,
-                           "items": [{"cell": "S1!A1", "severity": "high"}]})
 
 
 # --- Reconciliation -----------------------------------------------------------

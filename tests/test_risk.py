@@ -20,7 +20,6 @@ from gridaudit.risk import (
     p_any_error,
     p_chain_correct,
     p_material,
-    report_from_dict,
     residual_after_inspection,
     risk_score,
 )
@@ -186,23 +185,6 @@ def test_effective_rate_capped():
     assert report.multiplier == 4.0
     assert report.expected_errors <= report.unique_formulas
     assert 0.0 <= report.p_any_error <= 1.0
-
-
-def test_report_round_trip():
-    wb = wb_from({"A1": 1.0, "A2": "=A1*2"}, outputs=("S1!A2",))
-    report = assess(wb, chain_stats(build_graph(wb)), team_size=3)
-    assert report_from_dict(report.to_dict()) == report
-    good = report.to_dict()
-    for bad, where in (({}, "'U'"), ({**good, "U": "x"}, "'U'"),
-                       ({**good, "perOutput": {"S1!A2": {}}}, "'L'"),
-                       ({**good, "perOutput": [1]}, "perOutput"),
-                       ({**good, "residualAfterRounds": 5}, "residualAfterRounds"),
-                       ({**good, "params": {**good["params"], "residualBand": [1]}},
-                        "residualBand"),
-                       ({**good, "params": {**good["params"], "teamYields": [5]}}, "teamYields"),
-                       (5, "object")):
-        with pytest.raises(InvalidConfig, match=where):
-            report_from_dict(bad)  # type: ignore[arg-type]
 
 
 def test_show_stopper_is_a_constant():

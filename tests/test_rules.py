@@ -30,9 +30,7 @@ from gridaudit.model import (
 )
 from gridaudit.rules import (
     RULE_IDS,
-    Finding,
     RuleConfig,
-    finding_from_dict,
     rule_config_from_dict,
     run_rules,
 )
@@ -187,6 +185,28 @@ def test_num_as_text_audit_walks_each_formula_once(monkeypatch):
     rep = build_audit_report(wb)
     assert len([f for f in rep.findings if f.rule_id == "NUM_AS_TEXT"]) == 2
     assert sorted(walked) == sorted(addr for addr, _cell in wb.formula_cells())
+
+
+def test_num_as_text_walks_each_class_for_its_aggregates_once(monkeypatch):
+    # A4:D4 are copies of one SUM, whose ranges are the class's moved by each
+    # copy's offset; E1 is a class of its own.
+    walked: list[object] = []
+    real = rules_mod._aggregate_ranges
+
+    def counting(root):
+        walked.append(root)
+        return real(root)
+
+    monkeypatch.setattr(rules_mod, "_aggregate_ranges", counting)
+    cells: dict[str, object] = {"A1": "5", "A2": 1.0, "A3": 2.0, "B1": 3.0, "B2": "6",
+                                "B3": 4.0, "C1": 1.0, "C2": 1.0, "C3": "7", "D1": 2.0,
+                                "D2": 2.0, "D3": 2.0, "E1": "=MAX(A1:D1)+1"}
+    cells.update({f"{col}4": f"=SUM({col}1:{col}3)" for col in "ABCD"})
+    found = {f.location.a1: (f.evidence["aggregates"], f.evidence["understatement"])
+             for f in hits(run(wb_from(cells)), "NUM_AS_TEXT")}
+    assert found == {"A1": (["S1!E1", "S1!A4"], 5.0 + 2.0), "B2": (["S1!B4"], 6.0),
+                     "C3": (["S1!C4"], 7.0)}
+    assert len(walked) == 2
 
 
 @pytest.mark.parametrize("command, exit_code", [
@@ -560,20 +580,6 @@ def test_rule_config_from_dict():
         rule_config_from_dict({"thresholds": {"dupLiteralExclusions": 5}})
     with pytest.raises(InvalidConfig, match="enabled"):
         rule_config_from_dict({"enabled": 5})
-
-
-def test_finding_round_trip():
-    wb = wb_from({"A1": "=A2*2+3"}, name="model_final")
-    for f in run(wb).findings:
-        assert finding_from_dict(f.to_dict()) == f
-    good = run(wb).findings[0].to_dict()
-    for bad, where in (({}, "ruleId"), ({**good, "evidence": 5}, "evidence"),
-                       ({k: v for k, v in good.items() if k != "location"}, "location"),
-                       ({**good, "ruleId": 5}, "'ruleId' has a bad value 5"),
-                       ({**good, "message": None}, "'message' has a bad value None"),
-                       ("x", "object")):
-        with pytest.raises(InvalidConfig, match=where):
-            finding_from_dict(bad)  # type: ignore[arg-type]
 
 
 # --- any document: a report or a located error -----------------------------

@@ -24,7 +24,6 @@ from gridaudit.simlab import (
     generate_clean,
     monte_carlo,
     seed_defects,
-    spec_from_dict,
     truth_from_dict,
     truth_to_json,
 )
@@ -65,23 +64,6 @@ def test_spec_rejects_bad_fields():
         SeedSpec("chain", 5, 2, rng_seed=-1)
 
 
-def test_spec_dict_round_trip():
-    spec = SeedSpec("grid", 60, 10, error_rate=0.12, rng_seed=42)
-    assert spec_from_dict(spec.to_dict()) == spec
-    with pytest.raises(InvalidConfig):
-        spec_from_dict({"topology": "chain", "formulaCount": 1,
-                        "inputCount": 1, "bogus": 3})
-    good = spec.to_dict()
-    for bad, where in (({}, "topology"), ({**good, "formulaCount": "x"}, "formulaCount"),
-                       ({**good, "formulaCount": 3.9}, "'formulaCount' has a bad value 3.9"),
-                       ({**good, "inputCount": True}, "'inputCount' has a bad value True"),
-                       ({**good, "errorRate": [0.1]}, "errorRate"),
-                       ({**good, "defectMix": {"JAMMED": "x"}}, "defectMix"),
-                       ({**good, "defectMix": 5}, "defectMix"), ([], "object")):
-        with pytest.raises(InvalidConfig, match=where):
-            spec_from_dict(bad)  # type: ignore[arg-type]
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     topology=st.sampled_from(["chain", "tree", "grid"]),
@@ -90,9 +72,10 @@ def test_spec_dict_round_trip():
     rate=st.floats(min_value=0.0, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**64 - 1),
 )
-def test_spec_round_trip_property(topology, fc, ic, rate, seed):
-    spec = SeedSpec(topology, fc, ic, error_rate=rate, rng_seed=seed)
-    assert spec_from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+def test_spec_dict_is_json_safe(topology, fc, ic, rate, seed):
+    # a 64-bit rngSeed survives JSON, which has no integer width
+    d = SeedSpec(topology, fc, ic, error_rate=rate, rng_seed=seed).to_dict()
+    assert json.loads(json.dumps(d)) == d
 
 
 # --- Clean generation ---------------------------------------------------------
