@@ -180,12 +180,23 @@ def test_session_validation():
             ({**good, "durationMinutes": "5"}, "durationMinutes"),
             ({**good, "items": [{"cell": 5}]}, "cell"),
             ({**good, "items": [{"cell": "S1!A1", "note": ["x"]}]}, "note"),
-            ({**good, "items": [{"cell": "S1!A1", "suspectedClass": 1}]}, "suspectedClass"),
-            ({**good, "oops": 1}, "unknown session keys"),
-            ({**good, "items": [{"cell": "S1!A1", "severity": "high"}]},
-             "unknown session item keys")):
+            ({**good, "items": [{"cell": "S1!A1", "suspectedClass": 1}]}, "suspectedClass")):
         with pytest.raises(InvalidConfig, match=where):
             session_from_dict(bad)
+
+
+def test_session_dict_round_trip():
+    text = json.dumps({"inspectorId": "ana", "moduleId": "M1", "durationMinutes": 60.0,
+                       "items": [{"cell": "S1!B3", "note": "", "suspectedClass": "JAMMED"},
+                                 {"cell": "S1!C7", "suspectedClass": "JAMMED"}]})
+    assert session_from_dict(json.loads(text)) == simple_session("ana", "M1", ["S1!B3", "S1!C7"])
+    with pytest.raises(InvalidConfig, match="unknown session keys"):
+        session_from_dict({"inspectorId": "x", "moduleId": "M1",
+                           "durationMinutes": 5, "items": [], "oops": 1})
+    with pytest.raises(InvalidConfig, match="unknown session item keys"):
+        session_from_dict({"inspectorId": "x", "moduleId": "M1",
+                           "durationMinutes": 5,
+                           "items": [{"cell": "S1!A1", "severity": "high"}]})
 
 
 # --- Reconciliation -----------------------------------------------------------
