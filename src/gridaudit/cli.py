@@ -385,11 +385,13 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
 
     wb = _load_workbook(args.workbook)
     snap = snapshot(wb, created_at=FIXED_TIMESTAMP if args.fixed_timestamp else None)
-    if args.out is None:
-        args.out = Path(str(args.workbook) + ".snapshot")
+    text = snapshot_to_json(snap)
+    out = args.out or Path(str(args.workbook) + ".snapshot")
+    if args.out is None:  # the file recheck reads by default; stdout as for any command
+        out.write_text(text, encoding="utf-8")
     human = (f"snapshot of {wb.name}: {len(snap.inputs)} inputs, "
-             f"{len(snap.outputs)} outputs -> {args.out}\n")
-    _emit(args, human, json.loads(snapshot_to_json(snap)))
+             f"{len(snap.outputs)} outputs -> {out}\n")
+    _emit(args, human, json.loads(text))
     return 0
 
 

@@ -28,15 +28,16 @@ tested rather than left to chance:
   case-insensitively, and coerce an empty operand to the other side's type.
 
 Evaluation is non-recursive over the dependency structure: its order is
-that of graph.condense, the one Tarjan pass over the formulas' precedents
-(graph.precedents_of), with every cycle's cells put aside. Ten-thousand-cell
-chains evaluate without blowing the stack. Nor does it recurse inside a
-formula: each formula is one loop, with a stack of operands, over its
-class's walk (the postorder of the class tree without IF branches), so a
-sum of thousands of terms evaluates in one frame. The class keeps that walk
-once a copy is evaluated, and each copy reads its own number literals from
-its literal vector by each literal's slot. IF still evaluates only the
-branch it takes, by walking into it, one level per nested IF.
+graph.condense's, reading order if each formula reads only earlier cells,
+else a Tarjan pass over precedents, with every cycle's cells put aside.
+Ten-thousand-cell chains evaluate without blowing the stack. Nor does it
+recurse inside a formula: each formula is one loop, with a stack of
+operands, over its class's walk (the postorder of the class tree without
+IF branches), so a sum of thousands of terms evaluates in one frame. The
+class keeps that walk once a copy is evaluated, and each copy reads its
+own number literals from its literal vector by each literal's slot. IF
+still evaluates only the branch it takes, by walking into it, one level
+per nested IF.
 """
 
 from __future__ import annotations
@@ -485,8 +486,8 @@ class EvalPlan:
     cone(), against a changed input without touching the rest.
 
     The indexes and condensation are those of g, the graph of the same
-    formulas, if given; else the plan condenses the formulas' precedents
-    itself and keeps none of them.
+    formulas, if given; else the plan condenses the formulas itself and
+    keeps no precedents.
     """
 
     def __init__(self, wb: Workbook, asts: dict[CellAddress, FormulaAst],
@@ -495,8 +496,8 @@ class EvalPlan:
         self.asts = asts
         if g is None:
             self.indexes = sheet_indexes(wb)
-            cond = condense(asts, {addr: precedents_of(ast, self.indexes)
-                                   for addr, ast in asts.items()})
+            cond = condense(asts, wb, lambda: {addr: precedents_of(ast, self.indexes)
+                                               for addr, ast in asts.items()})
         else:
             self.indexes, cond = g.indexes, g.condensation
         self.in_cycle = {addr for cycle in cond.cycles for addr in cycle}

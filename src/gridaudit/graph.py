@@ -1,14 +1,15 @@
 """Dependency graph over workbook cells, stored as each formula's precedents.
 
 precedents_of is the one dependency walker, and condense the one pass that
-finds strongly connected components: chain_stats, cone() and the evaluation
-order read the condensation build_graph keeps. The precedents are the
-graph's edges. A formula reads each cell a single reference names, occupied
-or empty (someone may fill it later), and each occupied cell of a range in
-the grid; a range's empty cells are not edges, as in the range-compressed
-graph of TACO (Tang et al.). edge_count is the sum of the precedent sets'
-sizes, dump_edges prints one line per precedent, and the count is capped at
-EDGE_CAP, so breaching the cap is a diagnosed error rather than a hang.
+orders the formulas (Tarjan's, unless each reads only earlier cells):
+chain_stats, cone() and the evaluation order read the condensation
+build_graph keeps. The precedents are the graph's edges. A formula reads
+each cell a single reference names, occupied or empty (someone may fill it
+later), and each occupied cell of a range in the grid; a range's empty
+cells are not edges, as in the range-compressed graph of TACO (Tang et
+al.). edge_count is the sum of the precedent sets' sizes, dump_edges prints
+one line per precedent, and the count is capped at EDGE_CAP, so breaching
+the cap is a diagnosed error rather than a hang.
 
 References beyond the grid caps, or into sheets that do not exist, stay
 nodes and edges: the breakage is part of the picture, not an exception. A
@@ -22,10 +23,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Collection, Iterable, Iterator, KeysView, Mapping, NamedTuple
+from typing import AbstractSet, Callable, Iterable, Iterator, KeysView, Mapping, NamedTuple
 
 from .errors import ExplosionCap
-from .formula import FormulaAst, parse_workbook_formulas, references
+from .formula import FormulaAst, _class_facts, parse_workbook_formulas, references
 from .model import MAX_COL, MAX_ROW, CellAddress, Sheet, Workbook
 
 class SheetIndex:
@@ -149,20 +150,42 @@ class Condensation(NamedTuple):
     cycles: tuple[tuple[CellAddress, ...], ...]  # members sorted, cycles sorted
 
 
-def condense(formulas: Collection[CellAddress],
-             precedents: Mapping[CellAddress, AbstractSet[CellAddress]]) -> Condensation:
-    """One Tarjan pass over the formula cells. Roots in the order of formulas:
-    reading order keeps the search shallow on books whose formulas read the
-    cells above or to their left. The other cells it reaches read nothing and
-    are passed over."""
+def condense(asts: Mapping[CellAddress, FormulaAst], wb: Workbook,
+             precedents: Callable[[], Mapping[CellAddress, AbstractSet[CellAddress]]]
+             ) -> Condensation:
+    """Reading order if _reads_before holds: no cycle, and the order Tarjan
+    would yield. Else one Tarjan pass over precedents(), roots in the order
+    of asts; the other cells it reaches read nothing and are passed over."""
+    if _reads_before(asts, wb):
+        return Condensation(list(asts), ())
     order: list[CellAddress] = []
     cycles = []
-    for comp, is_cycle in tarjan_sccs(formulas, precedents):
-        if comp[0] in formulas:
+    for comp, is_cycle in tarjan_sccs(asts, precedents()):
+        if comp[0] in asts:
             order += comp
             if is_cycle:
                 cycles.append(tuple(sorted(comp)))
     return Condensation(order, tuple(sorted(cycles)))
+
+
+def _reads_before(asts: Mapping[CellAddress, FormulaAst], wb: Workbook) -> bool:
+    """Whether asts come in reading order and each reads only earlier
+    cells, a range by its last cell; a class with no absolute axis on its
+    own sheet is judged at two copies."""
+    last = (-1, 0, 0)
+    judged: set[FormulaAst] = set()
+    for addr, ast in asts.items():
+        host = (wb.sheet_index(addr.sheet), addr.row, addr.col)
+        if host <= last:
+            return False
+        last, cls = host, ast.cls
+        if cls not in judged:
+            if any(wb.sheet(sheet) is None or (wb.sheet_index(sheet), r2, c2) >= host
+                   for sheet, _r1, _c1, r2, c2 in references(ast)):
+                return False
+            if ast is not cls and not _class_facts(cls).anchored:
+                judged.add(cls)
+    return True
 
 
 EDGE_CAP = 1_000_000
@@ -248,7 +271,7 @@ def build_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None)
         output_addresses=wb.output_addresses,
         edge_count=edge_count,
         indexes=indexes,
-        condensation=condense(asts, precedents),
+        condensation=condense(asts, wb, lambda: precedents),
     )
 
 

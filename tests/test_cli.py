@@ -231,7 +231,7 @@ def command_argv(tmp_path_factory) -> dict[str, list[str]]:
         "reconcile": ["reconcile", book, "M1", session],
         "reconcile --truth": ["reconcile", book, "M1", session, "--truth", str(truth)],
         "graph-dump": ["graph-dump", seeded],
-        "snapshot": ["snapshot", book, "--out", str(tmp / "snap.json")],
+        "snapshot": ["snapshot", book],
         "recheck": ["recheck", book],
         "audit": ["audit", seeded],
         "risk": ["risk", seeded],
@@ -291,8 +291,7 @@ def _no_constant(name: str) -> None:
     raise AssertionError(f"machine output holds {name}, which is not JSON")
 
 
-# Each command's top-level machine keys. snapshot writes its JSON to the
-# snapshot file, not to stdout, so its row reads that file.
+# Each command's top-level machine keys.
 _MACHINE_KEYS = {
     "audit": {"toolVersion", "workbookName", "generatedAt", "findings", "risk",
               "chainSummary", "coverage", "suppressedCount"},
@@ -317,11 +316,7 @@ _MACHINE_KEYS = {
 def test_machine_output_is_strict_json(command_argv, capsys, command):
     argv = command_argv[command]
     assert main([*argv, "--format", "machine"]) in (0, 1)
-    out = capsys.readouterr().out
-    if command == "snapshot":
-        assert out == ""
-        out = Path(argv[-1]).read_text(encoding="utf-8")
-    doc = json.loads(out, parse_constant=_no_constant)
+    doc = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
     assert set(doc) == _MACHINE_KEYS[command]
 
 
@@ -490,6 +485,18 @@ def test_snapshot_writes_default_sidecar_path(tmp_path, capsys):
     snap = parse_snapshot(sidecar.read_bytes())
     assert snap.created_at == FIXED_TIMESTAMP
     assert "snapshot of" in capsys.readouterr().out
+
+
+def test_snapshot_prints_its_machine_output_unless_out_is_given(tmp_path, capsys):
+    path = clean_chain(tmp_path)
+    assert main(["snapshot", str(path), "--fixed-timestamp", "--format", "machine"]) == 0
+    sidecar = Path(str(path) + ".snapshot").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == sidecar
+    out = tmp_path / "snap.json"
+    assert main(["snapshot", str(path), "--fixed-timestamp", "--format", "machine",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == sidecar
 
 
 def test_recheck_unmodified_workbook_passes(tmp_path):

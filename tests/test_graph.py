@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import contextlib
+import random
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from gridaudit import graph
 from gridaudit.engine import EvalPlan
 from gridaudit.errors import ExplosionCap
-from gridaudit.formula import parse_workbook_formulas
+from gridaudit.formula import (BinaryOp, CellRef, FormulaAst, FunctionCall, NumberLiteral,
+                               RangeRef, UnaryOp, parse_workbook_formulas, render)
 from gridaudit.graph import build_graph, chain_stats, dump_edges, orphan_formulas
-from gridaudit.model import CellAddress, col_to_letters
-from helpers import Reachability, expanded_graph, wb_from
+from gridaudit.model import CellAddress, CellContent, col_to_letters
+from helpers import (Reachability, ReferenceEvaluator, expanded_graph, random_expr,
+                     translate_expr, wb_from)
 
 
 def A(a1: str, sheet: str = "S1") -> CellAddress:
@@ -239,6 +245,7 @@ def _assert_precedents_first(order: list[CellAddress], ref: Reachability) -> Non
 def test_graph_and_plan_match_the_cell_by_cell_expansion(s1, data):
     wb = wb_from(s1, extra_sheets={"Data": data})
     asts = parse_workbook_formulas(wb)
+    event("reads only before itself" if graph._reads_before(asts, wb) else "Tarjan pass")
     ref = expanded_graph(wb, asts)
     reach = Reachability(ref.precedents)
     g = build_graph(wb, asts=asts)
@@ -271,3 +278,130 @@ def test_graph_and_plan_match_the_cell_by_cell_expansion(s1, data):
             assert set(cone) == reach.cone(cell), cell
             assert [position[addr] for addr in cone] == sorted(position[addr] for addr in cone)
     assert plan.run() == plan_g.run() == EvalPlan(wb, asts, ref).run()
+
+
+# --- the reading-order shortcut against the Tarjan pass ------------------------
+
+def _tarjan_forced():
+    return mock.patch.object(graph, "_reads_before", return_value=False)
+
+
+def _typed(values):
+    return {addr: (type(v), v) for addr, v in values.items()}
+
+
+# Each book, and whether every formula in it reads only cells before it.
+_EDGE_BOOKS = {
+    "forward reads": (wb_from({"A1": 1, "B1": "=A1*2", "A2": "=SUM(A1:B1)",
+                               "B2": "=A2+B1"}), True),
+    "a self-read": (wb_from({"A1": 1, "A2": "=A2+A1", "A3": "=A2*2"}), False),
+    "a range ending at its host": (wb_from({"A1": 1, "A2": 2, "A3": "=SUM(A1:A3)"}), False),
+    "an anchored class from after to before": (
+        wb_from({"A1": 1, **{f"A{r}": f"=$A$5+A{r - 1}" for r in range(2, 9)}}), False),
+    # B1 and C1 read A1, before them; their copy at A2 reads itself
+    "an anchored class from before to after": (
+        wb_from({"A1": 1, "B1": "=$A1+1", "C1": "=$A1+2", "A2": "=$A2+3", "B2": "=A2+B1"}),
+        False),
+    "a read of an earlier sheet": (
+        wb_from({"A1": 2, "B1": "=A1*3"}, extra_sheets={"Data": {"A1": "=S1!B1+S1!B9"}}), True),
+    "a read of a later sheet": (
+        wb_from({"A1": "=Data!B1+1"}, extra_sheets={"Data": {"A1": 5, "B1": "=A1*2"}}), False),
+    "a missing sheet": (wb_from({"A1": 1, "A2": "=Nope!A1+A1"}), False),
+    "a column beyond the grid, above": (wb_from({"A1": 1, "A2": "=A1+XFE1"}), True),
+    "a row beyond the grid": (wb_from({"A1": 1, "A2": "=A1+B1048577"}), False),
+}
+
+
+@pytest.mark.parametrize("name", list(_EDGE_BOOKS))
+def test_the_shortcut_matches_the_tarjan_pass_on_edge_books(name):
+    wb, shortcut = _EDGE_BOOKS[name]
+    assert graph._reads_before(parse_workbook_formulas(wb), wb) == shortcut
+    results = []
+    for paths in (contextlib.nullcontext(), _tarjan_forced()):
+        with paths:
+            g = build_graph(wb, asts=parse_workbook_formulas(wb))
+            plan = EvalPlan(wb, parse_workbook_formulas(wb))
+            results.append((g.condensation, chain_stats(g), plan.order, _typed(plan.run())))
+    assert results[0] == results[1]
+
+
+_SHEETS = ("S1", "Data", "My Data", "it's")  # the sheets random_expr reads, in book order
+
+
+def _read_before(node, host: CellAddress, rng: random.Random):
+    """node with every reference that reads the host's cell or one after it
+    moved onto the host's sheet, above the host's row or, on row 1, left of
+    its column; a host at A1 gets a number instead."""
+    if isinstance(node, (CellRef, RangeRef)):
+        if node.sheet in _SHEETS[:_SHEETS.index(host.sheet)]:
+            return node
+        cell = isinstance(node, CellRef)
+        r1, c1, r2, c2 = ((node.row, node.col) * 2 if cell else
+                          (node.r1, node.c1, node.r2, node.c2))
+        if (r2, c2) >= (host.row, host.col):
+            if host.row > 1:
+                shift = r2 - rng.randint(1, host.row - 1)
+                r1, r2 = max(1, r1 - shift), r2 - shift
+            elif host.col > 1:
+                shift = c2 - rng.randint(1, host.col - 1)
+                r1, r2, c1, c2 = 1, 1, max(1, c1 - shift), c2 - shift
+            else:
+                return NumberLiteral(1.0)
+        if cell:
+            return replace(node, sheet=None, row=r2, col=c2)
+        return replace(node, sheet=None, r1=r1, c1=c1, r2=r2, c2=c2)
+    if isinstance(node, UnaryOp):
+        return replace(node, operand=_read_before(node.operand, host, rng))
+    if isinstance(node, BinaryOp):
+        return replace(node, left=_read_before(node.left, host, rng),
+                       right=_read_before(node.right, host, rng))
+    if isinstance(node, FunctionCall):
+        return replace(node, args=tuple(_read_before(a, host, rng) for a in node.args))
+    return node
+
+
+def _reads_before_book(seed: int):
+    """A random book of four sheets whose formulas read only cells before
+    them: same-sheet references above or to the left, with absolute axes,
+    and references to earlier sheets anywhere. Each formula is pasted down a
+    few rows with its own literals, so copies form classes; later formulas
+    read earlier ones, on their sheet and across sheets."""
+    rng = random.Random(seed)
+    sheets: dict[str, dict[str, object]] = {name: {} for name in _SHEETS}
+    for name, cells in sheets.items():
+        for _ in range(8):
+            cells[CellAddress(name, rng.randint(1, 12), rng.randint(1, 6)).a1] = rng.choice(
+                [1.0, 2.5, -3.0, "7", "abc", True,
+                 CellContent(value=4.0, number_format="text", locked=True)])
+        for _ in range(4):
+            host = CellAddress(name, rng.randint(1, 10), rng.randint(1, 6))
+            expr = _read_before(random_expr(rng, depth=3, coord_span=12), host, rng)
+            numbered = FormulaAst("=", host, expr)
+            for dr in range(rng.randint(1, 4)):
+                copy = CellAddress(name, host.row + dr, host.col)
+                literals = tuple(rng.choice([0.0, 1.0, 2.0, 3.5]) for _ in numbered.literals)
+                moved = translate_expr(numbered.root, dr, 0, literals)  # type: ignore[arg-type]
+                cells[copy.a1] = render(FormulaAst("=", copy, moved))
+    return wb_from(sheets.pop("S1"), extra_sheets=sheets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_books_that_read_only_before_themselves_take_the_shortcut(seed):
+    wb = _reads_before_book(seed)
+    asts = parse_workbook_formulas(wb)
+    assert graph._reads_before(asts, wb)
+    g = build_graph(wb, asts=asts)
+    with _tarjan_forced():
+        forced = build_graph(wb, asts=parse_workbook_formulas(wb)).condensation
+    assert g.condensation == forced
+    reach = Reachability(expanded_graph(wb, asts).precedents)
+    assert g.condensation.cycles == reach.cycles == ()
+    _assert_precedents_first(g.condensation.order, reach)
+    # out of reading order, the order of asts is no evaluation order
+    backwards = graph.condense(dict(reversed(asts.items())), wb, lambda: g.precedents)
+    assert backwards.cycles == ()
+    _assert_precedents_first(backwards.order, reach)
+    plan = EvalPlan(wb, asts)
+    assert plan.order == forced.order
+    assert _typed(plan.run()) == _typed(ReferenceEvaluator(wb).evaluate())

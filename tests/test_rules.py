@@ -239,6 +239,39 @@ def test_each_command_condenses_and_indexes_the_book_once(monkeypatch, tmp_path,
     assert calls == {"tarjan_sccs": 1, "sheet_indexes": 1}
 
 
+@pytest.mark.parametrize("command, exit_code", [
+    ("audit", 1), ("risk", 0), ("snapshot", 0), ("recheck", 0)])
+def test_a_book_that_reads_only_before_itself_is_not_sorted(monkeypatch, tmp_path, command,
+                                                             exit_code):
+    # every formula reads cells above it or to its left, so reading order is
+    # the evaluation order: no Tarjan pass, and evaluation alone builds no
+    # precedent set; two text-numbers under a SUM make the audit evaluate
+    wb = wb_from({"A1": "5", "B1": 3.0, "C1": "7", "A2": "=SUM(A1:C1)", "B2": "=A2*2",
+                  "C2": "=B1+1", "A3": "=A2+B2"}, outputs=("S1!A3",),
+                 extra_sheets={"Data": {"A1": "=S1!A3+S1!C2"}})
+    path = tmp_path / "book.json"
+    path.write_text(serialize_workbook(wb), encoding="utf-8")
+    with redirect_stdout(io.StringIO()):
+        assert main(["snapshot", str(path)]) == 0
+    calls = {"tarjan_sccs": 0, "precedents_of": 0}
+    for name in calls:
+        real = getattr(graph_mod, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        for mod in (graph_mod, engine_mod, rules_mod):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    with redirect_stdout(io.StringIO()) as out:
+        assert main([command, str(path)]) == exit_code
+    assert command != "audit" or "NUM_AS_TEXT" in out.getvalue()
+    assert calls["tarjan_sccs"] == 0
+    assert calls["precedents_of"] == (5 if command in ("audit", "risk") else 0)
+
+
 def test_hardwired_interior_constant():
     wb = wb_from(
         {
