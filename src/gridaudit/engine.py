@@ -34,10 +34,10 @@ Ten-thousand-cell chains evaluate without blowing the stack. Nor does it
 recurse inside a formula: each formula is one loop, with a stack of
 operands, over its class's walk (the postorder of the class tree without
 IF branches), so a sum of thousands of terms evaluates in one frame. The
-class keeps that walk once a copy is evaluated, and each copy reads its
-own number literals from its literal vector by each literal's slot. IF
-still evaluates only the branch it takes, by walking into it, one level
-per nested IF.
+class finds that walk when its first copy is parsed (FormulaAst.facts),
+and each copy reads its own number literals from its literal vector by
+each literal's slot. IF still evaluates only the branch it takes, by
+walking into it, one level per nested IF.
 """
 
 from __future__ import annotations
@@ -67,9 +67,8 @@ from .formula import (
     NumberLiteral,
     RangeRef,
     UnaryOp,
-    _class_walk,
-    _moved,
     canonical_number,
+    moved,
     parse_workbook_formulas,
     postorder,
 )
@@ -193,7 +192,7 @@ class _Evaluator:
         self.dr, self.dc = ast.offset
         self.literals = ast.literals
         try:
-            return self.eval(_class_walk(ast))
+            return self.eval(ast.facts.walk)
         except _Err as err:
             return err.error
 
@@ -304,7 +303,7 @@ class _Evaluator:
         return v
 
     def iter_range(self, node: RangeRef) -> Iterator[Value]:
-        r1, c1, r2, c2 = _moved(node, self.dr, self.dc)
+        r1, c1, r2, c2 = moved(node, self.dr, self.dc)
         if r2 > MAX_ROW or c2 > MAX_COL:
             raise _Err(REF_ERR)
         index = self.indexes.get(node.sheet if node.sheet is not None else self.sheet)

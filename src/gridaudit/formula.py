@@ -33,11 +33,16 @@ for, and that TACO (Tang et al.) compresses formula graphs by. The copies
 of one shape on one sheet form a formula class. A shape's number literals
 are slots: "=A1+2" in B1 and "=A2+3" in B2 are one class, and each copy
 keeps its own literal vector, the numbers it holds in reading order.
-Copies share the class's tree and references, and a copy whose literals
-equal the class's shares its normal form too. A copy has no tree of its
-own: it is read as the class tree at the copy's offset, with the copy's
-literals in the slots. Every walk over a tree is a loop over its
-postorder, so a formula of any length walks in one frame.
+A copy has no tree of its own: it is read as the class tree at the
+copy's offset, with the copy's literals in the slots. When the class's
+first copy is parsed, one walk of its tree finds what every copy reads
+of it, kept as FormulaAst.facts: its references, the ranges an aggregate
+reads, whether one is anchored ($) on its own sheet, its literal vector
+and the evaluator's walk. Other modules read them through facts,
+references and aggregate_boxes, and move a class reference to a copy
+with moved. A copy whose literals equal the class's shares its normal
+form too. Every walk over a tree is a loop over its postorder, so a
+formula of any length walks in one frame.
 """
 
 from __future__ import annotations
@@ -156,25 +161,34 @@ class FormulaAst:
     cls holds a tree (root); a copy has none, and every reader takes the
     class tree with its relative references moved by the copy's offset and
     its number literals read from the copy's literals, the vector each
-    NumberLiteral's slot indexes. A copy whose literals equal the class's
-    holds the class's tuple. The class's references and normal form are
-    computed once, on cls. A tree built by hand, given without literals,
-    has its slots numbered here and its literals read from it.
+    NumberLiteral's slot indexes. cls is built from its tree, and its facts
+    (see facts) are found then, its literals among them; a copy is built
+    from cls and its own literals, and one equal to the class's holds the
+    class's tuple. A tree built by hand numbers its slots in reading order,
+    as the parser does.
     """
 
     __slots__ = ("source", "host", "root", "cls", "literals", "_normal", "_facts")
 
     def __init__(self, source: str, host: CellAddress, root: Expr | None = None,
-                 cls: FormulaAst | None = None, literals: tuple[float, ...] | None = None):
-        if literals is None:
-            root, literals = _numbered(root)  # type: ignore[arg-type]
+                 cls: FormulaAst | None = None, literals: tuple[float, ...] = ()):
         self.source = source
         self.host = host
         self.root = root
-        self.cls = self if cls is None else cls
-        self.literals = literals
         self._normal: NormalizedFormula | None = None
-        self._facts: _ClassFacts | None = None
+        if cls is None:
+            self.cls = self
+            self._facts = _ClassFacts(root)  # type: ignore[arg-type]
+            self.literals = self._facts.literals
+        else:
+            self.cls = cls
+            self._facts = cls._facts
+            self.literals = literals
+
+    @property
+    def facts(self) -> _ClassFacts:
+        """Its class's facts, found once when the class was parsed."""
+        return self._facts
 
     @property
     def offset(self) -> tuple[int, int]:
@@ -194,19 +208,15 @@ class FormulaAst:
         """
         normal = self._normal
         if normal is None:
-            cls = self.cls
-            if cls is self:
-                normal = normalize(self)
+            cls, facts = self.cls, self._facts
+            if self.literals is cls.literals:
+                normal = normalize(self) if cls is self else cls.normal
             else:
-                facts = _class_facts(cls)  # a copy's ask keeps the class's facts
-                if self.literals is cls.literals:
-                    normal = cls.normal
-                else:
-                    normal = facts.normals.get(self.literals)
-                    if normal is None:
-                        normal = facts.normals[self.literals] = normalize(self)
-                if facts.anchored:
-                    normal = dataclasses.replace(normal, **_reach(self))
+                normal = facts.normals.get(self.literals)
+                if normal is None:
+                    normal = facts.normals[self.literals] = normalize(self)
+            if cls is not self and facts.anchored:
+                normal = dataclasses.replace(normal, **_reach(self))
             self._normal = normal
         return normal
 
@@ -480,11 +490,11 @@ def _split_ref(tok: _Token) -> tuple[int, int, bool, bool]:
 
 def parse_formula(source: str, host: CellAddress) -> FormulaAst:
     """Parse formula source text (leading '=' required) at a host cell."""
-    tokens, _key, literals = _lex(source, host)
-    return FormulaAst(source, host, _Parser(tokens, host).parse(), None, literals)
+    tokens, _key, _literals = _lex(source, host)
+    return FormulaAst(source, host, _Parser(tokens, host).parse())
 
 
-def _moved(node: CellRef | RangeRef, dr: int, dc: int) -> tuple[int, int, int, int]:
+def moved(node: CellRef | RangeRef, dr: int, dc: int) -> tuple[int, int, int, int]:
     """A reference's box (r1, c1, r2, c2) in a copy dr rows down and dc
     columns right: relative axes move, absolute ones stay."""
     if type(node) is CellRef:
@@ -525,30 +535,6 @@ def postorder(root: Expr, branches: bool = True) -> list[Expr]:
     return out
 
 
-def _numbered(root: Expr) -> tuple[Expr, tuple[float, ...]]:
-    """A tree built by hand, rebuilt with its number literals' slots numbered
-    in reading order, and its literal vector: what the parser gives."""
-    literals: list[float] = []
-    stack: list[Expr] = []
-    for node in postorder(root):
-        kind = type(node)
-        if kind is NumberLiteral:
-            node = NumberLiteral(node.value, len(literals))  # type: ignore[union-attr]
-            literals.append(node.value)
-        elif kind is BinaryOp:
-            right = stack.pop()
-            node = BinaryOp(node.op, stack.pop(), right)  # type: ignore[union-attr]
-        elif kind is UnaryOp:
-            node = UnaryOp(node.op, stack.pop())  # type: ignore[union-attr]
-        elif kind is FunctionCall:
-            n = len(node.args)  # type: ignore[union-attr]
-            args = tuple(stack[len(stack) - n:])
-            del stack[len(stack) - n:]
-            node = FunctionCall(node.name, args)  # type: ignore[union-attr]
-        stack.append(node)
-    return stack[0], tuple(literals)
-
-
 # --- Rendering ------------------------------------------------------------
 
 _UNARY_LEVEL = 6
@@ -573,7 +559,7 @@ def _render_ref(node: CellRef | RangeRef, host: CellAddress, dr: int, dc: int,
                 style: str) -> str:
     """A reference moved dr rows and dc columns, in A1 or host-relative R1C1
     style; a range is two corners."""
-    r1, c1, r2, c2 = _moved(node, dr, dc)
+    r1, c1, r2, c2 = moved(node, dr, dc)
     prefix = "" if node.sheet is None else quote_sheet(node.sheet) + "!"
     if isinstance(node, CellRef):
         return prefix + _render_corner(r1, c1, node.abs_row, node.abs_col, host, style)
@@ -633,7 +619,8 @@ class NormalizedFormula:
     """Host-relative normal form and structural size of one formula.
 
     text is the R1C1 rendering, which copies of one formula with equal
-    literals share, and literals the numeric constants in reading order.
+    literals share; the literals themselves are the formula's
+    FormulaAst.literals, the vector its normal form is kept under.
     token_count counts literals, references (a range is one token),
     operators, and function names; parentheses and commas do not count.
     max_ref_distance is the Chebyshev distance (max of row and column
@@ -647,7 +634,6 @@ class NormalizedFormula:
     """
 
     text: str
-    literals: tuple[float, ...]
     token_count: int
     max_ref_distance: int
     off_axis_ref_count: int
@@ -656,82 +642,87 @@ class NormalizedFormula:
 
 
 class _ClassFacts:
-    """What a class keeps once a copy asks for it.
+    """What every copy of a class reads of its tree, found in one walk of
+    the tree when the class's first copy is parsed; read as FormulaAst.facts.
 
-    refs are the class tree's references in reading order, at the class's
-    host, and anchored says whether any on its own sheet has an absolute
-    axis. normals holds the normal form of each literal vector but the
-    class's own that a copy has asked for, and walk the evaluator's walk
-    (postorder without IF branches), made when a copy is first evaluated.
-    aggregates are the ranges an aggregate reads, at the class's host,
-    kept by NUM_AS_TEXT when a copy first asks.
+    refs are the tree's references in reading order, at the class's host,
+    and aggregates the ranges among them that a call to an aggregate
+    function reads, at any depth below it. anchored says whether a
+    reference on the class's own sheet has an absolute axis, so that the
+    copies' distances differ by where they sit. literals are the class's
+    own literal vector, its number literals' values in slot order, and walk
+    the evaluator's walk: the tree's postorder without IF branches. normals
+    holds the normal form of each literal vector but the class's own that
+    a copy has asked for.
     """
 
-    __slots__ = ("refs", "aggregates", "anchored", "normals", "walk")
+    __slots__ = ("refs", "aggregates", "anchored", "literals", "walk", "normals")
 
     def __init__(self, root: Expr):
-        self.refs = _refs_of(root)
-        self.aggregates: tuple[RangeRef, ...] | None = None
+        nodes = postorder(root)
+        refs: list[CellRef | RangeRef] = []
+        read: list[bool] = []  # per reference: whether an aggregate above it reads it
+        starts: list[int] = []  # per operand on the stack: its first reference's index
+        literals: list[float] = []
+        branched = False
+        for node in nodes:
+            if isinstance(node, BinaryOp):
+                starts.pop()  # the left operand's start is the node's
+            elif isinstance(node, FunctionCall):
+                n = len(node.args)
+                start = starts[-n]
+                del starts[len(starts) - n + 1:]
+                if node.name in AGGREGATE_FUNCTIONS:
+                    read[start:] = [True] * (len(read) - start)
+                branched = branched or node.name == "IF"
+            elif not isinstance(node, UnaryOp):
+                starts.append(len(refs))
+                if isinstance(node, NumberLiteral):
+                    literals.append(node.value)
+                elif isinstance(node, (CellRef, RangeRef)):
+                    refs.append(node)
+                    read.append(False)
+        self.refs = tuple(refs)
+        self.aggregates = tuple(node for node, by_aggregate in zip(refs, read)
+                                if by_aggregate and type(node) is RangeRef)
         self.anchored = any(
             node.sheet is None and (node.abs_row or node.abs_col
                                     if isinstance(node, CellRef)
                                     else node.abs_r1 or node.abs_c1
                                     or node.abs_r2 or node.abs_c2)
-            for node in self.refs)
+            for node in refs)
+        self.literals = tuple(literals)
+        self.walk = postorder(root, branches=False) if branched else nodes
         self.normals: dict[tuple[float, ...], NormalizedFormula] = {}
-        self.walk: list[Expr] | None = None
 
 
-def _refs_of(root: Expr) -> tuple[CellRef | RangeRef, ...]:
-    return tuple(node for node in postorder(root) if isinstance(node, (CellRef, RangeRef)))
+Box = tuple[str, int, int, int, int]
 
 
-def _class_facts(cls: FormulaAst) -> _ClassFacts:
-    facts = cls._facts
-    if facts is None:
-        facts = cls._facts = _ClassFacts(cls.root)  # type: ignore[arg-type]
-    return facts
+def _boxes(ast: FormulaAst, nodes: tuple[CellRef | RangeRef, ...]) -> Iterator[Box]:
+    """Class references as boxes (sheet, r1, c1, r2, c2) moved to ast's
+    host; an unqualified reference carries the host sheet."""
+    sheet = ast.host.sheet
+    dr, dc = ast.offset
+    for node in nodes:
+        yield (node.sheet if node.sheet is not None else sheet, *moved(node, dr, dc))
 
 
-def _class_refs(ast: FormulaAst) -> tuple[CellRef | RangeRef, ...]:
-    """The references of ast's class tree in reading order, at the class's host.
-
-    The class walks its tree for them once a copy asks, and keeps them. A
-    formula with no copies walks its tree on each ask, which costs no more
-    than reading it back and keeps nothing.
-    """
-    cls = ast.cls
-    if ast is cls and cls._facts is None:
-        return _refs_of(cls.root)  # type: ignore[arg-type]
-    return _class_facts(cls).refs
-
-
-def _class_walk(ast: FormulaAst) -> list[Expr]:
-    """The postorder of ast's class tree without IF branches, which the
-    evaluator runs at ast's offset with ast's literals. The class keeps it
-    once a copy asks; a formula with no copies walks its tree on each ask."""
-    cls = ast.cls
-    if ast is cls and cls._facts is None:
-        return postorder(cls.root, branches=False)  # type: ignore[arg-type]
-    facts = _class_facts(cls)
-    walk = facts.walk
-    if walk is None:
-        walk = facts.walk = postorder(cls.root, branches=False)  # type: ignore[arg-type]
-    return walk
-
-
-def references(ast: FormulaAst) -> Iterator[tuple[str, int, int, int, int]]:
+def references(ast: FormulaAst) -> Iterator[Box]:
     """Every reference of a formula as a box (sheet, r1, c1, r2, c2).
 
-    Reading order; an unqualified reference carries the host sheet, and a
-    cell reference is a 1x1 box: the class's references, walked once,
-    shifted to the host. graph.precedents_of, which the dependency graph
-    and the evaluator's ordering both take their edges from, reads them.
+    Reading order; a cell reference is a 1x1 box: the class's references,
+    found when the class was parsed, moved to the host. graph.precedents_of,
+    which the dependency graph and the evaluator's ordering both take their
+    edges from, reads them.
     """
-    host = ast.host
-    dr, dc = ast.offset
-    for node in _class_refs(ast):
-        yield (node.sheet if node.sheet is not None else host.sheet, *_moved(node, dr, dc))
+    return _boxes(ast, ast.facts.refs)
+
+
+def aggregate_boxes(ast: FormulaAst) -> Iterator[Box]:
+    """Boxes of the ranges an aggregate of a formula reads, in reading
+    order: its class's, found when the class was parsed, moved to the host."""
+    return _boxes(ast, ast.facts.aggregates)
 
 
 def _reach(ast: FormulaAst) -> dict[str, object]:
@@ -766,7 +757,6 @@ def normalize(ast: FormulaAst) -> NormalizedFormula:
     nodes = postorder(cls.root)  # every node is one counted token; parens and commas are not
     return NormalizedFormula(
         text="=" + _render(nodes, ast.literals, cls.host, 0, 0, "r1c1"),
-        literals=ast.literals,
         token_count=len(nodes),
         **_reach(ast),  # type: ignore[arg-type]
     )
@@ -790,8 +780,7 @@ def parse_workbook_formulas(wb: Workbook) -> dict[CellAddress, FormulaAst]:
             tokens, key, literals = _lex(source, addr)
             cls = classes.get(key)
             if cls is None:
-                ast = classes[key] = FormulaAst(source, addr, _Parser(tokens, addr).parse(),
-                                                None, literals)
+                ast = classes[key] = FormulaAst(source, addr, _Parser(tokens, addr).parse())
             else:
                 if literals == cls.literals:
                     literals = cls.literals

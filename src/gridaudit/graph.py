@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import AbstractSet, Callable, Iterable, Iterator, KeysView, Mapping, NamedTuple
 
 from .errors import ExplosionCap
-from .formula import FormulaAst, _class_facts, parse_workbook_formulas, references
+from .formula import FormulaAst, parse_workbook_formulas, references
 from .model import MAX_COL, MAX_ROW, CellAddress, Sheet, Workbook
 
 class SheetIndex:
@@ -171,7 +171,7 @@ def condense(asts: Mapping[CellAddress, FormulaAst], wb: Workbook,
 def _reads_before(asts: Mapping[CellAddress, FormulaAst], wb: Workbook) -> bool:
     """Whether asts come in reading order and each reads only earlier
     cells, a range by its last cell; a class with no absolute axis on its
-    own sheet is judged at two copies."""
+    own sheet is judged at its first copy."""
     last = (-1, 0, 0)
     judged: set[FormulaAst] = set()
     for addr, ast in asts.items():
@@ -183,7 +183,7 @@ def _reads_before(asts: Mapping[CellAddress, FormulaAst], wb: Workbook) -> bool:
             if any(wb.sheet(sheet) is None or (wb.sheet_index(sheet), r2, c2) >= host
                    for sheet, _r1, _c1, r2, c2 in references(ast)):
                 return False
-            if ast is not cls and not _class_facts(cls).anchored:
+            if not ast.facts.anchored:
                 judged.add(cls)
     return True
 

@@ -28,19 +28,11 @@ from typing import Callable, Iterable, Iterator
 from .engine import EvalPlan, parse_numeric_text
 from .errors import InvalidConfig, config_value, plain
 from .formula import (
-    AGGREGATE_FUNCTIONS,
-    BinaryOp,
-    Expr,
     FormulaAst,
-    FunctionCall,
     RangeRef,
-    UnaryOp,
-    _class_facts,
-    _class_refs,
-    _moved,
+    aggregate_boxes,
     canonical_number,
     parse_workbook_formulas,
-    postorder,
     references,
 )
 from .graph import DepGraph, orphan_formulas
@@ -232,48 +224,6 @@ def _textual_number(cell: CellContent) -> float | None:
     return None
 
 
-def _aggregate_ranges(root: Expr) -> tuple[RangeRef, ...]:
-    """The ranges an aggregate of a tree reads; the stack holds each
-    operand's ranges that no aggregate has taken yet."""
-    found: list[RangeRef] = []
-    stack: list[list[RangeRef]] = []
-    for node in postorder(root):
-        if isinstance(node, RangeRef):
-            stack.append([node])
-        elif isinstance(node, BinaryOp):
-            right = stack.pop()
-            stack[-1] = stack[-1] + right
-        elif isinstance(node, FunctionCall):
-            n = len(node.args)
-            ranges = [rng for operand in stack[-n:] for rng in operand]
-            del stack[-n:]
-            if node.name in AGGREGATE_FUNCTIONS:
-                found += ranges
-                ranges = []
-            stack.append(ranges)
-        elif not isinstance(node, UnaryOp):  # a unary sign keeps its operand's
-            stack.append([])
-    return tuple(found)
-
-
-def _aggregate_boxes(ast: FormulaAst) -> list[tuple[str, int, int, int, int]]:
-    """Boxes (sheet, r1, c1, r2, c2) of the ranges an aggregate reads: its
-    class's, moved to its host. The class keeps its ranges once a copy asks;
-    a formula with no copies walks its tree on each ask and keeps nothing."""
-    cls = ast.cls
-    if ast is cls and cls._facts is None:
-        found = _aggregate_ranges(cls.root)  # type: ignore[arg-type]
-    else:
-        facts = _class_facts(cls)
-        found = facts.aggregates
-        if found is None:
-            found = facts.aggregates = _aggregate_ranges(cls.root)  # type: ignore[arg-type]
-    sheet = ast.host.sheet
-    dr, dc = ast.offset
-    return [(rng.sheet if rng.sheet is not None else sheet, *_moved(rng, dr, dc))
-            for rng in found]
-
-
 def _num_as_text_findings(wb: Workbook, g: DepGraph,
                           asts: dict[CellAddress, FormulaAst]) -> dict[CellAddress, Finding]:
     """Text-numbers inside an aggregate range, or amid numeric neighbours.
@@ -289,7 +239,7 @@ def _num_as_text_findings(wb: Workbook, g: DepGraph,
         return {}
     hosts_of: dict[CellAddress, set[CellAddress]] = {}
     for host, ast in asts.items():
-        for sheet, r1, c1, r2, c2 in _aggregate_boxes(ast):
+        for sheet, r1, c1, r2, c2 in aggregate_boxes(ast):
             index = g.indexes.get(sheet)
             if index is None:
                 continue
@@ -459,7 +409,7 @@ def _flow_offenders(ast: FormulaAst) -> list[str]:
     if not forward:
         return []
     boxes = list(references(ast))
-    nodes = _class_refs(ast)
+    nodes = ast.facts.refs
     bad: list[str] = []
     for i in forward:
         _sheet, r1, c1, r2, c2 = boxes[i]
@@ -499,11 +449,11 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
     }
 
     def jammed(addr: CellAddress, cell: CellContent, ast: FormulaAst) -> Finding | None:
-        nf = ast.normal
-        if len(nf.literals) >= 2:
+        literals = ast.literals
+        if len(literals) >= 2:
             return _mk("JAMMED", addr,
-                       f"formula embeds {len(nf.literals)} literals",
-                       {"literals": [canonical_number(v) for v in nf.literals]})
+                       f"formula embeds {len(literals)} literals",
+                       {"literals": [canonical_number(v) for v in literals]})
         return None
 
     def long_formula(addr: CellAddress, cell: CellContent, ast: FormulaAst) -> Finding | None:
@@ -530,7 +480,7 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
     def xsheet(addr: CellAddress, cell: CellContent, ast: FormulaAst) -> Finding | None:
         m = ast.normal
         if m.cross_sheet_ref_count > 0:
-            sheets = sorted({node.sheet for node in _class_refs(ast)
+            sheets = sorted({node.sheet for node in ast.facts.refs
                              if node.sheet is not None})
             return _mk("XSHEET_REF", addr,
                        f"{m.cross_sheet_ref_count} cross-sheet reference(s)",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -433,10 +434,16 @@ def random_expr(rng: random.Random, depth: int = 3, coord_span: int = 40,
 
     Number literals are non-negative (the parser spells negatives as unary
     minus) and range corners are pre-sorted, matching parser canonical form,
-    so render/parse equality holds structurally. uniform_range_flags forces
-    both corners of each range axis to share an absolute marker, which keeps
-    corner order stable under translation (the copy-invariance property).
+    so render/parse equality holds structurally; their slots are numbered
+    as the parser numbers them. uniform_range_flags forces both corners of
+    each range axis to share an absolute marker, which keeps corner order
+    stable under translation (the copy-invariance property).
     """
+    return numbered(_random_node(rng, depth, coord_span, uniform_range_flags))
+
+
+def _random_node(rng: random.Random, depth: int, coord_span: int,
+                 uniform_range_flags: bool) -> Expr:
     if depth <= 0 or rng.random() < 0.3:
         kind = rng.randrange(5)
         if kind == 0:
@@ -467,12 +474,12 @@ def random_expr(rng: random.Random, depth: int = 3, coord_span: int = 40,
     kind = rng.randrange(6)
     if kind == 0:
         return UnaryOp(rng.choice(["-", "+"]),
-                       random_expr(rng, depth - 1, coord_span, uniform_range_flags))
+                       _random_node(rng, depth - 1, coord_span, uniform_range_flags))
     if kind <= 3:
         return BinaryOp(
             rng.choice(_BINOPS),
-            random_expr(rng, depth - 1, coord_span, uniform_range_flags),
-            random_expr(rng, depth - 1, coord_span, uniform_range_flags),
+            _random_node(rng, depth - 1, coord_span, uniform_range_flags),
+            _random_node(rng, depth - 1, coord_span, uniform_range_flags),
         )
     name = rng.choice(["SUM", "AVERAGE", "MIN", "MAX", "COUNT", "IF", "AND", "OR",
                        "NOT", "ROUND", "ABS"])
@@ -485,7 +492,44 @@ def random_expr(rng: random.Random, depth: int = 3, coord_span: int = 40,
     else:
         n = rng.randint(1, 3)
     return FunctionCall(name, tuple(
-        random_expr(rng, depth - 1, coord_span, uniform_range_flags) for _ in range(n)))
+        _random_node(rng, depth - 1, coord_span, uniform_range_flags) for _ in range(n)))
+
+
+def numbered(root: Expr) -> Expr:
+    """A tree built by hand, with its number literals' slots numbered in
+    reading order, as the parser numbers them; FormulaAst reads a class's
+    literal vector off its tree by slot."""
+    slots = itertools.count()
+
+    def walk(node: Expr) -> Expr:
+        if isinstance(node, NumberLiteral):
+            return NumberLiteral(node.value, next(slots))
+        if isinstance(node, UnaryOp):
+            return UnaryOp(node.op, walk(node.operand))
+        if isinstance(node, BinaryOp):
+            left = walk(node.left)
+            return BinaryOp(node.op, left, walk(node.right))
+        if isinstance(node, FunctionCall):
+            return FunctionCall(node.name, tuple(walk(arg) for arg in node.args))
+        return node
+
+    return walk(root)
+
+
+def aggregate_ranges(node: Expr, under: bool = False) -> list[RangeRef]:
+    """The ranges of a tree, in reading order, that some call above them to
+    SUM, AVERAGE, MIN, MAX or COUNT reads; under says whether one is above
+    node already."""
+    if isinstance(node, RangeRef):
+        return [node] if under else []
+    if isinstance(node, UnaryOp):
+        return aggregate_ranges(node.operand, under)
+    if isinstance(node, BinaryOp):
+        return aggregate_ranges(node.left, under) + aggregate_ranges(node.right, under)
+    if isinstance(node, FunctionCall):
+        under = under or node.name in ("SUM", "AVERAGE", "MIN", "MAX", "COUNT")
+        return [rng for arg in node.args for rng in aggregate_ranges(arg, under)]
+    return []
 
 
 def translate_expr(node: Expr, dr: int, dc: int,
@@ -540,15 +584,15 @@ def literal_copies_book(seed: int) -> Workbook:
     for _ in range(5):
         expr = random_expr(rng, depth=3, coord_span=14)
         if rng.random() < 0.34:
-            expr = FunctionCall("IF", (random_expr(rng, 1, 14), expr,
-                                       random_expr(rng, 2, 14)))
+            expr = numbered(FunctionCall("IF", (random_expr(rng, 1, 14), expr,
+                                                random_expr(rng, 2, 14))))
         row, col = rng.randint(1, 10), rng.randint(1, 12)
-        numbered = FormulaAst("=", CellAddress("S1", row, col), expr)
+        first = FormulaAst("=", CellAddress("S1", row, col), expr)
         for dr in range(rng.randint(2, 5)):
             host = CellAddress("S1", row + dr, col)
             literals = tuple(rng.choice([0.0, 1.0, 2.0, 3.5, 10.0, 1e-07])
-                             for _ in numbered.literals)
-            moved = translate_expr(numbered.root, dr, 0, literals)  # type: ignore[arg-type]
+                             for _ in first.literals)
+            moved = translate_expr(expr, dr, 0, literals)
             cells[host.a1] = render(FormulaAst("=", host, moved))
     return wb_from(cells, extra_sheets={"Data": {"A1": 5.0, "B2": "=A1+S1!A1"},
                                         "My Data": {"C3": "=3+Data!A1"}})

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast as pyast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from gridaudit.formula import (
     RangeRef,
     TextLiteral,
     UnaryOp,
+    aggregate_boxes,
     canonical_number,
     normalize,
     parse_formula,
@@ -32,7 +35,8 @@ from gridaudit.formula import (
 )
 from gridaudit.model import CellAddress
 from gridaudit.simlab import SeedSpec, generate_clean
-from helpers import literal_copies_book, random_expr, translate_expr, wb_from
+from helpers import (aggregate_ranges, literal_copies_book, random_expr, translate_expr,
+                     wb_from)
 
 B1 = CellAddress("S1", 1, 2)
 C2 = CellAddress("S1", 2, 3)
@@ -251,8 +255,9 @@ def test_normalize_zero_offset_is_bare():
 
 
 def test_normalize_collects_refs_and_literals():
-    nf = normalize(parse_formula("=A1*2+Data!B2-3.5", C2))
-    assert nf.literals == (2.0, 3.5)
+    ast = parse_formula("=A1*2+Data!B2-3.5", C2)
+    nf = normalize(ast)
+    assert ast.literals == (2.0, 3.5)
     assert nf.text == "=R[-1]C[-2]*2+Data!RC[-1]-3.5"
     # ref * 2 + ref - 3.5 -> seven counted tokens
     assert nf.token_count == 7
@@ -290,16 +295,16 @@ def test_metrics_pinned_example():
 
 
 def test_metrics_token_and_literal_counts():
-    m = normalize(parse_formula("=SUM(B2:B8)", C2))
-    assert m.token_count == 2
-    assert len(m.literals) == 0
-    m = normalize(parse_formula("=IF(A1>0,A1,0)", C2))
-    assert m.token_count == 6
-    assert len(m.literals) == 2
-    m = normalize(parse_formula('=-A1+2*3&"x"', C2))
+    ast = parse_formula("=SUM(B2:B8)", C2)
+    assert normalize(ast).token_count == 2
+    assert len(ast.literals) == 0
+    ast = parse_formula("=IF(A1>0,A1,0)", C2)
+    assert normalize(ast).token_count == 6
+    assert len(ast.literals) == 2
+    ast = parse_formula('=-A1+2*3&"x"', C2)
     # unary, ref, 2, 3, *, +, &, "x"
-    assert m.token_count == 8
-    assert len(m.literals) == 2
+    assert normalize(ast).token_count == 8
+    assert len(ast.literals) == 2
 
 
 def test_metrics_off_axis():
@@ -512,6 +517,35 @@ def test_unique_formula_count_matches_a_parse_of_each_cell_property(seed):
     brute = {(addr.sheet, normalize(parse_formula(cell.formula, addr)).text)
              for addr, cell in wb.formula_cells()}
     assert unique_formula_count(wb) == len(brute)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_class_facts_match_a_parse_of_each_cell_property(seed):
+    # Copied classes with literal slots, absolute axes, IF branches and
+    # nested aggregates: each copy reads its class's facts at its offset.
+    wb = literal_copies_book(seed)
+    for addr, ast in parse_workbook_formulas(wb).items():
+        alone = parse_formula(ast.source, addr)
+        assert list(references(ast)) == list(references(alone)), addr
+        boxes = list(aggregate_boxes(ast))
+        assert boxes == list(aggregate_boxes(alone)), addr
+        assert boxes == [(rng.sheet or addr.sheet, rng.r1, rng.c1, rng.r2, rng.c2)
+                         for rng in aggregate_ranges(alone.root)], addr
+
+
+def test_no_module_imports_a_private_name_of_formula():
+    # The class record is built and read behind formula's public names.
+    package = Path(formula_mod.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "formula.py":
+            continue
+        for node in pyast.walk(pyast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, pyast.ImportFrom) and (
+                    (node.level == 1 and node.module == "formula")
+                    or node.module == "gridaudit.formula"):
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, (path.name, private)
 
 
 def test_copies_differing_only_in_literals_parse_as_one_class(monkeypatch):

@@ -19,8 +19,8 @@ from gridaudit.formula import (BinaryOp, CellRef, FormulaAst, FunctionCall, Numb
                                RangeRef, UnaryOp, parse_workbook_formulas, render)
 from gridaudit.graph import build_graph, chain_stats, dump_edges, orphan_formulas
 from gridaudit.model import CellAddress, CellContent, col_to_letters
-from helpers import (Reachability, ReferenceEvaluator, expanded_graph, random_expr,
-                     translate_expr, wb_from)
+from helpers import (Reachability, ReferenceEvaluator, expanded_graph, numbered,
+                     random_expr, translate_expr, wb_from)
 
 
 def A(a1: str, sheet: str = "S1") -> CellAddress:
@@ -375,12 +375,12 @@ def _reads_before_book(seed: int):
                  CellContent(value=4.0, number_format="text", locked=True)])
         for _ in range(4):
             host = CellAddress(name, rng.randint(1, 10), rng.randint(1, 6))
-            expr = _read_before(random_expr(rng, depth=3, coord_span=12), host, rng)
-            numbered = FormulaAst("=", host, expr)
+            expr = numbered(_read_before(random_expr(rng, depth=3, coord_span=12), host, rng))
+            first = FormulaAst("=", host, expr)
             for dr in range(rng.randint(1, 4)):
                 copy = CellAddress(name, host.row + dr, host.col)
-                literals = tuple(rng.choice([0.0, 1.0, 2.0, 3.5]) for _ in numbered.literals)
-                moved = translate_expr(numbered.root, dr, 0, literals)  # type: ignore[arg-type]
+                literals = tuple(rng.choice([0.0, 1.0, 2.0, 3.5]) for _ in first.literals)
+                moved = translate_expr(expr, dr, 0, literals)
                 cells[copy.a1] = render(FormulaAst("=", copy, moved))
     return wb_from(sheets.pop("S1"), extra_sheets=sheets)
 

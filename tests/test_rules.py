@@ -15,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridaudit.engine as engine_mod
+import gridaudit.formula as formula_mod
 import gridaudit.graph as graph_mod
 import gridaudit.rules as rules_mod
 from gridaudit.cli import build_audit_report, main
 from gridaudit.engine import EvalPlan, evaluate
 from gridaudit.errors import InvalidConfig
+from gridaudit.formula import FormulaAst, parse_workbook_formulas
 from gridaudit.graph import build_graph
 from gridaudit.model import (
     CellAddress,
@@ -189,21 +191,27 @@ def test_num_as_text_audit_walks_each_formula_once(monkeypatch):
 
 def test_num_as_text_walks_each_class_for_its_aggregates_once(monkeypatch):
     # A4:D4 are copies of one SUM, whose ranges are the class's moved by each
-    # copy's offset; E1 is a class of its own.
+    # copy's offset; E1 is a class of its own. Each class's tree is walked
+    # once, when its first copy is parsed, and the rule reads what it found.
     walked: list[object] = []
-    real = rules_mod._aggregate_ranges
 
-    def counting(root):
-        walked.append(root)
-        return real(root)
+    class CountingFacts(formula_mod._ClassFacts):
+        __slots__ = ()
 
-    monkeypatch.setattr(rules_mod, "_aggregate_ranges", counting)
+        def __init__(self, root):
+            walked.append(root)
+            super().__init__(root)
+
+    monkeypatch.setattr(formula_mod, "_ClassFacts", CountingFacts)
     cells: dict[str, object] = {"A1": "5", "A2": 1.0, "A3": 2.0, "B1": 3.0, "B2": "6",
                                 "B3": 4.0, "C1": 1.0, "C2": 1.0, "C3": "7", "D1": 2.0,
                                 "D2": 2.0, "D3": 2.0, "E1": "=MAX(A1:D1)+1"}
     cells.update({f"{col}4": f"=SUM({col}1:{col}3)" for col in "ABCD"})
+    wb = wb_from(cells)
+    asts = parse_workbook_formulas(wb)
+    report = run_rules(wb, build_graph(wb, asts), asts=asts)
     found = {f.location.a1: (f.evidence["aggregates"], f.evidence["understatement"])
-             for f in hits(run(wb_from(cells)), "NUM_AS_TEXT")}
+             for f in hits(report, "NUM_AS_TEXT")}
     assert found == {"A1": (["S1!E1", "S1!A4"], 5.0 + 2.0), "B2": (["S1!B4"], 6.0),
                      "C3": (["S1!C4"], 7.0)}
     assert len(walked) == 2
@@ -548,9 +556,14 @@ def test_two_cell_rules_crashing_on_one_cell_report_in_rule_order(monkeypatch):
     def boom(ast):
         raise RuntimeError("rule bug")
 
-    monkeypatch.setattr(rules_mod, "_class_refs", boom)  # XSHEET_REF's sheet list
-    monkeypatch.setattr(rules_mod, "_flow_offenders", boom)
-    report = run(wb)
+    asts = parse_workbook_formulas(wb)
+    g = build_graph(wb, asts)
+    for ast in asts.values():
+        ast.normal  # kept on the formula, read while facts still works
+    # XSHEET_REF's sheet list and FLOW_VIOLATION's offenders both read the
+    # class's references through facts
+    monkeypatch.setattr(FormulaAst, "facts", property(boom))
+    report = run_rules(wb, g, asts=asts)
     internal = [(f.location.qualified, f.evidence["rule"])
                 for f in hits(report, "INTERNAL_ERROR")]
     # RULE_IDS order, not the alphabetical order of the rule names
