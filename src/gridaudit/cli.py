@@ -76,7 +76,10 @@ class AuditReport:
 
 def build_audit_report(wb: Workbook, rule_cfg: RuleConfig | None = None,
                        params: RiskParams | None = None,
-                       fixed_timestamp: bool = False) -> AuditReport:
+                       fixed_timestamp: bool = False, *, team_size: int | None = None,
+                       rounds: int = 3) -> AuditReport:
+    """The audit pipeline: formulas, graph, rules, chain statistics and
+    risk; team_size and rounds size the risk model's inspection rounds."""
     from .formula import parse_workbook_formulas
     from .graph import build_graph, chain_stats
     from .risk import assess
@@ -88,7 +91,7 @@ def build_audit_report(wb: Workbook, rule_cfg: RuleConfig | None = None,
     cs = chain_stats(g)
     risk_rep = assess(wb, cs, params,
                       fraud_indicator_count=rules_rep.fraud_indicator_count,
-                      asts=asts)
+                      team_size=team_size, rounds=rounds, asts=asts)
     generated = FIXED_TIMESTAMP if fixed_timestamp else (
         datetime.datetime.now().isoformat(timespec="seconds"))
     return AuditReport(
@@ -102,7 +105,7 @@ def build_audit_report(wb: Workbook, rule_cfg: RuleConfig | None = None,
             "edgeCount": g.edge_count,
             "longestChain": cs.longest_chain_length,
             "cycleCount": len(cs.cycles),
-            "crossSheetRefs": rules_rep.cross_sheet_total,
+            "crossSheetRefs": risk_rep.cross_sheet_refs,
         },
         coverage={
             "examined": dict(rules_rep.examined),
@@ -180,12 +183,14 @@ def _plan_config(args: argparse.Namespace) -> PlanConfig:
     return dataclasses.replace(cfg, **set_overrides) if set_overrides else cfg
 
 
-def _emit(args: argparse.Namespace, human: str, machine: dict[str, object]) -> None:
+def _emit(args: argparse.Namespace, human: str, machine: dict[str, object] | str) -> None:
     """Write the JSON report to --out, or to stdout in machine format, and the
-    human text to stdout in human format. The JSON is encoded only if written."""
+    human text to stdout in human format. machine is the report, encoded only
+    if written, or its JSON text."""
     out: Path | None = getattr(args, "out", None)
     if out is not None or args.format == "machine":
-        payload = json.dumps(machine, ensure_ascii=False, indent=2) + "\n"
+        payload = (machine if isinstance(machine, str)
+                   else json.dumps(machine, ensure_ascii=False, indent=2) + "\n")
         if out is not None:
             out.write_text(payload, encoding="utf-8")
         else:
@@ -278,24 +283,13 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_risk(args: argparse.Namespace) -> int:
-    from .formula import parse_workbook_formulas
-    from .graph import build_graph, chain_stats
-    from .risk import RiskParams, assess
-    from .rules import run_rules
+    from .risk import RiskParams
 
     wb = _load_workbook(args.workbook)
-    asts = parse_workbook_formulas(wb)
-    g = build_graph(wb, asts=asts)
-    rules_rep = run_rules(wb, g, _rule_config(args), asts=asts)
-    overrides = {}
-    if args.p is not None:
-        overrides["p"] = args.p
-    if args.serious_fraction is not None:
-        overrides["s"] = args.serious_fraction
-    params = dataclasses.replace(RiskParams(), **overrides)
-    rep = assess(wb, chain_stats(g), params,
-                 fraud_indicator_count=rules_rep.fraud_indicator_count,
-                 team_size=args.team_size, rounds=args.rounds, asts=asts)
+    overrides = {"p": args.p, "s": args.serious_fraction}
+    params = RiskParams(**{k: v for k, v in overrides.items() if v is not None})
+    rep = build_audit_report(wb, _rule_config(args), params, team_size=args.team_size,
+                             rounds=args.rounds).risk
     _emit(args, "\n".join(_risk_lines(rep)) + "\n", rep.to_dict())
     return 0
 
@@ -391,7 +385,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         out.write_text(text, encoding="utf-8")
     human = (f"snapshot of {wb.name}: {len(snap.inputs)} inputs, "
              f"{len(snap.outputs)} outputs -> {out}\n")
-    _emit(args, human, json.loads(text))
+    _emit(args, human, text)
     return 0
 
 

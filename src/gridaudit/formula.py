@@ -17,14 +17,12 @@ canonicalized away, which makes the rendered forms below stable.
 
 Normalization renders the parse tree in R1C1 style relative to the host
 cell, so structurally identical copies of a formula ("=A1*2" in B1, "=A2*2"
-in B2) share one normal form ("=RC[-1]*2"). The same walk records the
-formula's structure: its numeric literals, its token count (literals,
-references, operators and function names), the Chebyshev distance to its
-farthest same-sheet reference, how many references are off-axis or
-cross-sheet, and which read below or right of the host. That record,
-NormalizedFormula, is the only one: it is kept as FormulaAst.normal, and
-read by unique counting, the rules, the risk model, the planner and the
-seeder.
+in B2) share one normal form ("=RC[-1]*2"). NormalizedFormula keeps only
+what a copy's literals or position change: that text, the Chebyshev
+distance to its farthest same-sheet reference, how many references are
+off-axis, and which read below or right of the host. It is built at the
+first read of FormulaAst.normal, by unique counting, the rules that read
+the text or the reach, and the seeder.
 
 A workbook is mostly copies of a few shapes, so parse_workbook_formulas
 lexes every formula but parses each copy-translated shape once: the
@@ -35,9 +33,11 @@ are slots: "=A1+2" in B1 and "=A2+3" in B2 are one class, and each copy
 keeps its own literal vector, the numbers it holds in reading order.
 A copy has no tree of its own: it is read as the class tree at the
 copy's offset, with the copy's literals in the slots. When the class's
-first copy is parsed, one walk of its tree finds what every copy reads
-of it, kept as FormulaAst.facts: its references, the ranges an aggregate
-reads, whether one is anchored ($) on its own sheet, its literal vector
+first copy is parsed, one walk of its tree finds what no copy can change,
+kept as FormulaAst.facts: its postorder, its token count (literals,
+references, operators and function names), its references and the
+sheets of those that are cross-sheet, the ranges an aggregate reads,
+whether a reference is anchored ($) on its own sheet, its literal vector
 and the evaluator's walk. Other modules read them through facts,
 references and aggregate_boxes, and move a class reference to a copy
 with moved. A copy whose literals equal the class's shares its normal
@@ -198,25 +198,22 @@ class FormulaAst:
 
     @property
     def normal(self) -> NormalizedFormula:
-        """The normal form, computed once per (class, literal vector) and
-        kept with the class.
+        """The normal form, computed at the first read and kept.
 
-        A copy shares its class's record if it holds the class's literals,
-        else the record of the first copy to ask with its literals. Where
-        the class has an absolute reference on its own sheet, the distances
-        depend on where the copy sits, and the copy keeps its own.
+        A copy holding the class's literals shares its class's record; one
+        with literals of its own normalizes itself. Where the class has an
+        absolute reference on its own sheet, the distances depend on where
+        the copy sits, and a sharing copy keeps its own.
         """
         normal = self._normal
         if normal is None:
-            cls, facts = self.cls, self._facts
-            if self.literals is cls.literals:
-                normal = normalize(self) if cls is self else cls.normal
+            cls = self.cls
+            if cls is self or self.literals is not cls.literals:
+                normal = normalize(self)
             else:
-                normal = facts.normals.get(self.literals)
-                if normal is None:
-                    normal = facts.normals[self.literals] = normalize(self)
-            if cls is not self and facts.anchored:
-                normal = dataclasses.replace(normal, **_reach(self))
+                normal = cls.normal
+                if self._facts.anchored:
+                    normal = dataclasses.replace(normal, **_reach(self))
             self._normal = normal
         return normal
 
@@ -608,7 +605,7 @@ def _render(nodes: list[Expr], literals: tuple[float, ...], host: CellAddress, d
 def render(ast: FormulaAst) -> str:
     """Render back to A1-style source. parse(render(ast)) is structurally
     equal to ast; parentheses appear only where precedence requires them."""
-    return "=" + _render(postorder(ast.cls.root), ast.literals, ast.host, *ast.offset, "a1")
+    return "=" + _render(ast.facts.nodes, ast.literals, ast.host, *ast.offset, "a1")
 
 
 # --- Normal form -------------------------------------------------------------
@@ -616,47 +613,45 @@ def render(ast: FormulaAst) -> str:
 
 @dataclass(frozen=True)
 class NormalizedFormula:
-    """Host-relative normal form and structural size of one formula.
+    """Host-relative normal form of one formula: what a copy's literals or
+    position change (what every copy of a class shares is in _ClassFacts).
 
     text is the R1C1 rendering, which copies of one formula with equal
-    literals share; the literals themselves are the formula's
-    FormulaAst.literals, the vector its normal form is kept under.
-    token_count counts literals, references (a range is one token),
-    operators, and function names; parentheses and commas do not count.
-    max_ref_distance is the Chebyshev distance (max of row and column
-    offsets) to the farthest referenced cell on the host sheet;
+    literals share. max_ref_distance is the Chebyshev distance (max of row
+    and column offsets) to the farthest referenced cell on the host sheet;
     off_axis_ref_count counts the same-sheet references sharing neither the
     host's row nor its column (a range shares one if it spans it).
     forward_refs gives the positions, in the order references() yields
     them, of the same-sheet references that reach below the host or right
-    of it on its row. Cross-sheet references have no spatial distance and
-    are tallied in cross_sheet_ref_count.
+    of it on its row.
     """
 
     text: str
-    token_count: int
     max_ref_distance: int
     off_axis_ref_count: int
-    cross_sheet_ref_count: int
     forward_refs: tuple[int, ...]
 
 
 class _ClassFacts:
-    """What every copy of a class reads of its tree, found in one walk of
-    the tree when the class's first copy is parsed; read as FormulaAst.facts.
+    """What no copy of a class can change, found in one walk of the tree
+    when the class's first copy is parsed; read as FormulaAst.facts.
 
-    refs are the tree's references in reading order, at the class's host,
-    and aggregates the ranges among them that a call to an aggregate
-    function reads, at any depth below it. anchored says whether a
-    reference on the class's own sheet has an absolute axis, so that the
-    copies' distances differ by where they sit. literals are the class's
-    own literal vector, its number literals' values in slot order, and walk
-    the evaluator's walk: the tree's postorder without IF branches. normals
-    holds the normal form of each literal vector but the class's own that
-    a copy has asked for.
+    nodes is the tree's postorder, which rendering and normalizing read,
+    and token_count its length: literals, references (a range is one
+    token), operators and function names; parentheses and commas do not
+    count. refs are the tree's references in reading order, at the class's
+    host, and aggregates the ranges among them that a call to an aggregate
+    function reads, at any depth below it. cross_sheet_count counts the
+    references to other sheets, and cross_sheets names those sheets,
+    sorted. anchored says whether a reference on the class's own sheet has
+    an absolute axis, so that the copies' distances differ by where they
+    sit. literals are the class's own literal vector, its number literals'
+    values in slot order, and walk the evaluator's walk: the tree's
+    postorder without IF branches.
     """
 
-    __slots__ = ("refs", "aggregates", "anchored", "literals", "walk", "normals")
+    __slots__ = ("nodes", "token_count", "refs", "aggregates", "cross_sheet_count",
+                 "cross_sheets", "anchored", "literals", "walk")
 
     def __init__(self, root: Expr):
         nodes = postorder(root)
@@ -682,9 +677,15 @@ class _ClassFacts:
                 elif isinstance(node, (CellRef, RangeRef)):
                     refs.append(node)
                     read.append(False)
+        self.nodes = nodes
+        self.token_count = len(nodes)
         self.refs = tuple(refs)
         self.aggregates = tuple(node for node, by_aggregate in zip(refs, read)
                                 if by_aggregate and type(node) is RangeRef)
+        # a reference on the host sheet has sheet None (the parser drops the qualifier)
+        cross = [node.sheet for node in refs if node.sheet is not None]
+        self.cross_sheet_count = len(cross)
+        self.cross_sheets = tuple(sorted(set(cross)))
         self.anchored = any(
             node.sheet is None and (node.abs_row or node.abs_col
                                     if isinstance(node, CellRef)
@@ -693,7 +694,6 @@ class _ClassFacts:
             for node in refs)
         self.literals = tuple(literals)
         self.walk = postorder(root, branches=False) if branched else nodes
-        self.normals: dict[tuple[float, ...], NormalizedFormula] = {}
 
 
 Box = tuple[str, int, int, int, int]
@@ -731,10 +731,8 @@ def _reach(ast: FormulaAst) -> dict[str, object]:
     max_dist = 0
     off_axis = 0
     forward: list[int] = []
-    cross = 0
     for i, (sheet, r1, c1, r2, c2) in enumerate(references(ast)):
         if sheet != host.sheet:
-            cross += 1
             continue
         max_dist = max(max_dist, abs(r1 - host.row), abs(r2 - host.row),
                        abs(c1 - host.col), abs(c2 - host.col))
@@ -743,7 +741,7 @@ def _reach(ast: FormulaAst) -> dict[str, object]:
         if r2 > host.row or (r1 <= host.row <= r2 and c2 > host.col):
             forward.append(i)
     return {"max_ref_distance": max_dist, "off_axis_ref_count": off_axis,
-            "cross_sheet_ref_count": cross, "forward_refs": tuple(forward)}
+            "forward_refs": tuple(forward)}
 
 
 def normalize(ast: FormulaAst) -> NormalizedFormula:
@@ -753,13 +751,8 @@ def normalize(ast: FormulaAst) -> NormalizedFormula:
     are offsets from the host, which the copy shares, and absolute parts do
     not move.
     """
-    cls = ast.cls
-    nodes = postorder(cls.root)  # every node is one counted token; parens and commas are not
-    return NormalizedFormula(
-        text="=" + _render(nodes, ast.literals, cls.host, 0, 0, "r1c1"),
-        token_count=len(nodes),
-        **_reach(ast),  # type: ignore[arg-type]
-    )
+    text = "=" + _render(ast.facts.nodes, ast.literals, ast.cls.host, 0, 0, "r1c1")
+    return NormalizedFormula(text, **_reach(ast))  # type: ignore[arg-type]
 
 
 def parse_workbook_formulas(wb: Workbook) -> dict[CellAddress, FormulaAst]:
@@ -799,7 +792,7 @@ def unique_formula_count(wb: Workbook,
 
     Copies pasted down a column count once, unless their literals differ;
     the same shape on two sheets counts per sheet. Read over one copy of
-    each (class, literal vector), the unit a normal form is computed for.
+    each (class, literal vector), since copies in one have one normal text.
     """
     if asts is None:
         asts = parse_workbook_formulas(wb)

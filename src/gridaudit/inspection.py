@@ -141,8 +141,7 @@ def plan(wb: Workbook, cfg: PlanConfig | None = None,
     cur_eff = 0.0
     cur_sheet: str | None = None
     for addr, _content in wb.formula_cells():
-        eff = effective_cells(asts[addr].normal.token_count,
-                              cfg.long_formula_tokens)
+        eff = effective_cells(asts[addr].facts.token_count, cfg.long_formula_tokens)
         full = (addr.sheet != cur_sheet
                 or len(cur) + 1 > cfg.target_module_size
                 or 60.0 * (cur_eff + eff) / cfg.rate_cap > cfg.session_cap_minutes)

@@ -170,6 +170,7 @@ class RiskReport:
     risk_score: float
     params: RiskParams
     notes: tuple[str, ...]
+    cross_sheet_refs: int  # the book's total, shown by audit's chainSummary; not in to_dict
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -218,7 +219,7 @@ def assess(wb: Workbook, stats: ChainStats, params: RiskParams | None = None, *,
     if asts is None:
         asts = parse_workbook_formulas(wb)
     u = unique_formula_count(wb, asts)
-    mean_tokens = (sum(ast.normal.token_count for ast in asts.values()) / len(asts)
+    mean_tokens = (sum(ast.facts.token_count for ast in asts.values()) / len(asts)
                    if asts else 0.0)
     multiplier = complexity_multiplier(mean_tokens, params)
     p_eff = effective_rate(params, multiplier)
@@ -236,7 +237,7 @@ def assess(wb: Workbook, stats: ChainStats, params: RiskParams | None = None, *,
     else:
         max_chain = stats.longest_chain_length
 
-    cross_sheet_count = sum(ast.normal.cross_sheet_ref_count for ast in asts.values())
+    cross_sheet_count = sum(ast.facts.cross_sheet_count for ast in asts.values())
     notes = [INDEPENDENCE_NOTE]
     if not per_output:
         notes.append("no declared outputs; per-output chain risk omitted")
@@ -253,4 +254,5 @@ def assess(wb: Workbook, stats: ChainStats, params: RiskParams | None = None, *,
                               fraud_indicator_count > 0),
         params=params,
         notes=tuple(notes),
+        cross_sheet_refs=cross_sheet_count,
     )

@@ -179,7 +179,6 @@ class RulesReport:
     examined: dict[str, int]
     applicable: int
     enabled: tuple[str, ...]
-    cross_sheet_total: int
 
     @property
     def coverage_ok(self) -> bool:
@@ -428,7 +427,6 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
     cfg = RuleConfig() if cfg is None else cfg
     if asts is None:
         asts = parse_workbook_formulas(wb)
-    cross_sheet_total = sum(ast.normal.cross_sheet_ref_count for ast in asts.values())
     enabled = tuple(r for r in RULE_IDS if r in cfg.enabled)
 
     protection_on = wb.meta.protection_enabled
@@ -457,11 +455,11 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
         return None
 
     def long_formula(addr: CellAddress, cell: CellContent, ast: FormulaAst) -> Finding | None:
-        m = ast.normal
-        if m.token_count > cfg.long_formula_tokens:
+        tokens = ast.facts.token_count
+        if tokens > cfg.long_formula_tokens:
             return _mk("LONG_FORMULA", addr,
-                       f"{m.token_count} tokens exceeds the {cfg.long_formula_tokens} limit",
-                       {"tokenCount": m.token_count, "threshold": cfg.long_formula_tokens})
+                       f"{tokens} tokens exceeds the {cfg.long_formula_tokens} limit",
+                       {"tokenCount": tokens, "threshold": cfg.long_formula_tokens})
         return None
 
     def long_arc(addr: CellAddress, cell: CellContent, ast: FormulaAst) -> Finding | None:
@@ -478,13 +476,11 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
         return None
 
     def xsheet(addr: CellAddress, cell: CellContent, ast: FormulaAst) -> Finding | None:
-        m = ast.normal
-        if m.cross_sheet_ref_count > 0:
-            sheets = sorted({node.sheet for node in ast.facts.refs
-                             if node.sheet is not None})
+        facts = ast.facts
+        if facts.cross_sheet_count > 0:
             return _mk("XSHEET_REF", addr,
-                       f"{m.cross_sheet_ref_count} cross-sheet reference(s)",
-                       {"count": m.cross_sheet_ref_count, "sheets": sheets})
+                       f"{facts.cross_sheet_count} cross-sheet reference(s)",
+                       {"count": facts.cross_sheet_count, "sheets": list(facts.cross_sheets)})
         return None
 
     def flow(addr: CellAddress, cell: CellContent, ast: FormulaAst) -> Finding | None:
@@ -558,4 +554,4 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
     kept.sort(key=order)
     return RulesReport(findings=tuple(kept), suppressed_count=suppressed,
                        examined=examined, applicable=wb.total_cell_count,
-                       enabled=enabled, cross_sheet_total=cross_sheet_total)
+                       enabled=enabled)

@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,10 @@ import pytest
 from gridaudit import cli, formula, model
 from gridaudit.cli import FIXED_TIMESTAMP, build_audit_report, main
 from gridaudit.engine import parse_snapshot
+from gridaudit.graph import build_graph
+from gridaudit.inspection import plan
 from gridaudit.model import parse_workbook, serialize_workbook
-from gridaudit.rules import RULE_IDS
+from gridaudit.rules import RULE_IDS, RuleConfig, run_rules
 from gridaudit.simlab import SeedSpec, generate_clean, seed_defects, truth_to_json
 
 from helpers import MALFORMED_CELLS, one_cell_document, wb_from
@@ -320,12 +323,10 @@ def test_machine_output_is_strict_json(command_argv, capsys, command):
     assert set(doc) == _MACHINE_KEYS[command]
 
 
-def test_audit_normalizes_each_formula_class_once(monkeypatch):
-    # Once per (class, literal vector): copies that differ only in a number
-    # are one class but two normal forms. Wrap normalize in every gridaudit
-    # module that holds the name, so a second route to it would be counted too.
-    spec = SeedSpec("grid", 90, 6, error_rate=0.3, rng_seed=4)
-    wb = seed_defects(generate_clean(spec), spec).workbook
+def counted_normalize(monkeypatch) -> list:
+    """The hosts formula.normalize is called for from now on. It is wrapped
+    in every gridaudit module that holds the name, so a second route to it
+    would be counted too."""
     original = formula.normalize
     calls: list = []
 
@@ -336,6 +337,15 @@ def test_audit_normalizes_each_formula_class_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("gridaudit") and getattr(module, "normalize", None) is original:
             monkeypatch.setattr(module, "normalize", counted)
+    return calls
+
+
+def test_audit_normalizes_each_formula_class_once(monkeypatch):
+    # Once per (class, literal vector): copies that differ only in a number
+    # are one class but two normal forms.
+    spec = SeedSpec("grid", 90, 6, error_rate=0.3, rng_seed=4)
+    wb = seed_defects(generate_clean(spec), spec).workbook
+    calls = counted_normalize(monkeypatch)
     build_audit_report(wb, fixed_timestamp=True)
     asts = formula.parse_workbook_formulas(wb)
     firsts: dict = {}
@@ -343,6 +353,25 @@ def test_audit_normalizes_each_formula_class_once(monkeypatch):
         firsts.setdefault((ast.cls, ast.literals), addr)
     assert sorted(calls) == sorted(firsts.values())  # each once, at its first copy
     assert len({ast.cls for ast in asts.values()}) < len(firsts) < len(asts)
+
+
+def test_class_rules_and_plan_render_no_normal_form(monkeypatch):
+    # JAMMED, LONG_FORMULA and XSHEET_REF read the literal vector and the
+    # class's facts, and the planner prices a formula by its class's token
+    # count, so none of them renders a normal form, though each copy here
+    # holds literals of its own: 13 tokens, one cross-sheet reference.
+    cells = {f"B{r}": f"=Data!A1+A{r}+A{r}+A{r}+A{r}+{r}*{r + 1}" for r in range(1, 41)}
+    wb = wb_from(cells, extra_sheets={"Data": {"A1": 1.0}})
+    asts = formula.parse_workbook_formulas(wb)
+    g = build_graph(wb, asts=asts)
+    calls = counted_normalize(monkeypatch)
+    cfg = RuleConfig(enabled=frozenset({"JAMMED", "LONG_FORMULA", "XSHEET_REF"}))
+    report = run_rules(wb, g, cfg, asts=asts)
+    p = plan(wb, asts=asts)
+    assert calls == []
+    assert len({ast.literals for ast in asts.values()}) == 40
+    assert sorted(Counter(f.rule_id for f in report.findings).values()) == [40, 40, 40]
+    assert sum(m.effective_cells for m in p.modules) == 40 * 2.5
 
 
 def test_readme_library_example_parses_formulas_once(tmp_path, monkeypatch, capsys):

@@ -174,7 +174,8 @@ def test_operator_chains_are_bounded(op):
     ast = parse_formula(src, B1)
     assert isinstance(ast.root, BinaryOp) and ast.root.op == op
     assert render(ast) == src
-    assert ast.normal.token_count == 3999
+    assert ast.normal.text == "=" + op.join(["RC[-1]"] * 2000)
+    assert ast.facts.token_count == 3999
     assert len(list(references(ast))) == 2000
 
 
@@ -259,8 +260,8 @@ def test_normalize_collects_refs_and_literals():
     nf = normalize(ast)
     assert ast.literals == (2.0, 3.5)
     assert nf.text == "=R[-1]C[-2]*2+Data!RC[-1]-3.5"
-    # ref * 2 + ref - 3.5 -> seven counted tokens
-    assert nf.token_count == 7
+    # ref * 2 + ref - 3.5 -> seven counted tokens, a fact of the class
+    assert ast.facts.token_count == 7
 
 
 def test_unique_formula_count_counts_copies_once():
@@ -287,23 +288,24 @@ def test_unique_formula_count_is_per_sheet():
 # --- metrics -----------------------------------------------------------------
 
 def test_metrics_pinned_example():
-    m = normalize(parse_formula("=Data!B2+C40", C2))
-    assert m.token_count == 3
-    assert m.cross_sheet_ref_count == 1
+    ast = parse_formula("=Data!B2+C40", C2)
+    assert ast.facts.token_count == 3
+    assert (ast.facts.cross_sheet_count, ast.facts.cross_sheets) == (1, ("Data",))
+    m = normalize(ast)
     assert m.max_ref_distance == 38
     assert m.off_axis_ref_count == 0
 
 
 def test_metrics_token_and_literal_counts():
     ast = parse_formula("=SUM(B2:B8)", C2)
-    assert normalize(ast).token_count == 2
+    assert ast.facts.token_count == 2
     assert len(ast.literals) == 0
     ast = parse_formula("=IF(A1>0,A1,0)", C2)
-    assert normalize(ast).token_count == 6
+    assert ast.facts.token_count == 6
     assert len(ast.literals) == 2
     ast = parse_formula('=-A1+2*3&"x"', C2)
     # unary, ref, 2, 3, *, +, &, "x"
-    assert normalize(ast).token_count == 8
+    assert ast.facts.token_count == 8
     assert len(ast.literals) == 2
 
 
@@ -532,6 +534,10 @@ def test_class_facts_match_a_parse_of_each_cell_property(seed):
         assert boxes == list(aggregate_boxes(alone)), addr
         assert boxes == [(rng.sheet or addr.sheet, rng.r1, rng.c1, rng.r2, rng.c2)
                          for rng in aggregate_ranges(alone.root)], addr
+        # what no copy changes: its token count and its cross-sheet references
+        assert ast.facts.token_count == alone.facts.token_count, addr
+        assert ((ast.facts.cross_sheet_count, ast.facts.cross_sheets)
+                == (alone.facts.cross_sheet_count, alone.facts.cross_sheets)), addr
 
 
 def test_no_module_imports_a_private_name_of_formula():

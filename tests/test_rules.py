@@ -426,7 +426,10 @@ def test_xsheet_ref_and_workbook_total():
     found = hits(report, "XSHEET_REF")
     assert len(found) == 1
     assert found[0].evidence == {"count": 2, "sheets": ["Data"]}
-    assert report.cross_sheet_total == 2
+    # the book's total is summed once, by the risk model, and the audit's
+    # chain summary reads it there
+    audit = build_audit_report(wb)
+    assert audit.risk.cross_sheet_refs == audit.chain_summary["crossSheetRefs"] == 2
 
 
 def test_orphan_output():
@@ -560,14 +563,15 @@ def test_two_cell_rules_crashing_on_one_cell_report_in_rule_order(monkeypatch):
     g = build_graph(wb, asts)
     for ast in asts.values():
         ast.normal  # kept on the formula, read while facts still works
-    # XSHEET_REF's sheet list and FLOW_VIOLATION's offenders both read the
-    # class's references through facts
+    # LONG_FORMULA's token count, XSHEET_REF's cross-sheet references and
+    # FLOW_VIOLATION's offenders all read the class's facts
     monkeypatch.setattr(FormulaAst, "facts", property(boom))
     report = run_rules(wb, g, asts=asts)
     internal = [(f.location.qualified, f.evidence["rule"])
                 for f in hits(report, "INTERNAL_ERROR")]
     # RULE_IDS order, not the alphabetical order of the rule names
-    assert internal == [("S1!A1", "XSHEET_REF"), ("S1!A1", "FLOW_VIOLATION")]
+    assert internal == [("S1!A1", "LONG_FORMULA"), ("S1!A1", "XSHEET_REF"),
+                        ("S1!A1", "FLOW_VIOLATION")]
     assert report.coverage_ok
     assert set(report.examined.values()) == {3}
 
