@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import datetime
 import functools
+import gc
 import json
 import os
 import sys
@@ -186,15 +187,24 @@ def _plan_config(args: argparse.Namespace) -> PlanConfig:
 def _emit(args: argparse.Namespace, human: str, machine: dict[str, object] | str) -> None:
     """Write the JSON report to --out, or to stdout in machine format, and the
     human text to stdout in human format. machine is the report, encoded only
-    if written, or its JSON text."""
+    if written, or its JSON text.
+
+    A file is written as the report is encoded, so no whole encoded copy is
+    held. Stdout takes the text in one write: it may be unbuffered (python
+    -u, PYTHONUNBUFFERED), and then each of the encoder's chunks would be a
+    system call.
+    """
     out: Path | None = getattr(args, "out", None)
-    if out is not None or args.format == "machine":
-        payload = (machine if isinstance(machine, str)
-                   else json.dumps(machine, ensure_ascii=False, indent=2) + "\n")
-        if out is not None:
-            out.write_text(payload, encoding="utf-8")
-        else:
-            sys.stdout.write(payload)
+    if out is not None:
+        with out.open("w", encoding="utf-8") as fh:
+            if isinstance(machine, str):
+                fh.write(machine)
+            else:
+                json.dump(machine, fh, ensure_ascii=False, indent=2)
+                fh.write("\n")
+    elif args.format == "machine":
+        sys.stdout.write(machine if isinstance(machine, str)
+                         else json.dumps(machine, ensure_ascii=False, indent=2) + "\n")
     if args.format != "machine":
         sys.stdout.write(human)
 
@@ -645,6 +655,11 @@ def main(argv: list[str] | None = None) -> int:
     # Each command runs _cmd_<command>, looked up at the call, not when the
     # parser was built.
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
+    # A command builds a model of long-lived cells, trees and addresses that
+    # hold no reference cycle, so the cyclic collector would only rescan it;
+    # it is paused for the command and restored as it was found.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return handler(args)
     except GridAuditError as exc:
@@ -656,6 +671,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a fault in gridaudit itself, not findings
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -22,12 +22,15 @@ what a copy's literals or position change: that text, the Chebyshev
 distance to its farthest same-sheet reference, how many references are
 off-axis, and which read below or right of the host. It is built at the
 first read of FormulaAst.normal, by unique counting, the rules that read
-the text or the reach, and the seeder.
+the text or the reach, and the seeder. A copy renders its own text only
+where its literals differ from its class's, and finds its own reach only
+where the class has an absolute reference on its own sheet.
 
 A workbook is mostly copies of a few shapes, so parse_workbook_formulas
-lexes every formula but parses each copy-translated shape once: the
-repetition SpreadsheetML's shared formulas (<f t="shared">) store one text
-for, and that TACO (Tang et al.) compresses formula graphs by. The copies
+lexes every formula for its class key and literals alone, and builds
+tokens for and parses each copy-translated shape once: the repetition
+SpreadsheetML's shared formulas (<f t="shared">) store one text for, and
+that TACO (Tang et al.) compresses formula graphs by. The copies
 of one shape on one sheet form a formula class. A shape's number literals
 are slots: "=A1+2" in B1 and "=A2+3" in B2 are one class, and each copy
 keeps its own literal vector, the numbers it holds in reading order.
@@ -47,7 +50,6 @@ formula of any length walks in one frame.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 from dataclasses import dataclass, field
@@ -213,7 +215,7 @@ class FormulaAst:
             else:
                 normal = cls.normal
                 if self._facts.anchored:
-                    normal = dataclasses.replace(normal, **_reach(self))
+                    normal = NormalizedFormula(normal.text, **_reach(self))  # type: ignore[arg-type]
             self._normal = normal
         return normal
 
@@ -240,29 +242,36 @@ _TOKEN_RE = re.compile(r"""
 _Token = tuple[str, str, int, Union[float, str, tuple[int, int, bool, bool], None]]
 
 
-def _lex(src: str, host: CellAddress) -> tuple[list[_Token], tuple, tuple[float, ...]]:
+def _lex(src: str, host: CellAddress, tokens: list[_Token] | None = None
+         ) -> tuple[tuple, tuple[float, ...]]:
     """Lex formula source text (leading '=' required) at a host cell.
 
-    Token offsets index into the full string. Also returns, built in the
-    same pass, the formula's class key and its literal vector: the values
-    of its numbers in reading order. The key is the host sheet, then each
-    token's text, except that a number is a slot (None) and a reference
-    gives each axis as its offset from the host, or as its coordinate
-    where the axis is absolute ($). So formulas with equal keys parse to
-    trees that differ only by that shift and by their literal vectors. A
-    row-0 reference keeps its row, so it never keys like a valid one. A
-    range's second corner adds whether the corners swap when sorted: with
-    one absolute and one relative corner on an axis, that differs by host.
+    Returns the formula's class key and its literal vector: the values of
+    its numbers in reading order. With a tokens list, it also appends the
+    tokens, then EOF, for the parser; token offsets index into the full
+    string. Without one it builds no token, which is all a copy of a known
+    class needs, and fails at the same offset with the same error.
+
+    The key is the host sheet, then each token's text, except that a
+    number is a slot (None) and a reference gives each axis as its offset
+    from the host, or as its coordinate where the axis is absolute ($). So
+    formulas with equal keys parse to trees that differ only by that shift
+    and by their literal vectors. A row-0 reference keeps its row, so it
+    never keys like a valid one. A range's second corner (a reference after
+    "REF :" or "REF : SHEET") adds whether the corners swap when sorted:
+    with one absolute and one relative corner on an axis, that differs by
+    host.
     """
     if not src.startswith("="):
         raise FormulaSyntaxError("formula must start with '='", 0)
     if not src[1:].strip():
         raise FormulaSyntaxError("empty formula", 1)
-    tokens: list[_Token] = []
     key: list[object] = [host.sheet]
     literals: list[float] = []
     host_row, host_col = host.row, host.col
     match = _TOKEN_RE.match
+    corner = (0, 0)  # the last reference's (row, col)
+    colon = 0  # 1 after "REF", 2 after "REF :", 3 after "REF : SHEET"
     i = 1
     n = len(src)
     while i < n:
@@ -272,8 +281,6 @@ def _lex(src: str, host: CellAddress) -> tuple[list[_Token], tuple, tuple[float,
                 raise FormulaSyntaxError("unterminated string", i)
             raise FormulaSyntaxError(f"unexpected character {src[i]!r}", i)
         kind = m.lastgroup
-        text = m.group()
-        value: float | str | tuple[int, int, bool, bool] | None = None
         if kind == "SPACE":
             i = m.end()
             continue
@@ -284,30 +291,36 @@ def _lex(src: str, host: CellAddress) -> tuple[list[_Token], tuple, tuple[float,
             fixed_row, fixed_col = bool(abs_row) or not row, bool(abs_col)
             key += (row if fixed_row else row - host_row,
                     col if fixed_col else col - host_col, fixed_row, fixed_col)
-            # a second corner follows "REF :" or "REF : SHEET"
-            k = len(tokens) - (2 if tokens and tokens[-1][0] == "SHEET" else 1)
-            if k >= 1 and tokens[k][1] == ":" and tokens[k - 1][0] == "REF":
-                first_row, first_col = tokens[k - 1][3][:2]  # type: ignore[index]
-                key += (first_row > row, first_col > col)
-            tokens.append((kind, text, i, (row, col, bool(abs_row), fixed_col)))
+            if colon >= 2:
+                key += (corner[0] > row, corner[1] > col)
+            corner, colon = (row, col), 1
+            if tokens is not None:
+                tokens.append((kind, m.group(), i, (row, col, bool(abs_row), fixed_col)))
             i = m.end()
             continue
+        text = m.group()
+        value: float | str | None = None
         if kind == "NUMBER":
             value = float(text)
             if not math.isfinite(value):
                 raise FormulaSyntaxError(f"number {text} is out of range", i)
             literals.append(value)
             key.append(None)
+            colon = 0
         else:
+            key.append(text)
+            colon = (2 if colon == 1 and text == ":" else
+                     3 if colon == 2 and kind == "SHEET" else 0)
             if kind == "STRING":
                 value = text[1:-1].replace('""', '"')
             elif kind == "SHEET":
                 value = text[1:-2].replace("''", "'") if text[0] == "'" else text[:-1]
-            key.append(text)
-        tokens.append((kind, text, i, value))  # type: ignore[arg-type]
+        if tokens is not None:
+            tokens.append((kind, text, i, value))
         i = m.end()
-    tokens.append(("EOF", "", n, None))
-    return tokens, tuple(key), tuple(literals)
+    if tokens is not None:
+        tokens.append(("EOF", "", n, None))
+    return tuple(key), tuple(literals)
 
 
 # --- Parser ---------------------------------------------------------------
@@ -487,7 +500,8 @@ def _split_ref(tok: _Token) -> tuple[int, int, bool, bool]:
 
 def parse_formula(source: str, host: CellAddress) -> FormulaAst:
     """Parse formula source text (leading '=' required) at a host cell."""
-    tokens, _key, _literals = _lex(source, host)
+    tokens: list[_Token] = []
+    _lex(source, host, tokens)
     return FormulaAst(source, host, _Parser(tokens, host).parse())
 
 
@@ -749,40 +763,52 @@ def normalize(ast: FormulaAst) -> NormalizedFormula:
 
     A copy's R1C1 text is its class's with its own literals: relative parts
     are offsets from the host, which the copy shares, and absolute parts do
-    not move.
+    not move. Its reach is its class's, unless the class has an absolute
+    reference on its own sheet.
     """
     text = "=" + _render(ast.facts.nodes, ast.literals, ast.cls.host, 0, 0, "r1c1")
-    return NormalizedFormula(text, **_reach(ast))  # type: ignore[arg-type]
+    cls = ast.cls
+    if cls is ast or ast.facts.anchored:
+        return NormalizedFormula(text, **_reach(ast))  # type: ignore[arg-type]
+    shared = cls.normal
+    return NormalizedFormula(text, shared.max_ref_distance, shared.off_axis_ref_count,
+                             shared.forward_refs)
 
 
 def parse_workbook_formulas(wb: Workbook) -> dict[CellAddress, FormulaAst]:
     """Parse every formula cell; syntax errors name the failing cell.
 
-    Each formula is lexed, and keyed by its class as it is (see _lex). The
-    parser runs once per class, on its first copy in reading order, and
-    every later copy is bound to that copy with its own literal vector, or
-    the class's tuple where they are equal. Copies parse alike, so the
-    first cell with a syntax error is the one a parse of every cell would
-    stop at.
+    Each formula is lexed for its class key and literal vector only (see
+    _lex). A formula whose key is new is lexed again, into tokens, and
+    parsed: the parser runs once per class, on its first copy in reading
+    order. Every later copy is bound to that copy with its own literal
+    vector, or the class's tuple where they are equal. Copies parse alike,
+    and the key-only lex fails where the full one does, so the first cell
+    with a syntax error is the one a parse of every cell would stop at.
     """
     out: dict[CellAddress, FormulaAst] = {}
     classes: dict[tuple, FormulaAst] = {}
-    for addr, content in wb.formula_cells():
-        source: str = content.formula  # type: ignore[assignment]
-        try:
-            tokens, key, literals = _lex(source, addr)
-            cls = classes.get(key)
-            if cls is None:
-                ast = classes[key] = FormulaAst(source, addr, _Parser(tokens, addr).parse())
-            else:
-                if literals == cls.literals:
-                    literals = cls.literals
-                ast = FormulaAst(source, addr, None, cls, literals)
-        except FormulaSyntaxError as exc:
-            wrapped = type(exc)(f"{addr.qualified}: {exc}")
-            wrapped.offset = exc.offset
-            raise wrapped from None
-        out[addr] = ast
+    for sheet in wb.sheets:  # wb.formula_cells()'s order, without its generators
+        for addr, content in sheet.reading_order:
+            source = content.formula
+            if source is None:
+                continue
+            try:
+                key, literals = _lex(source, addr)
+                cls = classes.get(key)
+                if cls is None:
+                    tokens: list[_Token] = []
+                    _lex(source, addr, tokens)
+                    ast = classes[key] = FormulaAst(source, addr, _Parser(tokens, addr).parse())
+                else:
+                    if literals == cls.literals:
+                        literals = cls.literals
+                    ast = FormulaAst(source, addr, None, cls, literals)
+            except FormulaSyntaxError as exc:
+                wrapped = type(exc)(f"{addr.qualified}: {exc}")
+                wrapped.offset = exc.offset
+                raise wrapped from None
+            out[addr] = ast
     return out
 
 

@@ -41,7 +41,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from json.encoder import encode_basestring
 from string import ascii_uppercase
 from typing import Any, Iterator, NamedTuple
@@ -85,8 +85,13 @@ def col_to_letters(col: int) -> str:
     return out
 
 
+@lru_cache(maxsize=4096)
 def letters_to_col(letters: str) -> int:
-    """Column letters to 1-based index (A -> 1, XFD -> 16384)."""
+    """Column letters to 1-based index (A -> 1, XFD -> 16384).
+
+    Kept per string: a book names few columns, and each of its cells and
+    references asks again. The loader and lexer pass one to three letters.
+    """
     if not letters or not letters.isalpha():
         raise InvalidAddress(f"bad column letters: {letters!r}")
     col = 0
@@ -200,7 +205,7 @@ def parse_qualified(text: str) -> CellAddress:
     return CellAddress(sheet, row, col)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellContent:
     """One cell: exactly one of a constant value or a formula source string."""
 
@@ -508,7 +513,8 @@ def parse_workbook(data: str | bytes) -> Workbook:
             if canonical in cells:
                 raise InvalidCell(f"sheet {sheet_name!r}: duplicate cell {canonical}")
             content = cells[canonical] = _parse_cell(raw_cell, sheet_name, canonical)
-            pairs.append((CellAddress(sheet_name, row, col), content))
+            # the key is checked in the grid, so the address needs no check
+            pairs.append((tuple.__new__(CellAddress, (sheet_name, row, col)), content))
         sheets.append(Sheet._loaded(sheet_name, cells, pairs))
 
     return Workbook(

@@ -510,6 +510,9 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
 
     findings: list[Finding] = []
     examined = {rid: 0 for rid in enabled}
+    # every cell rule walks the formula cells in reading order, from one list
+    formulas = ([(addr, cell, asts[addr]) for addr, cell in wb.formula_cells()]
+                if any(rid in cell_rules for rid in enabled) else [])
     for rid in enabled:
         judge = cell_rules.get(rid)
         if judge is None:
@@ -520,9 +523,9 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
                 continue
             findings.extend(found)
         else:
-            for addr, cell in wb.formula_cells():
+            for addr, cell, ast in formulas:
                 try:
-                    hit = judge(addr, cell, asts[addr])
+                    hit = judge(addr, cell, ast)
                 except Exception as exc:
                     hit = _internal(rid, addr, exc)
                 if hit is not None:

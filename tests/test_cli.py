@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -163,6 +164,60 @@ def test_internal_error_exits_three(tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_pauses_the_cyclic_collector_and_restores_it(tmp_path, monkeypatch, collecting):
+    # Paused while a command runs, then left as main found it, whether the
+    # command exits 0, 2 (bad input) or 3 (internal error).
+    book = str(clean_chain(tmp_path))
+    seen: list[bool] = []
+    audit = cli._cmd_audit
+
+    def watched(args):
+        seen.append(gc.isenabled())
+        return audit(args)
+
+    def broken(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        monkeypatch.setattr(cli, "_cmd_audit", watched)
+        assert main(["audit", book]) == 0
+        assert gc.isenabled() == collecting
+        assert main(["audit", str(tmp_path / "absent.json")]) == 2
+        assert gc.isenabled() == collecting
+        monkeypatch.setattr(cli, "_cmd_audit", broken)
+        assert main(["audit", book]) == 3
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False, False]
+
+
+def test_a_command_leaves_no_cyclic_garbage_per_formula(tmp_path):
+    # What the collector would find after an audit does not grow with the
+    # book, so pausing it for a command holds no per-cell garbage.
+    def unreachable_after_audit(formulas: int) -> int:
+        spec = SeedSpec("grid", formulas, 50, error_rate=0.2, rng_seed=1)
+        path = write_workbook(tmp_path, seed_defects(generate_clean(spec), spec).workbook,
+                              f"grid{formulas}.json")
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(["audit", str(path), "--format", "machine"]) == 1
+            return gc.collect()
+        finally:
+            if was:
+                gc.enable()
+
+    unreachable_after_audit(1000)  # the first run also imports each layer
+    small = unreachable_after_audit(1000)
+    assert unreachable_after_audit(4000) <= small
 
 
 def test_cli_import_loads_no_numpy():

@@ -381,6 +381,55 @@ def test_formula_strings_parse_or_fail_located(body):
     assert parse_formula(render(ast), B1).root == ast.root
 
 
+def key_from_tokens(tokens: list, host: CellAddress) -> tuple:
+    """A class key read back from a token list: a reference is a range's
+    second corner where "REF :" or "REF : SHEET" precedes it."""
+    key: list[object] = [host.sheet]
+    for n, (kind, text, _offset, value) in enumerate(tokens[:-1]):  # not EOF
+        if kind == "REF":
+            row, col, abs_row, abs_col = value
+            fixed_row = abs_row or not row
+            key += (row if fixed_row else row - host.row, col if abs_col else col - host.col,
+                    fixed_row, abs_col)
+            k = n - (2 if n and tokens[n - 1][0] == "SHEET" else 1)
+            if k >= 1 and tokens[k][1] == ":" and tokens[k - 1][0] == "REF":
+                first_row, first_col = tokens[k - 1][3][:2]
+                key += (first_row > row, first_col > col)
+        else:
+            key.append(None if kind == "NUMBER" else text)
+    return tuple(key)
+
+
+_RANGE_PIECES = st.sampled_from(["A1:B2", "$A1:A$2", "B9:A1", "A1:S1!B2", "S1!B3:A$1",
+                                 "Data!C1:'My Sheet'!A2", "A1 : B2", "A1::B2", "A1:S1!T!B2",
+                                 "A1:B2:C3", "A0:B2"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(_FORMULA_PIECES, _RANGE_PIECES), min_size=1, max_size=16)
+       .map("".join), st.sampled_from(["S1", "Data", "My Sheet"]),
+       st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=30))
+def test_key_only_lex_agrees_with_the_token_lex(body, sheet, row, col):
+    # Lexing for the key alone gives the key and literals of the lex that
+    # builds tokens, or fails with the same error at the same offset; and
+    # the key is the one the tokens give.
+    src, host = "=" + body, CellAddress(sheet, row, col)
+
+    def outcome(tokens):
+        try:
+            return formula_mod._lex(src, host, tokens)
+        except FormulaSyntaxError as exc:
+            return type(exc), exc.offset, str(exc)
+
+    tokens: list = []
+    full = outcome(tokens)
+    assert outcome(None) == full
+    if len(full) == 2:
+        key, literals = full
+        assert key == key_from_tokens(tokens, host)
+        assert literals == tuple(tok[3] for tok in tokens if tok[0] == "NUMBER")
+
+
 def test_row_zero_reference_rejected():
     with pytest.raises(FormulaSyntaxError):
         parse_formula("=B0", B1)
