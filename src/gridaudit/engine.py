@@ -37,7 +37,8 @@ IF branches), so a sum of thousands of terms evaluates in one frame. The
 class finds that walk when its first copy is parsed (FormulaAst.facts),
 and each copy reads its own number literals from its literal vector by
 each literal's slot. IF still evaluates only the branch it takes, by
-walking into it, one level per nested IF.
+running that branch's walk, which the class also keeps, one level per
+nested IF.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from .formula import (
     canonical_number,
     moved,
     parse_workbook_formulas,
-    postorder,
 )
 from .model import (
     MAX_COL,
@@ -177,7 +177,8 @@ _Operand = Union[Value, CellRef, RangeRef]
 class _Evaluator:
     """Evaluates formulas over a value map. A formula is read as its class's
     tree at the formula's offset with the formula's literals, which sheet,
-    dr, dc and literals hold during run."""
+    dr, dc and literals hold during run, and branches its class's IF
+    branch walks."""
 
     def __init__(self, values: dict[CellAddress, Value], indexes: dict[str, SheetIndex]):
         self.values = values
@@ -185,14 +186,17 @@ class _Evaluator:
         self.sheet = ""
         self.dr = self.dc = 0
         self.literals: tuple[float, ...] = ()
+        self.branches: dict[int, tuple[list[Expr], ...]] = {}
 
     def run(self, ast: FormulaAst) -> Value:
         """The value of one formula; an error is a value here."""
         self.sheet = ast.host.sheet
         self.dr, self.dc = ast.offset
         self.literals = ast.literals
+        facts = ast.facts
+        self.branches = facts.branches
         try:
-            return self.eval(ast.facts.walk)
+            return self.eval(facts.walk)
         except _Err as err:
             return err.error
 
@@ -332,10 +336,11 @@ class _Evaluator:
         condition, and it evaluates the branch that condition picks."""
         name = node.name
         if name == "IF":
+            walks = self.branches[id(node)]
             if self.as_logical(args[0]):
-                return self.eval(postorder(node.args[1], branches=False))
-            if len(node.args) == 3:
-                return self.eval(postorder(node.args[2], branches=False))
+                return self.eval(walks[0])
+            if len(walks) == 2:
+                return self.eval(walks[1])
             return False
         if name in ("AND", "OR"):
             # No short-circuit: arguments are all evaluated, IF is the only

@@ -26,14 +26,16 @@ the text or the reach, and the seeder. A copy renders its own text only
 where its literals differ from its class's, and finds its own reach only
 where the class has an absolute reference on its own sheet.
 
-A workbook is mostly copies of a few shapes, so parse_workbook_formulas
-lexes every formula for its class key and literals alone, and builds
-tokens for and parses each copy-translated shape once: the repetition
+A workbook is mostly runs of copies of a few shapes: the repetition
 SpreadsheetML's shared formulas (<f t="shared">) store one text for, and
-that TACO (Tang et al.) compresses formula graphs by. The copies
-of one shape on one sheet form a formula class. A shape's number literals
-are slots: "=A1+2" in B1 and "=A2+3" in B2 are one class, and each copy
-keeps its own literal vector, the numbers it holds in reading order.
+that TACO (Tang et al.) compresses formula graphs by. The copies of one
+shape on one sheet form a formula class. parse_workbook_formulas reads a
+formula first as a copy of a neighbour's class, above it or before it,
+with one match of that class's copy pattern; failing that, it lexes the
+formula for its class key and literals alone, and builds tokens for and
+parses only a new key. A shape's number literals are slots: "=A1+2" in
+B1 and "=A2+3" in B2 are one class, and each copy keeps its own literal
+vector, the numbers it holds in reading order.
 A copy has no tree of its own: it is read as the class tree at the
 copy's offset, with the copy's literals in the slots. When the class's
 first copy is parsed, one walk of its tree finds what no copy can change,
@@ -41,7 +43,7 @@ kept as FormulaAst.facts: its postorder, its token count (literals,
 references, operators and function names), its references and the
 sheets of those that are cross-sheet, the ranges an aggregate reads,
 whether a reference is anchored ($) on its own sheet, its literal vector
-and the evaluator's walk. Other modules read them through facts,
+and the evaluator's walks. Other modules read them through facts,
 references and aggregate_boxes, and move a class reference to a copy
 with moved. A copy whose literals equal the class's shares its normal
 form too. Every walk over a tree is a loop over its postorder, so a
@@ -170,13 +172,12 @@ class FormulaAst:
     as the parser does.
     """
 
-    __slots__ = ("source", "host", "root", "cls", "literals", "_normal", "_facts")
+    __slots__ = ("source", "host", "cls", "literals", "_normal", "_facts")
 
     def __init__(self, source: str, host: CellAddress, root: Expr | None = None,
                  cls: FormulaAst | None = None, literals: tuple[float, ...] = ()):
         self.source = source
         self.host = host
-        self.root = root
         self._normal: NormalizedFormula | None = None
         if cls is None:
             self.cls = self
@@ -186,6 +187,13 @@ class FormulaAst:
             self.cls = cls
             self._facts = cls._facts
             self.literals = literals
+
+    @property
+    def root(self) -> Expr | None:
+        """The class's tree, the last node of its kept postorder; None for a
+        copy. Read from the facts, since a slot would cost every formula 16
+        bytes."""
+        return self._facts.nodes[-1] if self.cls is self else None
 
     @property
     def facts(self) -> _ClassFacts:
@@ -222,16 +230,22 @@ class FormulaAst:
 
 # --- Lexer ----------------------------------------------------------------
 
+# A reference's four groups ($, column letters, $, row digits), and a
+# number: the lexer's alternatives below and a class's copy pattern
+# (_CopyPattern) are built from them.
+_REF_RE = r"(\$?)([A-Za-z]{1,3})(\$?)([0-9]{1,7})(?![A-Za-z0-9_$(])"
+_NUMBER_RE = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+
 # One alternation, tried in this order at each position. A string ends at
 # the first quote not followed by another, so an unterminated one matches
-# nothing (the lookahead keeps it from ending inside a "" escape).
-_TOKEN_RE = re.compile(r"""
+# nothing (the lookahead keeps it from ending inside a "" escape). A
+# reference's groups are 6 to 9.
+_TOKEN_RE = re.compile(rf"""
     (?P<SPACE>[ \t]+)
   | (?P<STRING>"(?:[^"]|"")*"(?!"))
-  | (?P<NUMBER>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | (?P<NUMBER>{_NUMBER_RE})
   | (?P<SHEET>(?:[A-Za-z_][A-Za-z0-9_]*|'(?:[^']|'')+')!)
-  | (?P<REF>(?P<abs_col>\$?)(?P<letters>[A-Za-z]{1,3})(?P<abs_row>\$?)(?P<digits>[0-9]{1,7})
-        (?![A-Za-z0-9_$(]))
+  | (?P<REF>{_REF_RE})
   | (?P<NAME>[A-Za-z_][A-Za-z0-9_.]*)
   | (?P<OP><=|>=|<>|[=<>&+\-*/^(),:])
 """, re.VERBOSE)
@@ -242,6 +256,28 @@ _TOKEN_RE = re.compile(r"""
 _Token = tuple[str, str, int, Union[float, str, tuple[int, int, bool, bool], None]]
 
 
+def _ref_key(groups: tuple[str, ...], host_row: int, host_col: int,
+             corner: tuple[int, int] | None) -> tuple[int, int, tuple]:
+    """A reference's row, column and piece of its formula's class key, from
+    its four REF groups at a host.
+
+    The piece gives each axis as its offset from the host, or as its
+    coordinate where the axis is absolute ($), then whether each axis is
+    fixed. A row-0 reference keeps its row, so it never keys like a valid
+    one. A range's second corner (corner is the first's row and column)
+    adds whether the corners swap when sorted: with one absolute and one
+    relative corner on an axis, that differs by host.
+    """
+    abs_col, letters, abs_row, digits = groups
+    row, col = int(digits), letters_to_col(letters)
+    fixed_row = bool(abs_row) or not row
+    piece = (row if fixed_row else row - host_row, col if abs_col else col - host_col,
+             fixed_row, bool(abs_col))
+    if corner is not None:
+        piece += (corner[0] > row, corner[1] > col)
+    return row, col, piece
+
+
 def _lex(src: str, host: CellAddress, tokens: list[_Token] | None = None
          ) -> tuple[tuple, tuple[float, ...]]:
     """Lex formula source text (leading '=' required) at a host cell.
@@ -249,18 +285,14 @@ def _lex(src: str, host: CellAddress, tokens: list[_Token] | None = None
     Returns the formula's class key and its literal vector: the values of
     its numbers in reading order. With a tokens list, it also appends the
     tokens, then EOF, for the parser; token offsets index into the full
-    string. Without one it builds no token, which is all a copy of a known
-    class needs, and fails at the same offset with the same error.
+    string. Without one it builds no token, and fails at the same offset
+    with the same error.
 
     The key is the host sheet, then each token's text, except that a
-    number is a slot (None) and a reference gives each axis as its offset
-    from the host, or as its coordinate where the axis is absolute ($). So
-    formulas with equal keys parse to trees that differ only by that shift
-    and by their literal vectors. A row-0 reference keeps its row, so it
-    never keys like a valid one. A range's second corner (a reference after
-    "REF :" or "REF : SHEET") adds whether the corners swap when sorted:
-    with one absolute and one relative corner on an axis, that differs by
-    host.
+    number is a slot (None) and a reference gives its piece (_ref_key): a
+    range's second corner is a reference after "REF :" or "REF : SHEET".
+    So formulas with equal keys parse to trees that differ only by a shift
+    and by their literal vectors.
     """
     if not src.startswith("="):
         raise FormulaSyntaxError("formula must start with '='", 0)
@@ -285,17 +317,13 @@ def _lex(src: str, host: CellAddress, tokens: list[_Token] | None = None
             i = m.end()
             continue
         if kind == "REF":
-            abs_col, letters, abs_row, digits = m.group("abs_col", "letters", "abs_row",
-                                                         "digits")
-            row, col = int(digits), letters_to_col(letters)
-            fixed_row, fixed_col = bool(abs_row) or not row, bool(abs_col)
-            key += (row if fixed_row else row - host_row,
-                    col if fixed_col else col - host_col, fixed_row, fixed_col)
-            if colon >= 2:
-                key += (corner[0] > row, corner[1] > col)
+            groups = m.group(6, 7, 8, 9)
+            row, col, piece = _ref_key(groups, host_row, host_col,
+                                       corner if colon >= 2 else None)
+            key += piece
             corner, colon = (row, col), 1
             if tokens is not None:
-                tokens.append((kind, m.group(), i, (row, col, bool(abs_row), fixed_col)))
+                tokens.append((kind, m.group(), i, (row, col, bool(groups[2]), bool(groups[0]))))
             i = m.end()
             continue
         text = m.group()
@@ -661,11 +689,13 @@ class _ClassFacts:
     an absolute axis, so that the copies' distances differ by where they
     sit. literals are the class's own literal vector, its number literals'
     values in slot order, and walk the evaluator's walk: the tree's
-    postorder without IF branches.
+    postorder without IF branches. branches gives, by the id of each IF
+    node, the walks of its branches (one or two), which the evaluator runs
+    for the branch it takes.
     """
 
     __slots__ = ("nodes", "token_count", "refs", "aggregates", "cross_sheet_count",
-                 "cross_sheets", "anchored", "literals", "walk")
+                 "cross_sheets", "anchored", "literals", "walk", "branches")
 
     def __init__(self, root: Expr):
         nodes = postorder(root)
@@ -673,7 +703,7 @@ class _ClassFacts:
         read: list[bool] = []  # per reference: whether an aggregate above it reads it
         starts: list[int] = []  # per operand on the stack: its first reference's index
         literals: list[float] = []
-        branched = False
+        branches: dict[int, tuple[list[Expr], ...]] = {}
         for node in nodes:
             if isinstance(node, BinaryOp):
                 starts.pop()  # the left operand's start is the node's
@@ -683,7 +713,9 @@ class _ClassFacts:
                 del starts[len(starts) - n + 1:]
                 if node.name in AGGREGATE_FUNCTIONS:
                     read[start:] = [True] * (len(read) - start)
-                branched = branched or node.name == "IF"
+                if node.name == "IF":
+                    branches[id(node)] = tuple(postorder(arg, branches=False)
+                                               for arg in node.args[1:])
             elif not isinstance(node, UnaryOp):
                 starts.append(len(refs))
                 if isinstance(node, NumberLiteral):
@@ -707,7 +739,8 @@ class _ClassFacts:
                                     or node.abs_r2 or node.abs_c2)
             for node in refs)
         self.literals = tuple(literals)
-        self.walk = postorder(root, branches=False) if branched else nodes
+        self.walk = postorder(root, branches=False) if branches else nodes
+        self.branches = branches
 
 
 Box = tuple[str, int, int, int, int]
@@ -775,39 +808,149 @@ def normalize(ast: FormulaAst) -> NormalizedFormula:
                              shared.forward_refs)
 
 
+class _CopyPattern:
+    """A formula class as parse_workbook_formulas reads its copies.
+
+    Nothing is compiled until the class's second copy is found by its key
+    (compile). Then the class's first copy is lexed again, and its text
+    becomes one pattern: each reference is the lexer's REF groups, each
+    number a NUMBER group, every other token its own text, with blanks
+    allowed between tokens. A text that fullmatches splits into the tokens
+    _lex would give it (the class parsed, so no two of its tokens could
+    lex as one), and it is a copy where each reference's key piece equals
+    the class's and each number is finite. refs holds, per group run, the
+    class's piece for a reference and None for a number.
+    """
+
+    __slots__ = ("cls", "fullmatch", "refs")
+
+    def __init__(self, cls: FormulaAst):
+        self.cls = cls
+        self.fullmatch = None
+        self.refs: tuple[tuple | None, ...] = ()
+
+    def compile(self) -> None:
+        tokens: list[_Token] = []
+        cls = self.cls
+        key = _lex(cls.source, cls.host, tokens)[0]
+        parts = ["="]
+        refs: list[tuple | None] = []
+        k = 1  # the key's item for the token at hand
+        for kind, text, _, _ in tokens[:-1]:  # not EOF
+            if kind == "REF":
+                # four items, six for a range's second corner, whose swap
+                # flags are the only bools after a reference's four
+                end = k + 6 if k + 4 < len(key) and type(key[k + 4]) is bool else k + 4
+                refs.append(key[k:end])
+                k = end
+                parts.append(_REF_RE)
+                continue
+            k += 1
+            if kind == "NUMBER":
+                refs.append(None)
+                parts.append(f"({_NUMBER_RE})")
+            else:
+                parts.append(re.escape(text))
+        self.fullmatch = re.compile("[ \t]*".join(parts) + "[ \t]*").fullmatch
+        self.refs = tuple(refs)
+
+    def copy(self, source: str, host: CellAddress) -> FormulaAst | None:
+        """source at host as a copy of the class, or None where the pattern
+        is not compiled or does not take it (_lex then decides)."""
+        fullmatch = self.fullmatch
+        m = fullmatch(source) if fullmatch is not None else None
+        if m is None:
+            return None
+        groups = m.groups()
+        literals: list[float] = []
+        host_row, host_col = host.row, host.col
+        corner = None
+        i = 0
+        for want in self.refs:
+            if want is None:
+                value = float(groups[i])
+                if not math.isfinite(value):
+                    return None
+                literals.append(value)
+                i += 1
+                continue
+            row, col, piece = _ref_key(groups[i:i + 4], host_row, host_col,
+                                       corner if len(want) == 6 else None)
+            if piece != want:
+                return None
+            corner = (row, col)
+            i += 4
+        cls = self.cls
+        values = tuple(literals)
+        return FormulaAst(source, host, None, cls,
+                          cls.literals if values == cls.literals else values)
+
+
 def parse_workbook_formulas(wb: Workbook) -> dict[CellAddress, FormulaAst]:
     """Parse every formula cell; syntax errors name the failing cell.
 
-    Each formula is lexed for its class key and literal vector only (see
-    _lex). A formula whose key is new is lexed again, into tokens, and
-    parsed: the parser runs once per class, on its first copy in reading
-    order. Every later copy is bound to that copy with its own literal
-    vector, or the class's tuple where they are equal. Copies parse alike,
-    and the key-only lex fails where the full one does, so the first cell
-    with a syntax error is the one a parse of every cell would stop at.
+    A workbook is mostly runs of copies, so each formula is first tried as
+    a copy of a neighbour's class: of the last formula above it in its
+    column, then before it in its row, then of the class before each of
+    those, each with one call of that class's copy pattern (_CopyPattern).
+    Any other formula is lexed for its class key and literal vector only
+    (see _lex). A formula whose key is new is lexed again, into tokens,
+    and parsed: the parser runs once per class, on its first copy in
+    reading order. A known key is a copy, and its class compiles its
+    pattern at the second copy. Every copy is bound to its class's first
+    copy with its own literal vector, or the class's tuple where they are
+    equal. A pattern takes only what _lex would key as the class, and the
+    key-only lex fails where the full one does, so the first cell with a
+    syntax error is the one a parse of every cell would stop at, with the
+    same message and offset.
     """
     out: dict[CellAddress, FormulaAst] = {}
-    classes: dict[tuple, FormulaAst] = {}
+    classes: dict[tuple, _CopyPattern] = {}
     for sheet in wb.sheets:  # wb.formula_cells()'s order, without its generators
+        # The classes of the last two formulas, told apart, above in each
+        # column and before in the row: a run of copies resumes after a
+        # formula of another class, and two classes may alternate.
+        above: dict[int, _CopyPattern] = {}
+        above2: dict[int, _CopyPattern | None] = {}
+        row = 0
+        left = left2 = None
         for addr, content in sheet.reading_order:
             source = content.formula
             if source is None:
                 continue
-            try:
-                key, literals = _lex(source, addr)
-                cls = classes.get(key)
-                if cls is None:
-                    tokens: list[_Token] = []
-                    _lex(source, addr, tokens)
-                    ast = classes[key] = FormulaAst(source, addr, _Parser(tokens, addr).parse())
+            if addr.row != row:
+                row, left, left2 = addr.row, None, None
+            col = addr.col
+            up = pattern = above.get(col)
+            ast = pattern.copy(source, addr) if pattern is not None else None
+            if ast is None:
+                for pattern in (left, above2.get(col), left2):
+                    if pattern is not None and (ast := pattern.copy(source, addr)) is not None:
+                        break
                 else:
-                    if literals == cls.literals:
-                        literals = cls.literals
-                    ast = FormulaAst(source, addr, None, cls, literals)
-            except FormulaSyntaxError as exc:
-                wrapped = type(exc)(f"{addr.qualified}: {exc}")
-                wrapped.offset = exc.offset
-                raise wrapped from None
+                    try:
+                        key, literals = _lex(source, addr)
+                        pattern = classes.get(key)
+                        if pattern is None:
+                            tokens: list[_Token] = []
+                            _lex(source, addr, tokens)
+                            ast = FormulaAst(source, addr, _Parser(tokens, addr).parse())
+                            pattern = classes[key] = _CopyPattern(ast)
+                        else:
+                            if pattern.fullmatch is None:
+                                pattern.compile()
+                            cls = pattern.cls
+                            if literals == cls.literals:
+                                literals = cls.literals
+                            ast = FormulaAst(source, addr, None, cls, literals)
+                    except FormulaSyntaxError as exc:
+                        wrapped = type(exc)(f"{addr.qualified}: {exc}")
+                        wrapped.offset = exc.offset
+                        raise wrapped from None
+                if pattern is not up:
+                    above[col], above2[col] = pattern, up  # type: ignore[assignment]
+            if pattern is not left:
+                left2, left = left, pattern
             out[addr] = ast
     return out
 

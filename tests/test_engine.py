@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridaudit.engine as engine_mod
+import gridaudit.formula as formula_mod
 from gridaudit.engine import (
     CYCLE_ERR,
     DIV0,
@@ -31,7 +32,7 @@ from gridaudit.engine import (
     values_match,
 )
 from gridaudit.errors import MalformedDocument, MissingInputCell, NoDeclaredOutputs, OutputIsError
-from gridaudit.formula import FormulaAst, parse_workbook_formulas, render
+from gridaudit.formula import FormulaAst, parse_workbook_formulas, postorder, render
 from gridaudit.graph import build_graph, chain_stats
 from gridaudit.model import CellAddress, CellContent, Workbook, col_to_letters
 from gridaudit.simlab import SeedSpec, generate_clean, seed_defects
@@ -171,6 +172,27 @@ def test_if_never_reads_the_branch_it_does_not_take(monkeypatch):
     assert formula_result("=SUM(IF(A1,IF(A2<0,MAX(A1:A2),3),MIN(A1:A2)),1)", cells) == 4.0
     with pytest.raises(AssertionError, match="untaken"):  # a taken branch does read
         formula_result("=IF(TRUE,SUM(A1:A2))", cells)
+
+
+def test_a_warm_run_walks_no_if_branch_again(monkeypatch):
+    # Each IF branch's walk is kept with its class, so running the plan
+    # again builds none; both branches are taken across the copies.
+    cells: dict[str, object] = {f"A{r}": float(r % 3 - 1) for r in range(1, 5001)}
+    cells.update({f"B{r}": f"=IF(A{r}>0,A{r}*2+1,A{r}-1)" for r in range(1, 5001)})
+    wb = wb_from(cells)
+    plan = EvalPlan(wb, parse_workbook_formulas(wb))
+    plan.run()
+    walks: list = []
+
+    def counted_postorder(*args, **kwargs):
+        walks.append(args)
+        return postorder(*args, **kwargs)
+
+    monkeypatch.setattr(formula_mod, "postorder", counted_postorder)
+    monkeypatch.setattr(engine_mod, "postorder", counted_postorder, raising=False)
+    values = plan.run()
+    assert walks == []
+    assert [values[CellAddress("S1", r, 2)] for r in (1, 2, 3)] == [-1.0, 3.0, -2.0]
 
 
 def test_if_condition_coercion():

@@ -33,7 +33,7 @@ from gridaudit.formula import (
     render,
     unique_formula_count,
 )
-from gridaudit.model import CellAddress
+from gridaudit.model import CellAddress, col_to_letters
 from gridaudit.simlab import SeedSpec, generate_clean
 from helpers import (aggregate_ranges, literal_copies_book, random_expr, translate_expr,
                      wb_from)
@@ -358,7 +358,7 @@ def test_normalize_copy_invariance_property(seed, dr, dc):
 
 # Pieces of the formula alphabet: strings and "" escapes, sheet qualifiers,
 # $-markers, every operator, numbers with exponents, names and blanks.
-_FORMULA_PIECES = st.sampled_from([
+_FORMULA_TEXTS = [
     '"', '""', '"a b"', '"x""y"', "'", "''", "'My Sheet'!", "Data!", "S1!", "'It''s'!",
     "$", "A1", "$B$2", "c3", "XFD1048576", "A0", "ABCD1", "Z99999999",
     "0", "7", "2.5", ".5", "3.", "1e3", "2E+2", "4e-2", "1e400", "1e-400", "e5",
@@ -366,7 +366,8 @@ _FORMULA_PIECES = st.sampled_from([
     "(", ")", ",", ":", "+", "-", "*", "/", "^", "&", "=", "<>", "<", "<=", ">", ">=",
     " ", "\t", "!", "#", "%", "@", "[",
     "SUM(A1:B2)", "IF(A1,1,2)", "(A1)", "+1", "-A1", "*2",
-])
+]
+_FORMULA_PIECES = st.sampled_from(_FORMULA_TEXTS)
 
 
 @settings(max_examples=400, deadline=None)
@@ -400,9 +401,9 @@ def key_from_tokens(tokens: list, host: CellAddress) -> tuple:
     return tuple(key)
 
 
-_RANGE_PIECES = st.sampled_from(["A1:B2", "$A1:A$2", "B9:A1", "A1:S1!B2", "S1!B3:A$1",
-                                 "Data!C1:'My Sheet'!A2", "A1 : B2", "A1::B2", "A1:S1!T!B2",
-                                 "A1:B2:C3", "A0:B2"])
+_RANGE_TEXTS = ["A1:B2", "$A1:A$2", "B9:A1", "A1:S1!B2", "S1!B3:A$1", "Data!C1:'My Sheet'!A2",
+                "A1 : B2", "A1::B2", "A1:S1!T!B2", "A1:B2:C3", "A0:B2"]
+_RANGE_PIECES = st.sampled_from(_RANGE_TEXTS)
 
 
 @settings(max_examples=400, deadline=None)
@@ -428,6 +429,117 @@ def test_key_only_lex_agrees_with_the_token_lex(body, sheet, row, col):
         key, literals = full
         assert key == key_from_tokens(tokens, host)
         assert literals == tuple(tok[3] for tok in tokens if tok[0] == "NUMBER")
+
+
+def _parses(src: str) -> bool:
+    try:
+        parse_formula(src, C2)
+    except (FormulaSyntaxError, UnknownName, UnknownFunction):
+        return False
+    return True
+
+
+# The pieces above that are whole operands, and a swapped range, a signed
+# exponent and quoted sheets and strings with escapes: joined by operators,
+# they make class texts that parse.
+_OPERANDS = [piece for piece in (*_FORMULA_TEXTS, *_RANGE_TEXTS, "A$5:A3", "1e+5",
+                                 "'It''s'!A1", "'My Sheet'!$B7", '"q""r"')
+             if _parses("=" + piece)]
+_CLASS_TEXTS = st.lists(st.tuples(st.sampled_from(["+", "*", "&", "<>", " - ", "^", "<="]),
+                                  st.sampled_from(_OPERANDS)), min_size=1, max_size=6).map(
+    lambda parts: "=" + "".join(op + operand for op, operand in parts)[len(parts[0][0]):])
+_HOSTS = st.builds(CellAddress, st.just("S1"), st.integers(1, 60), st.integers(1, 30))
+_NUMBER_TEXTS = ["0", "7", "2.5", ".5", "3.", "1e3", "2E+2", "4e-2", "1e+5", "1e-400"]
+
+
+def _class_and_pattern(src: str, host: CellAddress):
+    cls = parse_formula(src, host)
+    pattern = formula_mod._CopyPattern(cls)
+    pattern.compile()
+    return cls, pattern
+
+
+def _copy_text(draw, src: str, host: CellAddress, to: CellAddress, numbers: list[str],
+               pieces: list[str] = ()) -> str:
+    """src at host retyped as a copy at to: each relative axis moved, each
+    number drawn from numbers, column letters in either case and blanks
+    between tokens; with pieces, some tokens are replaced by one of them
+    and others may change case."""
+    tokens: list = []
+    formula_mod._lex(src, host, tokens)
+    out = ["="]
+    for kind, text, _offset, value in tokens[:-1]:
+        out.append(draw(st.sampled_from(["", " ", "\t", " \t "])))
+        if pieces and draw(st.integers(0, 9)) == 0:
+            out.append(draw(st.sampled_from(pieces)))
+        elif kind == "REF":
+            row, col, abs_row, abs_col = value
+            row = max(0, row if abs_row else row + to.row - host.row)
+            col = max(1, col if abs_col else col + to.col - host.col)
+            letters = col_to_letters(col)
+            out.append("$" * abs_col + draw(st.sampled_from([letters, letters.lower()]))
+                       + "$" * abs_row + str(row))
+        elif kind == "NUMBER":
+            out.append(draw(st.sampled_from(numbers)))
+        elif pieces:
+            out.append(draw(st.sampled_from([text, text.swapcase()])))
+        else:
+            out.append(text)
+    out.append(draw(st.sampled_from(["", " ", "\t"])))
+    return "".join(out)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_CLASS_TEXTS, _HOSTS, _HOSTS, st.data())
+def test_copy_pattern_takes_only_what_the_lexer_keys_as_its_class(src, host, to, data):
+    # A class's copy pattern declines a text, or gives exactly the literals
+    # _lex gives it while _lex keys it as the class: on near copies with
+    # references moved anywhere (row 0 and swapped corners too), numbers
+    # out of range, and tokens replaced by other pieces of the alphabet.
+    if not _parses(src):
+        return
+    cls, pattern = _class_and_pattern(src, host)
+    text = _copy_text(data.draw, src, host, to, _NUMBER_TEXTS + ["1e999", "1e400", "e5"],
+                      _FORMULA_TEXTS + _RANGE_TEXTS)
+    ast = pattern.copy(text, to)
+    if ast is None:
+        return
+    key, literals = formula_mod._lex(text, to)
+    assert key == formula_mod._lex(src, host)[0]
+    assert ast.literals == literals
+    assert ast.cls is cls and ast.source == text and ast.host == to
+
+
+@settings(max_examples=400, deadline=None)
+@given(_CLASS_TEXTS, _HOSTS, st.integers(0, 40), st.integers(0, 12), st.data())
+def test_copy_pattern_takes_every_true_copy(src, host, dr, dc, data):
+    # The class retyped at another host, with other finite literals, blanks
+    # or tabs between tokens and lower-case column letters: every such text
+    # that _lex keys as the class (corners may swap by host) is taken.
+    if not _parses(src):
+        return
+    to = CellAddress("S1", host.row + dr, host.col + dc)
+    cls, pattern = _class_and_pattern(src, host)
+    text = _copy_text(data.draw, src, host, to, _NUMBER_TEXTS)
+    key, literals = formula_mod._lex(text, to)
+    if key != formula_mod._lex(src, host)[0]:
+        return
+    ast = pattern.copy(text, to)
+    assert ast is not None, text
+    assert ast.literals == literals
+
+
+def test_copy_pattern_declines_an_out_of_range_number_a_swap_and_row_zero():
+    def at(row: int) -> CellAddress:
+        return CellAddress("S1", row, 3)
+
+    _cls, pattern = _class_and_pattern("=A$5:A3+1e3*SUM('It''s'!B2)&\"x\"\"y\"", at(2))
+    assert pattern.copy("=a$5:a4 + 1e+5*SUM('It''s'!B3)&\"x\"\"y\"", at(3)) is not None
+    assert pattern.copy("=A$5:A3+1e999*SUM('It''s'!B2)&\"x\"\"y\"", at(2)) is None
+    assert pattern.copy("=A$5:A9+1e3*SUM('It''s'!B8)&\"x\"\"y\"", at(8)) is None
+    _cls, pattern = _class_and_pattern("=B1+1", at(2))
+    assert pattern.copy("=B0+1", at(1)) is None
+    assert pattern.copy("=b1\t+ 2", at(2)).literals == (2.0,)
 
 
 def test_row_zero_reference_rejected():
@@ -467,6 +579,74 @@ def test_copies_are_parsed_and_normalized_once_per_class(monkeypatch):
     assert parses == [CellAddress("S1", 1, 2)]
     assert normals == [CellAddress("S1", 1, 2)]
     assert unique_formula_count(wb, asts) == 1
+
+
+def _counting(monkeypatch) -> dict[str, list]:
+    """Count _lex calls by host, _Parser.parse calls and pattern compiles."""
+    calls: dict[str, list] = {"lex": [], "parse": [], "compile": []}
+    lex, parse, compile_ = (formula_mod._lex, formula_mod._Parser.parse,
+                            formula_mod._CopyPattern.compile)
+
+    def counted_lex(src, host, tokens=None):
+        calls["lex"].append(host)
+        return lex(src, host, tokens)
+
+    def counted_parse(self):
+        calls["parse"].append(self.host)
+        return parse(self)
+
+    def counted_compile(self):
+        calls["compile"].append(self.cls.host)
+        return compile_(self)
+
+    monkeypatch.setattr(formula_mod, "_lex", counted_lex)
+    monkeypatch.setattr(formula_mod._Parser, "parse", counted_parse)
+    monkeypatch.setattr(formula_mod._CopyPattern, "compile", counted_compile)
+    return calls
+
+
+def chain_of_copies(rows: int) -> dict[str, object]:
+    cells: dict[str, object] = {"A1": 1.0}
+    cells.update({f"A{r}": f"=A{r - 1}+{r}" for r in range(2, rows + 1)})
+    return cells
+
+
+@pytest.mark.parametrize("book", [column_of_copies, chain_of_copies])
+def test_copies_after_the_second_are_read_by_the_class_pattern(monkeypatch, book):
+    # The first copy is lexed for its key and into tokens, the second for
+    # its key, and the class's pattern compiles by lexing the first again;
+    # no other copy is lexed.
+    wb = wb_from(book(1000))
+    calls = _counting(monkeypatch)
+    asts = parse_workbook_formulas(wb)
+    assert len(asts) >= 999
+    assert len({ast.cls for ast in asts.values()}) == len(calls["parse"]) == 1
+    assert len(calls["lex"]) <= 4
+    assert len(calls["compile"]) == 1
+
+
+def test_one_copy_classes_compile_no_pattern(monkeypatch):
+    wb = wb_from({f"B{r}": f"=$A${r}+{r}" for r in range(1, 201)})
+    calls = _counting(monkeypatch)
+    asts = parse_workbook_formulas(wb)
+    assert len({ast.cls for ast in asts.values()}) == len(calls["parse"]) == 200
+    assert calls["compile"] == []
+
+
+def test_a_row_alternating_two_classes_is_read_by_their_patterns(monkeypatch):
+    # =A1*2, =B1+1, =C1*2, ... along row 2: after the second copy of each
+    # class, every copy is taken by the pattern of the class two to its left.
+    cells = {f"{col_to_letters(c)}2": f"={col_to_letters(c - 1)}1" + ("*2" if c % 2 else "+1")
+             for c in range(2, 42)}
+    wb = wb_from(cells)
+    calls = _counting(monkeypatch)
+    asts = parse_workbook_formulas(wb)
+    assert len({ast.cls for ast in asts.values()}) == len(calls["parse"]) == 2
+    assert len(calls["compile"]) == 2
+    # two lexes for each class's first copy, one for its second, one to compile
+    assert [host.col for host in calls["lex"]] == [2, 2, 3, 3, 4, 2, 5, 3]
+    for addr, ast in asts.items():
+        assert ast.literals == parse_formula(ast.source, addr).literals
 
 
 def test_copies_match_a_parse_of_each_cell():
@@ -535,6 +715,21 @@ def test_syntax_error_in_a_later_copy_names_its_own_cell_and_offset():
     with pytest.raises(FormulaSyntaxError, match=r"^S1!B3: ") as info:
         parse_workbook_formulas(wb)
     assert info.value.offset == len("=A3 * 2 +")
+
+
+def test_copies_differing_in_blanks_case_and_literals_share_the_class():
+    wb = wb_from({"A1": 1.0, "A2": "=A1+1", "A3": "=a2 + 2", "A4": "=A3+\t3"})
+    asts = parse_workbook_formulas(wb)
+    assert len({ast.cls for ast in asts.values()}) == 1
+    assert [ast.literals for ast in asts.values()] == [(1.0,), (2.0,), (3.0,)]
+
+
+def test_out_of_range_number_in_a_later_copy_names_its_own_cell_and_offset():
+    wb = wb_from({"A1": 1.0, "A2": "=A1+1", "A3": "=A2+2", "A4": "=A3+1e999"})
+    with pytest.raises(FormulaSyntaxError,
+                       match=r"^S1!A4: number 1e999 is out of range \(at offset 4\)$") as info:
+        parse_workbook_formulas(wb)
+    assert info.value.offset == 4
 
 
 @settings(max_examples=150, deadline=None)
