@@ -12,7 +12,6 @@ text. The tool never touches the network.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import functools
 import gc
@@ -21,7 +20,7 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from . import __version__
 from .errors import GridAuditError, InvalidConfig, ModuleMismatch, plain
@@ -44,8 +43,7 @@ _SEVERITY_RANK = {"info": 0, "warning": 1, "error": 2}
 # --- Audit report -------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Everything one audit run produced, in one serializable document."""
 
     tool_version: str
@@ -181,7 +179,7 @@ def _plan_config(args: argparse.Namespace) -> PlanConfig:
         "rounds": getattr(args, "rounds", None),
     }
     set_overrides = {k: v for k, v in overrides.items() if v is not None}
-    return dataclasses.replace(cfg, **set_overrides) if set_overrides else cfg
+    return cfg._replace(**set_overrides) if set_overrides else cfg
 
 
 def _emit(args: argparse.Namespace, human: str, machine: dict[str, object] | str) -> None:

@@ -8,15 +8,14 @@ slip a fudged number past review. The comparison is structural and exact
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import CellAddress, CellContent, Workbook
 
 _NUMERIC_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class DiffEntry:
+class DiffEntry(NamedTuple):
     location: CellAddress
     kind: str
     before: CellContent | None
@@ -98,8 +97,7 @@ def diff(a: Workbook, b: Workbook) -> tuple[DiffEntry, ...]:
     return tuple(entries)
 
 
-@dataclass(frozen=True)
-class Conflict:
+class Conflict(NamedTuple):
     """Divergent edits at one location; None marks an untouched side."""
 
     location: CellAddress
@@ -114,8 +112,7 @@ class Conflict:
         }
 
 
-@dataclass(frozen=True)
-class ThreeWayResult:
+class ThreeWayResult(NamedTuple):
     agreeing: tuple[DiffEntry, ...]
     conflicting: tuple[Conflict, ...]
 

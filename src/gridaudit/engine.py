@@ -48,9 +48,7 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal, localcontext
-from typing import Any, Iterator, Union
+from typing import Any, Iterator, NamedTuple, Union
 
 from .errors import (
     MalformedDocument,
@@ -83,8 +81,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class ErrorValue:
+class ErrorValue(NamedTuple):
     code: str
 
     def __str__(self) -> str:
@@ -472,6 +469,8 @@ def _soft_number(v: Value | None) -> float | None:
 
 
 def _round_half_away(x: float, digits: int) -> float:
+    from decimal import ROUND_HALF_UP, Decimal, localcontext  # loaded at the first ROUND
+
     digits = max(-400, min(400, digits))
     with localcontext() as ctx:
         ctx.prec = 800  # widest float spans ~725 digits against the quantum
@@ -573,8 +572,7 @@ def evaluate(
 SNAPSHOT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(NamedTuple):
     """Frozen inputs and expected outputs for regression rechecks."""
 
     workbook_name: str
@@ -583,15 +581,13 @@ class Snapshot:
     outputs: dict[str, Constant]  # qualified address -> evaluated value
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     address: str
     expected: Constant
     actual: Value | None
 
 
-@dataclass(frozen=True)
-class RecheckReport:
+class RecheckReport(NamedTuple):
     matches: tuple[str, ...]
     mismatches: tuple[Mismatch, ...]
     missing_outputs: tuple[str, ...]

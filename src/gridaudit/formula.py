@@ -54,12 +54,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .errors import FormulaSyntaxError, UnknownFunction, UnknownName
-from .model import (CellAddress, Workbook, canonical_number, col_to_letters, letters_to_col,
-                    quote_sheet)
+from .model import (CellAddress, Frozen, Workbook, canonical_number, col_to_letters,
+                    letters_to_col, quote_sheet)
 
 SUPPORTED_FUNCTIONS = frozenset(
     {"SUM", "AVERAGE", "MIN", "MAX", "COUNT", "IF", "AND", "OR", "NOT", "ROUND", "ABS"}
@@ -85,29 +84,59 @@ _ARITY: dict[str, tuple[int, int | None]] = {
 # --- AST ------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class NumberLiteral:
+# Each node is immutable, and equal only to a node of its own class with
+# equal fields. A number is a slotted record, equal by value alone; the
+# others are tuples, each a NamedTuple of its fields under _Node.
+
+
+class NumberLiteral(Frozen):
     """A number; slot is its index in the formula's literal vector
-    (FormulaAst.literals), which readers take a copy's value from."""
+    (FormulaAst.literals), which readers take a copy's value from. Two are
+    equal when their values are, whatever their slots."""
 
-    value: float
-    slot: int = field(default=0, compare=False)
+    __slots__ = ("value", "slot")
+    _fields = __slots__
+
+    def __init__(self, value: float, slot: int = 0) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "slot", slot)
+
+    def _key(self) -> tuple[object, ...]:
+        return (self.value,)
 
 
-@dataclass(frozen=True, slots=True)
-class TextLiteral:
+class _Node:
+    """Base, before its NamedTuple, of every other node: equal fields make
+    equal nodes only within one class, and no node equals a plain tuple."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)  # type: ignore[arg-type]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class _TextFields(NamedTuple):
     value: str
 
 
-@dataclass(frozen=True, slots=True)
-class BooleanLiteral:
+class TextLiteral(_Node, _TextFields):
+    __slots__ = ()
+
+
+class _BooleanFields(NamedTuple):
     value: bool
 
 
-@dataclass(frozen=True, slots=True)
-class CellRef:
-    """A single-cell reference; sheet None means the host sheet."""
+class BooleanLiteral(_Node, _BooleanFields):
+    __slots__ = ()
 
+
+class _CellRefFields(NamedTuple):
     sheet: str | None
     row: int
     col: int
@@ -115,10 +144,13 @@ class CellRef:
     abs_col: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class RangeRef:
-    """A rectangular range; corners are normalized so r1 <= r2, c1 <= c2."""
+class CellRef(_Node, _CellRefFields):
+    """A single-cell reference; sheet None means the host sheet."""
 
+    __slots__ = ()
+
+
+class _RangeRefFields(NamedTuple):
     sheet: str | None
     r1: int
     c1: int
@@ -130,23 +162,38 @@ class RangeRef:
     abs_c2: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class UnaryOp:
+class RangeRef(_Node, _RangeRefFields):
+    """A rectangular range; corners are normalized so r1 <= r2, c1 <= c2."""
+
+    __slots__ = ()
+
+
+class _UnaryFields(NamedTuple):
     op: str
     operand: Expr
 
 
-@dataclass(frozen=True, slots=True)
-class BinaryOp:
+class UnaryOp(_Node, _UnaryFields):
+    __slots__ = ()
+
+
+class _BinaryFields(NamedTuple):
     op: str
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
-class FunctionCall:
+class BinaryOp(_Node, _BinaryFields):
+    __slots__ = ()
+
+
+class _CallFields(NamedTuple):
     name: str
     args: tuple[Expr, ...]
+
+
+class FunctionCall(_Node, _CallFields):
+    __slots__ = ()
 
 
 Expr = Union[
@@ -653,8 +700,7 @@ def render(ast: FormulaAst) -> str:
 # --- Normal form -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalizedFormula:
+class NormalizedFormula(NamedTuple):
     """Host-relative normal form of one formula: what a copy's literals or
     position change (what every copy of a class shares is in _ClassFacts).
 

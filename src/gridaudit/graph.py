@@ -21,13 +21,11 @@ corner, one node, mirroring how the evaluator treats the whole range as one
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from functools import cached_property
 from typing import AbstractSet, Callable, Iterable, Iterator, KeysView, Mapping, NamedTuple
 
 from .errors import ExplosionCap
 from .formula import FormulaAst, parse_workbook_formulas, references
-from .model import MAX_COL, MAX_ROW, CellAddress, Sheet, Workbook
+from .model import MAX_COL, MAX_ROW, CellAddress, Frozen, Sheet, Workbook
 
 class SheetIndex:
     """Index over a sheet's non-empty cells for cell and range lookups.
@@ -191,26 +189,45 @@ def _reads_before(asts: Mapping[CellAddress, FormulaAst], wb: Workbook) -> bool:
 EDGE_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class DepGraph:
-    """Built once from a workbook, then read-only."""
+class DepGraph(Frozen):
+    """Built once from a workbook, then read-only.
 
-    sheet_order: tuple[str, ...]
-    precedents: dict[CellAddress, frozenset[CellAddress]]  # formula cell -> cells it reads
-    output_addresses: tuple[CellAddress, ...]
-    edge_count: int  # the precedent sets' sizes, summed
-    indexes: dict[str, SheetIndex]
-    condensation: Condensation
+    nodes and the index cone() reads are built on their first use and kept
+    with the graph (not fields, so equality and repr see only the fields).
+    """
+
+    __slots__ = ("sheet_order", "precedents", "output_addresses", "edge_count", "indexes",
+                 "condensation", "_nodes", "_cone_index")
+    _fields = __slots__[:6]
+
+    def __init__(self, sheet_order: tuple[str, ...],
+                 precedents: dict[CellAddress, frozenset[CellAddress]],  # formula -> cells read
+                 output_addresses: tuple[CellAddress, ...],
+                 edge_count: int,  # the precedent sets' sizes, summed
+                 indexes: dict[str, SheetIndex], condensation: Condensation) -> None:
+        put = object.__setattr__
+        put(self, "sheet_order", sheet_order)
+        put(self, "precedents", precedents)
+        put(self, "output_addresses", output_addresses)
+        put(self, "edge_count", edge_count)
+        put(self, "indexes", indexes)
+        put(self, "condensation", condensation)
+        put(self, "_nodes", None)
+        put(self, "_cone_index", None)
 
     @property
     def formula_cells(self) -> KeysView[CellAddress]:
         return self.precedents.keys()
 
-    @cached_property
+    @property
     def nodes(self) -> frozenset[CellAddress]:
         """Defined cells and the cells formulas read."""
-        return frozenset(addr for index in self.indexes.values()
-                         for addr in index.cells).union(*self.precedents.values())
+        nodes = self._nodes
+        if nodes is None:
+            nodes = frozenset(addr for index in self.indexes.values()
+                              for addr in index.cells).union(*self.precedents.values())
+            object.__setattr__(self, "_nodes", nodes)
+        return nodes
 
     def sheet_index(self, name: str) -> int:
         try:
@@ -225,7 +242,11 @@ class DepGraph:
         """The formulas whose value can depend on cell, in condensation order:
         its readers and their dependents, stopping at cycle cells, which are
         #CYCLE! whatever their inputs."""
-        readers, position = self._cone_index
+        index = self._cone_index
+        if index is None:
+            index = self._build_cone_index()
+            object.__setattr__(self, "_cone_index", index)
+        readers, position = index
         stack = list(readers.get(cell, ()))
         seen = set(stack)
         while stack:
@@ -235,8 +256,8 @@ class DepGraph:
                     stack.append(dep)
         return sorted(seen, key=position.__getitem__)
 
-    @cached_property
-    def _cone_index(self) -> tuple[dict[CellAddress, list[CellAddress]], dict[CellAddress, int]]:
+    def _build_cone_index(self) -> tuple[dict[CellAddress, list[CellAddress]],
+                                         dict[CellAddress, int]]:
         """Each cell's off-cycle formula readers, and each off-cycle formula's
         position in the condensation order; built on the first cone()."""
         on_cycle = {addr for cycle in self.condensation.cycles for addr in cycle}
@@ -275,8 +296,7 @@ def build_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None)
     )
 
 
-@dataclass(frozen=True)
-class ChainStats:
+class ChainStats(NamedTuple):
     """Path structure of the graph, in formula-cell units."""
 
     longest_chain_length: int

@@ -10,8 +10,7 @@ only read back here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable, NamedTuple
 
 from .errors import (
     EmptyTruth,
@@ -22,13 +21,10 @@ from .errors import (
     config_value,
 )
 from .formula import FormulaAst, parse_workbook_formulas
-from .model import CellAddress, Workbook, parse_qualified
+from .model import CellAddress, Checked, Workbook, parse_qualified
 
 
-@dataclass(frozen=True)
-class PlanConfig:
-    """Planner knobs; the defaults size modules for a two-hour sitting."""
-
+class _PlanConfigFields(NamedTuple):
     target_module_size: int = 150
     rate_cap: float = 100.0  # effective cells per hour
     team_size: int = 3
@@ -36,7 +32,14 @@ class PlanConfig:
     session_cap_minutes: float = 120.0
     long_formula_tokens: int = 10
 
-    def __post_init__(self) -> None:
+
+class PlanConfig(Checked, _PlanConfigFields):
+    """Planner knobs; the defaults size modules for a two-hour sitting."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> PlanConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.target_module_size < 1:
             raise InvalidConfig("target_module_size must be >= 1")
         if not 0 < self.rate_cap < math.inf:
@@ -50,6 +53,7 @@ class PlanConfig:
                                 f"got {self.session_cap_minutes}")
         if self.long_formula_tokens < 0:
             raise InvalidConfig("long_formula_tokens must be >= 0")
+        return self
 
 
 def plan_config_from_dict(d: dict[str, object]) -> PlanConfig:
@@ -70,8 +74,7 @@ def plan_config_from_dict(d: dict[str, object]) -> PlanConfig:
     return PlanConfig(**kwargs)  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class Module:
+class Module(NamedTuple):
     """A contiguous row-major slice of one sheet's formula cells."""
 
     id: str
@@ -90,8 +93,7 @@ class Module:
         }
 
 
-@dataclass(frozen=True)
-class InspectionPlan:
+class InspectionPlan(NamedTuple):
     modules: tuple[Module, ...]
     team_size: int
     rate_cap: float
@@ -166,28 +168,32 @@ def plan(wb: Workbook, cfg: PlanConfig | None = None,
 # --- Sessions -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SessionItem:
+class SessionItem(NamedTuple):
     cell: str  # qualified
     note: str = ""
     suspected_class: str | None = None
 
 
-@dataclass(frozen=True)
-class SessionFindings:
-    """What one inspector reported for one module."""
-
+class _SessionFindingsFields(NamedTuple):
     inspector_id: str
     module_id: str
     items: tuple[SessionItem, ...]
     duration_minutes: float
 
-    def __post_init__(self) -> None:
+
+class SessionFindings(Checked, _SessionFindingsFields):
+    """What one inspector reported for one module."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> SessionFindings:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.inspector_id:
             raise InvalidConfig("inspector_id must not be empty")
         if not 0 < self.duration_minutes < math.inf:
             raise InvalidConfig("duration_minutes must be finite and > 0, "
                                 f"got {self.duration_minutes}")
+        return self
 
 
 def session_from_dict(d: dict[str, object]) -> SessionFindings:
@@ -226,8 +232,7 @@ def session_from_dict(d: dict[str, object]) -> SessionFindings:
 # --- Reconciliation -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReconcileResult:
+class ReconcileResult(NamedTuple):
     union_items: tuple[SessionItem, ...]
     per_inspector_counts: tuple[tuple[str, int], ...]
     overlap_matrix: tuple[tuple[str, str, int], ...]  # (a, b, shared), a < b
@@ -314,8 +319,7 @@ def reconcile(sessions: Iterable[SessionFindings], module: Module,
 # --- Yield against seeded truth -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class YieldReport:
+class YieldReport(NamedTuple):
     detected: tuple[str, ...]
     missed: tuple[str, ...]
     yield_fraction: float

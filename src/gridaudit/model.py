@@ -27,8 +27,9 @@ with a warning so documents from newer writers still load. CellContent is
 the one check of what a cell holds, for a loaded cell and one built in
 code alike; the loader checks only the JSON shape around it.
 
-Model objects are frozen dataclasses, and addresses immutable tuples;
-constructors validate their invariants, so a Workbook that exists is a
+Model objects cannot change once built: a cell, sheet or workbook keeps its
+fields in slots (Frozen), and metadata and addresses are immutable tuples.
+Constructors validate their invariants, so a Workbook that exists is a
 Workbook that holds. Numbers are stored as floats and serialized as JSON
 ints when integral, which keeps parse(serialize(wb)) == wb exact.
 """
@@ -40,8 +41,7 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from json.encoder import encode_basestring
 from string import ascii_uppercase
 from typing import Any, Iterator, NamedTuple
@@ -65,6 +65,52 @@ Constant = float | str | bool
 
 class UnknownFieldWarning(UserWarning):
     """Raised (as a warning) when a document carries fields we do not know."""
+
+
+class Frozen:
+    """A record kept in slots that cannot change once built.
+
+    _fields names a subclass's constructor fields in order: its repr shows
+    them, and two records of one class are equal when their _key(), by
+    default those fields, is. The constructor sets each slot with
+    object.__setattr__; assigning or deleting one afterwards raises
+    AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple[object, ...]:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Checked:
+    """Base, before the NamedTuple, of a tuple record whose __new__ checks
+    its fields: _replace builds through _make, so it checks them too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Any) -> Any:
+        return cls(*iterable)
 
 
 # A key ends at \Z, since $ would also match before a final newline.
@@ -205,49 +251,47 @@ def parse_qualified(text: str) -> CellAddress:
     return CellAddress(sheet, row, col)
 
 
-@dataclass(frozen=True, slots=True)
-class CellContent:
-    """One cell: exactly one of a constant value or a formula source string."""
+class CellContent(Frozen):
+    """One cell: exactly one of a constant value or a formula source string;
+    number_format is "text" or None (general).
 
-    value: Constant | None = None
-    formula: str | None = None
-    locked: bool = False
-    number_format: str | None = None  # "text" | None (general)
+    Two cells are equal when they hold equal values of one type: True ==
+    1.0 in Python, but not as a cell.
+    """
 
-    def __post_init__(self) -> None:
-        if (self.value is None) == (self.formula is None):
+    __slots__ = ("value", "formula", "locked", "number_format")
+    _fields = __slots__
+
+    def __init__(self, value: Constant | None = None, formula: str | None = None,
+                 locked: bool = False, number_format: str | None = None) -> None:
+        if (value is None) == (formula is None):
             raise InvalidCell("cell must hold exactly one of value or formula")
-        if not isinstance(self.locked, bool):
+        if not isinstance(locked, bool):
             raise InvalidCell("'locked' must be a boolean")
-        if self.number_format not in (None, "text"):
-            raise InvalidCell(f"unsupported fmt: {self.number_format!r}")
-        if self.formula is not None:
-            if not isinstance(self.formula, str) or not self.formula.startswith("="):
-                raise InvalidCell(f"formula must start with '=': {self.formula!r}")
-            if len(self.formula) == 1:
+        if number_format not in (None, "text"):
+            raise InvalidCell(f"unsupported fmt: {number_format!r}")
+        if formula is not None:
+            if not isinstance(formula, str) or not formula.startswith("="):
+                raise InvalidCell(f"formula must start with '=': {formula!r}")
+            if len(formula) == 1:
                 raise InvalidCell("empty formula")
-        elif isinstance(self.value, (int, float)) and not isinstance(self.value, bool):
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
             try:
-                v = float(self.value)
+                value = float(value)
             except OverflowError:
                 raise InvalidCell("number too large for a float") from None
-            if not math.isfinite(v):
+            if not math.isfinite(value):
                 raise InvalidCell("non-finite number")
-            object.__setattr__(self, "value", v)
-        elif not isinstance(self.value, (str, bool)):
-            raise InvalidCell(f"unsupported constant type: {type(self.value).__name__}")
+        elif not isinstance(value, (str, bool)):
+            raise InvalidCell(f"unsupported constant type: {type(value).__name__}")
+        put = object.__setattr__
+        put(self, "value", value)
+        put(self, "formula", formula)
+        put(self, "locked", locked)
+        put(self, "number_format", number_format)
 
     def _key(self) -> tuple[object, ...]:
-        # the value's type too: True == 1.0 in Python, but not as a cell
         return (type(self.value), self.value, self.formula, self.locked, self.number_format)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CellContent):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def is_formula(self) -> bool:
@@ -264,21 +308,27 @@ class CellContent:
         )
 
 
-@dataclass(frozen=True)
-class Sheet:
-    """A named grid; cells keyed by canonical A1 strings, empty cells absent."""
+class Sheet(Frozen):
+    """A named grid; cells keyed by canonical A1 strings, empty cells absent
+    (a new empty map by default)."""
 
-    name: str
-    cells: dict[str, CellContent] = field(default_factory=dict)
+    __slots__ = ("name", "cells", "_reading_order")
+    _fields = ("name", "cells")
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str, cells: dict[str, CellContent] | None = None) -> None:
+        if not name:
             raise InvalidAddress("empty sheet name")
-        for key in self.cells:
+        if cells is None:
+            cells = {}
+        for key in cells:
             if _canonical_key(key) is None:
                 row, col = parse_cell_key(key.removesuffix("\n"))  # raises off the grid
                 canonical = f"{col_to_letters(col)}{row}"
                 raise InvalidAddress(f"cell key not canonical: {key!r} (want {canonical!r})")
+        put = object.__setattr__
+        put(self, "name", name)
+        put(self, "cells", cells)
+        put(self, "_reading_order", None)
 
     @classmethod
     def _loaded(cls, name: str, cells: dict[str, CellContent],
@@ -289,10 +339,10 @@ class Sheet:
         object.__setattr__(sheet, "name", name)
         object.__setattr__(sheet, "cells", cells)
         pairs.sort()  # keys are canonical, so no two addresses tie
-        sheet.__dict__["reading_order"] = tuple(pairs)
+        object.__setattr__(sheet, "_reading_order", tuple(pairs))
         return sheet
 
-    @cached_property
+    @property
     def reading_order(self) -> tuple[tuple[CellAddress, CellContent], ...]:
         """The cells as (address, content) pairs, row-major.
 
@@ -302,10 +352,14 @@ class Sheet:
         cells reads them, so its address objects are the ones the value
         maps and indexes hold.
         """
-        pairs = [(CellAddress(self.name, *parse_cell_key(key)), content)
-                 for key, content in self.cells.items()]
-        pairs.sort()  # keys are canonical, so no two addresses tie
-        return tuple(pairs)
+        order = self._reading_order
+        if order is None:
+            pairs = [(CellAddress(self.name, *parse_cell_key(key)), content)
+                     for key, content in self.cells.items()]
+            pairs.sort()  # keys are canonical, so no two addresses tie
+            order = tuple(pairs)
+            object.__setattr__(self, "_reading_order", order)
+        return order
 
 
 def _parse_iso(ts: str) -> datetime.datetime:
@@ -315,44 +369,51 @@ def _parse_iso(ts: str) -> datetime.datetime:
         raise MalformedDocument(f"meta.modified is not ISO-8601: {ts!r}") from None
 
 
-@dataclass(frozen=True)
-class WorkbookMeta:
-    """Document metadata: modification stamp, declared outputs, protection."""
-
+class _MetaFields(NamedTuple):
     modified: str
     outputs: tuple[str, ...] = ()
     protection_enabled: bool = False
 
-    def __post_init__(self) -> None:
-        _parse_iso(self.modified)
+
+class WorkbookMeta(Checked, _MetaFields):
+    """Document metadata: modification stamp, declared outputs, protection."""
+
+    __slots__ = ()
+
+    def __new__(cls, modified: str, outputs: tuple[str, ...] = (),
+                protection_enabled: bool = False) -> WorkbookMeta:
+        _parse_iso(modified)
+        return tuple.__new__(cls, (modified, outputs, protection_enabled))
 
     @property
     def modified_date(self) -> datetime.date:
         return _parse_iso(self.modified).date()
 
 
-@dataclass(frozen=True)
-class Workbook:
+class Workbook(Frozen):
     """An in-memory workbook; construction validates all structural invariants."""
 
-    name: str
-    sheets: tuple[Sheet, ...]
-    meta: WorkbookMeta
+    # Sheet name -> position and the parsed outputs, built once; not
+    # fields, so equality and repr see only the sheets and meta.
+    __slots__ = ("name", "sheets", "meta", "_positions", "_outputs")
+    _fields = ("name", "sheets", "meta")
 
-    def __post_init__(self) -> None:
-        # Sheet name -> position and the parsed outputs, built once; not
-        # fields, so equality and repr see only the sheets and meta.
+    def __init__(self, name: str, sheets: tuple[Sheet, ...], meta: WorkbookMeta) -> None:
         positions: dict[str, int] = {}
-        for i, sheet in enumerate(self.sheets):
+        for i, sheet in enumerate(sheets):
             if sheet.name in positions:
                 raise DuplicateSheet(f"duplicate sheet name: {sheet.name!r}")
             positions[sheet.name] = i
-        object.__setattr__(self, "_positions", positions)
-        outputs = tuple(map(parse_qualified, self.meta.outputs))
-        for out, addr in zip(self.meta.outputs, outputs):
+        put = object.__setattr__
+        put(self, "name", name)
+        put(self, "sheets", sheets)
+        put(self, "meta", meta)
+        put(self, "_positions", positions)
+        outputs = tuple(map(parse_qualified, meta.outputs))
+        for out, addr in zip(meta.outputs, outputs):
             if self.cell(addr) is None:
                 raise DanglingOutput(f"declared output does not resolve: {out!r}")
-        object.__setattr__(self, "_outputs", outputs)
+        put(self, "_outputs", outputs)
 
     def sheet(self, name: str) -> Sheet | None:
         i = self._positions.get(name)

@@ -10,12 +10,11 @@ routes must never be merged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .errors import InvalidConfig, InvalidTeamSize
 from .formula import FormulaAst, parse_workbook_formulas, unique_formula_count
-from .model import CellAddress, Workbook
+from .model import CellAddress, Checked, Workbook
 
 if TYPE_CHECKING:
     from .graph import ChainStats
@@ -31,17 +30,7 @@ INDEPENDENCE_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class RiskParams:
-    """Model constants; defaults follow the published field-audit rates.
-
-    p is the per-unique-formula error rate for unaudited work, p_audit the
-    rate found when auditors recount. s is the fraction of errors serious
-    enough to matter at materiality m. team_yields pins the per-round
-    detection rate for known team sizes; generic_round_yield covers the
-    unknown-team case.
-    """
-
+class _RiskParamsFields(NamedTuple):
     p: float = 0.02
     p_audit: float = 0.052
     s: float = 0.15
@@ -52,7 +41,21 @@ class RiskParams:
     tokens_per_multiplier: float = 6.0
     multiplier_cap: float = 4.0
 
-    def __post_init__(self) -> None:
+
+class RiskParams(Checked, _RiskParamsFields):
+    """Model constants; defaults follow the published field-audit rates.
+
+    p is the per-unique-formula error rate for unaudited work, p_audit the
+    rate found when auditors recount. s is the fraction of errors serious
+    enough to matter at materiality m. team_yields pins the per-round
+    detection rate for known team sizes; generic_round_yield covers the
+    unknown-team case.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> RiskParams:
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("p", "p_audit", "s", "m", "generic_round_yield"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -73,6 +76,7 @@ class RiskParams:
             raise InvalidConfig("tokens_per_multiplier must be positive")
         if self.multiplier_cap < 1.0:
             raise InvalidConfig("multiplier_cap must be at least 1")
+        return self
 
 
 def complexity_multiplier(mean_token_count: float, params: RiskParams | None = None) -> float:
@@ -152,15 +156,13 @@ def risk_score(unique_formulas: int, multiplier: float, max_chain: int,
             + (5.0 if any_fraud_indicator else 0.0))
 
 
-@dataclass(frozen=True)
-class OutputRisk:
+class OutputRisk(NamedTuple):
     chain_length: int
     p_chain_correct: float
     p_material: float
 
 
-@dataclass(frozen=True)
-class RiskReport:
+class RiskReport(NamedTuple):
     unique_formulas: int
     expected_errors: float
     p_any_error: float

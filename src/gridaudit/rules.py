@@ -19,13 +19,11 @@ coverage shortfall shows.
 
 from __future__ import annotations
 
-import dataclasses
 import re
-from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Callable, Iterable, Iterator
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .engine import EvalPlan, parse_numeric_text
 from .errors import InvalidConfig, config_value, plain
 from .formula import (
     FormulaAst,
@@ -41,6 +39,7 @@ from .model import (
     CellContent,
     Workbook,
     col_to_letters,
+    Checked,
     parse_qualified,
 )
 
@@ -67,8 +66,7 @@ RULE_TABLE: dict[str, tuple[str, str]] = {
 RULE_IDS = tuple(RULE_TABLE)
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One rule hit; location None means the finding is workbook-level."""
 
     rule_id: str
@@ -76,7 +74,7 @@ class Finding:
     category: str
     location: CellAddress | None
     message: str
-    evidence: dict[str, object] = field(default_factory=dict)
+    evidence: Mapping[str, object] = MappingProxyType({})
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -89,14 +87,7 @@ class Finding:
         }
 
 
-@dataclass(frozen=True)
-class RuleConfig:
-    """Which rules run, their thresholds, and per-site suppressions.
-
-    Suppression locations are canonical qualified addresses; "*" suppresses
-    a workbook-level finding. INTERNAL_ERROR cannot be configured away.
-    """
-
+class _RuleConfigFields(NamedTuple):
     enabled: frozenset[str] = frozenset(RULE_IDS)
     long_formula_tokens: int = 10
     long_arc_distance: int = 25
@@ -106,7 +97,18 @@ class RuleConfig:
     severity_overrides: tuple[tuple[str, str], ...] = ()
     suppressions: tuple[tuple[str, str], ...] = ()
 
-    def __post_init__(self) -> None:
+
+class RuleConfig(Checked, _RuleConfigFields):
+    """Which rules run, their thresholds, and per-site suppressions.
+
+    Suppression locations are canonical qualified addresses; "*" suppresses
+    a workbook-level finding. INTERNAL_ERROR cannot be configured away.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> RuleConfig:
+        self = super().__new__(cls, *args, **kwargs)
         for rid in self.enabled:
             if rid not in RULE_TABLE:
                 raise InvalidConfig(f"unknown rule {rid!r}")
@@ -124,6 +126,7 @@ class RuleConfig:
                 raise InvalidConfig(f"suppression for unknown rule {rid!r}")
             if loc != "*":
                 parse_qualified(loc)
+        return self
 
 
 def rule_config_from_dict(d: dict[str, object]) -> RuleConfig:
@@ -172,8 +175,7 @@ def rule_config_from_dict(d: dict[str, object]) -> RuleConfig:
     return RuleConfig(**kwargs)  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class RulesReport:
+class RulesReport(NamedTuple):
     findings: tuple[Finding, ...]
     suppressed_count: int
     examined: dict[str, int]
@@ -212,28 +214,29 @@ def _const_repr(value: object) -> str:
 # --- Book rules ------------------------------------------------------------
 
 
-def _textual_number(cell: CellContent) -> float | None:
-    """The numeric value a text-behaving cell would carry if coerced."""
-    if cell.formula is not None:
-        return None
-    if isinstance(cell.value, str):
-        return parse_numeric_text(cell.value)
-    if isinstance(cell.value, float) and cell.number_format == "text":
-        return cell.value
-    return None
-
-
 def _num_as_text_findings(wb: Workbook, g: DepGraph,
                           asts: dict[CellAddress, FormulaAst]) -> dict[CellAddress, Finding]:
     """Text-numbers inside an aggregate range, or amid numeric neighbours.
 
-    The book is evaluated once; for each text-number under an aggregate,
-    only the formulas downstream of it are evaluated again, with the cell
-    holding its coerced number.
+    A candidate is a constant that behaves as text, a string or a number
+    formatted as text, with the number it would carry if coerced. The book
+    is evaluated once; for each text-number under an aggregate, only the
+    formulas downstream of it are evaluated again, with the cell holding
+    its coerced number. The evaluator is loaded at the first text constant,
+    so a book with none runs without it.
     """
-    candidates = {addr: (cell, coerced)
-                  for addr, cell in wb.iter_cells()
-                  if (coerced := _textual_number(cell)) is not None}
+    texts = [(addr, cell) for addr, cell in wb.iter_cells()
+             if isinstance(cell.value, str)
+             or (isinstance(cell.value, float) and cell.number_format == "text")]
+    if not texts:
+        return {}
+    from .engine import EvalPlan, parse_numeric_text
+
+    candidates: dict[CellAddress, tuple[CellContent, float]] = {}
+    for addr, cell in texts:
+        coerced = parse_numeric_text(cell.value) if isinstance(cell.value, str) else cell.value
+        if coerced is not None:
+            candidates[addr] = (cell, coerced)  # type: ignore[assignment]
     if not candidates:
         return {}
     hosts_of: dict[CellAddress, set[CellAddress]] = {}
@@ -497,7 +500,7 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
         f = _mk("UNPROTECTED_FORMULA", addr,
                 "formula cell is not locked against edits",
                 {"protectionEnabled": protection_on})
-        return f if protection_on else dataclasses.replace(f, severity="error")
+        return f if protection_on else f._replace(severity="error")
 
     cell_rules = {
         "JAMMED": jammed,
@@ -535,7 +538,7 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
     overrides = dict(cfg.severity_overrides)
     if overrides:
         findings = [f if f.rule_id not in overrides
-                    else dataclasses.replace(f, severity=overrides[f.rule_id])
+                    else f._replace(severity=overrides[f.rule_id])
                     for f in findings]
 
     suppress = set(cfg.suppressions)

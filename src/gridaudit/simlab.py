@@ -16,14 +16,14 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .errors import EmptyTruth, InvalidAddress, InvalidConfig, config_value
 from .formula import canonical_number, parse_workbook_formulas
 from .model import (
     CellAddress,
     CellContent,
+    Checked,
     Sheet,
     Workbook,
     WorkbookMeta,
@@ -53,10 +53,7 @@ _MODIFIED = "2026-01-15T09:30:00"
 _GRID_WIDTH_CAP = 12
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Recipe for one synthetic workbook and its defect process."""
-
+class _SeedSpecFields(NamedTuple):
     topology: str
     formula_count: int
     input_count: int
@@ -64,7 +61,14 @@ class SeedSpec:
     defect_mix: tuple[tuple[str, float], ...] = DEFAULT_MIX
     rng_seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class SeedSpec(Checked, _SeedSpecFields):
+    """Recipe for one synthetic workbook and its defect process."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> SeedSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.topology not in TOPOLOGIES:
             raise InvalidConfig(f"unknown topology {self.topology!r}")
         if self.formula_count < 0 or self.input_count < 0:
@@ -84,6 +88,7 @@ class SeedSpec:
             raise InvalidConfig(f"defect weights must sum to 1, got {total}")
         if not 0 <= self.rng_seed < 2**64:
             raise InvalidConfig("rng_seed must fit in 64 bits")
+        return self
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -96,8 +101,7 @@ class SeedSpec:
         }
 
 
-@dataclass(frozen=True)
-class TruthEntry:
+class TruthEntry(NamedTuple):
     """One seeded defect; cell "*" marks a workbook-level mutation."""
 
     cell: str
@@ -105,8 +109,7 @@ class TruthEntry:
     original: str
 
 
-@dataclass(frozen=True)
-class SeededWorkbook:
+class SeededWorkbook(NamedTuple):
     workbook: Workbook
     truth: tuple[TruthEntry, ...]
 
@@ -463,8 +466,7 @@ def seed_defects(wb: Workbook, spec: SeedSpec) -> SeededWorkbook:
 # --- Monte Carlo ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
+class MonteCarloResult(NamedTuple):
     p_any_error_hat: float
     p_chain_correct_hat: float
     se_any_error: float
@@ -517,8 +519,7 @@ def monte_carlo(params: RiskParams, unique_formulas: int, chain_length: int,
     )
 
 
-@dataclass(frozen=True)
-class DetectionResult:
+class DetectionResult(NamedTuple):
     initial_count: int
     counts: np.ndarray  # (trials, rounds) survivors after each round
 

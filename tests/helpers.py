@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import replace
 from typing import Any
 
 from gridaudit.engine import (
@@ -539,14 +538,12 @@ def translate_expr(node: Expr, dr: int, dc: int,
     if isinstance(node, NumberLiteral) and literals is not None:
         return NumberLiteral(literals[node.slot], node.slot)
     if isinstance(node, CellRef):
-        return replace(
-            node,
+        return node._replace(
             row=node.row if node.abs_row else node.row + dr,
             col=node.col if node.abs_col else node.col + dc,
         )
     if isinstance(node, RangeRef):
-        return replace(
-            node,
+        return node._replace(
             r1=node.r1 if node.abs_r1 else node.r1 + dr,
             r2=node.r2 if node.abs_r2 else node.r2 + dr,
             c1=node.c1 if node.abs_c1 else node.c1 + dc,

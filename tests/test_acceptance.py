@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -30,6 +29,7 @@ from gridaudit.inspection import plan
 from gridaudit.model import (
     CellAddress,
     CellContent,
+    Sheet,
     Workbook,
     parse_qualified,
     parse_workbook,
@@ -233,9 +233,10 @@ def with_formula(wb: Workbook, addr: CellAddress, formula: str) -> Workbook:
             sheets.append(sh)
             continue
         cells = dict(sh.cells)
-        cells[addr.a1] = replace(cells[addr.a1], formula=formula)
-        sheets.append(replace(sh, cells=cells))
-    return replace(wb, sheets=tuple(sheets))
+        old = cells[addr.a1]
+        cells[addr.a1] = CellContent(old.value, formula, old.locked, old.number_format)
+        sheets.append(Sheet(sh.name, cells))
+    return Workbook(wb.name, tuple(sheets), wb.meta)
 
 
 def output_closure(wb: Workbook) -> set[CellAddress]:

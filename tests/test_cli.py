@@ -7,7 +7,6 @@ Every test drives main(argv) in process and checks the exit-code contract:
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import gc
 import hashlib
 import io
@@ -25,7 +24,7 @@ from gridaudit.cli import FIXED_TIMESTAMP, build_audit_report, main
 from gridaudit.engine import parse_snapshot
 from gridaudit.graph import build_graph
 from gridaudit.inspection import plan
-from gridaudit.model import parse_workbook, serialize_workbook
+from gridaudit.model import Workbook, parse_workbook, serialize_workbook
 from gridaudit.rules import RULE_IDS, RuleConfig, run_rules
 from gridaudit.simlab import SeedSpec, generate_clean, seed_defects, truth_to_json
 
@@ -242,14 +241,20 @@ _NOT_LOADED = {
     "snapshot": {"rules", "risk", "inspection", "simlab", "diffcheck"},
     "recheck": {"rules", "risk", "inspection", "simlab", "diffcheck"},
     "audit": {"inspection", "simlab", "diffcheck"},
+    # a book with no text constant needs no evaluator for NUM_AS_TEXT
+    "audit text-free": {"engine", "inspection", "simlab", "diffcheck"},
     "risk": {"inspection", "simlab", "diffcheck"},
-    "seed": {"risk", "inspection", "diffcheck"},
+    "seed": {"engine", "risk", "inspection", "diffcheck"},
     "mc": set(),
 }
 
-# runs main(argv) and prints its exit code, the gridaudit modules loaded
-# and whether numpy was, as the last line
-_IMPORT_PROBE = """
+# standard modules no command but mc loads: records are built without code
+# generation (dataclasses brings inspect), and decimal waits for a ROUND
+_HEAVY_STDLIB = ("dataclasses", "inspect", "decimal")
+
+# runs main(argv) and prints its exit code, the gridaudit modules loaded,
+# whether numpy was and which of _HEAVY_STDLIB were, as the last line
+_IMPORT_PROBE = f"""
 import json, sys
 from gridaudit.cli import main
 try:
@@ -257,7 +262,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps([code, sorted(m.split(".", 1)[1] for m in sys.modules
-                               if m.startswith("gridaudit.")), "numpy" in sys.modules]))
+                               if m.startswith("gridaudit.")), "numpy" in sys.modules,
+                  [m for m in {_HEAVY_STDLIB!r} if m in sys.modules]]))
 """
 
 
@@ -292,6 +298,7 @@ def command_argv(tmp_path_factory) -> dict[str, list[str]]:
         "snapshot": ["snapshot", book],
         "recheck": ["recheck", book],
         "audit": ["audit", seeded],
+        "audit text-free": ["audit", book],
         "risk": ["risk", seeded],
         "seed": ["seed", "--topology", "chain", "--formulas", "10", "--inputs", "2",
                  "--rate", "0.4", "--workbook-out", str(tmp / "out.json")],
@@ -302,11 +309,12 @@ def command_argv(tmp_path_factory) -> dict[str, list[str]]:
 @pytest.mark.parametrize("command", sorted(_NOT_LOADED))
 def test_each_command_loads_only_its_layers(command_argv, command):
     out = _run_in_fresh_interpreter(_IMPORT_PROBE, *command_argv[command])
-    code, loaded, numpy_loaded = json.loads(out.splitlines()[-1])
+    code, loaded, numpy_loaded, heavy = json.loads(out.splitlines()[-1])
     assert code in (0, 1)
     assert set(loaded) & set(_NOT_LOADED[command]) == set()
     assert command != "--version" or set(loaded) == {"cli", "errors", "model"}
     assert numpy_loaded == (command == "mc")
+    assert command == "mc" or heavy == []
 
 
 def test_package_import_loads_no_layer_and_exports_all():
@@ -530,8 +538,7 @@ def test_machine_report_digest_is_pinned(tmp_path, capsys, topology, formulas, i
     spec = SeedSpec(topology, formulas, inputs, error_rate=0.3,
                     defect_mix=TEN_CLASSES, rng_seed=seed)
     wb = seed_defects(generate_clean(spec), spec).workbook
-    wb = dataclasses.replace(
-        wb, meta=dataclasses.replace(wb.meta, protection_enabled=protection))
+    wb = Workbook(wb.name, wb.sheets, wb.meta._replace(protection_enabled=protection))
     path = write_workbook(tmp_path, wb)
     capsys.readouterr()
     assert main(["audit", str(path), "--format", "machine", "--fixed-timestamp"]) == 1
@@ -679,6 +686,13 @@ def test_plan_flag_overrides_config(tmp_path, capsys):
           "--target-module-size", "15", "--format", "machine"])
     doc = json.loads(capsys.readouterr().out)
     assert [len(m["cells"]) for m in doc["modules"]] == [15, 15]
+
+
+@pytest.mark.parametrize("flag, message", [("--rate-cap", "rate_cap must be finite"),
+                                           ("--team-size", "team_size must be >= 1")])
+def test_plan_flag_override_is_checked(tmp_path, capsys, flag, message):
+    assert main(["plan", str(clean_chain(tmp_path)), flag, "0"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def write_session(tmp_path: Path, inspector: str, module: str,

@@ -58,6 +58,29 @@ def test_precedence_and_associativity():
                            NumberLiteral(2.0))
 
 
+def test_tree_nodes_cannot_change_and_equal_only_their_own_class():
+    ref = CellRef(None, 1, 1)
+    node = BinaryOp("+", ref, NumberLiteral(2.0, 0))
+    for record, field in ((ref, "row"), (node, "left"), (node.right, "value")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    # a number's slot says where a copy reads its value, so it is no part of it
+    assert NumberLiteral(2.0, 0) == NumberLiteral(2.0, 5)
+    assert hash(NumberLiteral(2.0, 0)) == hash(NumberLiteral(2.0, 5))
+    assert NumberLiteral(2.0, 0) != NumberLiteral(3.0, 0)
+    assert node == BinaryOp("+", CellRef(None, 1, 1), NumberLiteral(2.0, 7))
+    # nodes of other classes holding the same fields
+    same_fields = [NumberLiteral(1.0), TextLiteral(1.0), BooleanLiteral(1.0),
+                   UnaryOp("-", ref), FunctionCall("-", ref), CellRef(None, 1, 1),
+                   RangeRef(None, 1, 1, 1, 1), BinaryOp("+", ref, ref)]
+    for a in same_fields:
+        for b in same_fields:
+            assert (a == b) == (a is b) and (a != b) == (a is not b)
+    # nor a plain tuple of its fields
+    assert CellRef(None, 1, 1) != (None, 1, 1, False, False)
+    assert (None, 1, 1, False, False) != CellRef(None, 1, 1)
+
+
 def test_unary_minus_binds_tighter_than_power():
     ast = parse_formula("=-2^2", B1).root
     assert ast == BinaryOp("^", UnaryOp("-", NumberLiteral(2.0)), NumberLiteral(2.0))

@@ -5,7 +5,6 @@ from __future__ import annotations
 import contextlib
 import random
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -348,15 +347,15 @@ def _read_before(node, host: CellAddress, rng: random.Random):
             else:
                 return NumberLiteral(1.0)
         if cell:
-            return replace(node, sheet=None, row=r2, col=c2)
-        return replace(node, sheet=None, r1=r1, c1=c1, r2=r2, c2=c2)
+            return node._replace(sheet=None, row=r2, col=c2)
+        return node._replace(sheet=None, r1=r1, c1=c1, r2=r2, c2=c2)
     if isinstance(node, UnaryOp):
-        return replace(node, operand=_read_before(node.operand, host, rng))
+        return node._replace(operand=_read_before(node.operand, host, rng))
     if isinstance(node, BinaryOp):
-        return replace(node, left=_read_before(node.left, host, rng),
-                       right=_read_before(node.right, host, rng))
+        return node._replace(left=_read_before(node.left, host, rng),
+                             right=_read_before(node.right, host, rng))
     if isinstance(node, FunctionCall):
-        return replace(node, args=tuple(_read_before(a, host, rng) for a in node.args))
+        return node._replace(args=tuple(_read_before(a, host, rng) for a in node.args))
     return node
 
 

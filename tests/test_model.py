@@ -135,6 +135,37 @@ def test_cell_content_equality_sees_the_value_type(x, y):
     assert CellContent(value=x) == CellContent(value=x)
 
 
+def test_model_records_cannot_change():
+    cell = CellContent(value=1.0)
+    sheet = Sheet("S1", {"A1": cell})
+    meta = WorkbookMeta(modified="2026-01-01T00:00:00")
+    wb = Workbook("book", (sheet,), meta)
+    for record, field in ((cell, "value"), (sheet, "cells"), (sheet, "name"),
+                          (meta, "outputs"), (wb, "meta"), (wb, "sheets")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert cell.value == 1.0 and wb.sheets == (sheet,) and meta.outputs == ()
+
+
+def test_a_changed_copy_of_metadata_is_checked_as_a_new_one():
+    meta = WorkbookMeta(modified="2026-01-01T00:00:00")
+    assert meta._replace(protection_enabled=True) == WorkbookMeta(
+        "2026-01-01T00:00:00", (), True)
+    with pytest.raises(MalformedDocument):
+        meta._replace(modified="yesterday")
+
+
+def test_a_seeded_book_round_trips_to_an_equal_book():
+    spec = SeedSpec("tree", 300, 30, error_rate=0.3, rng_seed=5)
+    wb = seed_defects(generate_clean(spec), spec).workbook
+    assert any(isinstance(c.value, str) for _a, c in wb.iter_cells())  # text-numbers too
+    again = parse_workbook(serialize_workbook(wb))
+    assert again == wb and again is not wb
+    assert again.sheets[0] == wb.sheets[0] and again.meta == wb.meta
+
+
 def test_cell_content_numeric_text_flags():
     assert not CellContent(value=500.0, number_format="text").is_number
     assert CellContent(value=500.0).is_number
@@ -388,7 +419,7 @@ def test_serializer_writes_what_json_dumps_writes(wb):
     assert text == json.dumps(reference_document(wb), ensure_ascii=False, indent=2) + "\n"
     assert parse_workbook(text) == wb
     # The writer leaves a sheet's reading order unbuilt.
-    assert not any("reading_order" in s.__dict__ for s in wb.sheets)
+    assert all(s._reading_order is None for s in wb.sheets)
 
 
 @pytest.mark.parametrize("topology, inputs, seed, digest", [
