@@ -30,15 +30,16 @@ tested rather than left to chance:
 Evaluation is non-recursive over the dependency structure: its order is
 graph.condense's, reading order if each formula reads only earlier cells,
 else a Tarjan pass over precedents, with every cycle's cells put aside.
-Ten-thousand-cell chains evaluate without blowing the stack. Nor does it
-recurse inside a formula: each formula is one loop, with a stack of
-operands, over its class's walk (the postorder of the class tree without
-IF branches), so a sum of thousands of terms evaluates in one frame. The
-class finds that walk when its first copy is parsed (FormulaAst.facts),
-and each copy reads its own number literals from its literal vector by
-each literal's slot. IF still evaluates only the branch it takes, by
-running that branch's walk, which the class also keeps, one level per
-nested IF.
+Ten-thousand-cell chains evaluate without blowing the stack. Each formula
+is one call of its class's kernel: a closure per node of the class tree,
+built by the plan at the first copy it evaluates (the formula compilation
+of Sestoft's Spreadsheet Implementation Technology), and called with the
+copy's host cell and literal vector, which each literal's slot indexes.
+Copies differ only there, so a class is compiled once however many copies
+it has. A left spine of binary operators is one loop in one closure, so a
+sum of thousands of terms evaluates in one frame, and a kernel's depth is
+bounded by the formula's nesting (formula.MAX_NESTING). IF evaluates only
+the branch it takes.
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ import datetime
 import json
 import math
 import operator
-import re
-from typing import Any, Iterator, NamedTuple, Union
+from typing import Any, Callable, Iterator, NamedTuple, Union
 
 from .errors import (
     MalformedDocument,
@@ -77,6 +77,7 @@ from .model import (
     CellContent,
     Constant,
     Workbook,
+    parse_numeric_text,
     parse_qualified,
 )
 
@@ -94,19 +95,6 @@ REF_ERR = ErrorValue("#REF!")
 CYCLE_ERR = ErrorValue("#CYCLE!")
 
 Value = Union[float, str, bool, ErrorValue]
-
-_NUMERIC_TEXT_RE = re.compile(r"^[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?$")
-
-
-def parse_numeric_text(s: str) -> float | None:
-    """The coercion rule for text in numeric context; None when not numeric,
-    as is text beyond float range ("1e400"), which no cell value can hold."""
-    s = s.strip()
-    if not _NUMERIC_TEXT_RE.match(s):
-        return None
-    v = float(s)
-    return v if math.isfinite(v) else None
-
 
 def effective_constant(content: CellContent) -> Value:
     """The value a constant cell presents to the evaluator.
@@ -166,241 +154,320 @@ def value_from_json(raw: Any) -> Value:
 # --- evaluator ---------------------------------------------------------------
 
 
-# An operand on the evaluator's stack: a value, or a reference that its
-# consumer reads in its own way (an aggregate skips text, an operator coerces).
-_Operand = Union[Value, CellRef, RangeRef]
+# A kernel evaluates the copies of one formula class, and so does each
+# closure it is built from, for its node of the class tree. Each takes the
+# value map, a copy's literal vector and its host cell's (sheet, row, col),
+# and gives the node's scalar value in that copy: None for an empty cell,
+# and an error is raised as _Err.
+_Read = Callable[[dict, tuple, str, int, int], Any]
 
 
-class _Evaluator:
-    """Evaluates formulas over a value map. A formula is read as its class's
-    tree at the formula's offset with the formula's literals, which sheet,
-    dr, dc and literals hold during run, and branches its class's IF
-    branch walks."""
+def resolve_cell(values: dict[CellAddress, Value], indexes: dict[str, SheetIndex],
+                 sheet: str, row: int, col: int) -> Value | None:
+    """A referenced cell's value, None when empty: a reference beyond the
+    grid or to a missing sheet is #REF!, and the cell's error is raised."""
+    if row > MAX_ROW or col > MAX_COL or sheet not in indexes:
+        raise _Err(REF_ERR)
+    v = values.get((sheet, row, col))  # equals its CellAddress
+    if type(v) is ErrorValue:
+        raise _Err(v)
+    return v
 
-    def __init__(self, values: dict[CellAddress, Value], indexes: dict[str, SheetIndex]):
-        self.values = values
-        self.indexes = indexes
-        self.sheet = ""
-        self.dr = self.dc = 0
-        self.literals: tuple[float, ...] = ()
-        self.branches: dict[int, tuple[list[Expr], ...]] = {}
 
-    def run(self, ast: FormulaAst) -> Value:
-        """The value of one formula; an error is a value here."""
-        self.sheet = ast.host.sheet
-        self.dr, self.dc = ast.offset
-        self.literals = ast.literals
-        facts = ast.facts
-        self.branches = facts.branches
-        try:
-            return self.eval(facts.walk)
-        except _Err as err:
-            return err.error
-
-    def eval(self, nodes: list[Expr]) -> Value:
-        """The value of a walk (a postorder without IF branches): each node
-        takes its operands off the stack and leaves its value there.
-
-        A node that fails leaves its error there, raised again when its
-        consumer reads it; consumers read operands in order, so the first
-        error in reading order wins ("abc"+1/0 is #VALUE!). An IF's
-        branches are not in the walk: IF evaluates the one it takes, the
-        only recursion, one level per nested IF.
-        """
-        stack: list[_Operand] = []
-        literals = self.literals
-        for node in nodes:
-            kind = type(node)
-            v: _Operand
-            try:
-                if kind is BinaryOp:
-                    right = stack.pop()
-                    v = self.binary(node.op, stack.pop(), right)  # type: ignore[union-attr]
-                elif kind is FunctionCall:
-                    n = 1 if node.name == "IF" else len(node.args)  # type: ignore[union-attr]
-                    args = stack[-n:]
-                    del stack[-n:]
-                    v = self.call(node, args)  # type: ignore[arg-type]
-                elif kind is UnaryOp:
-                    v = self.as_number(stack.pop())
-                    v = -v if node.op == "-" else v  # type: ignore[union-attr]
-                elif kind is CellRef or kind is RangeRef:
-                    v = node  # type: ignore[assignment]
-                elif kind is NumberLiteral:
-                    v = literals[node.slot]  # type: ignore[union-attr]
-                else:  # text or a logical
-                    v = node.value  # type: ignore[union-attr]
-            except _Err as err:
-                v = err.error
-            stack.append(v)
-        v = self.scalar(stack[0])
-        return 0.0 if v is None else v
-
-    # -- reading operands
-
-    def scalar(self, v: _Operand) -> Value | None:
-        """An operand's scalar value: a cell reference gives its cell's value
-        (None when empty, so each consumer applies its own empty rule), a
-        range has none, and an error is raised."""
-        kind = type(v)
-        if kind is CellRef:
-            return self.resolve_cell(v)  # type: ignore[arg-type]
-        if kind is RangeRef:
-            raise _Err(VALUE_ERR)
-        if kind is ErrorValue:
-            raise _Err(v)  # type: ignore[arg-type]
-        return v  # type: ignore[return-value]
-
-    def as_number(self, v: _Operand) -> float:
-        if type(v) is not float:
-            v = self.scalar(v)
-        if isinstance(v, float):
-            return v
-        if isinstance(v, bool):
-            return 1.0 if v else 0.0
-        if v is None:
-            return 0.0
-        parsed = parse_numeric_text(v)  # type: ignore[arg-type]
-        if parsed is None:
-            raise _Err(VALUE_ERR)
-        return parsed
-
-    def as_text(self, v: _Operand) -> str:
-        v = self.scalar(v)
-        if v is None:
-            return ""
-        if isinstance(v, bool):
-            return "TRUE" if v else "FALSE"
-        if isinstance(v, float):
-            return canonical_number(v)
-        return v  # type: ignore[return-value]
-
-    def as_logical(self, v: _Operand) -> bool:
-        v = self.scalar(v)
-        if isinstance(v, bool):
-            return v
-        if isinstance(v, float):
-            return v != 0.0
-        if v is None:
-            return False
-        s = v.strip().upper()  # type: ignore[union-attr]
-        if s == "TRUE":
-            return True
-        if s == "FALSE":
-            return False
-        raise _Err(VALUE_ERR)
-
-    # -- reference resolution, at the offset of the formula being run
-
-    def resolve_cell(self, node: CellRef) -> Value | None:
-        row = node.row if node.abs_row else node.row + self.dr
-        col = node.col if node.abs_col else node.col + self.dc
-        sheet = node.sheet if node.sheet is not None else self.sheet
-        if row > MAX_ROW or col > MAX_COL or sheet not in self.indexes:
-            raise _Err(REF_ERR)
-        v = self.values.get((sheet, row, col))  # equals its CellAddress
-        if isinstance(v, ErrorValue):
+def iter_range(values: dict[CellAddress, Value], indexes: dict[str, SheetIndex],
+               sheet: str, r1: int, c1: int, r2: int, c2: int) -> Iterator[Value]:
+    """The values of a range's occupied cells in reading order: a corner
+    beyond the grid or a missing sheet is #REF!, and a cell's error is
+    raised."""
+    if r2 > MAX_ROW or c2 > MAX_COL:
+        raise _Err(REF_ERR)
+    index = indexes.get(sheet)
+    if index is None:
+        raise _Err(REF_ERR)
+    for addr in index.iter_box(r1, c1, r2, c2):
+        v = values[addr]
+        if type(v) is ErrorValue:
             raise _Err(v)
+        yield v
+
+
+# -- coercions of a scalar (None is an empty cell)
+
+
+def as_number(v: Value | None) -> float:
+    if isinstance(v, float):
         return v
+    if isinstance(v, bool):
+        return 1.0 if v else 0.0
+    if v is None:
+        return 0.0
+    parsed = parse_numeric_text(v)  # type: ignore[arg-type]
+    if parsed is None:
+        raise _Err(VALUE_ERR)
+    return parsed
 
-    def iter_range(self, node: RangeRef) -> Iterator[Value]:
-        r1, c1, r2, c2 = moved(node, self.dr, self.dc)
-        if r2 > MAX_ROW or c2 > MAX_COL:
-            raise _Err(REF_ERR)
-        index = self.indexes.get(node.sheet if node.sheet is not None else self.sheet)
-        if index is None:
-            raise _Err(REF_ERR)
-        for addr in index.iter_box(r1, c1, r2, c2):
-            v = self.values[addr]
-            if isinstance(v, ErrorValue):
-                raise _Err(v)
-            yield v
 
-    def binary(self, op: str, left: _Operand, right: _Operand) -> Value:
-        if op in _COMPARISONS:
-            return _compare(op, self.scalar(left), self.scalar(right))
-        if op == "&":
-            return self.as_text(left) + self.as_text(right)
-        r = _ARITHMETIC[op](self.as_number(left), self.as_number(right))
-        if not math.isfinite(r):
-            raise _Err(VALUE_ERR)
-        return r
+def as_text(v: Value | None) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "TRUE" if v else "FALSE"
+    if isinstance(v, float):
+        return canonical_number(v)
+    return v  # type: ignore[return-value]
 
-    # -- functions
 
-    def call(self, node: FunctionCall, args: list[_Operand]) -> Value:
-        """Apply a function to its operands; an IF's one operand is its
-        condition, and it evaluates the branch that condition picks."""
-        name = node.name
-        if name == "IF":
-            walks = self.branches[id(node)]
-            if self.as_logical(args[0]):
-                return self.eval(walks[0])
-            if len(walks) == 2:
-                return self.eval(walks[1])
-            return False
+def as_logical(v: Value | None) -> bool:
+    if isinstance(v, bool):
+        return v
+    if isinstance(v, float):
+        return v != 0.0
+    if v is None:
+        return False
+    s = v.strip().upper()  # type: ignore[union-attr]
+    if s == "TRUE":
+        return True
+    if s == "FALSE":
+        return False
+    raise _Err(VALUE_ERR)
+
+
+# -- aggregates
+
+_CELL, _RANGE, _TYPED = 0, 1, 2  # how an aggregate reads an argument
+
+
+def gather(args: list[tuple[int, _Read]], counting: bool,
+           values: dict[CellAddress, Value], lits: tuple[float, ...], sheet: str,
+           row: int, col: int) -> list[float]:
+    """Numeric stream feeding an aggregate, its arguments read in order.
+
+    Referenced cells/ranges contribute plain numbers only (text,
+    booleans, empties skipped); typed arguments coerce, except that
+    COUNT just declines to count a non-numeric typed argument.
+    """
+    out: list[float] = []
+    for how, read in args:
+        if how == _RANGE:
+            out += [v for v in read(values, lits, sheet, row, col) if type(v) is float]
+        elif how == _CELL:
+            v = read(values, lits, sheet, row, col)
+            if type(v) is float:
+                out.append(v)
+        elif counting:
+            coerced = _soft_number(read(values, lits, sheet, row, col))
+            if coerced is not None:
+                out.append(coerced)
+        else:
+            out.append(as_number(read(values, lits, sheet, row, col)))
+    return out
+
+
+def aggregate(name: str, nums: list[float]) -> Value:
+    if name == "COUNT":
+        return float(len(nums))
+    if name in ("SUM", "AVERAGE"):
+        try:
+            total = math.fsum(nums)
+        except OverflowError:  # finite numbers, total beyond float range
+            raise _Err(VALUE_ERR) from None
+        if name == "SUM":
+            return total
+        if not nums:
+            raise _Err(DIV0)
+        return total / len(nums)
+    if name == "MIN":
+        return min(nums) if nums else 0.0
+    if name == "MAX":
+        return max(nums) if nums else 0.0
+    raise TypeError(f"unknown aggregate {name!r}")
+
+
+# -- kernels
+
+_ARITH, _CONCAT, _COMPARE = 0, 1, 2  # the kinds of binary operator
+
+
+class _Compiler:
+    """Builds the kernel of a formula class: a closure per node of its
+    tree, made once. A cell reference's axes are kept as offsets from the
+    class's host, or as coordinates where absolute ($), so a call moves
+    them to the copy's host; a range is moved by the copy's offset (moved).
+
+    Each binary operator's left spine is one closure, a loop over its
+    operators innermost first, since every operator is left-associative:
+    only right operands, arguments and unary operands are closures of
+    their own, so a kernel's depth, built and run, is bounded by the
+    formula's nesting (MAX_NESTING), not by its length.
+    """
+
+    def __init__(self, cls: FormulaAst, indexes: dict[str, SheetIndex]):
+        self.indexes = indexes
+        self.row, self.col = cls.host.row, cls.host.col
+
+    def scalar(self, node: Expr) -> _Read:
+        """A node's scalar value: a cell reference gives its cell's value
+        (None when empty, so each consumer applies its own empty rule), a
+        range has none (#VALUE!); a number literal is the copy's."""
+        kind = type(node)
+        if kind is BinaryOp:
+            spine: list[BinaryOp] = []
+            while type(node) is BinaryOp:
+                spine.append(node)  # type: ignore[arg-type]
+                node = node.left  # type: ignore[union-attr]
+            first = self.scalar(node)
+            steps = []
+            for op_node in reversed(spine):
+                op, right = op_node.op, op_node.right
+                if op in _COMPARISONS:
+                    steps.append((_COMPARE, op, self.scalar(right)))
+                elif op == "&":
+                    steps.append((_CONCAT, op, self.scalar(right)))
+                elif type(right) is NumberLiteral:  # its slot, read in the loop
+                    steps.append((_ARITH, _ARITHMETIC[op], right.slot))
+                else:
+                    steps.append((_ARITH, _ARITHMETIC[op], self.scalar(right)))
+            return _fold(first, tuple(steps))
+        if kind is CellRef:
+            return self.cell(node)  # type: ignore[arg-type]
+        if kind is NumberLiteral:
+            slot = node.slot  # type: ignore[union-attr]
+            return lambda values, lits, sheet, row, col: lits[slot]
+        if kind is RangeRef:
+            return _raise_value
+        if kind is UnaryOp:
+            operand = self.scalar(node.operand)  # type: ignore[union-attr]
+            if node.op == "-":  # type: ignore[union-attr]
+                return lambda values, lits, sheet, row, col: -as_number(
+                    operand(values, lits, sheet, row, col))
+            return lambda values, lits, sheet, row, col: as_number(
+                operand(values, lits, sheet, row, col))
+        if kind is FunctionCall:
+            return self.call(node)  # type: ignore[arg-type]
+        value = node.value  # text or a logical
+        return lambda values, lits, sheet, row, col: value
+
+    def cell(self, node: CellRef) -> _Read:
+        """A cell reference read at the copy's host (resolve_cell)."""
+        indexes, ref_sheet = self.indexes, node.sheet
+        r = node.row if node.abs_row else node.row - self.row
+        c = node.col if node.abs_col else node.col - self.col
+        abs_row, abs_col = node.abs_row, node.abs_col
+
+        def cell(values: dict, lits: tuple, sheet: str, row: int, col: int) -> Value | None:
+            return resolve_cell(values, indexes, sheet if ref_sheet is None else ref_sheet,
+                                r if abs_row else row + r, c if abs_col else col + c)
+        return cell
+
+    def range(self, node: RangeRef) -> Callable[..., Iterator[Value]]:
+        """A range's cell values at the copy's host (iter_range)."""
+        indexes, ref_sheet, origin_row, origin_col = self.indexes, node.sheet, self.row, self.col
+
+        def cells(values: dict, lits: tuple, sheet: str, row: int, col: int
+                  ) -> Iterator[Value]:
+            return iter_range(values, indexes, sheet if ref_sheet is None else ref_sheet,
+                              *moved(node, row - origin_row, col - origin_col))
+        return cells
+
+    def call(self, node: FunctionCall) -> _Read:
+        name, args = node.name, node.args
+        reads = []
+        for arg in args:  # a loop: a comprehension would add a frame per level
+            reads.append(self.scalar(arg))
+        if name == "IF":  # only the branch taken is evaluated
+            cond, then = reads[0], _result(args[1], reads[1])
+            other = (_result(args[2], reads[2]) if len(args) == 3
+                     else lambda values, lits, sheet, row, col: False)
+
+            def if_(values: dict, lits: tuple, sheet: str, row: int, col: int) -> Value:
+                taken = then if as_logical(cond(values, lits, sheet, row, col)) else other
+                return taken(values, lits, sheet, row, col)
+            return if_
         if name in ("AND", "OR"):
             # No short-circuit: arguments are all evaluated, IF is the only
             # lazy form.
-            bools = [self.as_logical(a) for a in args]
-            return all(bools) if name == "AND" else any(bools)
+            test = all if name == "AND" else any
+            return lambda values, lits, sheet, row, col: test(
+                [as_logical(read(values, lits, sheet, row, col)) for read in reads])
         if name == "NOT":
-            return not self.as_logical(args[0])
+            arg = reads[0]
+            return lambda values, lits, sheet, row, col: not as_logical(
+                arg(values, lits, sheet, row, col))
         if name == "ABS":
-            return abs(self.as_number(args[0]))
+            arg = reads[0]
+            return lambda values, lits, sheet, row, col: abs(as_number(
+                arg(values, lits, sheet, row, col)))
         if name == "ROUND":
-            x = self.as_number(args[0])
-            d = int(self.as_number(args[1]))
-            r = _round_half_away(x, d)
-            if not math.isfinite(r):  # 1.7e308 rounded to -308 digits
-                raise _Err(VALUE_ERR)
-            return r
-        return self.aggregate(name, args)
+            x, digits = reads
 
-    def gather(self, args: list[_Operand], counting: bool) -> list[float]:
-        """Numeric stream feeding an aggregate.
-
-        Referenced cells/ranges contribute plain numbers only (text,
-        booleans, empties skipped); typed arguments coerce, except that
-        COUNT just declines to count a non-numeric typed argument.
-        """
-        out: list[float] = []
-        for arg in args:
-            if isinstance(arg, RangeRef):
-                for v in self.iter_range(arg):
-                    if isinstance(v, float):
-                        out.append(v)
-            elif isinstance(arg, CellRef):
-                v = self.resolve_cell(arg)
-                if isinstance(v, float):
-                    out.append(v)
-            elif counting:
-                coerced = _soft_number(self.scalar(arg))
-                if coerced is not None:
-                    out.append(coerced)
+            def round_(values: dict, lits: tuple, sheet: str, row: int, col: int) -> Value:
+                r = _round_half_away(as_number(x(values, lits, sheet, row, col)),
+                                     int(as_number(digits(values, lits, sheet, row, col))))
+                if not math.isfinite(r):  # 1.7e308 rounded to -308 digits
+                    raise _Err(VALUE_ERR)
+                return r
+            return round_
+        pieces = []  # an aggregate reads a reference its own way (gather)
+        for arg, read in zip(args, reads):
+            if type(arg) is RangeRef:
+                pieces.append((_RANGE, self.range(arg)))  # type: ignore[arg-type]
             else:
-                out.append(self.as_number(arg))
-        return out
+                pieces.append((_CELL if type(arg) is CellRef else _TYPED, read))
+        counting = name == "COUNT"
+        return lambda values, lits, sheet, row, col: aggregate(
+            name, gather(pieces, counting, values, lits, sheet, row, col))
 
-    def aggregate(self, name: str, args: list[_Operand]) -> Value:
-        nums = self.gather(args, counting=(name == "COUNT"))
-        if name == "COUNT":
-            return float(len(nums))
-        if name in ("SUM", "AVERAGE"):
-            try:
-                total = math.fsum(nums)
-            except OverflowError:  # finite numbers, total beyond float range
-                raise _Err(VALUE_ERR) from None
-            if name == "SUM":
-                return total
-            if not nums:
-                raise _Err(DIV0)
-            return total / len(nums)
-        if name == "MIN":
-            return min(nums) if nums else 0.0
-        if name == "MAX":
-            return max(nums) if nums else 0.0
-        raise TypeError(f"unknown aggregate {name!r}")
+
+def _result(node: Expr, read: _Read) -> _Read:
+    """A node read as the value of a cell or of a taken IF branch: its
+    scalar value, with an empty cell read as 0.0."""
+    if type(node) is not CellRef:
+        return read  # only a cell reference reads an empty cell
+
+    def result(values: dict, lits: tuple, sheet: str, row: int, col: int) -> Value:
+        v = read(values, lits, sheet, row, col)
+        return 0.0 if v is None else v
+    return result
+
+
+def _raise_value(values: dict, lits: tuple, sheet: str, row: int, col: int) -> Value:
+    raise _Err(VALUE_ERR)  # a range in scalar context
+
+
+def _fold(first: _Read, steps: tuple[tuple[int, Any, Any], ...]) -> _Read:
+    """A left spine of binary operators as one loop over its steps, each
+    (kind, operator, right operand's closure or literal slot). Each
+    operator reads its left operand, the spine so far, before it evaluates
+    its right, so the first error in reading order wins ("abc"+1/0 is
+    #VALUE!)."""
+
+    def spine(values: dict, lits: tuple, sheet: str, row: int, col: int) -> Value:
+        v = first(values, lits, sheet, row, col)
+        for kind, fn, right in steps:
+            if kind == _ARITH:
+                if type(v) is not float:
+                    v = as_number(v)
+                if type(right) is int:
+                    r = lits[right]
+                else:
+                    r = right(values, lits, sheet, row, col)
+                    if type(r) is not float:
+                        r = as_number(r)
+                v = fn(v, r)
+                if not math.isfinite(v):
+                    raise _Err(VALUE_ERR)
+            elif kind == _CONCAT:
+                v = as_text(v) + as_text(right(values, lits, sheet, row, col))
+            else:
+                v = _compare(fn, v, right(values, lits, sheet, row, col))
+        return v
+    return spine
+
+
+def _kernel(cls: FormulaAst, indexes: dict[str, SheetIndex]) -> _Read:
+    """The kernel of cls's class: the closure of the value a copy takes."""
+    root = cls.root
+    return _result(root, _Compiler(cls, indexes).scalar(root))  # type: ignore[arg-type]
 
 
 def _zero_like(v: Value) -> Value:
@@ -486,7 +553,9 @@ class EvalPlan:
     the sheet indexes, the cells on reference cycles (each is #CYCLE!), and
     the other formula cells in the condensation's order. run() evaluates the
     whole book; eval_cells() re-evaluates a few cells, such as a graph's
-    cone(), against a changed input without touching the rest.
+    cone(), against a changed input without touching the rest. Both run
+    each formula through its class's kernel, which the plan builds at the
+    first copy it evaluates and keeps.
 
     The indexes and condensation are those of g, the graph of the same
     formulas, if given; else the plan condenses the formulas itself and
@@ -504,7 +573,9 @@ class EvalPlan:
         else:
             self.indexes, cond = g.indexes, g.condensation
         self.in_cycle = {addr for cycle in cond.cycles for addr in cycle}
-        self.order = [addr for addr in cond.order if addr not in self.in_cycle]
+        self.order = ([addr for addr in cond.order if addr not in self.in_cycle]
+                      if self.in_cycle else cond.order)
+        self.kernels: dict[FormulaAst, _Read] = {}  # by class
 
     def run(self, overrides: dict[CellAddress, Constant] | None = None
             ) -> dict[CellAddress, Value]:
@@ -513,15 +584,15 @@ class EvalPlan:
         overrides replace cell content with constants; an overridden
         formula cell must have been left out of the plan's asts.
         """
-        overrides = overrides or {}
-        values: dict[CellAddress, Value] = {}
-        for addr, content in self.wb.iter_cells():
-            if addr in overrides:
-                override_content = CellContent(value=overrides[addr],
-                                               number_format=content.number_format)
-                values[addr] = effective_constant(override_content)
-            elif not content.is_formula:
-                values[addr] = effective_constant(content)
+        wb = self.wb
+        values: dict[CellAddress, Value] = {addr: effective_constant(content)
+                                            for addr, content in wb.iter_cells()
+                                            if content.formula is None}
+        for addr, constant in (overrides or {}).items():
+            content = wb.cell(addr)
+            if content is not None:
+                values[addr] = effective_constant(
+                    CellContent(value=constant, number_format=content.number_format))
         for addr in self.in_cycle:
             values[addr] = CYCLE_ERR
         self._eval_into(self.order, values)
@@ -547,10 +618,21 @@ class EvalPlan:
             values.update(saved)
 
     def _eval_into(self, addrs: list[CellAddress], values: dict[CellAddress, Value]) -> None:
-        run = _Evaluator(values, self.indexes).run
-        asts = self.asts
+        """Each formula's value, an error included, into values: one call
+        of its class's kernel at its host with its literals."""
+        asts, kernels = self.asts, self.kernels
+        cls = kernel = None
         for addr in addrs:
-            values[addr] = run(asts[addr])
+            ast = asts[addr]
+            if ast.cls is not cls:
+                cls = ast.cls
+                kernel = kernels.get(cls)
+                if kernel is None:
+                    kernel = kernels[cls] = _kernel(cls, self.indexes)
+            try:
+                values[addr] = kernel(values, ast.literals, *addr)  # type: ignore[misc]
+            except _Err as err:
+                values[addr] = err.error
 
 
 def evaluate(
@@ -563,7 +645,9 @@ def evaluate(
     workbook, same overrides: same values, always.
     """
     overrides = overrides or {}
-    asts = {a: t for a, t in parse_workbook_formulas(wb).items() if a not in overrides}
+    asts = parse_workbook_formulas(wb)
+    if any(addr in asts for addr in overrides):
+        asts = {a: t for a, t in asts.items() if a not in overrides}
     return EvalPlan(wb, asts).run(overrides)
 
 

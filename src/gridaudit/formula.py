@@ -42,12 +42,13 @@ first copy is parsed, one walk of its tree finds what no copy can change,
 kept as FormulaAst.facts: its postorder, its token count (literals,
 references, operators and function names), its references and the
 sheets of those that are cross-sheet, the ranges an aggregate reads,
-whether a reference is anchored ($) on its own sheet, its literal vector
-and the evaluator's walks. Other modules read them through facts,
-references and aggregate_boxes, and move a class reference to a copy
-with moved. A copy whose literals equal the class's shares its normal
-form too. Every walk over a tree is a loop over its postorder, so a
-formula of any length walks in one frame.
+whether a reference is anchored ($) on its own sheet, and its literal
+vector. Other modules read them through facts, references and
+aggregate_boxes, and move a class reference to a copy with moved; the
+evaluator compiles the class tree into one kernel per plan. A copy whose
+literals equal the class's shares its normal form too. Every walk over a
+tree is a loop over its postorder, so a formula of any length walks in
+one frame.
 """
 
 from __future__ import annotations
@@ -402,8 +403,8 @@ def _lex(src: str, host: CellAddress, tokens: list[_Token] | None = None
 
 # Deepest nesting of parentheses, function calls and unary signs a formula
 # may have. Desktop spreadsheets stop function nesting at 64; the bound also
-# keeps the parser, and the evaluator's walk into a taken IF branch, well
-# inside Python's recursion limit.
+# keeps the parser, and the evaluator's kernels, built and run, well inside
+# Python's recursion limit.
 MAX_NESTING = 64
 
 # Binary operators by precedence level, loosest first; all left-associative.
@@ -593,13 +594,11 @@ def moved(node: CellRef | RangeRef, dr: int, dc: int) -> tuple[int, int, int, in
             node.c2 if node.abs_c2 else node.c2 + dc)
 
 
-def postorder(root: Expr, branches: bool = True) -> list[Expr]:
+def postorder(root: Expr) -> list[Expr]:
     """Every node of a tree, each after the operands it takes, in reading order.
 
     The one walk over formula trees, and a loop, so a tree of any height
-    walks in one frame. With branches False, an IF takes only its
-    condition: its second and third arguments are left out, with all below
-    them, for the evaluator to walk when it takes one.
+    walks in one frame.
     """
     out: list[Expr] = []  # filled in reverse: a node, then its operands right to left
     stack = [root]
@@ -611,10 +610,7 @@ def postorder(root: Expr, branches: bool = True) -> list[Expr]:
             stack.append(node.left)  # type: ignore[union-attr]
             stack.append(node.right)  # type: ignore[union-attr]
         elif kind is FunctionCall:
-            if branches or node.name != "IF":  # type: ignore[union-attr]
-                stack += node.args  # type: ignore[union-attr]
-            else:
-                stack.append(node.args[0])  # type: ignore[union-attr]
+            stack += node.args  # type: ignore[union-attr]
         elif kind is UnaryOp:
             stack.append(node.operand)  # type: ignore[union-attr]
     out.reverse()
@@ -734,14 +730,12 @@ class _ClassFacts:
     sorted. anchored says whether a reference on the class's own sheet has
     an absolute axis, so that the copies' distances differ by where they
     sit. literals are the class's own literal vector, its number literals'
-    values in slot order, and walk the evaluator's walk: the tree's
-    postorder without IF branches. branches gives, by the id of each IF
-    node, the walks of its branches (one or two), which the evaluator runs
-    for the branch it takes.
+    values in slot order. The evaluator needs only the tree: it compiles
+    it into the class's kernel (engine.EvalPlan), once per plan.
     """
 
     __slots__ = ("nodes", "token_count", "refs", "aggregates", "cross_sheet_count",
-                 "cross_sheets", "anchored", "literals", "walk", "branches")
+                 "cross_sheets", "anchored", "literals")
 
     def __init__(self, root: Expr):
         nodes = postorder(root)
@@ -749,7 +743,6 @@ class _ClassFacts:
         read: list[bool] = []  # per reference: whether an aggregate above it reads it
         starts: list[int] = []  # per operand on the stack: its first reference's index
         literals: list[float] = []
-        branches: dict[int, tuple[list[Expr], ...]] = {}
         for node in nodes:
             if isinstance(node, BinaryOp):
                 starts.pop()  # the left operand's start is the node's
@@ -759,9 +752,6 @@ class _ClassFacts:
                 del starts[len(starts) - n + 1:]
                 if node.name in AGGREGATE_FUNCTIONS:
                     read[start:] = [True] * (len(read) - start)
-                if node.name == "IF":
-                    branches[id(node)] = tuple(postorder(arg, branches=False)
-                                               for arg in node.args[1:])
             elif not isinstance(node, UnaryOp):
                 starts.append(len(refs))
                 if isinstance(node, NumberLiteral):
@@ -785,8 +775,6 @@ class _ClassFacts:
                                     or node.abs_r2 or node.abs_c2)
             for node in refs)
         self.literals = tuple(literals)
-        self.walk = postorder(root, branches=False) if branches else nodes
-        self.branches = branches
 
 
 Box = tuple[str, int, int, int, int]

@@ -251,6 +251,19 @@ def parse_qualified(text: str) -> CellAddress:
     return CellAddress(sheet, row, col)
 
 
+_NUMERIC_TEXT_RE = re.compile(r"^[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?$")
+
+
+def parse_numeric_text(s: str) -> float | None:
+    """The coercion rule for text in numeric context; None when not numeric,
+    as is text beyond float range ("1e400"), which no cell value can hold."""
+    s = s.strip()
+    if not _NUMERIC_TEXT_RE.match(s):
+        return None
+    v = float(s)
+    return v if math.isfinite(v) else None
+
+
 class CellContent(Frozen):
     """One cell: exactly one of a constant value or a formula source string;
     number_format is "text" or None (general).

@@ -40,6 +40,7 @@ from .model import (
     Workbook,
     col_to_letters,
     Checked,
+    parse_numeric_text,
     parse_qualified,
 )
 
@@ -222,16 +223,12 @@ def _num_as_text_findings(wb: Workbook, g: DepGraph,
     formatted as text, with the number it would carry if coerced. The book
     is evaluated once; for each text-number under an aggregate, only the
     formulas downstream of it are evaluated again, with the cell holding
-    its coerced number. The evaluator is loaded at the first text constant,
-    so a book with none runs without it.
+    its coerced number. The evaluator is loaded only for a text-number
+    under an aggregate, so a book with none runs without it.
     """
     texts = [(addr, cell) for addr, cell in wb.iter_cells()
              if isinstance(cell.value, str)
              or (isinstance(cell.value, float) and cell.number_format == "text")]
-    if not texts:
-        return {}
-    from .engine import EvalPlan, parse_numeric_text
-
     candidates: dict[CellAddress, tuple[CellContent, float]] = {}
     for addr, cell in texts:
         coerced = parse_numeric_text(cell.value) if isinstance(cell.value, str) else cell.value
@@ -250,6 +247,8 @@ def _num_as_text_findings(wb: Workbook, g: DepGraph,
                     hosts_of.setdefault(addr, set()).add(host)
 
     if hosts_of:
+        from .engine import EvalPlan
+
         plan = EvalPlan(wb, asts, g)
         base = plan.run()
     out: dict[CellAddress, Finding] = {}

@@ -240,15 +240,15 @@ class Reachability:
 
 class ReferenceEvaluator:
     """evaluate()'s meaning spelled out, as the reference for the evaluator
-    that runs each class's kept walk at a copy's offset with its literals.
+    that calls each class's kernel at a copy's cell with its literals.
 
     Each formula is parsed on its own with parse_formula and evaluated by
-    recursion over its tree, reading each referenced cell's value on demand:
-    the evaluator as it was before the postorder walk. A formula on a
-    reference cycle (Reachability, over expanded_graph) is #CYCLE!. The
-    operators' scalar rules are the engine's own helpers; what this checks
-    is the walk, the classes and slots, the order and the cycles. Recursive,
-    so for small books only.
+    recursion over its tree, one call per node, reading each referenced
+    cell's value on demand. A formula on a reference cycle (Reachability,
+    over expanded_graph) is #CYCLE!. The operators' scalar rules are the
+    engine's own helpers; what this checks is the kernels (their spine
+    folds, reading order and moved references), the classes and slots,
+    the order and the cycles. Recursive, so for small books only.
     """
 
     def __init__(self, wb: Workbook):

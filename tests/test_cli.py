@@ -484,7 +484,7 @@ def test_audit_parses_each_cell_key_once(tmp_path, monkeypatch, capsys):
 def _deep_book(tmp_path: Path, terms: int, nested: bool) -> Path:
     """A1 = 1 and output B1 = a chain of terms references to A1: a flat sum,
     or a comparison chain inside SUM( and IF(TRUE, calls, alternating,
-    nested to the limit (the evaluator walks into each taken IF branch)."""
+    nested to the limit (a kernel recurses only where the formula nests)."""
     if nested:
         calls = formula.MAX_NESTING - 1
         openers = "".join("SUM(" if i % 2 else "IF(TRUE," for i in range(calls))

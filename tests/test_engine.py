@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import random
 
 import pytest
@@ -20,6 +21,8 @@ from gridaudit.engine import (
     VALUE_ERR,
     ErrorValue,
     EvalPlan,
+    _compare,
+    as_text,
     Snapshot,
     effective_constant,
     evaluate,
@@ -31,8 +34,10 @@ from gridaudit.engine import (
     value_to_json,
     values_match,
 )
-from gridaudit.errors import MalformedDocument, MissingInputCell, NoDeclaredOutputs, OutputIsError
-from gridaudit.formula import FormulaAst, parse_workbook_formulas, postorder, render
+from gridaudit.errors import (FormulaSyntaxError, MalformedDocument, MissingInputCell,
+                              NoDeclaredOutputs, OutputIsError)
+from gridaudit.formula import (FormulaAst, canonical_number, parse_formula,
+                               parse_workbook_formulas, render)
 from gridaudit.graph import build_graph, chain_stats
 from gridaudit.model import CellAddress, CellContent, Workbook, col_to_letters
 from gridaudit.simlab import SeedSpec, generate_clean, seed_defects
@@ -165,7 +170,7 @@ def test_if_never_reads_the_branch_it_does_not_take(monkeypatch):
     def no_range_read(*_args):
         raise AssertionError("an untaken branch read a range")
 
-    monkeypatch.setattr(engine_mod._Evaluator, "iter_range", no_range_read)
+    monkeypatch.setattr(engine_mod, "iter_range", no_range_read)
     cells = {"A1": 1.0, "A2": 2.0}
     assert formula_result("=IF(TRUE,1,SUM(A1:A2))", cells) == 1.0
     assert formula_result("=IF(A1>5,SUM(A1:A2)/0,2)+IF(FALSE,COUNT(A1:A2))", cells) == 2.0
@@ -174,25 +179,39 @@ def test_if_never_reads_the_branch_it_does_not_take(monkeypatch):
         formula_result("=IF(TRUE,SUM(A1:A2))", cells)
 
 
-def test_a_warm_run_walks_no_if_branch_again(monkeypatch):
-    # Each IF branch's walk is kept with its class, so running the plan
-    # again builds none; both branches are taken across the copies.
-    cells: dict[str, object] = {f"A{r}": float(r % 3 - 1) for r in range(1, 5001)}
-    cells.update({f"B{r}": f"=IF(A{r}>0,A{r}*2+1,A{r}-1)" for r in range(1, 5001)})
-    wb = wb_from(cells)
-    plan = EvalPlan(wb, parse_workbook_formulas(wb))
-    plan.run()
-    walks: list = []
+def test_a_plan_builds_one_kernel_per_class(monkeypatch):
+    # Copies differ only in their offset and literals, so a plan compiles
+    # each class once, at its first copy, and run() and every eval_cells()
+    # share the kernel: a 2,000-copy chain and an IF class whose copies
+    # take both branches.
+    chain = generate_clean(SeedSpec("chain", 2000, 20, rng_seed=1)).sheets[0].cells
+    wb = wb_from({**chain, **{f"B{r}": f"=IF(A{r}>1030,A{r}*2+1,A{r}-1)" for r in range(1, 21)}})
+    asts = parse_workbook_formulas(wb)
+    g = build_graph(wb, asts=asts)
+    plan = EvalPlan(wb, asts, g)
+    built: list = []
+    kernel = engine_mod._kernel
 
-    def counted_postorder(*args, **kwargs):
-        walks.append(args)
-        return postorder(*args, **kwargs)
+    def counted(cls, indexes):
+        built.append(cls)
+        return kernel(cls, indexes)
 
-    monkeypatch.setattr(formula_mod, "postorder", counted_postorder)
-    monkeypatch.setattr(engine_mod, "postorder", counted_postorder, raising=False)
+    monkeypatch.setattr(engine_mod, "_kernel", counted)
     values = plan.run()
-    assert walks == []
-    assert [values[CellAddress("S1", r, 2)] for r in (1, 2, 3)] == [-1.0, 3.0, -2.0]
+    last = CellAddress("S1", 2020, 1)
+    for addr in [CellAddress("S1", r, 1) for r in range(11, 21)]:  # A20 feeds the chain
+        new = plan.eval_cells(g.cone(addr), values, {addr: values[addr] + 100.0})
+        if addr.row == 20:
+            assert new[last] == values[last] + 100.0
+    assert sorted(map(id, built)) == sorted({id(ast.cls) for ast in asts.values()})
+    assert len(built) == 2
+    assert values[last] == values[CellAddress("S1", 20, 1)] + sum(range(2, 2002))
+    taken = set()
+    for r in range(1, 21):
+        a = values[CellAddress("S1", r, 1)]
+        taken.add(a > 1030)
+        assert values[CellAddress("S1", r, 2)] == (a * 2 + 1 if a > 1030 else a - 1)
+    assert taken == {True, False}
 
 
 def test_if_condition_coercion():
@@ -355,6 +374,69 @@ def test_long_chain_no_recursion_limit():
         cells[f"A{i}"] = f"=A{i-1}+1"
     wb = wb_from(cells)
     assert val(wb, f"A{n}") == float(n)
+
+
+# Per operator: the cells A1..A4 and the literals a 2000-term chain of it
+# alternates between, and how a Python fold combines two operand values.
+_CHAIN_OPERANDS = {
+    "+": ([1.5, 2.0, -3.25, 4.0], [1.0, 2.25], operator.add),
+    "-": ([1.5, 2.0, -3.25, 4.0], [1.0, 2.25], operator.sub),
+    "*": ([2.0, 0.5, 1.5, 0.75], [1.25, 0.8], operator.mul),
+    "/": ([2.0, 0.5, 1.5, 0.75], [1.25, 0.8], operator.truediv),
+    "^": ([2.0, 0.5, 2.0, 0.5], [1.0, -1.0], operator.pow),
+    "&": (["ab", 1.5, True, ""], [2.0], lambda a, b: a + as_text(b)),
+    **{op: ([1.0, "b", True, 2.0], [1.0, 3.0], lambda a, b, op=op: _compare(op, a, b))
+       for op in ("=", "<>", "<", "<=", ">", ">=")},
+}
+
+
+@pytest.mark.parametrize("op", sorted(_CHAIN_OPERANDS))
+def test_a_2000_term_chain_of_each_operator_folds_left(op):
+    # A tree 1999 levels high, evaluated at the default recursion limit; the
+    # terms alternate between references and number literals.
+    cells, literals, combine = _CHAIN_OPERANDS[op]
+    terms = [(f"A{i // 2 % 4 + 1}", cells[i // 2 % 4]) if i % 2 == 0
+             else (canonical_number(literals[i // 2 % len(literals)]),
+                   literals[i // 2 % len(literals)])
+             for i in range(2000)]
+    expected = terms[0][1] if op != "&" else as_text(terms[0][1])
+    for _source, value in terms[1:]:
+        expected = combine(expected, value)
+    book = {f"A{k + 1}": v for k, v in enumerate(cells)}
+    book["B1"] = "=" + op.join(source for source, _value in terms)
+    got = val(wb_from(book), "B1")
+    assert type(got) is type(expected) and got == expected
+
+
+def test_a_chain_mixing_precedence_levels_evaluates_as_a_fold():
+    # a+b*c^d-e/f^g+...: the +/- spine's right operands are */ terms, whose
+    # right operands are ^ terms.
+    rng = random.Random(5)
+    cells = {f"A{k}": rng.choice([0.5, 1.5, 2.0, 3.0]) for k in range(1, 9)}
+    parts, expected = [], 0.0
+    for i in range(400):
+        a, b, c = (f"A{rng.randint(1, 8)}" for _ in range(3))
+        factor = rng.choice(["*", "/"])
+        term = cells[a] * cells[b] ** cells[c] if factor == "*" else cells[a] / cells[b] ** cells[c]
+        sign = "+" if i % 2 == 0 else "-"
+        parts.append(("" if i == 0 else sign) + f"{a}{factor}{b}^{c}")
+        expected = term if i == 0 else (expected + term if sign == "+" else expected - term)
+    got = val(wb_from({**cells, "B1": "=" + "".join(parts)}), "B1")
+    assert got == expected
+
+
+def test_a_formula_nested_to_the_limit_evaluates():
+    # Each unit nests four levels (IF, SUM, unary minus and a parenthesis)
+    # and holds every precedence level on the path to the unit inside it,
+    # which it maps -1 to -1 and anything else to 0.
+    unit = 'IF(TRUE,SUM(-("1-1"=1&0+1*{}^1)),0)'
+    src = "A1"
+    for _ in range(formula_mod.MAX_NESTING // 4):
+        src = unit.format(src)
+    assert val(wb_from({"A1": -1.0, "B1": "=" + src}), "B1") == -1.0
+    assert val(wb_from({"A1": 2.0, "B1": "=" + src}), "B1") == 0.0
+    with pytest.raises(FormulaSyntaxError, match="nesting deeper"):
+        parse_formula("=" + unit.format(src), CellAddress("S1", 1, 2))
 
 
 def _random_book(seed: int) -> Workbook:
@@ -550,7 +632,7 @@ def test_parse_snapshot_rejects_numbers_that_are_not_finite_floats():
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_evaluate_matches_the_reference_evaluator_property(seed):
     # Copies that differ only in their literals are one class, evaluated
-    # through one kept walk; the reference parses and recurses per cell.
+    # through one kernel; the reference parses and recurses per cell.
     wb = literal_copies_book(seed)
     typed = [{addr: (type(v), v) for addr, v in values.items()}
              for values in (evaluate(wb), ReferenceEvaluator(wb).evaluate())]

@@ -209,8 +209,6 @@ def test_postorder_lists_operands_before_their_node_in_reading_order():
     cond, neg = BinaryOp(">", a1, one), UnaryOp("-", b1)
     if_, sum_ = FunctionCall("IF", (cond, neg, x)), FunctionCall("SUM", (c, two))
     assert postorder(root) == [a1, one, cond, b1, neg, x, if_, c, two, sum_, root]
-    # without branches an IF takes its condition only
-    assert postorder(root, branches=False) == [a1, one, cond, if_, c, two, sum_, root]
 
 
 def test_trailing_garbage_rejected():

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stdout
@@ -170,6 +173,31 @@ def test_num_as_text_evaluates_the_book_once_plus_each_cone(monkeypatch, k):
     monkeypatch.setattr(EvalPlan, "_eval_into", counting)
     assert len(hits(run(wb_from(cells)), "NUM_AS_TEXT")) == k
     assert evaluated == [6] + [3] * k  # the whole book once, then one cone per text-number
+
+
+# audits the book at argv[1] in a fresh interpreter and prints whether the
+# evaluator was loaded
+_AUDIT_LOADS_ENGINE = """
+import sys
+from gridaudit.cli import main
+main(["audit", sys.argv[1]])
+print("gridaudit.engine" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("cells, loaded", [
+    ({"A1": "Total", "B1": 5.0, "B2": 6.0, "C1": "=SUM(B1:B2)"}, False),  # a label
+    ({"A1": "Total", "B1": 5.0, "B2": "6", "C1": "=SUM(B1:B2)"}, True),  # a text-number
+])
+def test_num_as_text_loads_the_evaluator_only_for_a_text_number_under_an_aggregate(
+        tmp_path, cells, loaded):
+    path = tmp_path / "book.json"
+    path.write_text(serialize_workbook(wb_from(cells)), encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", _AUDIT_LOADS_ENGINE, str(path)],
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == str(loaded)
 
 
 def test_num_as_text_audit_walks_each_formula_once(monkeypatch):
