@@ -16,9 +16,11 @@ import datetime
 import functools
 import gc
 import json
+import math
 import os
 import sys
 from collections import Counter
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
@@ -182,6 +184,49 @@ def _plan_config(args: argparse.Namespace) -> PlanConfig:
     return cfg._replace(**set_overrides) if set_overrides else cfg
 
 
+def _write_json(o: object, put: Callable[[str], object], pad: str = "\n") -> None:
+    """Put the text json.dumps(o, ensure_ascii=False, indent=2) gives, in
+    pieces, where pad is the line break and indent before o's closing
+    bracket. Types are tried in json's order, so a subclass reads as json
+    reads it; dict keys must be str.
+    """
+    if isinstance(o, str):
+        put(encode_basestring(o))
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif isinstance(o, int):
+        put(int.__repr__(o))
+    elif isinstance(o, float):
+        put(float.__repr__(o) if math.isfinite(o)
+            else "NaN" if o != o else "Infinity" if o > 0 else "-Infinity")
+    elif isinstance(o, (list, tuple)):
+        inner, sep = pad + "  ", "["
+        for item in o:
+            if type(item) is str:  # the commonest leaf, put without a call
+                put(sep + inner + encode_basestring(item))
+            else:
+                put(sep + inner)
+                _write_json(item, put, inner)
+            sep = ","
+        put(pad + "]" if o else "[]")
+    elif isinstance(o, dict):
+        inner, sep = pad + "  ", "{"
+        for key, value in o.items():
+            if type(value) is str:
+                put(f"{sep}{inner}{encode_basestring(key)}: {encode_basestring(value)}")
+            else:
+                put(f"{sep}{inner}{encode_basestring(key)}: ")
+                _write_json(value, put, inner)
+            sep = ","
+        put(pad + "}" if o else "{}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _emit(args: argparse.Namespace, human: str, machine: dict[str, object] | str) -> None:
     """Write the JSON report to --out, or to stdout in machine format, and the
     human text to stdout in human format. machine is the report, encoded only
@@ -189,7 +234,7 @@ def _emit(args: argparse.Namespace, human: str, machine: dict[str, object] | str
 
     A file is written as the report is encoded, so no whole encoded copy is
     held. Stdout takes the text in one write: it may be unbuffered (python
-    -u, PYTHONUNBUFFERED), and then each of the encoder's chunks would be a
+    -u, PYTHONUNBUFFERED), and then each of the encoder's pieces would be a
     system call.
     """
     out: Path | None = getattr(args, "out", None)
@@ -198,11 +243,15 @@ def _emit(args: argparse.Namespace, human: str, machine: dict[str, object] | str
             if isinstance(machine, str):
                 fh.write(machine)
             else:
-                json.dump(machine, fh, ensure_ascii=False, indent=2)
+                _write_json(machine, fh.write)
                 fh.write("\n")
     elif args.format == "machine":
-        sys.stdout.write(machine if isinstance(machine, str)
-                         else json.dumps(machine, ensure_ascii=False, indent=2) + "\n")
+        if not isinstance(machine, str):
+            pieces: list[str] = []
+            _write_json(machine, pieces.append)
+            pieces.append("\n")
+            machine = "".join(pieces)
+        sys.stdout.write(machine)
     if args.format != "machine":
         sys.stdout.write(human)
 

@@ -23,9 +23,10 @@ Cells hold exactly one of a constant ("v": number, string, or boolean) or a
 formula ("f": text starting with "="), plus optional "locked" (a boolean,
 default false) and "fmt" ("text" or "general"; omitted means general).
 Empty cells are absent from the map. Unknown fields anywhere are ignored
-with a warning so documents from newer writers still load. CellContent is
-the one check of what a cell holds, for a loaded cell and one built in
-code alike; the loader checks only the JSON shape around it.
+with a warning so documents from newer writers still load. CellContent's
+rules judge what a cell holds: the loader admits the commonest shapes the
+writer writes inline under them, and any other through CellContent; a
+property test keeps the two in step.
 
 Model objects cannot change once built: a cell, sheet or workbook keeps its
 fields in slots (Frozen), and metadata and addresses are immutable tuples.
@@ -72,9 +73,8 @@ class Frozen:
 
     _fields names a subclass's constructor fields in order: its repr shows
     them, and two records of one class are equal when their _key(), by
-    default those fields, is. The constructor sets each slot with
-    object.__setattr__; assigning or deleting one afterwards raises
-    AttributeError.
+    default those fields, is. The constructor sets each slot past
+    __setattr__; assigning or deleting one afterwards raises AttributeError.
     """
 
     __slots__ = ()
@@ -202,38 +202,21 @@ def parse_cell_key(key: str) -> tuple[int, int]:
     return row, col
 
 
-def _canonical_key(key: str) -> re.Match[str] | None:
-    """The match of a key already in canonical form within the grid caps
-    ("B12"; not "b12", "B012" or "XFE1"), else None."""
-    m = _CANONICAL_KEY_RE.match(key)
-    if m is None or (len(m[1]) == 3 and m[1] > "XFD") or (len(m[2]) == 7 and m[2] > "1048576"):
-        return None
-    return m
-
-
 def _split_sheet_prefix(text: str) -> tuple[str | None, str]:
     """Split an optional Sheet!/'Quoted Sheet'! prefix off an address string."""
     if text.startswith("'"):
         # Quoted sheet name; '' is an escaped quote.
-        i = 1
-        buf = []
-        while i < len(text):
-            if text[i] == "'":
-                if i + 1 < len(text) and text[i + 1] == "'":
-                    buf.append("'")
-                    i += 2
-                    continue
-                break
-            buf.append(text[i])
-            i += 1
-        else:
+        end = text.find("'", 1)
+        while end >= 0 and text[end + 1 : end + 2] == "'":
+            end = text.find("'", end + 2)
+        if end < 0:
             raise InvalidAddress(f"unterminated sheet quote: {text!r}")
-        if i + 1 >= len(text) or text[i + 1] != "!":
+        if text[end + 1 : end + 2] != "!":
             raise InvalidAddress(f"expected '!' after sheet name: {text!r}")
-        name = "".join(buf)
+        name = text[1:end].replace("''", "'")
         if not name:
             raise InvalidAddress(f"empty sheet name: {text!r}")
-        return name, text[i + 2 :]
+        return name, text[end + 2 :]
     if "!" in text:
         name, rest = text.split("!", 1)
         if not _BARE_SHEET_RE.match(name):
@@ -297,11 +280,10 @@ class CellContent(Frozen):
                 raise InvalidCell("non-finite number")
         elif not isinstance(value, (str, bool)):
             raise InvalidCell(f"unsupported constant type: {type(value).__name__}")
-        put = object.__setattr__
-        put(self, "value", value)
-        put(self, "formula", formula)
-        put(self, "locked", locked)
-        put(self, "number_format", number_format)
+        _set_value(self, value)
+        _set_formula(self, formula)
+        _set_locked(self, locked)
+        _set_format(self, number_format)
 
     def _key(self) -> tuple[object, ...]:
         return (type(self.value), self.value, self.formula, self.locked, self.number_format)
@@ -313,12 +295,15 @@ class CellContent(Frozen):
     @property
     def is_number(self) -> bool:
         """True for a plain numeric constant (fmt text excluded)."""
-        return (
-            self.value is not None
-            and isinstance(self.value, float)
-            and not isinstance(self.value, bool)
-            and self.number_format != "text"
-        )
+        return type(self.value) is float and self.number_format != "text"
+
+
+# The slot setters, past Frozen.__setattr__: CellContent.__init__ and the
+# loader build a cell through them.
+_set_value = CellContent.value.__set__
+_set_formula = CellContent.formula.__set__
+_set_locked = CellContent.locked.__set__
+_set_format = CellContent.number_format.__set__
 
 
 class Sheet(Frozen):
@@ -334,7 +319,8 @@ class Sheet(Frozen):
         if cells is None:
             cells = {}
         for key in cells:
-            if _canonical_key(key) is None:
+            m = _CANONICAL_KEY_RE.match(key)
+            if m is None or int(m[2]) > MAX_ROW or letters_to_col(m[1]) > MAX_COL:
                 row, col = parse_cell_key(key.removesuffix("\n"))  # raises off the grid
                 canonical = f"{col_to_letters(col)}{row}"
                 raise InvalidAddress(f"cell key not canonical: {key!r} (want {canonical!r})")
@@ -348,22 +334,19 @@ class Sheet(Frozen):
                 pairs: list[tuple[CellAddress, CellContent]]) -> Sheet:
         """A sheet from a document load, which has already parsed and checked
         every key, and made pairs of them as reading_order holds them."""
-        sheet = object.__new__(cls)
-        object.__setattr__(sheet, "name", name)
-        object.__setattr__(sheet, "cells", cells)
+        sheet, put = object.__new__(cls), object.__setattr__
+        put(sheet, "name", name)
+        put(sheet, "cells", cells)
         pairs.sort()  # keys are canonical, so no two addresses tie
-        object.__setattr__(sheet, "_reading_order", tuple(pairs))
+        put(sheet, "_reading_order", tuple(pairs))
         return sheet
 
     @property
     def reading_order(self) -> tuple[tuple[CellAddress, CellContent], ...]:
-        """The cells as (address, content) pairs, row-major.
-
-        Each key is parsed once, on the first read or, for a loaded sheet,
-        on load, and the pairs are kept with the sheet (not a field, so
-        equality and repr see only the cells). Every walk over the sheet's
-        cells reads them, so its address objects are the ones the value
-        maps and indexes hold.
+        """The cells as (address, content) pairs, row-major, made once (on
+        load, or on the first read) and kept with the sheet, not as a field.
+        Every walk over the cells reads them, so value maps and indexes hold
+        these address objects.
         """
         order = self._reading_order
         if order is None:
@@ -464,22 +447,17 @@ class Workbook(Frozen):
 
         content None deletes the cell. The sheet must exist.
         """
-        new_sheets = []
-        found = False
-        for s in self.sheets:
-            if s.name != addr.sheet:
-                new_sheets.append(s)
-                continue
-            found = True
-            cells = dict(s.cells)
-            if content is None:
-                cells.pop(addr.a1, None)
-            else:
-                cells[addr.a1] = content
-            new_sheets.append(Sheet(s.name, cells))
-        if not found:
+        i = self._positions.get(addr.sheet)
+        if i is None:
             raise InvalidAddress(f"no such sheet: {addr.sheet!r}")
-        return Workbook(self.name, tuple(new_sheets), self.meta)
+        cells = dict(self.sheets[i].cells)
+        if content is None:
+            cells.pop(addr.a1, None)
+        else:
+            cells[addr.a1] = content
+        sheets = list(self.sheets)
+        sheets[i] = Sheet(addr.sheet, cells)
+        return Workbook(self.name, tuple(sheets), self.meta)
 
 
 def _reject_nonfinite(token: str) -> Any:
@@ -501,12 +479,12 @@ _CELL_FIELDS = {"v", "f", "locked", "fmt"}
 
 
 def _parse_cell(raw: Any, sheet_name: str, key: str) -> CellContent:
-    """One document cell. Only its JSON shape is checked here; CellContent
-    checks what it holds. The location joins a message only on a refusal."""
+    """A document cell of a shape the loader does not admit inline: its JSON
+    shape is checked here, CellContent checks what it holds, and a refusal
+    names the cell."""
     if not isinstance(raw, dict):
         raise MalformedDocument(f"cell {sheet_name}!{key} must be an object")
-    if not raw.keys() <= _CELL_FIELDS:
-        _warn_unknown(raw, _CELL_FIELDS, f"cell {sheet_name}!{key}")
+    _warn_unknown(raw, _CELL_FIELDS, f"cell {sheet_name}!{key}")
     if ("v" in raw) == ("f" in raw):
         raise InvalidCell(f"cell {sheet_name}!{key} must have exactly one of 'v' or 'f'")
     fmt = raw.get("fmt")
@@ -563,6 +541,7 @@ def parse_workbook(data: str | bytes) -> Workbook:
     raw_sheets = doc.get("sheets")
     _require(isinstance(raw_sheets, list), "'sheets' must be a list")
     sheets = []
+    match_key, new_cell, isfinite = _CANONICAL_KEY_RE.match, object.__new__, math.isfinite
     for raw_sheet in raw_sheets:
         _require(isinstance(raw_sheet, dict), "sheet entries must be objects")
         _warn_unknown(raw_sheet, {"name", "cells"}, "sheet")
@@ -573,11 +552,15 @@ def parse_workbook(data: str | bytes) -> Workbook:
         _require(isinstance(raw_cells, dict), f"sheet {sheet_name!r}: 'cells' must be an object")
         cells: dict[str, CellContent] = {}
         pairs: list[tuple[CellAddress, CellContent]] = []
+        row_digits, row_number = "", 0
         for key, raw_cell in raw_cells.items():
-            m = _canonical_key(key)
+            m = match_key(key)
             if m is not None:
-                canonical, row, col = key, int(m[2]), letters_to_col(m[1])
-            else:
+                digits = m[2]
+                if digits != row_digits:  # a row's cells in a run share its number
+                    row_digits, row_number = digits, int(digits)
+                canonical, row, col = key, row_number, letters_to_col(m[1])
+            if m is None or row > MAX_ROW or col > MAX_COL:
                 try:
                     row, col = parse_cell_key(key)
                 except InvalidAddress:
@@ -586,7 +569,23 @@ def parse_workbook(data: str | bytes) -> Workbook:
                 canonical = f"{col_to_letters(col)}{row}"
             if canonical in cells:
                 raise InvalidCell(f"sheet {sheet_name!r}: duplicate cell {canonical}")
-            content = cells[canonical] = _parse_cell(raw_cell, sheet_name, canonical)
+            # The writer's shapes pass CellContent's rules here: {"f": "=..."}
+            # or {"v": finite float or text}, "locked": true or absent. Any
+            # other shape, and every refusal, is _parse_cell's.
+            f = v = None
+            if type(raw_cell) is dict and (
+                    len(raw_cell) == 1 or len(raw_cell) == 2 and raw_cell.get("locked") is True):
+                f, v = raw_cell.get("f"), raw_cell.get("v")  # one at most is present
+            if (type(f) is str and len(f) > 1 and f[0] == "="
+                    or type(v) is float and isfinite(v) or type(v) is str):
+                content = new_cell(CellContent)
+                _set_value(content, v)
+                _set_formula(content, f)
+                _set_locked(content, len(raw_cell) == 2)
+                _set_format(content, None)
+            else:
+                content = _parse_cell(raw_cell, sheet_name, canonical)
+            cells[canonical] = content
             # the key is checked in the grid, so the address needs no check
             pairs.append((tuple.__new__(CellAddress, (sheet_name, row, col)), content))
         sheets.append(Sheet._loaded(sheet_name, cells, pairs))

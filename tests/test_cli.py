@@ -11,6 +11,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridaudit import cli, formula, model
 from gridaudit.cli import FIXED_TIMESTAMP, build_audit_report, main
@@ -384,6 +387,25 @@ def test_machine_output_is_strict_json(command_argv, capsys, command):
     assert main([*argv, "--format", "machine"]) in (0, 1)
     doc = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
     assert set(doc) == _MACHINE_KEYS[command]
+
+
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([-0.0, 1e16, 5e-324, 2.0**53, math.inf, -math.inf, math.nan])
+    | st.text() | st.sampled_from(["\x00\x1f\"\\\x7f", "\u2028\u2029", "é€😀", ""]))
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_JSON_TREES)
+def test_the_report_writer_writes_what_json_dumps_writes(obj):
+    pieces: list[str] = []
+    cli._write_json(obj, pieces.append)
+    assert "".join(pieces) == json.dumps(obj, ensure_ascii=False, indent=2)
 
 
 def counted_normalize(monkeypatch) -> list:

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridaudit import model
 from gridaudit.errors import (
     DanglingOutput,
     DuplicateSheet,
+    GridAuditError,
     InvalidAddress,
     InvalidCell,
     MalformedDocument,
@@ -267,6 +271,52 @@ def test_a_cell_loads_iff_cell_content_accepts_it(raw):
     assert loaded == expected and type(loaded.value) is type(expected.value)
 
 
+# Each field's choices as JSON text; None leaves the field out. "1e400" reads
+# as an infinite float and 2**1100 as an int no float holds.
+_CELL_FIELD_TEXTS = {
+    "v": (None, "1.5", "7", str(2**1100), "1e400", "true", '"x"', "null"),
+    "f": (None, '"=A1"', '"A1"', '"="', "5"),
+    "locked": (None, "true", "false", '"yes"', "1"),
+    "fmt": (None, '"text"', '"general"', '"x"'),
+    "note": (None, '"hi"'),
+}
+
+
+def _load_outcome(load):
+    """(the cell or the error's class and message, the warnings given)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = load()
+        except GridAuditError as exc:
+            outcome = (type(exc), str(exc))
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+def test_the_loader_admits_a_cell_as_parse_cell_does():
+    # The loader builds the writer's shapes inline and hands the rest to
+    # _parse_cell: every field combination, in both key orders, must load
+    # to the cell _parse_cell builds, or fail with its class and message,
+    # with the same warnings.
+    names = list(_CELL_FIELD_TEXTS)
+    for choice in itertools.product(*_CELL_FIELD_TEXTS.values()):
+        fields = [f'"{name}": {text}' for name, text in zip(names, choice) if text is not None]
+        for order in (fields, fields[::-1]):
+            cell_text = "{" + ", ".join(order) + "}"
+            doc = json.dumps(one_cell_document("CELL")).replace('"CELL"', cell_text)
+            want = _load_outcome(lambda: model._parse_cell(json.loads(cell_text), "S1", "A1"))
+            got = _load_outcome(lambda: parse_workbook(doc).sheets[0].cells["A1"])
+            assert got == want, cell_text  # a cell's equality sees its value's type
+
+
+def test_the_writers_cell_shapes_load_without_parse_cell(monkeypatch):
+    cells = {"A1": CellContent(value=1.5), "A2": CellContent(value="x", locked=True),
+             "A3": CellContent(formula="=A1"), "A4": CellContent(formula="=A2", locked=True)}
+    wb = Workbook("w", (Sheet("S1", cells),), WorkbookMeta(modified="2026-01-15T09:30:00"))
+    monkeypatch.setattr(model, "_parse_cell", None)  # a call would raise TypeError
+    assert parse_workbook(serialize_workbook(wb)) == wb
+
+
 def test_duplicate_sheet_and_dangling_output():
     doc = {
         "version": 1,
@@ -336,6 +386,16 @@ def test_reading_order_is_kept_with_the_sheet():
     # Not a field: equality and repr see only the cells.
     twin = Sheet("S1", dict(sheet.cells))
     assert twin == sheet and repr(twin) == repr(sheet)
+
+
+def test_a_loaded_sheet_reads_each_cell_at_its_key():
+    # Keys of one row share a row number on load; a key canonicalized in
+    # between must not take or leave the row of its neighbours.
+    keys = ["A5", "b7", "B5", "C7", "C10", "D10", "e1", "F10", "G5", "H1", "H12"]
+    sheet = make_workbook({key: {"v": i + 0.5} for i, key in enumerate(keys)}).sheets[0]
+    assert sheet.reading_order == Sheet("S1", dict(sheet.cells)).reading_order
+    assert [a.a1 for a, _ in sheet.reading_order] == [
+        "E1", "H1", "A5", "B5", "G5", "B7", "C7", "C10", "D10", "F10", "H12"]
 
 
 def test_meta_modified_must_be_iso():
