@@ -15,7 +15,6 @@ import argparse
 import datetime
 import functools
 import gc
-import json
 import math
 import os
 import sys
@@ -26,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from . import __version__
 from .errors import GridAuditError, InvalidConfig, ModuleMismatch, plain
-from .model import Workbook, parse_workbook, serialize_workbook
+from .model import Workbook, decode_json, parse_workbook, serialize_workbook
 
 # Each command imports the layers it calls inside its function, so a run
 # loads only those. The import runs at each call and reads the module's
@@ -126,12 +125,7 @@ def _load_workbook(path: Path) -> Workbook:
 
 
 def _load_json(path: Path, what: str) -> dict[str, object]:
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise InvalidConfig(f"{what} {path} is not UTF-8 text: {exc}") from None
-    except ValueError as exc:  # bad JSON, or an integer too long to read
-        raise InvalidConfig(f"{what} {path} is not valid JSON: {exc}") from None
+    doc = decode_json(path.read_bytes(), f"{what} {path}", InvalidConfig)
     if not isinstance(doc, dict):
         raise InvalidConfig(f"{what} {path} must hold a JSON object")
     return doc
@@ -483,10 +477,7 @@ def _cmd_seed(args: argparse.Namespace) -> int:
 
     mix = None
     if args.mix is not None:
-        try:
-            raw = json.loads(args.mix)
-        except ValueError as exc:
-            raise InvalidConfig(f"--mix is not valid JSON: {exc}") from None
+        raw = decode_json(args.mix, "--mix", InvalidConfig)
         if not isinstance(raw, dict):
             raise InvalidConfig("--mix must be a JSON object of class -> weight")
         try:

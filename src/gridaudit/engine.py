@@ -77,6 +77,7 @@ from .model import (
     CellContent,
     Constant,
     Workbook,
+    decode_json,
     parse_numeric_text,
     parse_qualified,
 )
@@ -760,12 +761,7 @@ def snapshot_to_json(snap: Snapshot) -> str:
 
 
 def parse_snapshot(text: str | bytes) -> Snapshot:
-    try:
-        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
-    except UnicodeDecodeError as exc:
-        raise MalformedDocument(f"snapshot is not UTF-8: {exc}") from None
-    except ValueError as exc:  # bad JSON, or an integer too long to read
-        raise MalformedDocument(f"snapshot is not valid JSON: {exc}") from None
+    doc = decode_json(text, "snapshot")
     if not isinstance(doc, dict) or doc.get("version") != SNAPSHOT_VERSION:
         raise MalformedDocument("unsupported snapshot document")
     name = doc.get("workbook")

@@ -793,9 +793,7 @@ def references(ast: FormulaAst) -> Iterator[Box]:
     """Every reference of a formula as a box (sheet, r1, c1, r2, c2).
 
     Reading order; a cell reference is a 1x1 box: the class's references,
-    found when the class was parsed, moved to the host. graph.precedents_of,
-    which the dependency graph and the evaluator's ordering both take their
-    edges from, reads them.
+    found when the class was parsed, moved to the host.
     """
     return _boxes(ast, ast.facts.refs)
 

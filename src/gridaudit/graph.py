@@ -7,7 +7,8 @@ build_graph keeps. The precedents are the graph's edges. A formula reads
 each cell a single reference names, occupied or empty (someone may fill it
 later), and each occupied cell of a range in the grid; a range's empty
 cells are not edges, as in the range-compressed graph of TACO (Tang et
-al.). edge_count is the sum of the precedent sets' sizes, dump_edges prints
+al.). A formula's precedents are a tuple of distinct cells in the order its
+references name them. edge_count sums their lengths, dump_edges prints
 one line per precedent, and the count is capped at EDGE_CAP, so breaching
 the cap is a diagnosed error rather than a hang.
 
@@ -21,10 +22,10 @@ corner, one node, mirroring how the evaluator treats the whole range as one
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import AbstractSet, Callable, Iterable, Iterator, KeysView, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, KeysView, Mapping, NamedTuple
 
 from .errors import ExplosionCap
-from .formula import FormulaAst, parse_workbook_formulas, references
+from .formula import FormulaAst, moved, parse_workbook_formulas, references
 from .model import MAX_COL, MAX_ROW, CellAddress, Frozen, Sheet, Workbook
 
 class SheetIndex:
@@ -62,37 +63,39 @@ def sheet_indexes(wb: Workbook) -> dict[str, SheetIndex]:
     return {s.name: SheetIndex(s) for s in wb.sheets}
 
 
-def precedents_of(ast: FormulaAst, indexes: Mapping[str, SheetIndex]) -> frozenset[CellAddress]:
-    """The cells a formula reads.
-
-    A single reference gives its cell, and a range in the grid on a sheet of
-    the book its occupied cells; any other range its far corner. An occupied
-    cell is the sheet's own address object."""
-    precs: set[CellAddress] = set()
-    for sheet, r1, c1, r2, c2 in references(ast):
+def precedents_of(ast: FormulaAst, indexes: Mapping[str, SheetIndex]) -> tuple[CellAddress, ...]:
+    """The distinct cells a formula reads, in the order its references name
+    them. A single reference gives its cell, and a range in the grid on a
+    sheet of the book its occupied cells in reading order; any other range
+    its far corner. An occupied cell is the sheet's own address object."""
+    dr, dc = ast.offset
+    precs: list[CellAddress] = []
+    for node in ast.facts.refs:
+        sheet = node.sheet or ast.host.sheet
+        r1, c1, r2, c2 = moved(node, dr, dc)
         index = indexes.get(sheet)
         if index is not None and r2 <= MAX_ROW and c2 <= MAX_COL:
             if r1 != r2 or c1 != c2:
-                precs.update(index.iter_box(r1, c1, r2, c2))
+                precs += index.iter_box(r1, c1, r2, c2)
                 continue
             occupied = index.address.get((sheet, r1, c1))
             if occupied is not None:
-                precs.add(occupied)
+                precs.append(occupied)
                 continue
-        precs.add(CellAddress(sheet, r2, c2))
-    return frozenset(precs)
+        precs.append(CellAddress(sheet, r2, c2))
+    return tuple(dict.fromkeys(precs) if len(precs) > 1 else precs)
 
 
 def tarjan_sccs(
-    nodes: Iterable[CellAddress], adj: Mapping[CellAddress, AbstractSet[CellAddress]]
+    nodes: Iterable[CellAddress], adj: Mapping[CellAddress, tuple[CellAddress, ...]]
 ) -> Iterator[tuple[list[CellAddress], bool]]:
     """Strongly connected components, iteratively (chains can be 10k deep).
 
     Yields each component as (members, is_cycle). is_cycle holds when the
     members lie on a reference cycle: there are several, or the one reads
     itself. Every component comes after the ones it points to through
-    adj. Which such order it is follows the iteration order of nodes and
-    of the adj sets. condense is its one caller.
+    adj. Which such order it is follows the order of nodes and of the adj
+    tuples. condense is its one caller.
     """
     index: dict[CellAddress, int] = {}
     low: dict[CellAddress, int] = {}
@@ -149,7 +152,7 @@ class Condensation(NamedTuple):
 
 
 def condense(asts: Mapping[CellAddress, FormulaAst], wb: Workbook,
-             precedents: Callable[[], Mapping[CellAddress, AbstractSet[CellAddress]]]
+             precedents: Callable[[], Mapping[CellAddress, tuple[CellAddress, ...]]]
              ) -> Condensation:
     """Reading order if _reads_before holds: no cycle, and the order Tarjan
     would yield. Else one Tarjan pass over precedents(), roots in the order
@@ -201,9 +204,9 @@ class DepGraph(Frozen):
     _fields = __slots__[:6]
 
     def __init__(self, sheet_order: tuple[str, ...],
-                 precedents: dict[CellAddress, frozenset[CellAddress]],  # formula -> cells read
+                 precedents: dict[CellAddress, tuple[CellAddress, ...]],  # formula -> cells read
                  output_addresses: tuple[CellAddress, ...],
-                 edge_count: int,  # the precedent sets' sizes, summed
+                 edge_count: int,  # the precedent tuples' lengths, summed
                  indexes: dict[str, SheetIndex], condensation: Condensation) -> None:
         put = object.__setattr__
         put(self, "sheet_order", sheet_order)
@@ -276,7 +279,7 @@ def build_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst] | None = None)
     if asts is None:
         asts = parse_workbook_formulas(wb)
     indexes = sheet_indexes(wb)
-    precedents: dict[CellAddress, frozenset[CellAddress]] = {}
+    precedents: dict[CellAddress, tuple[CellAddress, ...]] = {}
     edge_count = 0
     for addr in sorted(asts):  # sheet name, then grid position
         precs = precedents_of(asts[addr], indexes)
@@ -311,8 +314,10 @@ def chain_stats(g: DepGraph) -> ChainStats:
     cycle_of = {addr: cycle for cycle in g.condensation.cycles for addr in cycle}
     depth: dict[CellAddress, int] = {}  # formula cells on the longest path ending here
     for addr in g.condensation.order:
-        if addr not in depth:
-            comp = cycle_of.get(addr, (addr,))
+        comp = cycle_of.get(addr)
+        if comp is None:
+            depth[addr] = 1 + max([depth.get(p, 0) for p in g.precedents[addr]], default=0)
+        elif addr not in depth:
             # comp's own members have no depth yet, so only earlier cells feed it
             feeding = max((depth.get(p, 0) for m in comp for p in g.precedents[m]), default=0)
             for member in comp:

@@ -41,6 +41,7 @@ import datetime
 import json
 import math
 import re
+import sys
 import warnings
 from functools import lru_cache
 from json.encoder import encode_basestring
@@ -50,6 +51,7 @@ from typing import Any, Iterator, NamedTuple
 from .errors import (
     DanglingOutput,
     DuplicateSheet,
+    GridAuditError,
     InvalidAddress,
     InvalidCell,
     MalformedDocument,
@@ -460,6 +462,24 @@ class Workbook(Frozen):
         return Workbook(self.name, tuple(sheets), self.meta)
 
 
+_FLOAT_INT_MAX = int(sys.float_info.max)  # float() takes every int up to this in size
+
+
+def decode_json(data: str | bytes, what: str, error: type[GridAuditError] = MalformedDocument,
+                **options: Any) -> Any:
+    """The JSON document in data, text or UTF-8 bytes, read by json.loads with
+    options. A failure is error naming what: not UTF-8, not valid JSON (an
+    integer too long to read is one), or nested past the recursion limit."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data, **options)
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not UTF-8: {exc}") from None
+    except ValueError as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise error(f"{what} is nested too deeply") from None
+
+
 def _reject_nonfinite(token: str) -> Any:
     raise MalformedDocument(f"non-finite number in document: {token}")
 
@@ -502,16 +522,7 @@ def parse_workbook(data: str | bytes) -> Workbook:
     DanglingOutput with a location in the message. Cell keys are
     canonicalized (b2 -> B2); unknown fields warn and are dropped.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedDocument(f"not UTF-8: {exc}") from None
-    try:
-        doc = json.loads(data, parse_constant=_reject_nonfinite)
-    except ValueError as exc:  # bad JSON, or an integer too long to read
-        raise MalformedDocument(f"not valid JSON: {exc}") from None
-
+    doc = decode_json(data, "workbook", parse_constant=_reject_nonfinite)
     _require(isinstance(doc, dict), "document root must be an object")
     _warn_unknown(doc, {"version", "name", "meta", "sheets"}, "document root")
     _require(doc.get("version") == DOCUMENT_VERSION,
@@ -570,16 +581,17 @@ def parse_workbook(data: str | bytes) -> Workbook:
             if canonical in cells:
                 raise InvalidCell(f"sheet {sheet_name!r}: duplicate cell {canonical}")
             # The writer's shapes pass CellContent's rules here: {"f": "=..."}
-            # or {"v": finite float or text}, "locked": true or absent. Any
-            # other shape, and every refusal, is _parse_cell's.
+            # or {"v": finite float, int in float range or text}, "locked":
+            # true or absent. Any other shape, and every refusal, is _parse_cell's.
             f = v = None
             if type(raw_cell) is dict and (
                     len(raw_cell) == 1 or len(raw_cell) == 2 and raw_cell.get("locked") is True):
                 f, v = raw_cell.get("f"), raw_cell.get("v")  # one at most is present
             if (type(f) is str and len(f) > 1 and f[0] == "="
-                    or type(v) is float and isfinite(v) or type(v) is str):
+                    or type(v) is float and isfinite(v) or type(v) is str
+                    or type(v) is int and -_FLOAT_INT_MAX <= v <= _FLOAT_INT_MAX):
                 content = new_cell(CellContent)
-                _set_value(content, v)
+                _set_value(content, float(v) if type(v) is int else v)
                 _set_formula(content, f)
                 _set_locked(content, len(raw_cell) == 2)
                 _set_format(content, None)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Any
+from typing import Any, Iterator
 
 from gridaudit.engine import (
     _ARITHMETIC,
@@ -143,6 +143,21 @@ def reference_document(wb: Workbook) -> dict[str, Any]:
     }
 
 
+def cells_read(wb: Workbook, ast: FormulaAst) -> Iterator[CellAddress]:
+    """Each cell a formula reads, once per reference naming it: its
+    references in reading order, a range's occupied cells row by row."""
+    known_sheets = {s.name for s in wb.sheets}
+    for sheet, r1, c1, r2, c2 in references(ast):
+        if r2 > MAX_ROW or c2 > MAX_COL or sheet not in known_sheets:
+            yield CellAddress(sheet, r2, c2)
+        elif (r1, c1) == (r2, c2):
+            yield CellAddress(sheet, r1, c1)
+        else:
+            box = (CellAddress(sheet, row, col)
+                   for row in range(r1, r2 + 1) for col in range(c1, c2 + 1))
+            yield from (cell for cell in box if wb.cell(cell) is not None)
+
+
 def expanded_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst]) -> DepGraph:
     """The dependency graph with every range walked cell by cell.
 
@@ -154,20 +169,7 @@ def expanded_graph(wb: Workbook, asts: dict[CellAddress, FormulaAst]) -> DepGrap
     each once per formula. The condensation is Reachability's, found
     without Tarjan.
     """
-    known_sheets = {s.name for s in wb.sheets}
-    precedents: dict[CellAddress, frozenset[CellAddress]] = {}
-    for addr in sorted(asts):
-        cells: set[CellAddress] = set()
-        for sheet, r1, c1, r2, c2 in references(asts[addr]):
-            if r2 > MAX_ROW or c2 > MAX_COL or sheet not in known_sheets:
-                cells.add(CellAddress(sheet, r2, c2))
-            elif (r1, c1) == (r2, c2):
-                cells.add(CellAddress(sheet, r1, c1))
-            else:
-                box = (CellAddress(sheet, row, col)
-                       for row in range(r1, r2 + 1) for col in range(c1, c2 + 1))
-                cells.update(cell for cell in box if wb.cell(cell) is not None)
-        precedents[addr] = frozenset(cells)
+    precedents = {addr: frozenset(cells_read(wb, asts[addr])) for addr in sorted(asts)}
     return DepGraph(
         sheet_order=tuple(s.name for s in wb.sheets),
         precedents=precedents,

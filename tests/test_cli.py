@@ -118,6 +118,39 @@ def test_integer_too_large_for_a_float_exits_two(tmp_path, capsys, command):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000  # far past the JSON decoder's recursion limit
+
+
+def _deep_reader_argv(tmp_path: Path, reader: str) -> tuple[list[str], str]:
+    """A command whose reader gets a document nested _DEEP, and the name
+    its error must give: the file, the flag or the kind of document."""
+    book = clean_chain(tmp_path)
+    deep = tmp_path / "deep.json"
+    session = write_session(tmp_path, "ana", "M1", [], 40.0)
+    if reader == "workbook":
+        deep.write_text('{"version": 1, "name": "d", "meta": {"modified": "2026-01-15", '
+                        f'"deep": {_DEEP}}}, "sheets": []}}', encoding="utf-8")
+        return ["audit", str(deep)], "workbook"
+    if reader == "--mix":
+        return ["seed", "--topology", "chain", "--formulas", "10", "--inputs", "2",
+                "--mix", f'{{"JAMMED": {_DEEP}}}', "--workbook-out",
+                str(tmp_path / "out.json")], "--mix"
+    deep.write_text(f'{{"version": 1, "{reader}": {_DEEP}}}', encoding="utf-8")
+    return {"config": (["plan", str(book), "--config", str(deep)], f"config {deep}"),
+            "session": (["reconcile", str(book), "M1", str(deep)], f"session {deep}"),
+            "truth": (["reconcile", str(book), "M1", str(session), "--truth", str(deep)],
+                      f"truth {deep}"),
+            "snapshot": (["recheck", str(book), "--snapshot", str(deep)], "snapshot")}[reader]
+
+
+@pytest.mark.parametrize("reader", ["workbook", "config", "session", "truth", "--mix",
+                                    "snapshot"])
+def test_a_document_nested_too_deeply_exits_two_naming_it(tmp_path, capsys, reader):
+    argv, name = _deep_reader_argv(tmp_path, reader)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {name} is nested too deeply\n"
+
+
 def test_unknown_config_section_exits_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"rules": {}, "paln": {}}', encoding="utf-8")

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -18,7 +22,7 @@ from gridaudit.formula import (BinaryOp, CellRef, FormulaAst, FunctionCall, Numb
                                RangeRef, UnaryOp, parse_workbook_formulas, render)
 from gridaudit.graph import build_graph, chain_stats, dump_edges, orphan_formulas
 from gridaudit.model import CellAddress, CellContent, col_to_letters
-from helpers import (Reachability, ReferenceEvaluator, expanded_graph, numbered,
+from helpers import (Reachability, ReferenceEvaluator, cells_read, expanded_graph, numbered,
                      random_expr, translate_expr, wb_from)
 
 
@@ -34,7 +38,7 @@ def test_range_fans_out_to_per_cell_edges():
     g = build_graph(wb)
     assert g.edge_count == 2
     # the occupied cells are precedents; the empty ones are not edges
-    assert g.precedents[A("B9")] == frozenset({A("B2"), A("B5")})
+    assert g.precedents[A("B9")] == (A("B2"), A("B5"))
     assert [f for f, precs in g.precedents.items() if A("B2") in precs] == [A("B9")]
     assert dump_edges(g) == "".join(f"S1!B{r}\tS1!B9\n" for r in (2, 5))
 
@@ -52,7 +56,7 @@ def test_tall_range_is_counted_not_listed():
     finally:
         tracemalloc.stop()
     assert g.edge_count == 2
-    assert g.precedents[A("B1")] == frozenset({A("A1"), A("A2")})
+    assert g.precedents[A("B1")] == (A("A1"), A("A2"))
     assert dump == "S1!A1\tS1!B1\nS1!A2\tS1!B1\n"
     assert peak < 1_000_000
     assert dump_peak < 100_000
@@ -71,7 +75,7 @@ def test_duplicate_references_deduplicate():
     wb = wb_from({"A1": 1, "B1": "=A1+A1*A1"})
     g = build_graph(wb)
     assert g.edge_count == 1
-    assert g.precedents[A("B1")] == frozenset({A("A1")})
+    assert g.precedents[A("B1")] == (A("A1"),)
 
 
 def test_edge_cap_guard(monkeypatch):
@@ -95,8 +99,28 @@ def test_out_of_bounds_and_missing_sheet_nodes_are_flagged():
 def test_cross_sheet_edges():
     wb = wb_from({"A1": "=Data!B1*2"}, extra_sheets={"Data": {"B1": 5}})
     g = build_graph(wb)
-    assert g.precedents[A("A1")] == frozenset({A("B1", "Data")})
+    assert g.precedents[A("A1")] == (A("B1", "Data"),)
     assert [f for f, precs in g.precedents.items() if A("B1", "Data") in precs] == [A("A1")]
+
+
+def test_the_graph_and_its_order_do_not_depend_on_the_hash_seed():
+    # A1 reads cells after it, so the book takes the Tarjan pass, which
+    # visits each formula's precedents in the order the graph holds them.
+    code = ("from gridaudit import graph\n"
+            "from helpers import wb_from\n"
+            "wb = wb_from({'A1': '=B2+C2+D2+E2', **{c + '2': '=F3' for c in 'BCDE'}})\n"
+            "assert not graph._reads_before(graph.parse_workbook_formulas(wb), wb)\n"
+            "g = graph.build_graph(wb)\n"
+            "print([a.a1 for a in g.condensation.order])\n"
+            "print({f.a1: [p.a1 for p in ps] for f, ps in g.precedents.items()})\n")
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    runs = [subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": path,
+                                           "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "3")]
+    assert runs[0] == runs[1]
+    assert runs[0].splitlines()[0] == "['B2', 'C2', 'D2', 'E2', 'A1']"
 
 
 def test_chain_stats_linear_chain():
@@ -250,6 +274,11 @@ def test_graph_and_plan_match_the_cell_by_cell_expansion(s1, data):
     g = build_graph(wb, asts=asts)
     assert g.edge_count == ref.edge_count
     assert dump_edges(g) == dump_edges(ref)
+    for f, precs in g.precedents.items():
+        # each cell read once, in the order the formula's references first name it
+        named = list(cells_read(wb, asts[f]))
+        assert len(set(precs)) == len(precs) and set(precs) == ref.precedents[f]
+        assert list(precs) == sorted(precs, key=named.index)
     assert g.condensation.cycles == reach.cycles
     _assert_precedents_first(g.condensation.order, reach)
     _assert_precedents_first(ref.condensation.order, reach)

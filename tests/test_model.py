@@ -311,10 +311,14 @@ def test_the_loader_admits_a_cell_as_parse_cell_does():
 
 def test_the_writers_cell_shapes_load_without_parse_cell(monkeypatch):
     cells = {"A1": CellContent(value=1.5), "A2": CellContent(value="x", locked=True),
-             "A3": CellContent(formula="=A1"), "A4": CellContent(formula="=A2", locked=True)}
+             "A3": CellContent(formula="=A1"), "A4": CellContent(formula="=A2", locked=True),
+             # a whole number, which the writer writes as a JSON integer
+             "A5": CellContent(value=2.0), "A6": CellContent(value=-7.0, locked=True)}
     wb = Workbook("w", (Sheet("S1", cells),), WorkbookMeta(modified="2026-01-15T09:30:00"))
+    text = serialize_workbook(wb)
+    assert '"v": 2\n' in text and '"v": -7,' in text
     monkeypatch.setattr(model, "_parse_cell", None)  # a call would raise TypeError
-    assert parse_workbook(serialize_workbook(wb)) == wb
+    assert parse_workbook(text) == wb
 
 
 def test_duplicate_sheet_and_dangling_output():
