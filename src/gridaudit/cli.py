@@ -120,8 +120,16 @@ def build_audit_report(wb: Workbook, rule_cfg: RuleConfig | None = None,
 # --- Shared plumbing ----------------------------------------------------------
 
 
+def _read_named(path: Path, parse: Callable[[bytes], Any]) -> Any:
+    """parse of the file at path; a malformed file's error names it."""
+    try:
+        return parse(path.read_bytes())
+    except GridAuditError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _load_workbook(path: Path) -> Workbook:
-    return parse_workbook(path.read_bytes())
+    return _read_named(path, parse_workbook)
 
 
 def _load_json(path: Path, what: str) -> dict[str, object]:
@@ -445,7 +453,7 @@ def _cmd_recheck(args: argparse.Namespace) -> int:
 
     wb = _load_workbook(args.workbook)
     snap_path = args.snapshot or Path(str(args.workbook) + ".snapshot")
-    snap = parse_snapshot(snap_path.read_bytes())
+    snap = _read_named(snap_path, parse_snapshot)
     rep = recheck(wb, snap)
     lines = [
         (f"recheck {wb.name} against {snap.created_at}: "

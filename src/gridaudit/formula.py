@@ -17,14 +17,12 @@ canonicalized away, which makes the rendered forms below stable.
 
 Normalization renders the parse tree in R1C1 style relative to the host
 cell, so structurally identical copies of a formula ("=A1*2" in B1, "=A2*2"
-in B2) share one normal form ("=RC[-1]*2"). NormalizedFormula keeps only
-what a copy's literals or position change: that text, the Chebyshev
-distance to its farthest same-sheet reference, how many references are
-off-axis, and which read below or right of the host. It is built at the
-first read of FormulaAst.normal, by unique counting, the rules that read
-the text or the reach, and the seeder. A copy renders its own text only
-where its literals differ from its class's, and finds its own reach only
-where the class has an absolute reference on its own sheet.
+in B2) share one normal form ("=RC[-1]*2"). NormalizedFormula keeps what
+a copy's literals or position change: that text and its reach. No stage
+renders a text per copy: a class renders its shape once, its text with a
+slot per number literal, and a copy's key, (shape, literal vector), stands
+for its text where forms are compared. A class finds its reach once, a
+copy its own only where the class has an absolute reference on its sheet.
 
 A workbook is mostly runs of copies of a few shapes: the repetition
 SpreadsheetML's shared formulas (<f t="shared">) store one text for, and
@@ -55,6 +53,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import defaultdict
 from typing import Iterator, NamedTuple, Union
 
 from .errors import FormulaSyntaxError, UnknownFunction, UnknownName
@@ -220,13 +219,12 @@ class FormulaAst:
     as the parser does.
     """
 
-    __slots__ = ("source", "host", "cls", "literals", "_normal", "_facts")
+    __slots__ = ("source", "host", "cls", "literals", "_facts")
 
     def __init__(self, source: str, host: CellAddress, root: Expr | None = None,
                  cls: FormulaAst | None = None, literals: tuple[float, ...] = ()):
         self.source = source
         self.host = host
-        self._normal: NormalizedFormula | None = None
         if cls is None:
             self.cls = self
             self._facts = _ClassFacts(root)  # type: ignore[arg-type]
@@ -255,25 +253,32 @@ class FormulaAst:
         return self.host.row - cls_host.row, self.host.col - cls_host.col
 
     @property
-    def normal(self) -> NormalizedFormula:
-        """The normal form, computed at the first read and kept.
+    def key(self) -> tuple[str, tuple[float, ...]]:
+        """(shape, literal vector), equal exactly where normal texts are: the
+        shape, the class's R1C1 text with a slot (#) per number literal, is
+        text, not the class ("=sum(A1)" and "=SUM(A1)" share a text)."""
+        facts = self._facts
+        facts.shape = facts.shape or _render(facts.nodes, None, self.cls.host, 0, 0, "r1c1")
+        return facts.shape, self.literals
 
-        A copy holding the class's literals shares its class's record; one
-        with literals of its own normalizes itself. Where the class has an
-        absolute reference on its own sheet, the distances depend on where
-        the copy sits, and a sharing copy keeps its own.
-        """
-        normal = self._normal
-        if normal is None:
-            cls = self.cls
-            if cls is self or self.literals is not cls.literals:
-                normal = normalize(self)
-            else:
-                normal = cls.normal
-                if self._facts.anchored:
-                    normal = NormalizedFormula(normal.text, **_reach(self))  # type: ignore[arg-type]
-            self._normal = normal
-        return normal
+    @property
+    def reach(self) -> tuple[int, int, tuple[int, ...]]:
+        """Its _reach: the class's, kept at the first read, or the copy's
+        own where the class is anchored."""
+        facts = self._facts
+        if facts.reach is None and not facts.anchored:
+            facts.reach = _reach(self.cls)
+        return _reach(self) if facts.anchored else facts.reach
+
+    @property
+    def normal(self) -> NormalizedFormula:
+        """The normal form; the class's is kept at the first read, and the
+        copies holding its literals share its text."""
+        if self.literals is not self.cls.literals:
+            return normalize(self)
+        facts = self._facts
+        facts.normal = facts.normal or normalize(self.cls)
+        return NormalizedFormula(facts.normal.text, *self.reach[:2])
 
 
 # --- Lexer ----------------------------------------------------------------
@@ -649,42 +654,45 @@ def _render_ref(node: CellRef | RangeRef, host: CellAddress, dr: int, dc: int,
             + ":" + _render_corner(r2, c2, node.abs_r2, node.abs_c2, host, style))
 
 
-def _render(nodes: list[Expr], literals: tuple[float, ...], host: CellAddress, dr: int,
-            dc: int, style: str) -> str:
+def _render(nodes: list[Expr], literals: tuple[float, ...] | None, host: CellAddress,
+            dr: int, dc: int, style: str) -> str:
     """The text of a tree from its postorder, references moved dr rows and dc
-    columns and number literals read from literals. Each operand's stack
-    entry keeps its precedence level, so its consumer adds parentheses only
-    where precedence requires them."""
-    stack: list[tuple[str, int]] = []
+    columns and number literals read from literals (a slot, #, for None).
+    Each operand's stack entry keeps its precedence level, so its consumer
+    adds parentheses only where precedence requires them, and its pieces,
+    which an operator extends and the end joins: linear in the text."""
+    stack: list[tuple[list[str], int]] = []
     for node in nodes:
         if isinstance(node, BinaryOp):
             level = _LEVEL[node.op]
             right, right_level = stack.pop()
             left, left_level = stack.pop()
             if left_level < level:
-                left = f"({left})"
+                left = ["(", *left, ")"]
             if right_level <= level:  # left-associative: a right operand at par groups
-                right = f"({right})"
-            stack.append((left + node.op + right, level))
+                right = ["(", *right, ")"]
+            left += [node.op, *right]
+            stack.append((left, level))
         elif isinstance(node, UnaryOp):
             inner, inner_level = stack.pop()
             if inner_level < _UNARY_LEVEL:
-                inner = f"({inner})"
-            stack.append((node.op + inner, _UNARY_LEVEL))
+                inner = ["(", *inner, ")"]
+            stack.append(([node.op, *inner], _UNARY_LEVEL))
         elif isinstance(node, FunctionCall):
             n = len(node.args)  # never 0: every function takes an argument
-            args = ",".join(text for text, _level in stack[-n:])
+            args = ",".join("".join(pieces) for pieces, _level in stack[-n:])
             del stack[-n:]
-            stack.append((f"{node.name}({args})", _ATOM_LEVEL))
+            stack.append(([f"{node.name}({args})"], _ATOM_LEVEL))
         elif isinstance(node, NumberLiteral):
-            stack.append((canonical_number(literals[node.slot]), _ATOM_LEVEL))
+            stack.append((["#" if literals is None else canonical_number(literals[node.slot])],
+                          _ATOM_LEVEL))
         elif isinstance(node, TextLiteral):
-            stack.append(('"' + node.value.replace('"', '""') + '"', _ATOM_LEVEL))
+            stack.append((['"' + node.value.replace('"', '""') + '"'], _ATOM_LEVEL))
         elif isinstance(node, BooleanLiteral):
-            stack.append(("TRUE" if node.value else "FALSE", _ATOM_LEVEL))
+            stack.append((["TRUE" if node.value else "FALSE"], _ATOM_LEVEL))
         else:
-            stack.append((_render_ref(node, host, dr, dc, style), _ATOM_LEVEL))
-    return stack[0][0]
+            stack.append(([_render_ref(node, host, dr, dc, style)], _ATOM_LEVEL))
+    return "".join(stack[0][0])
 
 
 def render(ast: FormulaAst) -> str:
@@ -697,23 +705,13 @@ def render(ast: FormulaAst) -> str:
 
 
 class NormalizedFormula(NamedTuple):
-    """Host-relative normal form of one formula: what a copy's literals or
-    position change (what every copy of a class shares is in _ClassFacts).
-
-    text is the R1C1 rendering, which copies of one formula with equal
-    literals share. max_ref_distance is the Chebyshev distance (max of row
-    and column offsets) to the farthest referenced cell on the host sheet;
-    off_axis_ref_count counts the same-sheet references sharing neither the
-    host's row nor its column (a range shares one if it spans it).
-    forward_refs gives the positions, in the order references() yields
-    them, of the same-sheet references that reach below the host or right
-    of it on its row.
-    """
+    """Host-relative normal form of one formula, what a copy's literals or
+    position change (its class's share is in _ClassFacts): its R1C1 text,
+    shared by copies with equal literals, and its _reach's first two fields."""
 
     text: str
     max_ref_distance: int
     off_axis_ref_count: int
-    forward_refs: tuple[int, ...]
 
 
 class _ClassFacts:
@@ -731,11 +729,12 @@ class _ClassFacts:
     an absolute axis, so that the copies' distances differ by where they
     sit. literals are the class's own literal vector, its number literals'
     values in slot order. The evaluator needs only the tree: it compiles
-    it into the class's kernel (engine.EvalPlan), once per plan.
+    it into the class's kernel (engine.EvalPlan), once per plan; shape,
+    reach and normal keep what FormulaAst.key, reach and normal find.
     """
 
     __slots__ = ("nodes", "token_count", "refs", "aggregates", "cross_sheet_count",
-                 "cross_sheets", "anchored", "literals")
+                 "cross_sheets", "anchored", "literals", "shape", "reach", "normal")
 
     def __init__(self, root: Expr):
         nodes = postorder(root)
@@ -775,6 +774,7 @@ class _ClassFacts:
                                     or node.abs_r2 or node.abs_c2)
             for node in refs)
         self.literals = tuple(literals)
+        self.shape = self.reach = self.normal = None
 
 
 Box = tuple[str, int, int, int, int]
@@ -804,8 +804,13 @@ def aggregate_boxes(ast: FormulaAst) -> Iterator[Box]:
     return _boxes(ast, ast.facts.aggregates)
 
 
-def _reach(ast: FormulaAst) -> dict[str, object]:
-    """The NormalizedFormula fields that depend on where ast's host is."""
+def _reach(ast: FormulaAst) -> tuple[int, int, tuple[int, ...]]:
+    """What depends on where ast's host is: the Chebyshev distance (max of
+    row and column offsets) to the farthest referenced cell on the host
+    sheet; how many same-sheet references share neither the host's row nor
+    its column (a range shares one if it spans it); and the positions, in
+    the order references() yields them, of the same-sheet references that
+    reach below the host or right of it on its row."""
     host = ast.host
     max_dist = 0
     off_axis = 0
@@ -819,25 +824,19 @@ def _reach(ast: FormulaAst) -> dict[str, object]:
             off_axis += 1
         if r2 > host.row or (r1 <= host.row <= r2 and c2 > host.col):
             forward.append(i)
-    return {"max_ref_distance": max_dist, "off_axis_ref_count": off_axis,
-            "forward_refs": tuple(forward)}
+    return max_dist, off_axis, tuple(forward)
 
 
 def normalize(ast: FormulaAst) -> NormalizedFormula:
-    """The normal form of a formula; read it as ast.normal, which keeps it.
+    """The normal form of a formula, its text rendered at each call.
 
-    A copy's R1C1 text is its class's with its own literals: relative parts
-    are offsets from the host, which the copy shares, and absolute parts do
-    not move. Its reach is its class's, unless the class has an absolute
-    reference on its own sheet.
+    A copy's R1C1 text is its class's shape (see FormulaAst.key) with its
+    own literals in the slots: relative parts are offsets from the host,
+    which the copy shares, and absolute parts do not move. Its reach is
+    read as ast.reach.
     """
     text = "=" + _render(ast.facts.nodes, ast.literals, ast.cls.host, 0, 0, "r1c1")
-    cls = ast.cls
-    if cls is ast or ast.facts.anchored:
-        return NormalizedFormula(text, **_reach(ast))  # type: ignore[arg-type]
-    shared = cls.normal
-    return NormalizedFormula(text, shared.max_ref_distance, shared.off_axis_ref_count,
-                             shared.forward_refs)
+    return NormalizedFormula(text, *ast.reach[:2])
 
 
 class _CopyPattern:
@@ -992,12 +991,16 @@ def unique_formula_count(wb: Workbook,
     """Number of distinct (sheet, normal form) formulas in the workbook.
 
     Copies pasted down a column count once, unless their literals differ;
-    the same shape on two sheets counts per sheet. Read over one copy of
-    each (class, literal vector), since copies in one have one normal text.
+    the same shape on two sheets counts per sheet. Counted as distinct
+    (sheet, shape, literal vector), the key (FormulaAst.key) standing for
+    the text, over the (class, literal vector) pairs: no text is rendered.
     """
     if asts is None:
         asts = parse_workbook_formulas(wb)
-    firsts: dict[tuple[FormulaAst, tuple[float, ...]], FormulaAst] = {}
+    vectors: dict[FormulaAst, set[tuple[float, ...]]] = defaultdict(set)
     for ast in asts.values():
-        firsts.setdefault((ast.cls, ast.literals), ast)
-    return len({(ast.host.sheet, ast.normal.text) for ast in firsts.values()})
+        vectors[ast.cls].add(ast.literals)
+    forms: dict[tuple[str, str], set[tuple[float, ...]]] = defaultdict(set)
+    for cls, of_class in vectors.items():
+        forms[cls.host.sheet, cls.key[0]] |= of_class
+    return sum(map(len, forms.values()))

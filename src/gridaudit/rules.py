@@ -6,8 +6,9 @@ Two kinds of rule:
 - Book rules (NUM_AS_TEXT, HARDWIRED, DUP_LITERAL, ORPHAN_OUTPUT,
   VERSION_NAME) read the whole book at once and return their findings.
 - Cell rules (JAMMED, LONG_FORMULA, LONG_ARC, XSHEET_REF, FLOW_VIOLATION,
-  UNPROTECTED_FORMULA) judge one formula cell at a time from its normal
-  form; none of them can flag a constant, so constants are not visited.
+  UNPROTECTED_FORMULA) judge formula cells, never constants. All but
+  UNPROTECTED_FORMULA judge a class by its first copy, and every copy only
+  where that fires or, for LONG_ARC and FLOW_VIOLATION, the class is anchored.
 
 A rule's examined count is the workbook cell count once the rule has run,
 so the report shows the whole book was covered. A crash is never a silent
@@ -323,9 +324,24 @@ def _scan_line(line: list[tuple[CellAddress, CellContent]], axis: int,
                     {"normalForm": form, "value": _const_repr(cell.value)}))
 
 
+def _interrupted(line: list[tuple[CellAddress, CellContent]]) -> bool:
+    """Whether a constant sits between two formulas of the line."""
+    state = 0  # 1 after a formula, 2 after a constant after a formula
+    for _addr, cell in line:
+        if cell.formula is not None:
+            if state == 2:
+                return True
+            state = 1
+        elif state:
+            state = 2
+    return False
+
+
 def _hardwired_findings(wb: Workbook, asts: dict[CellAddress, FormulaAst],
                         min_run: int) -> dict[CellAddress, Finding]:
-    norm_text = {addr: ast.normal.text for addr, ast in asts.items()}
+    """Runs grouped by formula key (FormulaAst.key), read only on the lines
+    a constant interrupts, the only ones where one can sit inside a run."""
+    forms: dict[CellAddress, tuple[str, tuple[float, ...]]] = {}
     out: dict[CellAddress, Finding] = {}
     for sheet in wb.sheets:
         # Reading order: rows come ascending and each row's and each
@@ -335,10 +351,16 @@ def _hardwired_findings(wb: Workbook, asts: dict[CellAddress, FormulaAst],
         for pair in sheet.reading_order:
             rows.setdefault(pair[0].row, []).append(pair)
             cols.setdefault(pair[0].col, []).append(pair)
-        for line in rows.values():
-            _scan_line(line, 2, norm_text, min_run, out)
-        for _c, line in sorted(cols.items()):
-            _scan_line(line, 1, norm_text, min_run, out)
+        for line, axis in ([(line, 2) for line in rows.values()]
+                           + [(line, 1) for _c, line in sorted(cols.items())]):
+            if _interrupted(line):
+                forms.update((a, asts[a].key) for a, cell in line if cell.formula is not None)
+                _scan_line(line, axis, forms, min_run, out)
+    holder = {key: addr for addr, key in forms.items()}
+    texts = {key: asts[holder[key]].normal.text  # once per key
+             for key in {f.evidence["normalForm"] for f in out.values()}}
+    for finding in out.values():
+        finding.evidence["normalForm"] = texts[finding.evidence["normalForm"]]  # type: ignore
     return out
 
 
@@ -406,7 +428,7 @@ def _version_name_finding(wb: Workbook) -> Finding | None:
 
 def _flow_offenders(ast: FormulaAst) -> list[str]:
     """The references that read below or right of the host, in A1 text."""
-    forward = ast.normal.forward_refs
+    forward = ast.reach[2]
     if not forward:
         return []
     boxes = list(references(ast))
@@ -451,8 +473,7 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
     def jammed(addr: CellAddress, cell: CellContent, ast: FormulaAst) -> Finding | None:
         literals = ast.literals
         if len(literals) >= 2:
-            return _mk("JAMMED", addr,
-                       f"formula embeds {len(literals)} literals",
+            return _mk("JAMMED", addr, f"formula embeds {len(literals)} literals",
                        {"literals": [canonical_number(v) for v in literals]})
         return None
 
@@ -465,74 +486,73 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
         return None
 
     def long_arc(addr: CellAddress, cell: CellContent, ast: FormulaAst) -> Finding | None:
-        m = ast.normal
-        if m.max_ref_distance > cfg.long_arc_distance:
-            off_axis = m.off_axis_ref_count > 0
+        distance, off_axis_count, _forward = ast.reach
+        if distance > cfg.long_arc_distance:
+            off_axis = off_axis_count > 0
             return _mk("LONG_ARC", addr,
-                       f"reference arc of {m.max_ref_distance} cells"
+                       f"reference arc of {distance} cells"
                        + (" crosses rows and columns" if off_axis else ""),
-                       {"maxRefDistance": m.max_ref_distance,
-                        "threshold": cfg.long_arc_distance,
-                        "offAxis": off_axis,
-                        "offAxisRefCount": m.off_axis_ref_count})
+                       {"maxRefDistance": distance, "threshold": cfg.long_arc_distance,
+                        "offAxis": off_axis, "offAxisRefCount": off_axis_count})
         return None
 
     def xsheet(addr: CellAddress, cell: CellContent, ast: FormulaAst) -> Finding | None:
         facts = ast.facts
         if facts.cross_sheet_count > 0:
-            return _mk("XSHEET_REF", addr,
-                       f"{facts.cross_sheet_count} cross-sheet reference(s)",
+            return _mk("XSHEET_REF", addr, f"{facts.cross_sheet_count} cross-sheet reference(s)",
                        {"count": facts.cross_sheet_count, "sheets": list(facts.cross_sheets)})
         return None
 
     def flow(addr: CellAddress, cell: CellContent, ast: FormulaAst) -> Finding | None:
         offenders = _flow_offenders(ast)
         if offenders:
-            return _mk("FLOW_VIOLATION", addr,
-                       "reads cells below or to the right of itself",
+            return _mk("FLOW_VIOLATION", addr, "reads cells below or to the right of itself",
                        {"references": offenders})
         return None
 
     def unprotected(addr: CellAddress, cell: CellContent, ast: FormulaAst) -> Finding | None:
         if cell.locked:
             return None
-        f = _mk("UNPROTECTED_FORMULA", addr,
-                "formula cell is not locked against edits",
+        f = _mk("UNPROTECTED_FORMULA", addr, "formula cell is not locked against edits",
                 {"protectionEnabled": protection_on})
         return f if protection_on else f._replace(severity="error")
 
-    cell_rules = {
-        "JAMMED": jammed,
-        "LONG_FORMULA": long_formula,
-        "LONG_ARC": long_arc,
-        "XSHEET_REF": xsheet,
-        "FLOW_VIOLATION": flow,
-        "UNPROTECTED_FORMULA": unprotected,
-    }
+    cell_rules = {"JAMMED": jammed, "LONG_FORMULA": long_formula, "LONG_ARC": long_arc,
+                  "XSHEET_REF": xsheet, "FLOW_VIOLATION": flow,
+                  "UNPROTECTED_FORMULA": unprotected}
 
     findings: list[Finding] = []
-    examined = {rid: 0 for rid in enabled}
-    # every cell rule walks the formula cells in reading order, from one list
-    formulas = ([(addr, cell, asts[addr]) for addr, cell in wb.formula_cells()]
-                if any(rid in cell_rules for rid in enabled) else [])
-    for rid in enabled:
-        judge = cell_rules.get(rid)
-        if judge is None:
-            try:
-                found = list(book_rules[rid]())
-            except Exception as exc:  # report and leave the coverage gap visible
-                findings.append(_internal(rid, None, exc))
-                continue
-            findings.extend(found)
+    examined = {rid: 0 if rid in book_rules else wb.total_cell_count for rid in enabled}
+    for rid in (rid for rid in enabled if rid in book_rules):
+        try:
+            findings.extend(list(book_rules[rid]()))
+        except Exception as exc:  # report and leave the coverage gap visible
+            findings.append(_internal(rid, None, exc))
         else:
-            for addr, cell, ast in formulas:
-                try:
-                    hit = judge(addr, cell, ast)
-                except Exception as exc:
-                    hit = _internal(rid, addr, exc)
-                if hit is not None:
-                    findings.append(hit)
-        examined[rid] = wb.total_cell_count
+            examined[rid] = wb.total_cell_count
+
+    def per_copy(rid: str, addr: CellAddress, cell: CellContent, ast: FormulaAst) -> bool:
+        try:  # does rid judge each copy of the class whose first copy ast is?
+            return (rid == "UNPROTECTED_FORMULA" or cell_rules[rid](addr, cell, ast) is not None
+                    or (rid in ("LONG_ARC", "FLOW_VIOLATION") and ast.facts.anchored))
+        except Exception:  # then each copy reports its own crash
+            return True
+
+    # One walk of the formula cells. Each takes, in RULE_IDS order (which one
+    # cell's INTERNAL_ERRORs keep), the judges its class's first copy chose.
+    cell_ids = [rid for rid in enabled if rid in cell_rules]
+    judges_of: dict[FormulaAst, list[str]] = {}
+    for addr, cell in wb.formula_cells() if cell_ids else ():
+        ast = asts[addr]
+        if ast.cls not in judges_of:
+            judges_of[ast.cls] = [rid for rid in cell_ids if per_copy(rid, addr, cell, ast)]
+        for rid in judges_of[ast.cls]:
+            try:
+                hit = cell_rules[rid](addr, cell, ast)
+            except Exception as exc:
+                hit = _internal(rid, addr, exc)
+            if hit is not None:
+                findings.append(hit)
 
     overrides = dict(cfg.severity_overrides)
     if overrides:
@@ -541,14 +561,8 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
                     for f in findings]
 
     suppress = set(cfg.suppressions)
-    kept: list[Finding] = []
-    suppressed = 0
-    for f in findings:
-        key = "*" if f.location is None else f.location.qualified
-        if (key, f.rule_id) in suppress:
-            suppressed += 1
-        else:
-            kept.append(f)
+    kept = [f for f in findings if ("*" if f.location is None else f.location.qualified,
+                                    f.rule_id) not in suppress]
 
     def order(f: Finding):
         if f.location is None:
@@ -557,6 +571,6 @@ def run_rules(wb: Workbook, g: DepGraph, cfg: RuleConfig | None = None,
                 f.location.col, f.rule_id)
 
     kept.sort(key=order)
-    return RulesReport(findings=tuple(kept), suppressed_count=suppressed,
+    return RulesReport(findings=tuple(kept), suppressed_count=len(findings) - len(kept),
                        examined=examined, applicable=wb.total_cell_count,
                        enabled=enabled)

@@ -244,9 +244,8 @@ class _Seeder:
         self.form_guard: set[CellAddress] = set()  # hardwire runs must survive
         self.quarter = 0  # fresh .25/.75 literal counter
         asts = parse_workbook_formulas(wb)
-        self.forms: dict[CellAddress, str | None] = {
-            addr: ast.normal.text for addr, ast in asts.items()
-        }
+        self.forms: dict[CellAddress, tuple | str | None] = {  # FormulaAst.key
+            addr: ast.key for addr, ast in asts.items()}
         self.sentinel = 0
         self.text_targets: list[CellAddress] = []
         # DUP_LITERAL donors per sheet in reading order: plain numbers of
@@ -277,7 +276,7 @@ class _Seeder:
         horizontal = numeric(r, c - 1) and numeric(r, c + 1) and c % 2 == 0
         return vertical or horizontal
 
-    def _form(self, sheet: str, row: int, col: int) -> str | None:
+    def _form(self, sheet: str, row: int, col: int) -> tuple | str | None:
         if row < 1 or col < 1:
             return None
         return self.forms.get(CellAddress(sheet, row, col))

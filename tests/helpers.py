@@ -49,6 +49,7 @@ from gridaudit.model import (
     Sheet,
     Workbook,
     WorkbookMeta,
+    col_to_letters,
     parse_cell_key,
 )
 
@@ -595,3 +596,121 @@ def literal_copies_book(seed: int) -> Workbook:
             cells[host.a1] = render(FormulaAst("=", host, moved))
     return wb_from(cells, extra_sheets={"Data": {"A1": 5.0, "B2": "=A1+S1!A1"},
                                         "My Data": {"C3": "=3+Data!A1"}})
+
+
+def class_time_book(seed: int) -> Workbook:
+    """literal_copies_book's classes, and what judging rules by class must
+    still get right copy by copy.
+
+    Adds a column of copies anchored on $A$1, pasted down past the LONG_ARC
+    distance so that only its far copies fire; a row of copies; unlocked
+    copies; and constants in place of copies, inside runs, beside runs
+    outside them, and between copies of two literal vectors.
+    """
+    rng = random.Random(seed)
+    base = literal_copies_book(seed)
+    sheets = {s.name: {addr.a1: cell for addr, cell in s.reading_order} for s in base.sheets}
+    cells: dict[str, Any] = {a1: cell.formula or cell for a1, cell in sheets.pop("S1").items()}
+    cells.update({"A1": 1.0, "T1": 2.0, "A60": 3.0})
+    last = rng.randint(30, 50)
+    for r in range(2, last):
+        cells[f"T{r}"] = f"=$A$1+T{r - 1}*{1 if rng.random() < 0.8 else rng.choice([2, 3])}"
+    cells[f"T{last}"] = 4.0
+    for c in range(2, 14):
+        cells[CellAddress("S1", 60, c).a1] = f"={col_to_letters(c - 1)}59*{rng.choice([2, 2, 5])}"
+    for key in [k for k in cells if k[0] == "T" or k.endswith("60")]:
+        if isinstance(cells[key], str) and rng.random() < 0.15:
+            cells[key] = rng.choice([5.0, 7.5, "x", True])
+    for key, cell in cells.items():
+        if isinstance(cell, str) and cell.startswith("=") and rng.random() < 0.1:
+            cells[key] = CellContent(formula=cell, locked=False)
+    return wb_from(cells, protection=rng.random() < 0.5, extra_sheets=sheets)
+
+
+def per_copy_cell_findings(wb: Workbook, cfg: Any) -> list[Any]:
+    """The cell rules' findings, judged copy by copy: every enabled cell
+    rule, in RULE_IDS order, judges every formula cell from a parse of that
+    cell alone and its own normal form; sorted as run_rules sorts them."""
+    from gridaudit.formula import normalize
+    from gridaudit.rules import RULE_IDS, _mk
+
+    def jammed(addr, cell, ast):
+        if len(ast.literals) >= 2:
+            return _mk("JAMMED", addr, f"formula embeds {len(ast.literals)} literals",
+                       {"literals": [canonical_number(v) for v in ast.literals]})
+
+    def long_formula(addr, cell, ast):
+        tokens, limit = ast.facts.token_count, cfg.long_formula_tokens
+        if tokens > limit:
+            return _mk("LONG_FORMULA", addr, f"{tokens} tokens exceeds the {limit} limit",
+                       {"tokenCount": tokens, "threshold": limit})
+
+    def long_arc(addr, cell, ast):
+        m = normalize(ast)
+        if m.max_ref_distance > cfg.long_arc_distance:
+            off_axis = m.off_axis_ref_count > 0
+            return _mk("LONG_ARC", addr, f"reference arc of {m.max_ref_distance} cells"
+                       + (" crosses rows and columns" if off_axis else ""),
+                       {"maxRefDistance": m.max_ref_distance,
+                        "threshold": cfg.long_arc_distance, "offAxis": off_axis,
+                        "offAxisRefCount": m.off_axis_ref_count})
+
+    def xsheet(addr, cell, ast):
+        n = ast.facts.cross_sheet_count
+        if n > 0:
+            return _mk("XSHEET_REF", addr, f"{n} cross-sheet reference(s)",
+                       {"count": n, "sheets": list(ast.facts.cross_sheets)})
+
+    def flow(addr, cell, ast):
+        boxes = list(references(ast))
+        offenders = []
+        for i in ast.reach[2]:  # a cell's own class: found from its own host
+            _sheet, r1, c1, r2, c2 = boxes[i]
+            text = f"{col_to_letters(c1)}{r1}"
+            if isinstance(ast.facts.refs[i], RangeRef):
+                text += f":{col_to_letters(c2)}{r2}"
+            offenders.append(text)
+        if offenders:
+            return _mk("FLOW_VIOLATION", addr, "reads cells below or to the right of itself",
+                       {"references": offenders})
+
+    def unprotected(addr, cell, ast):
+        if not cell.locked:
+            on = wb.meta.protection_enabled
+            f = _mk("UNPROTECTED_FORMULA", addr, "formula cell is not locked against edits",
+                    {"protectionEnabled": on})
+            return f if on else f._replace(severity="error")
+
+    judges = {"JAMMED": jammed, "LONG_FORMULA": long_formula, "LONG_ARC": long_arc,
+              "XSHEET_REF": xsheet, "FLOW_VIOLATION": flow, "UNPROTECTED_FORMULA": unprotected}
+    formulas = [(addr, cell, parse_formula(cell.formula, addr))
+                for addr, cell in wb.formula_cells()]
+    found = [hit for rid in RULE_IDS if rid in judges and rid in cfg.enabled
+             for addr, cell, ast in formulas
+             if (hit := judges[rid](addr, cell, ast)) is not None]
+    return sorted(found, key=lambda f: (wb.sheet_index(f.location.sheet),
+                                        f.location.row, f.location.col, f.rule_id))
+
+
+def hardwired_by_text(wb: Workbook, min_run: int) -> list[Any]:
+    """HARDWIRED's findings from the full scan of every row and column,
+    each formula's run read by its normal text, from a parse of that cell
+    alone; in reading order."""
+    from gridaudit.formula import normalize
+    from gridaudit.rules import _scan_line
+
+    norm_text = {addr: normalize(parse_formula(cell.formula, addr)).text
+                 for addr, cell in wb.formula_cells()}
+    out: dict = {}
+    for sheet in wb.sheets:
+        rows: dict[int, list] = {}
+        cols: dict[int, list] = {}
+        for pair in sheet.reading_order:
+            rows.setdefault(pair[0].row, []).append(pair)
+            cols.setdefault(pair[0].col, []).append(pair)
+        for line in rows.values():
+            _scan_line(line, 2, norm_text, min_run, out)
+        for _c, line in sorted(cols.items()):
+            _scan_line(line, 1, norm_text, min_run, out)
+    return sorted(out.values(), key=lambda f: (wb.sheet_index(f.location.sheet),
+                                               f.location.row, f.location.col))

@@ -123,14 +123,14 @@ _DEEP = "[" * 100_000 + "]" * 100_000  # far past the JSON decoder's recursion l
 
 def _deep_reader_argv(tmp_path: Path, reader: str) -> tuple[list[str], str]:
     """A command whose reader gets a document nested _DEEP, and the name
-    its error must give: the file, the flag or the kind of document."""
+    its error must give: the file, or the flag, and the kind of document."""
     book = clean_chain(tmp_path)
     deep = tmp_path / "deep.json"
     session = write_session(tmp_path, "ana", "M1", [], 40.0)
     if reader == "workbook":
         deep.write_text('{"version": 1, "name": "d", "meta": {"modified": "2026-01-15", '
                         f'"deep": {_DEEP}}}, "sheets": []}}', encoding="utf-8")
-        return ["audit", str(deep)], "workbook"
+        return ["audit", str(deep)], f"{deep}: workbook"
     if reader == "--mix":
         return ["seed", "--topology", "chain", "--formulas", "10", "--inputs", "2",
                 "--mix", f'{{"JAMMED": {_DEEP}}}', "--workbook-out",
@@ -140,7 +140,8 @@ def _deep_reader_argv(tmp_path: Path, reader: str) -> tuple[list[str], str]:
             "session": (["reconcile", str(book), "M1", str(deep)], f"session {deep}"),
             "truth": (["reconcile", str(book), "M1", str(session), "--truth", str(deep)],
                       f"truth {deep}"),
-            "snapshot": (["recheck", str(book), "--snapshot", str(deep)], "snapshot")}[reader]
+            "snapshot": (["recheck", str(book), "--snapshot", str(deep)],
+                         f"{deep}: snapshot")}[reader]
 
 
 @pytest.mark.parametrize("reader", ["workbook", "config", "session", "truth", "--mix",
@@ -459,18 +460,19 @@ def counted_normalize(monkeypatch) -> list:
 
 
 def test_audit_normalizes_each_formula_class_once(monkeypatch):
-    # Once per (class, literal vector): copies that differ only in a number
-    # are one class but two normal forms.
+    # Copies that differ only in a number are one class but two normal
+    # forms. Forms are compared by key, so the audit renders a normal text at
+    # most once per class, plus once per firing HARDWIRED run's normalForm.
     spec = SeedSpec("grid", 90, 6, error_rate=0.3, rng_seed=4)
     wb = seed_defects(generate_clean(spec), spec).workbook
     calls = counted_normalize(monkeypatch)
-    build_audit_report(wb, fixed_timestamp=True)
+    rep = build_audit_report(wb, fixed_timestamp=True)
     asts = formula.parse_workbook_formulas(wb)
-    firsts: dict = {}
-    for addr, ast in asts.items():
-        firsts.setdefault((ast.cls, ast.literals), addr)
-    assert sorted(calls) == sorted(firsts.values())  # each once, at its first copy
-    assert len({ast.cls for ast in asts.values()}) < len(firsts) < len(asts)
+    classes = {ast.cls for ast in asts.values()}
+    forms = {f.evidence["normalForm"] for f in rep.findings if f.rule_id == "HARDWIRED"}
+    assert forms
+    assert len(set(calls)) == len(calls) <= len(classes) + len(forms)
+    assert len(classes) < len({(ast.cls, ast.literals) for ast in asts.values()}) < len(asts)
 
 
 def test_class_rules_and_plan_render_no_normal_form(monkeypatch):

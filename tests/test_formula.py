@@ -834,3 +834,36 @@ def test_copies_differing_only_in_literals_parse_as_one_class(monkeypatch):
     assert len({ast.cls for ast in asts.values()}) == len(parses) <= 2
     assert len({ast.literals for ast in asts.values()}) > 1000
     assert unique_formula_count(wb, asts) == len({ast.normal.text for ast in asts.values()})
+
+
+def _keys_match_texts(wb) -> None:
+    """Two formulas have equal keys exactly where a parse of each cell
+    alone gives equal normal texts."""
+    asts = parse_workbook_formulas(wb)
+    pairs = {(ast.key, normalize(parse_formula(ast.source, addr)).text)
+             for addr, ast in asts.items()}
+    assert len(pairs) == len({key for key, _ in pairs}) == len({text for _, text in pairs})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_keys_are_equal_exactly_where_normal_texts_are_property(seed):
+    _keys_match_texts(literal_copies_book(seed))
+
+
+@pytest.mark.parametrize("first, second, third", [
+    ("=sum(A1:A2)+2", "=SUM(A2:A3)+2", "=SUM(A3:A4)+5"),  # function-name case
+    ("=S1!A1+1", "=A2+1", "=A3+4"),  # a same-sheet qualifier
+    ("=SUM(A2:A1)*2", "=SUM(A2:A3)*2", "=SUM(A3:A4)*3"),  # corners in either order
+])
+def test_two_classes_with_one_normal_text_have_one_key(first, second, third):
+    # The key is the rendered shape, not the class: B1 and B2 are two
+    # classes with one key, and B3, a copy of B2 with a literal of its own,
+    # has another.
+    wb = wb_from({"B1": first, "B2": second, "B3": third})
+    asts = parse_workbook_formulas(wb)
+    b1, b2, b3 = (asts[CellAddress("S1", r, 2)] for r in (1, 2, 3))
+    assert b1.cls is not b2.cls and b3.cls is b2.cls
+    assert b1.key == b2.key != b3.key
+    assert unique_formula_count(wb, asts) == 2
+    _keys_match_texts(wb)

@@ -40,7 +40,7 @@ from gridaudit.rules import (
     run_rules,
 )
 from gridaudit.simlab import SeedSpec, generate_clean
-from helpers import wb_from
+from helpers import class_time_book, hardwired_by_text, per_copy_cell_findings, wb_from
 
 
 def run(wb, cfg=None):
@@ -768,3 +768,78 @@ def test_any_workbook_document_audits_or_fails_located(doc, side):
                      ["reconcile", clean, "M1", str(session), "--truth", str(files["truth"])]):
             with redirect_stdout(io.StringIO()):
                 assert main(argv) in (0, 1, 2), argv
+
+
+CELL_RULES = ("JAMMED", "LONG_FORMULA", "LONG_ARC", "XSHEET_REF", "FLOW_VIOLATION",
+              "UNPROTECTED_FORMULA")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_rules_by_class_match_the_per_copy_references_property(seed):
+    # Judged by class, the cell rules give what judging each copy from a
+    # parse of its own cell gives, and HARDWIRED, scanning only the lines a
+    # constant interrupts and grouping by key, what the full scan by normal
+    # text gives: anchored copies past the LONG_ARC distance, unlocked
+    # copies, and constants inside and outside runs included.
+    wb = class_time_book(seed)
+    cfg = RuleConfig(enabled=frozenset(CELL_RULES + ("HARDWIRED",)))
+    report = run_rules(wb, build_graph(wb), cfg)
+    cell = [f.to_dict() for f in report.findings if f.rule_id != "HARDWIRED"]
+    assert cell == [f.to_dict() for f in per_copy_cell_findings(wb, cfg)]
+    assert ([f.to_dict() for f in hits(report, "HARDWIRED")]
+            == [f.to_dict() for f in hardwired_by_text(wb, cfg.min_run_length_for_hardwire)])
+
+
+def test_only_the_far_copies_of_an_anchored_class_are_long_arcs():
+    cells = {"A1": 1.0, "B1": 2.0}
+    cells.update({f"B{r}": f"=$A$1+B{r - 1}" for r in range(2, 42)})
+    arcs = hits(run(wb_from(cells, outputs=("S1!B41",))), "LONG_ARC")
+    assert [f.location.row for f in arcs] == list(range(27, 42))  # 26 rows or more from A1
+
+
+def _counting_reads(monkeypatch) -> dict[str, int]:
+    """Count _flow_offenders calls and FormulaAst.facts and .reach reads."""
+    counts = {"flow": 0, "facts": 0, "reach": 0}
+    flow, facts, reach = (rules_mod._flow_offenders, FormulaAst.facts.fget,
+                          FormulaAst.reach.fget)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(rules_mod, "_flow_offenders", counted("flow", flow))
+    monkeypatch.setattr(FormulaAst, "facts", property(counted("facts", facts)))
+    monkeypatch.setattr(FormulaAst, "reach", property(counted("reach", reach)))
+    return counts
+
+
+def test_a_clean_class_is_judged_once(monkeypatch):
+    # 2,000 copies, each with literals of its own, no rule firing: each class
+    # rule judges the first copy alone. LONG_FORMULA and XSHEET_REF read the
+    # facts once, LONG_ARC and FLOW_VIOLATION the reach once and the facts
+    # once (whether the class is anchored), the class's reach is found from
+    # its facts once, and only UNPROTECTED_FORMULA, which reads the cell's
+    # lock, visits every copy.
+    wb = wb_from({f"B{r}": f"=A{r}*{r}" for r in range(1, 2001)})
+    asts = parse_workbook_formulas(wb)
+    g = build_graph(wb, asts)
+    counts = _counting_reads(monkeypatch)
+    report = run_rules(wb, g, RuleConfig(enabled=frozenset(CELL_RULES)), asts=asts)
+    assert report.findings == () and report.coverage_ok
+    assert counts == {"flow": 1, "facts": 5, "reach": 2}
+
+
+def test_a_firing_class_is_judged_at_every_copy(monkeypatch):
+    # Each copy reads the cell below it: FLOW_VIOLATION fires at the first
+    # copy, so every copy is judged, and each gets its own evidence.
+    wb = wb_from({f"B{r}": f"=A{r + 1}*{r}" for r in range(1, 2001)})
+    asts = parse_workbook_formulas(wb)
+    g = build_graph(wb, asts)
+    counts = _counting_reads(monkeypatch)
+    report = run_rules(wb, g, RuleConfig(enabled=frozenset({"FLOW_VIOLATION"})), asts=asts)
+    assert counts["flow"] == 2001  # the first copy twice: as the class, then as a copy
+    assert [f.evidence["references"] for f in report.findings] == [
+        [f"A{r + 1}"] for r in range(1, 2001)]
